@@ -24,7 +24,7 @@ from math import comb, e, sqrt
 import numpy as np
 
 from . import measures
-from .polynomials import _pointwise_opnorm, from_multilinear
+from .polynomials import EVAL_BLOCK, _pointwise_opnorm, from_multilinear
 from .tensors import UnsupportedSizeError
 
 EXP_MOMENT_COEFF = 1.0 / (12.0 * e)  # universal constant in the exp-moment certificates
@@ -529,14 +529,23 @@ def _constant_opnorm(tensor):
 def _opnorm_values(f, k, points):
     """Pointwise operator norms of the order-k derivative at sample points.
 
-    Orders 1 and 2 vectorize; higher orders run per-point power iteration on
-    at most OPNORM_POINT_CAP points (deterministic prefix of the sample).
+    Orders 1 and 2 vectorize over blocks of EVAL_BLOCK points, so no
+    (m, dim, dim) Hessian batch is built; every point's norm is computed as
+    in a whole-batch call. Higher orders run per-point power iteration on at
+    most OPNORM_POINT_CAP points (deterministic prefix of the sample).
     """
-    if k == 1:
-        return np.linalg.norm(f.gradient_batch(points), axis=1)
-    if k == 2:
-        return np.max(np.abs(np.linalg.eigvalsh(f.hessian_batch(points))), axis=1)
-    pts = np.asarray(points)[:OPNORM_POINT_CAP]
+    pts = np.asarray(points)
+    if k <= 2:
+        out = np.empty(pts.shape[0])
+        for start in range(0, pts.shape[0], EVAL_BLOCK):
+            block = pts[start:start + EVAL_BLOCK]
+            if k == 1:
+                vals = np.linalg.norm(f.gradient_batch(block), axis=1)
+            else:
+                vals = np.max(np.abs(np.linalg.eigvalsh(f.hessian_batch(block))), axis=1)
+            out[start:start + block.shape[0]] = vals
+        return out
+    pts = pts[:OPNORM_POINT_CAP]
     return np.array([_pointwise_opnorm(f.derivative_tensor(k, pt)) for pt in pts])
 
 

@@ -13,6 +13,7 @@ their own integer seeds from it, so artifact bytes depend only on
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import os
@@ -142,6 +143,9 @@ def run_config(cfg, out_dir, seed_override=None, samples_override=None):
     """Run one experiment; returns (exit_code, report dict)."""
     cfg = validate_config(cfg)
     seed = int(seed_override if seed_override is not None else cfg["seed"])
+    if samples_override is not None and samples_override < 1:
+        raise ConfigError("the sample count override must be at least 1, got %d"
+                          % samples_override)
     os.makedirs(out_dir, exist_ok=True)
     kind = cfg["kind"]
     runner = {"tensor-norm": _run_tensor_norm,
@@ -242,9 +246,22 @@ def _build_function(payload):
     return PolyFunction.from_dict(payload["function"]), None
 
 
+def _sample_count(payload, samples_override, field="samples", default=1_000_000):
+    """Evaluation sample count: the override when one is given, else the payload's."""
+    if samples_override is not None:
+        return int(samples_override)
+    return int(payload.get(field, default))
+
+
 def _eval_values(f, mspec, m, seed):
-    pts = measures.sample(mspec, m, seed)
-    return f.evaluate(pts)
+    """f at ``measures.sample(mspec, m, seed)``, evaluated block by block as
+    the draws are made, so the (m, dim) point matrix never exists."""
+    out = np.empty(m)
+    start = 0
+    for block in measures.sample_blocks(mspec, m, seed):
+        out[start:start + block.shape[0]] = f.evaluate(block)
+        start += block.shape[0]
+    return out
 
 
 # -- certify -------------------------------------------------------------------------
@@ -255,7 +272,7 @@ def _run_certify(cfg, out_dir, seed, samples_override):
     f, _ = _build_function(payload)
     d = int(payload["d"])
     route = payload.get("route") or (fixture.route if fixture else None)
-    m_eval = int(samples_override or payload.get("samples", 1_000_000))
+    m_eval = _sample_count(payload, samples_override)
     m_prof = int(payload.get("profile_samples", 100_000))
     profile = bounds.profile_from_function(f, mspec, d, m=m_prof,
                                            seed=stage_seed(seed, _STAGE_PROFILE))
@@ -302,7 +319,7 @@ def _run_tails(cfg, out_dir, seed, samples_override):
     f, _ = _build_function(payload)
     d = int(payload["d"])
     t_grid = payload["t_grid"]
-    m_eval = int(samples_override or payload.get("samples", 1_000_000))
+    m_eval = _sample_count(payload, samples_override)
     m_prof = int(payload.get("profile_samples", 100_000))
     profile = bounds.profile_from_function(f, mspec, d, m=m_prof,
                                            seed=stage_seed(seed, _STAGE_PROFILE))
@@ -315,11 +332,7 @@ def _run_tails(cfg, out_dir, seed, samples_override):
            "samples": m_eval, "profile_samples": m_prof,
            "passed": report.passed}
     if payload.get("negative_control"):
-        weak = bounds.DerivativeProfile(
-            profile.order, profile.sigma / 10.0, profile.norms2,
-            profile.top_inf, profile.top_hs, profile.top_p, profile.centered,
-            profile.derivs_centered, profile.top_inf_exact, profile.mean,
-            profile.norms2_se, profile.top_hs_se)
+        weak = dataclasses.replace(profile, sigma=profile.sigma / 10.0)
         control = verify.check_tail_certificate(
             bounds.tail_certificate(weak), values, t_grid)
         control_failed = not control.passed
@@ -338,7 +351,7 @@ def _run_multilinear(cfg, out_dir, seed, samples_override):
     if mlspec is None:
         raise ConfigError("multilinear experiments need a multilinear spec")
     t_grid = payload["t_grid"]
-    m_eval = int(samples_override or payload.get("samples", 1_000_000))
+    m_eval = _sample_count(payload, samples_override)
     centered = all(mspec.moment(i, 1) == 0.0 for i in range(mspec.dim))
     unit_var = all(abs(mspec.moment(i, 2) - 1.0) < 1e-12 for i in range(mspec.dim))
     certs = bounds.multilinear_certificates(mlspec, mspec.sigma(), centered, unit_var)
@@ -417,7 +430,7 @@ def _run_weighted(cfg, out_dir, seed, samples_override):
         raise ConfigError("weighted experiments support d <= 2")
     default_route = "weighted-tail" if cfg["kind"] == "weighted-tail" else "weighted-ladder"
     route = payload.get("route") or (fixture.route if fixture else default_route)
-    m_eval = int(samples_override or payload.get("samples", 1_000_000))
+    m_eval = _sample_count(payload, samples_override)
     values = _eval_values(f, mspec, m_eval, stage_seed(seed, _STAGE_EVAL))
     norms2 = (_exact_gradient_l2(f, mspec),) if d == 2 else ()
     top_op, _ = bounds._constant_opnorm(f.derivative_tensor(d))
@@ -498,7 +511,7 @@ def _run_rmt(cfg, out_dir, seed, samples_override):
                                          **payload["entry"].get("params", {}))
     ens = rmt.WignerEnsemble(n, entry)
     poly = rmt.as_polynomial(payload["coeffs"])
-    draws = int(samples_override or payload.get("draws", 2000))
+    draws = _sample_count(payload, samples_override, "draws", 2000)
     cal_draws = int(payload.get("cal_draws", 2000))
     cal = rmt.calibrate(ens, poly, cal_draws, stage_seed(seed, _STAGE_CAL))
     sample = rmt.sample_ensemble(ens, draws, stage_seed(seed, _STAGE_EVAL))

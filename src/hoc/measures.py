@@ -12,8 +12,13 @@ lambda p u) with a symmetric finite-difference scheme on a truncated
 interval, symmetrizes to a tridiagonal eigenproblem, and reports the smallest
 nonzero eigenvalue with a grid-doubling stability flag.
 
-Sampling is deterministic: a counter-based Philox stream per 65536-row block,
-keyed by (seed, block index), so results do not depend on how work is split.
+Sampling is deterministic: a counter-based Philox stream per 65536-row block
+(``SAMPLE_BLOCK``), keyed by (seed, block index), so results do not depend on
+how work is split. ``sample_blocks`` yields those blocks one at a time, so a
+caller can evaluate m draws without holding an (m, dim) array. The block
+size is part of the stream layout: changing it changes every sample. It is
+not sized for the cache; polynomial evaluation works through each block in
+its own, smaller blocks (``polynomials.EVAL_BLOCK``, 8192 rows).
 """
 
 from __future__ import annotations
@@ -239,16 +244,34 @@ def _draw(rng, coord, size):
     raise ValueError("unknown distribution tag %r" % (coord.dist,))
 
 
+def sample_blocks(spec, m, seed):
+    """Yield the rows of ``sample(spec, m, seed)`` as consecutive blocks.
+
+    Each block holds SAMPLE_BLOCK rows (the last one the remainder) drawn
+    from its own substream, so a caller can consume m draws while only one
+    block exists at a time. Blocks are column-major: each coordinate's draws
+    are written, and read back by polynomial evaluation, contiguously.
+    """
+    if m < 1:
+        raise ValueError("need m >= 1")
+    for block_index, start in enumerate(range(0, m, SAMPLE_BLOCK)):
+        rows = min(SAMPLE_BLOCK, m - start)
+        rng = substream(seed, block_index)
+        block = np.empty((rows, spec.dim), order="F")
+        for j, coord in enumerate(spec.coords):
+            block[:, j] = _draw(rng, coord, rows)
+        yield block
+
+
 def sample(spec, m, seed):
     """(m, dim) draws from the product measure; deterministic in (seed, m)."""
     if m < 1:
         raise ValueError("need m >= 1")
     out = np.empty((m, spec.dim))
-    for block_index, start in enumerate(range(0, m, SAMPLE_BLOCK)):
-        stop = min(start + SAMPLE_BLOCK, m)
-        rng = substream(seed, block_index)
-        for j, coord in enumerate(spec.coords):
-            out[start:stop, j] = _draw(rng, coord, stop - start)
+    start = 0
+    for block in sample_blocks(spec, m, seed):
+        out[start:start + block.shape[0]] = block
+        start += block.shape[0]
     return out
 
 

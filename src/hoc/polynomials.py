@@ -20,6 +20,12 @@ import numpy as np
 
 from .tensors import SymTensor
 
+# Rows per evaluation block, so each term's temporaries (64 kB at 8192 rows)
+# stay in cache. Evaluating the 120-term n=10, d=3 chaos on 10^6 row-major
+# points took 0.5 s with blocks of 4096-16384 rows and 1.4 s with blocks of
+# 65536 rows (2-vCPU Xeon, numpy 2.4).
+EVAL_BLOCK = 8192
+
 
 def _falling(e, k):
     out = 1
@@ -64,7 +70,15 @@ class PolyFunction:
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, x):
-        """Value at a point (shape (dim,)) or a batch (shape (m, dim))."""
+        """Value at a point (shape (dim,)) or a batch (shape (m, dim)).
+
+        A batch is evaluated EVAL_BLOCK rows at a time, so every per-term
+        temporary stays in cache; each row sees the same operations in the
+        same order whatever the batch size, so values are bit-identical to a
+        whole-batch evaluation. This block is much smaller than the
+        65536-row ``SAMPLE_BLOCK`` of the sampler, which is fixed by the
+        random-stream layout, not by the cache.
+        """
         pts = np.asarray(x, dtype=np.float64)
         single = pts.ndim == 1
         if single:
@@ -72,7 +86,18 @@ class PolyFunction:
         if pts.shape[1] != self.dim:
             raise ValueError("points of dimension %d, polynomial has dim %d"
                              % (pts.shape[1], self.dim))
-        out = np.zeros(pts.shape[0])
+        m = pts.shape[0]
+        out = np.zeros(m)
+        if m <= EVAL_BLOCK:
+            self._add_terms(pts, out)
+        else:
+            for start in range(0, m, EVAL_BLOCK):
+                stop = start + EVAL_BLOCK
+                self._add_terms(pts[start:stop], out[start:stop])
+        return float(out[0]) if single else out
+
+    def _add_terms(self, pts, out):
+        """out += every term evaluated at the rows of ``pts``."""
         for exps, coeff in self.terms:
             term = np.full(pts.shape[0], coeff)
             for i, e in enumerate(exps):
@@ -81,7 +106,6 @@ class PolyFunction:
                 elif e > 1:
                     term *= pts[:, i] ** e
             out += term
-        return float(out[0]) if single else out
 
     # -- algebra --------------------------------------------------------------
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from hoc import bounds as B
 from hoc.measures import MeasureSpec
-from hoc.polynomials import MultilinearSpec, PolyFunction
+from hoc.polynomials import EVAL_BLOCK, MultilinearSpec, PolyFunction
 
 
 def profile(d=2, sigma=1.0, norms2=(1.0,), top_inf=1.0, **kw):
@@ -415,3 +415,13 @@ def test_profile_from_function_bilinear():
     assert prof.norms2[0] == pytest.approx(sqrt(2.0), abs=6 * prof.norms2_se[0])
     with pytest.raises(ValueError):
         B.profile_from_function(f, spec, 2, m=500)
+
+
+def test_opnorm_values_blocked_match_whole_batch():
+    f = PolyFunction.from_terms(3, {(2, 1, 0): 1.5, (0, 1, 2): -0.75, (1, 1, 1): 2.0,
+                                    (3, 0, 0): 0.25})
+    pts = np.random.default_rng(8).standard_normal((2 * EVAL_BLOCK + 5, 3))
+    hess = np.max(np.abs(np.linalg.eigvalsh(f.hessian_batch(pts))), axis=1)
+    assert np.array_equal(B._opnorm_values(f, 2, pts), hess)
+    grad = np.linalg.norm(f.gradient_batch(pts), axis=1)
+    assert np.array_equal(B._opnorm_values(f, 1, pts), grad)

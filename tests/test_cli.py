@@ -119,6 +119,16 @@ def test_cli_invalid_config_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_cli_samples_below_one_writes_nothing(tmp_path, capsys, samples):
+    cfg = write_cfg(tmp_path, {"kind": "tails", "seed": 0,
+                               "fixture": "gaussian-chaos-n2-d2-tails"})
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", cfg, "--out", out, "--samples", samples]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_json_error_location(tmp_path, capsys):
     cfg = write_cfg(tmp_path, '{"kind": "tails"\n "seed": 0}')
     assert run_cli(["run", "--config", cfg, "--out", tmp_path / "o"]) == 2

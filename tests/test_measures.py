@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hoc import measures as M
+from hoc import experiments, measures as M
+from hoc._util import SAMPLE_BLOCK
+from hoc.polynomials import PolyFunction
 
 
 def quad_moment(coord, k):
@@ -116,6 +118,19 @@ def test_sample_deterministic():
     c = M.sample(spec, 70_000, seed=12)
     assert not np.array_equal(a, c)
     assert a.shape == (70_000, 3)
+    blocks = list(M.sample_blocks(spec, 70_000, seed=11))
+    assert [blk.shape[0] for blk in blocks] == [SAMPLE_BLOCK, 70_000 - SAMPLE_BLOCK]
+    assert np.array_equal(np.concatenate(blocks), a)
+
+
+def test_eval_values_streams_the_sample():
+    # evaluated block by block as drawn, bit-identical to one whole-sample call
+    spec = M.MeasureSpec.iid("gaussian", 3)
+    f = PolyFunction.from_terms(3, {(1, 1, 1): 0.5, (3, 0, 0): -1.25, (0, 2, 1): 2.0,
+                                    (0, 0, 0): 0.1})
+    m = 2 * SAMPLE_BLOCK + 17
+    streamed = experiments._eval_values(f, spec, m, seed=4)
+    assert np.array_equal(streamed, f.evaluate(M.sample(spec, m, seed=4)))
 
 
 def test_sample_rejects_empty():

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hoc.polynomials import (MultilinearSpec, PolyFunction, from_multilinear,
-                             opnorm_gradient_check)
+from hoc.polynomials import (EVAL_BLOCK, MultilinearSpec, PolyFunction,
+                             from_multilinear, opnorm_gradient_check)
 
 
 def naive_eval(f, x):
@@ -103,6 +103,14 @@ def test_gradient_batch_and_hessian_batch():
         ht = f.derivative_tensor(2, pts[r])
         assert np.allclose(hb[r], ht.dense, rtol=1e-12)
     assert np.allclose(hb, np.swapaxes(hb, 1, 2))
+    # one full evaluation block plus a partial one: rows match smaller batches bit for bit
+    big = np.random.default_rng(1).standard_normal((EVAL_BLOCK + 3, 3))
+    gb, hb = f.gradient_batch(big), f.hessian_batch(big)
+    for batch, whole in ((f.gradient_batch, gb), (f.hessian_batch, hb)):
+        assert np.array_equal(whole[:EVAL_BLOCK], batch(big[:EVAL_BLOCK]))
+        assert np.array_equal(whole[EVAL_BLOCK:], batch(big[EVAL_BLOCK:]))
+    for r in range(EVAL_BLOCK, EVAL_BLOCK + 3):
+        assert np.array_equal(hb[r], f.derivative_tensor(2, big[r]).dense)
 
 
 def test_derivative_tensor_fd_oracle():
