@@ -1,10 +1,8 @@
-"""Shared plumbing: counter-based RNG substreams, deterministic writers,
-worker-count resolution."""
+"""Shared plumbing: counter-based RNG substreams, deterministic writers."""
 
 from __future__ import annotations
 
 import json
-import os
 
 import numpy as np
 
@@ -15,7 +13,7 @@ def substream(seed, *key):
     """Philox generator for a (seed, key...) substream.
 
     The same (seed, key) always yields the same stream regardless of how many
-    other substreams exist or which worker runs it.
+    other substreams exist or in which order they are drawn.
     """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in key))))
 
@@ -30,17 +28,6 @@ def stage_seed(seed, *key):
     return int(ss.generate_state(1, dtype=np.uint32)[0])
 
 
-def worker_count():
-    """Worker cap from HOC_THREADS, default min(4, cpu count)."""
-    raw = os.environ.get("HOC_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return max(1, min(4, os.cpu_count() or 1))
-
-
 def jsonable(obj):
     """Recursively convert numpy scalars/arrays so json can serialize them."""
     if isinstance(obj, dict):
@@ -48,7 +35,7 @@ def jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
     if isinstance(obj, np.ndarray):
         return [jsonable(v) for v in obj.tolist()]
     if isinstance(obj, float) and obj != obj:  # NaN is not valid JSON

@@ -24,8 +24,9 @@ from math import comb, e, sqrt
 import numpy as np
 
 from . import measures
+from ._util import jsonable
 from .polynomials import EVAL_BLOCK, _pointwise_opnorm, from_multilinear
-from .tensors import UnsupportedSizeError
+from .tensors import UnsupportedSizeError, multinomial
 
 EXP_MOMENT_COEFF = 1.0 / (12.0 * e)  # universal constant in the exp-moment certificates
 EXP_THRESHOLD = 2.0
@@ -212,7 +213,7 @@ class Certificate:
                 "constants": dict(self.constants), "rescale_lambda": self.rescale_lambda}
 
     def to_json(self):
-        return json.dumps(_plain(self.to_dict()), sort_keys=True)
+        return json.dumps(jsonable(self.to_dict()), sort_keys=True)
 
     @classmethod
     def from_dict(cls, data):
@@ -222,16 +223,6 @@ class Certificate:
     @classmethod
     def from_json(cls, text):
         return cls.from_dict(json.loads(text))
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 def _tail_eval(route, c, t):
@@ -552,18 +543,8 @@ def _opnorm_values(f, k, points):
 def _hs_values(f, k, points):
     """Pointwise Hilbert-Schmidt norms of the order-k derivative."""
     indices, vals = f.derivative_batch(k, points)
-    mults = np.array([_tuple_multiplicity(idx) for idx in indices])
+    mults = np.array([multinomial(idx) for idx in indices])
     return np.sqrt((vals * vals) @ mults)
-
-
-def _tuple_multiplicity(idx):
-    counts = {}
-    for i in idx:
-        counts[i] = counts.get(i, 0) + 1
-    out = math.factorial(len(idx))
-    for c in counts.values():
-        out //= math.factorial(c)
-    return out
 
 
 def _l2_with_se(values):

@@ -17,6 +17,7 @@ import dataclasses
 import itertools
 import json
 import os
+import shutil
 from math import sqrt
 
 import numpy as np
@@ -37,6 +38,11 @@ _STAGE_EVAL = 2
 _STAGE_CAL = 3
 _STAGE_TENSORS = 4
 _STAGE_WEIGHTS = 5
+
+# a runner raising one of these was asked for a certificate whose hypotheses
+# the configured function or law does not meet: a config error, not a failed check
+_HYPOTHESIS_ERRORS = (bounds.MissingHypothesisError, bounds.MissingNormError,
+                      measures.UncertifiedConstantError)
 
 
 class ConfigError(ValueError):
@@ -140,12 +146,18 @@ def _merged_payload(cfg):
 
 
 def run_config(cfg, out_dir, seed_override=None, samples_override=None):
-    """Run one experiment; returns (exit_code, report dict)."""
+    """Run one experiment; returns (exit_code, report dict).
+
+    Raises ConfigError for an invalid config, and for a certificate whose
+    hypotheses the configured function or law does not meet; in that case
+    an output directory this call created is removed again.
+    """
     cfg = validate_config(cfg)
     seed = int(seed_override if seed_override is not None else cfg["seed"])
     if samples_override is not None and samples_override < 1:
         raise ConfigError("the sample count override must be at least 1, got %d"
                           % samples_override)
+    created = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     kind = cfg["kind"]
     runner = {"tensor-norm": _run_tensor_norm,
@@ -156,7 +168,12 @@ def run_config(cfg, out_dir, seed_override=None, samples_override=None):
               "weighted": _run_weighted,
               "weighted-tail": _run_weighted,
               "rmt": _run_rmt}[kind]
-    report = runner(cfg, out_dir, seed, samples_override)
+    try:
+        report = runner(cfg, out_dir, seed, samples_override)
+    except _HYPOTHESIS_ERRORS as exc:
+        if created:
+            shutil.rmtree(out_dir)
+        raise ConfigError(str(exc)) from exc
     report.update({"schema": SCHEMA_VERSION, "kind": kind, "seed": seed,
                    "fixture": cfg.get("fixture")})
     report["exit_code"] = 0 if report["passed"] else 1

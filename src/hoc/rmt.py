@@ -19,14 +19,13 @@ needs a finite uniform bound on f'', so it is only issued for degree <= 2.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from ._util import substream, worker_count
+from ._util import substream
 from .bounds import (EXP_MOMENT_COEFF, EXP_THRESHOLD, Certificate,
                      MissingHypothesisError)
 from .measures import CoordinateDist, coordinate_sigma2
@@ -107,22 +106,19 @@ def _eig_chunk(ens, seed, start, stop):
         return np.empty((0, ens.size)), discarded
 
 
-def sample_ensemble(ens, draws, seed, workers=None):
+def sample_ensemble(ens, draws, seed):
     """Eigenvalue sample of ``draws`` independent matrices.
 
     Deterministic in (seed, draws): each draw owns a counter-keyed substream,
-    so thread count and chunking cannot change the numbers. Solver failures
-    discard the draw; more than 0.1% of them is an error.
+    so chunking cannot change the numbers. Draws are built and solved in
+    ``_EIG_CHUNK``-draw chunks, one after another, which caps the memory of
+    the matrix batch. Solver failures discard the draw; more than 0.1% of
+    them is an error.
     """
     if draws < 1:
         raise ValueError("need draws >= 1")
-    spans = [(s, min(s + _EIG_CHUNK, draws)) for s in range(0, draws, _EIG_CHUNK)]
-    workers = workers or worker_count()
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda sp: _eig_chunk(ens, seed, *sp), spans))
-    else:
-        parts = [_eig_chunk(ens, seed, *sp) for sp in spans]
+    parts = [_eig_chunk(ens, seed, s, min(s + _EIG_CHUNK, draws))
+             for s in range(0, draws, _EIG_CHUNK)]
     eigs = np.vstack([p[0] for p in parts])
     discarded = sum(p[1] for p in parts)
     if discarded > MAX_DISCARD_FRACTION * draws:
@@ -210,7 +206,7 @@ class Calibration:
                 "se_fprime": self.se_fprime.tolist()}
 
 
-def calibrate(ens, poly, draws, seed, workers=None):
+def calibrate(ens, poly, draws, seed):
     """Estimate E lambda_j, E f(lambda_j), E f'(lambda_j) on a dedicated run.
 
     The seed must be independent of any evaluation seed (the certificates
@@ -218,7 +214,7 @@ def calibrate(ens, poly, draws, seed, workers=None):
     """
     if draws < 500:
         raise ValueError("calibration needs at least 500 draws")
-    sample = sample_ensemble(ens, draws, seed, workers=workers)
+    sample = sample_ensemble(ens, draws, seed)
     eig = sample.eigenvalues
     m = eig.shape[0]
     fvals = poly(eig)

@@ -46,6 +46,14 @@ def _canonical(index):
     return tuple(sorted(int(i) for i in index))
 
 
+def multinomial(index):
+    """Number of distinct permutations of an index tuple: len! / prod count!."""
+    count = math.factorial(len(index))
+    for i in set(index):
+        count //= math.factorial(index.count(i))
+    return count
+
+
 @dataclass(frozen=True)
 class SymTensor:
     """Immutable symmetric tensor of order ``order`` on R^``dim``.
@@ -128,11 +136,7 @@ class SymTensor:
 
     def multiplicity(self, index):
         """Number of distinct permutations of the index tuple."""
-        key = _canonical(index)
-        count = math.factorial(self.order)
-        for i in set(key):
-            count //= math.factorial(key.count(i))
-        return count
+        return multinomial(_canonical(index))
 
     @cached_property
     def dense(self):

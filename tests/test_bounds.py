@@ -388,6 +388,12 @@ def test_certificate_json_round_trip():
             assert again.tail_bound(7.0) == cert.tail_bound(7.0)
         else:
             assert again.exp_params() == cert.exp_params()
+    # numpy values and NaN constants serialize to strict JSON (NaN as null)
+    odd = B.Certificate("tail", "ladder-tail",
+                        {"norms2": np.array([1.0, 2.0]), "gap": np.float64("nan")})
+    text = odd.to_json()
+    assert "NaN" not in text
+    assert B.Certificate.from_json(text).constants == {"norms2": [1.0, 2.0], "gap": None}
 
 
 def test_unknown_tail_route_rejected():

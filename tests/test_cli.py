@@ -129,6 +129,28 @@ def test_cli_samples_below_one_writes_nothing(tmp_path, capsys, samples):
     assert not out.exists()
 
 
+_GAUSS2 = {"dim": 2, "coords": [{"dist": "gaussian", "params": {}},
+                                {"dist": "gaussian", "params": {}}]}
+
+
+@pytest.mark.parametrize("cfg", [
+    # f = x1^2 is not centered, so the tail certificate's E f = 0 fails
+    {"kind": "tails", "seed": 0, "measure": _GAUSS2, "d": 2, "t_grid": [1.0, 2.0],
+     "function": {"dim": 2, "terms": [{"exponents": [2, 0], "coeff": 1.0}]},
+     "samples": 1000, "profile_samples": 10_000},
+    # a cubic statistic has no uniform bound on f''
+    {"kind": "rmt", "seed": 0, "matrix_size": 5, "coeffs": [0.0, 0.0, 0.0, 1.0],
+     "entry": {"dist": "gaussian", "params": {}}, "draws": 100, "cal_draws": 500},
+], ids=["uncentered-tails", "rmt-degree-3"])
+def test_cli_missing_hypothesis_writes_nothing(tmp_path, capsys, cfg):
+    path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_cli_json_error_location(tmp_path, capsys):
     cfg = write_cfg(tmp_path, '{"kind": "tails"\n "seed": 0}')
     assert run_cli(["run", "--config", cfg, "--out", tmp_path / "o"]) == 2

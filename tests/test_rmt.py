@@ -24,13 +24,15 @@ def test_ensemble_validation():
     assert ens.sigma_n2 == pytest.approx(2.0 / 50.0, rel=1e-15)
 
 
-def test_sample_deterministic_and_thread_independent():
+def test_sample_deterministic_and_chunk_independent():
     ens = gaussian_ensemble(30)
     a = rmt.sample_ensemble(ens, 40, seed=5)
     b = rmt.sample_ensemble(ens, 40, seed=5)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
-    c = rmt.sample_ensemble(ens, 40, seed=5, workers=4)
-    assert np.array_equal(a.eigenvalues, c.eigenvalues)
+    # chunking cannot change the numbers: one 40-draw chunk equals the
+    # first 40 rows of a sample that spans three chunks
+    c = rmt.sample_ensemble(ens, 2 * rmt._EIG_CHUNK + 5, seed=5)
+    assert np.array_equal(c.eigenvalues[:40], a.eigenvalues)
     d = rmt.sample_ensemble(ens, 40, seed=6)
     assert not np.array_equal(a.eigenvalues, d.eigenvalues)
     assert a.eigenvalues.shape == (40, 30)

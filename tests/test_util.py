@@ -31,22 +31,11 @@ def test_stage_seed_stable():
     assert 0 <= s1 < 2**32
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("HOC_THREADS", "2")
-    assert _util.worker_count() == 2
-    monkeypatch.setenv("HOC_THREADS", "0")
-    assert _util.worker_count() == 1
-    monkeypatch.setenv("HOC_THREADS", "junk")
-    assert _util.worker_count() >= 1
-    monkeypatch.delenv("HOC_THREADS")
-    assert 1 <= _util.worker_count() <= 4
-
-
 def test_jsonable():
     obj = {"a": np.float64(1.5), "b": np.int32(3), "c": np.arange(2),
-           "d": float("nan"), "e": (1, 2)}
+           "d": float("nan"), "e": (1, 2), "f": np.float64("nan")}
     out = _util.jsonable(obj)
-    assert out == {"a": 1.5, "b": 3, "c": [0, 1], "d": None, "e": [1, 2]}
+    assert out == {"a": 1.5, "b": 3, "c": [0, 1], "d": None, "e": [1, 2], "f": None}
     json.dumps(out)  # round-trips through the stdlib encoder
 
 
