@@ -15,7 +15,6 @@ from .bounds import (Certificate, DerivativeProfile, MissingHypothesisError,
                      tail_certificate, weighted_moment_bounds,
                      weighted_moment_certificate, weighted_tail_bound,
                      weighted_tail_certificate)
-from .kernels import BACKEND
 from .measures import (CATALOG, CoordinateDist, GapResult, MeasureSpec,
                        UncertifiedConstantError, WeightSpec, catalog_oracle,
                        coordinate_moment, coordinate_sigma2, poincare_constant,

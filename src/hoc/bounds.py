@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import comb, e, sqrt
 
 import numpy as np
@@ -36,6 +36,9 @@ TAIL_PREFACTOR = e**2
 # form; cap the per-point power-iteration work at this many sample points and
 # let the reported standard error reflect the smaller sample.
 OPNORM_POINT_CAP = 4096
+
+# fewest sample points profile_from_function accepts
+MIN_PROFILE_SAMPLES = 10_000
 
 _SQRT2 = sqrt(2.0)
 
@@ -97,15 +100,13 @@ class DerivativeProfile:
         if top_p is not None:
             base = top_p
             top_p = lambda p: base(p) / lam
-        return DerivativeProfile(
-            self.order, self.sigma,
-            tuple(v / lam for v in self.norms2),
-            None if self.top_inf is None else self.top_inf / lam,
-            None if self.top_hs is None else self.top_hs / lam,
-            top_p, self.centered, self.derivs_centered, self.top_inf_exact,
-            self.mean / lam,
-            tuple(v / lam for v in self.norms2_se),
-            self.top_hs_se / lam)
+        return replace(
+            self, norms2=tuple(v / lam for v in self.norms2),
+            top_inf=None if self.top_inf is None else self.top_inf / lam,
+            top_hs=None if self.top_hs is None else self.top_hs / lam,
+            top_p=top_p, mean=self.mean / lam,
+            norms2_se=tuple(v / lam for v in self.norms2_se),
+            top_hs_se=self.top_hs_se / lam)
 
 
 @dataclass(frozen=True)
@@ -508,13 +509,13 @@ def multilinear_certificates(spec, sigma, centered, unit_variance):
 
 # -- profile estimation ------------------------------------------------------------------
 
-def _constant_opnorm(tensor):
+def constant_opnorm(tensor):
     """Operator norm of a constant derivative tensor, certified when the
     grid oracle supports the size."""
     try:
-        return tensor.op_norm("certified"), True
+        return tensor.op_norm("certified")
     except UnsupportedSizeError:
-        return tensor.op_norm("iterative"), True
+        return tensor.op_norm("iterative")
 
 
 def _opnorm_values(f, k, points):
@@ -567,8 +568,9 @@ def profile_from_function(f, mspec, d, m=100_000, seed=0):
     profile is flagged as a lower-bound estimate. Centering flags come from
     exact expectations, not samples.
     """
-    if m < 10_000:
-        raise ValueError("need m >= 10^4 samples for a usable profile")
+    if m < MIN_PROFILE_SAMPLES:
+        raise ValueError("need m >= %d samples for a usable profile"
+                         % MIN_PROFILE_SAMPLES)
     if d < 1:
         raise ValueError("d must be >= 1")
     sigma = mspec.sigma()
@@ -576,8 +578,7 @@ def profile_from_function(f, mspec, d, m=100_000, seed=0):
     norms2, ses = [], []
     for k in range(1, d):
         if f.top_is_constant(k):
-            v, _ = _constant_opnorm(f.derivative_tensor(k))
-            norms2.append(v)
+            norms2.append(constant_opnorm(f.derivative_tensor(k)))
             ses.append(0.0)
         else:
             vals = _opnorm_values(f, k, pts)
@@ -586,7 +587,7 @@ def profile_from_function(f, mspec, d, m=100_000, seed=0):
             ses.append(se)
     if f.top_is_constant(d):
         tensor = f.derivative_tensor(d)
-        top_inf, exact = _constant_opnorm(tensor)
+        top_inf, exact = constant_opnorm(tensor), True
         top_hs, top_hs_se = tensor.hs_norm(), 0.0
         top_p = (lambda v: (lambda p: v))(top_inf)
     else:

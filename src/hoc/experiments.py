@@ -39,6 +39,10 @@ _STAGE_CAL = 3
 _STAGE_TENSORS = 4
 _STAGE_WEIGHTS = 5
 
+# the least value of each count a runner reads from the config or fixture
+_COUNT_FLOORS = {"samples": 1, "profile_samples": bounds.MIN_PROFILE_SAMPLES,
+                 "draws": 1, "cal_draws": rmt.MIN_CAL_DRAWS, "count": 1}
+
 # a runner raising one of these was asked for a certificate whose hypotheses
 # the configured function or law does not meet: a config error, not a failed check
 _HYPOTHESIS_ERRORS = (bounds.MissingHypothesisError, bounds.MissingNormError,
@@ -91,9 +95,7 @@ def validate_config(cfg):
     if kind not in KINDS:
         raise ConfigError("unknown experiment kind %r (choose from %s)"
                           % (kind, ", ".join(KINDS)))
-    seed = _require(cfg, "seed", int, " (a master seed is mandatory)")
-    if isinstance(seed, bool):
-        raise ConfigError("seed must be an integer")
+    _check_count("seed", _require(cfg, "seed", int, " (a master seed is mandatory)"), 0)
     if "t_grid" in cfg:
         grid = cfg["t_grid"]
         if (not isinstance(grid, list) or len(grid) < 1
@@ -111,7 +113,18 @@ def validate_config(cfg):
                               % (fixture.name, fixture.kind, kind))
     elif kind not in ("tensor-norm", "catalog-oracle"):
         _validate_inline(cfg, kind)
+    payload, _ = _merged_payload(cfg)
+    for field, floor in _COUNT_FLOORS.items():
+        if field in payload:
+            _check_count(field, payload[field], floor)
     return cfg
+
+
+def _check_count(field, value, floor):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError("%s must be an integer, got %r" % (field, value))
+    if value < floor:
+        raise ConfigError("%s must be at least %d, got %d" % (field, floor, value))
 
 
 def _validate_inline(cfg, kind):
@@ -153,10 +166,11 @@ def run_config(cfg, out_dir, seed_override=None, samples_override=None):
     an output directory this call created is removed again.
     """
     cfg = validate_config(cfg)
+    if seed_override is not None:
+        _check_count("the seed override", seed_override, 0)
+    if samples_override is not None:
+        _check_count("the sample count override", samples_override, 1)
     seed = int(seed_override if seed_override is not None else cfg["seed"])
-    if samples_override is not None and samples_override < 1:
-        raise ConfigError("the sample count override must be at least 1, got %d"
-                          % samples_override)
     created = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     kind = cfg["kind"]
@@ -450,7 +464,7 @@ def _run_weighted(cfg, out_dir, seed, samples_override):
     m_eval = _sample_count(payload, samples_override)
     values = _eval_values(f, mspec, m_eval, stage_seed(seed, _STAGE_EVAL))
     norms2 = (_exact_gradient_l2(f, mspec),) if d == 2 else ()
-    top_op, _ = bounds._constant_opnorm(f.derivative_tensor(d))
+    top_op = bounds.constant_opnorm(f.derivative_tensor(d))
     report = {"beta": beta, "kappa": kappa,
               "weighted_gap": gap.to_dict(), "samples": m_eval,
               "route": route}
@@ -528,6 +542,7 @@ def _run_rmt(cfg, out_dir, seed, samples_override):
                                          **payload["entry"].get("params", {}))
     ens = rmt.WignerEnsemble(n, entry)
     poly = rmt.as_polynomial(payload["coeffs"])
+    rmt.certified_fpp(poly)  # before any eigensolve: it depends on f alone
     draws = _sample_count(payload, samples_override, "draws", 2000)
     cal_draws = int(payload.get("cal_draws", 2000))
     cal = rmt.calibrate(ens, poly, cal_draws, stage_seed(seed, _STAGE_CAL))
@@ -537,9 +552,9 @@ def _run_rmt(cfg, out_dir, seed, samples_override):
     exp_cert, tail_cert = rmt.rmt_certificates(ens, poly, cal)
     # widen the tail certificate's estimated constant by 3 SE so estimation
     # error cannot manufacture a false domination failure
-    tail_cert = bounds.Certificate(
-        "tail", "wigner-lss", {**tail_cert.constants,
-                        "grad_l2": cal.grad_l2 + 3.0 * cal.grad_l2_se})
+    tail_cert = dataclasses.replace(
+        tail_cert, constants={**tail_cert.constants,
+                              "grad_l2": cal.grad_l2 + 3.0 * cal.grad_l2_se})
     rate, _, _ = exp_cert.exp_params()
     shift = rmt.calibration_shift_bound(sample, cal)
     est = verify.empirical_exp_moment(np.abs(s_t), rate, 0.5, min_samples=draws)

@@ -1,25 +1,11 @@
-"""Kernel backend selection.
+"""Dense symmetric-tensor kernels in numpy.
 
-Prefers the compiled extension; set ``HOC_PURE_PYTHON=1`` to force the numpy
-fallback. Tensors of order 5 or higher always take the numpy path (the
-compiled kernels specialize orders 1 through 4).
+Tensors are dense float64 arrays of shape (n,)*d, points (m, n) batches. The
+public functions check shapes once; the power-iteration loop calls the
+unchecked contractions.
 """
 
-import os
-
 import numpy as np
-
-from . import _kernels_py
-
-if os.environ.get("HOC_PURE_PYTHON", "").strip() not in ("", "0"):
-    _impl = _kernels_py
-else:
-    try:
-        from . import _kernels as _impl
-    except ImportError:
-        _impl = _kernels_py
-
-BACKEND = _impl.BACKEND
 
 
 def _coerce(tensor, points):
@@ -33,20 +19,56 @@ def _coerce(tensor, points):
     return t, p
 
 
-def _module_for(tensor):
-    return _kernels_py if tensor.ndim > 4 else _impl
+def _fold(tensor, points, keep):
+    """Contract all but ``keep`` slots of ``tensor`` with each row of ``points``."""
+    m, n = points.shape
+    out = points @ tensor.reshape(n, -1)
+    for _ in range(tensor.ndim - 1 - keep):
+        out = np.matmul(points[:, None, :], out.reshape(m, n, -1))[:, 0, :]
+    return out
+
+
+def _apply(tensor, points):
+    m, n = points.shape
+    if tensor.ndim == 1:
+        return np.broadcast_to(tensor, (m, n)).copy()
+    return _fold(tensor, points, 1)
 
 
 def diagonal_values(tensor, points):
+    """T[v, ..., v] for each row v of ``points``. Returns shape (m,)."""
     t, p = _coerce(tensor, points)
-    return _module_for(t).diagonal_values(t, p)
+    if t.ndim == 1:
+        return p @ t
+    return _fold(t, p, 0)[:, 0]
 
 
 def diagonal_apply(tensor, points):
-    t, p = _coerce(tensor, points)
-    return _module_for(t).diagonal_apply(t, p)
+    """Gradient map T[v, ..., v, .] for each row v. Returns shape (m, n)."""
+    return _apply(*_coerce(tensor, points))
 
 
 def power_opnorm(tensor, starts, shift, tol=1e-10, max_iter=10000):
+    """Largest fixed-point value of the shifted power map x -> T[x..x,.] + shift*x.
+
+    All restart rows of ``starts`` run in lockstep until every row's form
+    value T[x,...,x] moved by at most ``tol`` in one step, so the result
+    depends only on the inputs. The caller is responsible for the +/- sweep.
+    """
     t, s = _coerce(tensor, starts)
-    return _module_for(t).power_opnorm(t, s, float(shift), float(tol), int(max_iter))
+    shift = float(shift)
+    x = s / np.linalg.norm(s, axis=1, keepdims=True)
+    w = _apply(t, x)
+    vals = np.einsum("ij,ij->i", x, w)
+    for _ in range(int(max_iter)):
+        y = w + shift * x
+        norms = np.linalg.norm(y, axis=1, keepdims=True)
+        np.clip(norms, 1e-300, None, out=norms)
+        x = y / norms
+        w = _apply(t, x)
+        new_vals = np.einsum("ij,ij->i", x, w)
+        done = np.all(np.abs(new_vals - vals) <= tol)
+        vals = new_vals
+        if done:
+            break
+    return float(np.max(vals))

@@ -229,7 +229,8 @@ def coordinate_moment(coord, k):
 
 # -- sampling -----------------------------------------------------------------
 
-def _draw(rng, coord, size):
+def draw_coordinate(rng, coord, size):
+    """Draw ``size`` values of one coordinate law from a caller-owned stream."""
     if coord.dist == "gaussian":
         return rng.standard_normal(size)
     if coord.dist == "uniform01":
@@ -259,7 +260,7 @@ def sample_blocks(spec, m, seed):
         rng = substream(seed, block_index)
         block = np.empty((rows, spec.dim), order="F")
         for j, coord in enumerate(spec.coords):
-            block[:, j] = _draw(rng, coord, rows)
+            block[:, j] = draw_coordinate(rng, coord, rows)
         yield block
 
 
@@ -273,11 +274,6 @@ def sample(spec, m, seed):
         out[start:start + block.shape[0]] = block
         start += block.shape[0]
     return out
-
-
-def draw_coordinate(rng, coord, size):
-    """Draw ``size`` values of one coordinate law from a caller-owned stream."""
-    return _draw(rng, coord, size)
 
 
 # -- spectral-gap oracle --------------------------------------------------------

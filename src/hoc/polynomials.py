@@ -156,22 +156,28 @@ class PolyFunction:
     @cached_property
     def gradient(self):
         """Tuple of the dim first partials."""
-        basis = []
-        for i in range(self.dim):
-            alpha = [0] * self.dim
-            alpha[i] = 1
-            basis.append(self.partial(tuple(alpha)))
-        return tuple(basis)
+        return tuple(self._order_partials(1).values())
+
+    @cached_property
+    def _partials_by_order(self):
+        return {}
 
     def _order_partials(self, k):
-        """{canonical index tuple: partial PolyFunction} for order k."""
-        out = {}
-        for idx in itertools.combinations_with_replacement(range(self.dim), k):
-            alpha = [0] * self.dim
-            for i in idx:
-                alpha[i] += 1
-            out[idx] = self.partial(tuple(alpha))
-        return out
+        """{canonical index tuple: partial PolyFunction} for order k.
+
+        Worked out once per order and kept on the (immutable) polynomial;
+        callers must not modify the returned table.
+        """
+        table = self._partials_by_order.get(k)
+        if table is None:
+            table = {}
+            for idx in itertools.combinations_with_replacement(range(self.dim), k):
+                alpha = [0] * self.dim
+                for i in idx:
+                    alpha[i] += 1
+                table[idx] = self.partial(tuple(alpha))
+            self._partials_by_order[k] = table
+        return table
 
     def top_is_constant(self, k):
         """True when every order-k partial is constant (k >= total degree)."""

@@ -28,9 +28,10 @@ from numpy.polynomial import Polynomial
 from ._util import substream
 from .bounds import (EXP_MOMENT_COEFF, EXP_THRESHOLD, Certificate,
                      MissingHypothesisError)
-from .measures import CoordinateDist, coordinate_sigma2
+from .measures import CoordinateDist, coordinate_sigma2, draw_coordinate
 
 _EIG_CHUNK = 128  # draws per batched eigensolver call
+MIN_CAL_DRAWS = 500
 MAX_DISCARD_FRACTION = 1e-3
 JACOBI_MAX_SIZE = 64
 
@@ -69,11 +70,6 @@ class EigenSample:
         return self.eigenvalues.shape[0]
 
 
-def _draw_entries(rng, ens, count):
-    from .measures import draw_coordinate
-    return draw_coordinate(rng, ens.entry, count)
-
-
 def _build_matrices(ens, seed, start, stop):
     n = ens.size
     iu = np.triu_indices(n)
@@ -81,7 +77,7 @@ def _build_matrices(ens, seed, start, stop):
     root_n = sqrt(n)
     for i, draw in enumerate(range(start, stop)):
         rng = substream(seed, draw)
-        vals = _draw_entries(rng, ens, iu[0].size) / root_n
+        vals = draw_coordinate(rng, ens.entry, iu[0].size) / root_n
         m = np.zeros((n, n))
         m[iu] = vals
         m.T[iu] = vals
@@ -181,6 +177,15 @@ def second_derivative_bound(poly):
     return abs(float(p2.coef[0])) if p2.coef.size else 0.0
 
 
+def certified_fpp(poly):
+    """The positive uniform bound on |f''| that both wigner-lss certificates
+    need; it depends on f alone, so a runner can check it before sampling."""
+    fpp = second_derivative_bound(poly)
+    if fpp <= 0:
+        raise MissingHypothesisError("need a positive uniform bound on |f''|")
+    return fpp
+
+
 @dataclass(frozen=True)
 class Calibration:
     """Independent-run estimates of the per-index eigenvalue expectations."""
@@ -212,8 +217,8 @@ def calibrate(ens, poly, draws, seed):
     The seed must be independent of any evaluation seed (the certificates
     treat these as constants, so reusing draws would correlate the errors).
     """
-    if draws < 500:
-        raise ValueError("calibration needs at least 500 draws")
+    if draws < MIN_CAL_DRAWS:
+        raise ValueError("calibration needs at least %d draws" % MIN_CAL_DRAWS)
     sample = sample_ensemble(ens, draws, seed)
     eig = sample.eigenvalues
     m = eig.shape[0]
@@ -282,9 +287,7 @@ def rmt_certificates(ens, poly, cal):
     sigma the entry-law constant; the tail curve uses the calibration
     estimate of (E sum_j f'(lambda_j)^2)^(1/2).
     """
-    fpp = second_derivative_bound(poly)
-    if fpp <= 0:
-        raise MissingHypothesisError("need a positive uniform bound on |f''|")
+    fpp = certified_fpp(poly)
     sigma = sqrt(ens.sigma2)
     n = ens.size
     rate = EXP_MOMENT_COEFF * n**0.25 / (sqrt(2.0) * sigma * sqrt(fpp))

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from hoc import cli, experiments
+from hoc import cli, experiments, rmt
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -141,13 +141,42 @@ _GAUSS2 = {"dim": 2, "coords": [{"dist": "gaussian", "params": {}},
     # a cubic statistic has no uniform bound on f''
     {"kind": "rmt", "seed": 0, "matrix_size": 5, "coeffs": [0.0, 0.0, 0.0, 1.0],
      "entry": {"dist": "gaussian", "params": {}}, "draws": 100, "cal_draws": 500},
-], ids=["uncentered-tails", "rmt-degree-3"])
+    # sample counts and seeds the runners cannot use
+    {"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n2-d2-tails",
+     "profile_samples": 1000},
+    {"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n2-d2-tails",
+     "samples": "abc"},
+    {"kind": "tails", "seed": -3, "fixture": "gaussian-chaos-n2-d2-tails"},
+], ids=["uncentered-tails", "rmt-degree-3", "profile-samples-1000", "samples-abc",
+        "negative-seed"])
 def test_cli_missing_hypothesis_writes_nothing(tmp_path, capsys, cfg):
     path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
     assert run_cli(["run", "--config", path, "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_rmt_degree_checked_before_any_eigensolve(tmp_path, monkeypatch):
+    def eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolve before the degree check")
+
+    monkeypatch.setattr(rmt, "calibrate", eigensolve)
+    monkeypatch.setattr(rmt, "sample_ensemble", eigensolve)
+    cfg = {"kind": "rmt", "seed": 0, "fixture": "wigner-gaussian-n100",
+           "coeffs": [0.0, 0.0, 0.0, 1.0]}
+    with pytest.raises(experiments.ConfigError, match="f''"):
+        experiments.run_config(cfg, str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_negative_seed_override_writes_nothing(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"kind": "tails", "seed": 0,
+                               "fixture": "gaussian-chaos-n2-d2-tails"})
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", cfg, "--out", out, "--seed", -3]) == 2
+    assert "config error" in capsys.readouterr().err
     assert not out.exists()
 
 

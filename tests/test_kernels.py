@@ -1,20 +1,9 @@
-"""Backend-agnostic kernel contracts, plus compiled-vs-numpy agreement."""
-
-import os
-import subprocess
-import sys
+"""Kernel contracts: contractions against einsum, power iteration against eigh."""
 
 import numpy as np
 import pytest
 
-from hoc import _kernels_py, kernels
-
-try:
-    from hoc import _kernels
-except ImportError:
-    _kernels = None
-
-IMPLS = [_kernels_py] if _kernels is None else [_kernels_py, _kernels]
+from hoc import kernels
 
 
 def sym_dense(order, dim, seed):
@@ -37,7 +26,7 @@ def einsum_diagonal(tensor, points):
 
 
 def test_diagonal_values_matches_einsum():
-    for order in (1, 2, 3, 4):
+    for order in (1, 2, 3, 4, 5):
         t = sym_dense(order, 4, order)
         pts = np.random.default_rng(50 + order).standard_normal((20, 4))
         want = einsum_diagonal(t, pts)
@@ -59,23 +48,6 @@ def test_diagonal_apply_matches_fd_of_form():
         assert np.allclose(order * grad[:, j], num, rtol=1e-5, atol=1e-7)
 
 
-def test_backends_agree():
-    if _kernels is None:
-        pytest.skip("compiled extension not built")
-    rng = np.random.default_rng(12)
-    for order in (1, 2, 3, 4):
-        t = sym_dense(order, 5, 70 + order)
-        pts = rng.standard_normal((64, 5))
-        assert np.allclose(_kernels.diagonal_values(t, pts),
-                           _kernels_py.diagonal_values(t, pts), rtol=1e-12)
-        assert np.allclose(_kernels.diagonal_apply(t, pts),
-                           _kernels_py.diagonal_apply(t, pts), rtol=1e-12)
-        starts = rng.standard_normal((16, 5))
-        a = _kernels.power_opnorm(t, starts, 3.0, 1e-12, 5000)
-        b = _kernels_py.power_opnorm(t, starts, 3.0, 1e-12, 5000)
-        assert a == pytest.approx(b, rel=1e-9)
-
-
 def test_power_opnorm_matrix_sweep():
     # +/- sweep over the shifted power map recovers the spectral norm
     t = sym_dense(2, 6, 31)
@@ -89,15 +61,6 @@ def test_power_opnorm_matrix_sweep():
     assert max(hi, lo) == pytest.approx(float(np.max(np.abs(eig))), rel=1e-8)
 
 
-def test_order_five_routes_to_numpy():
-    # compiled kernels specialize orders <= 4; higher orders must still work
-    t = sym_dense(5, 2, 8)
-    pts = np.random.default_rng(3).standard_normal((10, 2))
-    got = kernels.diagonal_values(t, pts)
-    want = _kernels_py.diagonal_values(t, pts)
-    assert np.allclose(got, want, rtol=1e-12)
-
-
 def test_shape_validation():
     t = sym_dense(2, 3, 1)
     with pytest.raises(ValueError):
@@ -105,10 +68,3 @@ def test_shape_validation():
     with pytest.raises(ValueError):
         kernels.diagonal_values(t, np.zeros((4, 2)))     # dim mismatch
 
-
-def test_pure_python_env_switch():
-    code = "import hoc.kernels as k; print(k.BACKEND)"
-    env = dict(os.environ, HOC_PURE_PYTHON="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy"

@@ -77,6 +77,10 @@ def test_partial_explicit():
     assert df.terms == (((1, 0), 2.0),)
     # differentiating past the exponent kills the term
     assert f.partial((3, 0)).terms == ()
+    # each order's partials are worked out once and kept on the polynomial
+    table = f._order_partials(2)
+    assert f._order_partials(2) is table and table[(0, 1)] == df
+    assert f.gradient == (f.partial((1, 0)), f.partial((0, 1)))
 
 
 @settings(max_examples=25, deadline=None)
