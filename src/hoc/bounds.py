@@ -25,17 +25,22 @@ import numpy as np
 
 from . import measures
 from ._util import jsonable
-from .polynomials import EVAL_BLOCK, _pointwise_opnorm, from_multilinear
-from .tensors import UnsupportedSizeError, multinomial
+from .polynomials import EVAL_BLOCK, from_multilinear
+from .tensors import UnsupportedSizeError, hs_norms, op_norms
 
 EXP_MOMENT_COEFF = 1.0 / (12.0 * e)  # universal constant in the exp-moment certificates
 EXP_THRESHOLD = 2.0
 TAIL_PREFACTOR = e**2
 
 # Pointwise operator norms of order >= 3 derivative tensors have no closed
-# form; cap the per-point power-iteration work at this many sample points and
-# let the reported standard error reflect the smaller sample.
+# form; cap the power-iteration work at this many sample points and let the
+# reported standard error reflect the smaller sample.
 OPNORM_POINT_CAP = 4096
+
+# A block of dense derivative tensors holds at most this many floats (8 MB):
+# order 4 on R^10 goes 100 points at a time, orders 1 and 2 on R^10 a whole
+# EVAL_BLOCK.
+_DENSE_BLOCK_FLOATS = 1 << 20
 
 # fewest sample points profile_from_function accepts
 MIN_PROFILE_SAMPLES = 10_000
@@ -521,31 +526,19 @@ def constant_opnorm(tensor):
 def _opnorm_values(f, k, points):
     """Pointwise operator norms of the order-k derivative at sample points.
 
-    Orders 1 and 2 vectorize over blocks of EVAL_BLOCK points, so no
-    (m, dim, dim) Hessian batch is built; every point's norm is computed as
-    in a whole-batch call. Higher orders run per-point power iteration on at
+    The points go block by block, each block's dense derivative stack to one
+    ``op_norms`` call, so no (m, dim, dim) Hessian batch is built; every
+    point's norm is computed as in a whole-batch call. Orders >= 3 use at
     most OPNORM_POINT_CAP points (deterministic prefix of the sample).
     """
     pts = np.asarray(points)
-    if k <= 2:
-        out = np.empty(pts.shape[0])
-        for start in range(0, pts.shape[0], EVAL_BLOCK):
-            block = pts[start:start + EVAL_BLOCK]
-            if k == 1:
-                vals = np.linalg.norm(f.gradient_batch(block), axis=1)
-            else:
-                vals = np.max(np.abs(np.linalg.eigvalsh(f.hessian_batch(block))), axis=1)
-            out[start:start + block.shape[0]] = vals
-        return out
-    pts = pts[:OPNORM_POINT_CAP]
-    return np.array([_pointwise_opnorm(f.derivative_tensor(k, pt)) for pt in pts])
-
-
-def _hs_values(f, k, points):
-    """Pointwise Hilbert-Schmidt norms of the order-k derivative."""
-    indices, vals = f.derivative_batch(k, points)
-    mults = np.array([multinomial(idx) for idx in indices])
-    return np.sqrt((vals * vals) @ mults)
+    if k >= 3:
+        pts = pts[:OPNORM_POINT_CAP]
+    rows = max(1, min(EVAL_BLOCK, _DENSE_BLOCK_FLOATS // f.dim ** k))
+    out = np.empty(pts.shape[0])
+    for start in range(0, pts.shape[0], rows):
+        out[start:start + rows] = op_norms(f.derivative_dense(k, pts[start:start + rows]))
+    return out
 
 
 def _l2_with_se(values):
@@ -593,7 +586,7 @@ def profile_from_function(f, mspec, d, m=100_000, seed=0):
     else:
         vals = _opnorm_values(f, d, pts)
         top_inf, exact = float(np.max(vals)), False
-        top_hs, top_hs_se = _l2_with_se(_hs_values(f, d, pts))
+        top_hs, top_hs_se = _l2_with_se(hs_norms(f.derivative_batch(d, pts)[1], d, f.dim))
         top_p = (lambda arr: (lambda p: float(np.mean(np.abs(arr) ** p) ** (1.0 / p))))(vals)
     mean = f.expectation(mspec.moment)
     centered = math.isfinite(mean) and abs(mean) <= 1e-12

@@ -2,7 +2,8 @@
 
 Exit codes: 0 every check in the experiment passed, 1 at least one
 domination check failed, 2 the config was invalid (in which case nothing is
-written to the output directory).
+written to the output directory), 3 the run crashed (one ``error:`` line;
+an output directory the run created is removed).
 """
 
 from __future__ import annotations
@@ -81,6 +82,9 @@ def main(argv=None):
     except ConfigError as exc:
         print("config error: %s%s" % (exc.location(), exc), file=sys.stderr)
         return 2
+    except Exception as exc:  # a crash must not read as a failed check (exit 1)
+        print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 3
     raise AssertionError("unreachable command %r" % (args.command,))
 
 

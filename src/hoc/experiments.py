@@ -3,7 +3,8 @@
 Every experiment writes a ``report.json`` plus kind-specific CSVs into the
 output directory; tail-style experiments also write an SVG view of the CSV
 numbers. Exit codes: 0 all checks passed, 1 a domination/equivalence check
-failed, 2 invalid config (nothing is written in that case).
+failed, 2 invalid config (nothing is written in that case), 3 the run
+crashed (the CLI's code; an output directory the run created is removed).
 
 Determinism: the master seed is the only entropy source. Stages (profile
 estimation, evaluation sampling, calibration, negative controls) derive
@@ -16,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import os
 import shutil
 from math import sqrt
@@ -25,7 +27,7 @@ import numpy as np
 from . import bounds, fixtures, measures, rmt, svgplot, verify
 from ._util import dump_json, stage_seed, substream, write_csv
 from .polynomials import MultilinearSpec, PolyFunction, from_multilinear
-from .tensors import SymTensor
+from .tensors import SymTensor, op_norms
 
 SCHEMA_VERSION = 1
 
@@ -39,9 +41,16 @@ _STAGE_CAL = 3
 _STAGE_TENSORS = 4
 _STAGE_WEIGHTS = 5
 
-# the least value of each count a runner reads from the config or fixture
+# the least value of each count or size a runner reads from the config or fixture
 _COUNT_FLOORS = {"samples": 1, "profile_samples": bounds.MIN_PROFILE_SAMPLES,
-                 "draws": 1, "cal_draws": rmt.MIN_CAL_DRAWS, "count": 1}
+                 "draws": 1, "cal_draws": rmt.MIN_CAL_DRAWS, "count": 1,
+                 "matrix_size": 2, "d": 1}
+
+# the fewest evaluation samples (draws for rmt) each kind's checks accept
+_SAMPLE_FLOORS = {"certify": verify.MIN_EXP_SAMPLES, "multilinear": verify.MIN_EXP_SAMPLES,
+                  "tails": verify.MIN_TAIL_SAMPLES, "weighted-tail": verify.MIN_TAIL_SAMPLES,
+                  "rmt": verify.MIN_TAIL_SAMPLES,
+                  "weighted": 2}  # verify.empirical_lp needs two values
 
 # a runner raising one of these was asked for a certificate whose hypotheses
 # the configured function or law does not meet: a config error, not a failed check
@@ -117,6 +126,16 @@ def validate_config(cfg):
     for field, floor in _COUNT_FLOORS.items():
         if field in payload:
             _check_count(field, payload[field], floor)
+    samples_field = "draws" if kind == "rmt" else "samples"
+    if samples_field in payload:
+        _check_count(samples_field, payload[samples_field], _SAMPLE_FLOORS.get(kind, 1))
+    p_values = payload.get("p_values", [2])
+    if not isinstance(p_values, list) or not p_values:
+        raise ConfigError("p_values must be a non-empty list, got %r" % (p_values,))
+    for p in p_values + [payload.get("p", 2)]:
+        if not isinstance(p, (int, float)) or isinstance(p, bool) or not 2 <= p < math.inf:
+            raise ConfigError("p and each of p_values must be a finite number >= 2, got %r"
+                              % (p,))
     return cfg
 
 
@@ -162,14 +181,15 @@ def run_config(cfg, out_dir, seed_override=None, samples_override=None):
     """Run one experiment; returns (exit_code, report dict).
 
     Raises ConfigError for an invalid config, and for a certificate whose
-    hypotheses the configured function or law does not meet; in that case
-    an output directory this call created is removed again.
+    hypotheses the configured function or law does not meet. When the run
+    raises, an output directory this call created is removed again.
     """
     cfg = validate_config(cfg)
     if seed_override is not None:
         _check_count("the seed override", seed_override, 0)
     if samples_override is not None:
-        _check_count("the sample count override", samples_override, 1)
+        _check_count("the sample count override", samples_override,
+                     _SAMPLE_FLOORS.get(cfg["kind"], 1))
     seed = int(seed_override if seed_override is not None else cfg["seed"])
     created = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
@@ -184,10 +204,12 @@ def run_config(cfg, out_dir, seed_override=None, samples_override=None):
               "rmt": _run_rmt}[kind]
     try:
         report = runner(cfg, out_dir, seed, samples_override)
-    except _HYPOTHESIS_ERRORS as exc:
+    except Exception as exc:
         if created:
             shutil.rmtree(out_dir)
-        raise ConfigError(str(exc)) from exc
+        if isinstance(exc, _HYPOTHESIS_ERRORS):
+            raise ConfigError(str(exc)) from exc
+        raise
     report.update({"schema": SCHEMA_VERSION, "kind": kind, "seed": seed,
                    "fixture": cfg.get("fixture")})
     report["exit_code"] = 0 if report["passed"] else 1
@@ -221,7 +243,7 @@ def _run_tensor_norm(cfg, out_dir, seed, samples_override):
         eig = ""
         rel_eig = ""
         if order == 2:
-            eig_val = float(np.max(np.abs(np.linalg.eigvalsh(tensor.dense))))
+            eig_val = float(op_norms(tensor.dense[None])[0])
             rel_eig = abs(iterative - eig_val) / max(eig_val, 1e-12)
             max_rel_eig = max(max_rel_eig, rel_eig)
             eig = eig_val
@@ -325,7 +347,12 @@ def _run_certify(cfg, out_dir, seed, samples_override):
 
 # -- tails ----------------------------------------------------------------------------
 
-def _tail_rows(cert, report):
+_TAIL_HEADER = ["t", "bound", "empirical", "ci_low", "ci_high", "passed"]
+_TAIL_SERIES = (("certificate", 1), ("empirical", 2))
+
+
+def _tail_rows(report):
+    """(t, bound, empirical, ci_low, ci_high, passed) per row of a tail report."""
     rows = []
     for r in report.rows:
         rows.append((r.extra["t"], r.bound, r.empirical, r.extra["ci_low"],
@@ -333,15 +360,14 @@ def _tail_rows(cert, report):
     return rows
 
 
-def _write_tail_artifacts(out_dir, rows, title, extra_series=()):
-    write_csv(os.path.join(out_dir, "tail_curve.csv"),
-              ["t", "bound", "empirical", "ci_low", "ci_high", "passed"], rows)
+def _write_tail_artifacts(out_dir, header, rows, title, series):
+    """tail_curve.csv with ``header`` over ``rows`` (t first), and
+    tail_curve.svg plotting each (label, column) of ``series`` against t."""
+    write_csv(os.path.join(out_dir, "tail_curve.csv"), header, rows)
     ts = [r[0] for r in rows]
-    series = [("certificate", ts, [r[1] for r in rows]),
-              ("empirical", ts, [r[2] for r in rows])]
-    series.extend(extra_series)
-    svgplot.write_plot(os.path.join(out_dir, "tail_curve.svg"), title,
-                       "t", "P(|f| >= t)", series, logy=True)
+    svgplot.write_plot(os.path.join(out_dir, "tail_curve.svg"), title, "t", "P(|f| >= t)",
+                       [(label, ts, [r[col] for r in rows]) for label, col in series],
+                       logy=True)
 
 
 def _run_tails(cfg, out_dir, seed, samples_override):
@@ -357,8 +383,8 @@ def _run_tails(cfg, out_dir, seed, samples_override):
     cert = bounds.tail_certificate(profile)
     values = _eval_values(f, mspec, m_eval, stage_seed(seed, _STAGE_EVAL))
     report = verify.check_tail_certificate(cert, values, t_grid)
-    rows = _tail_rows(cert, report)
-    _write_tail_artifacts(out_dir, rows, "derivative-ladder tail bound")
+    _write_tail_artifacts(out_dir, _TAIL_HEADER, _tail_rows(report),
+                          "derivative-ladder tail bound", _TAIL_SERIES)
     out = {"certificate": cert.to_dict(), "check": report.to_dict(),
            "samples": m_eval, "profile_samples": m_prof,
            "passed": report.passed}
@@ -408,15 +434,11 @@ def _run_multilinear(cfg, out_dir, seed, samples_override):
             rows.append((rh.extra["t"], rh.bound, ri.bound, rh.empirical,
                          rh.extra["ci_low"], rh.extra["ci_high"],
                          int(rh.passed), int(ri.passed)))
-        write_csv(os.path.join(out_dir, "tail_curve.csv"),
-                  ["t", "bound_hs", "bound_inf", "empirical", "ci_low",
-                   "ci_high", "passed_hs", "passed_inf"], rows)
-        ts = [r[0] for r in rows]
-        svgplot.write_plot(os.path.join(out_dir, "tail_curve.svg"),
-                           "multilinear chaos tail bounds", "t", "P(|f| >= t)",
-                           [("hs-form bound", ts, [r[1] for r in rows]),
-                            ("inf-form bound", ts, [r[2] for r in rows]),
-                            ("empirical", ts, [r[3] for r in rows])], logy=True)
+        _write_tail_artifacts(
+            out_dir, ["t", "bound_hs", "bound_inf", "empirical", "ci_low",
+                      "ci_high", "passed_hs", "passed_inf"], rows,
+            "multilinear chaos tail bounds",
+            (("hs-form bound", 1), ("inf-form bound", 2), ("empirical", 3)))
     exp_rows = []
     for name in ("exp_hs", "exp_inf"):
         rate, power, threshold = certs[name].exp_params()
@@ -513,18 +535,10 @@ def _run_weighted(cfg, out_dir, seed, samples_override):
         t_grid = payload["t_grid"]
         check = verify.check_tail_certificate(cert, values, t_grid)
         passed = check.passed
-        rows = _tail_rows(cert, check)
         window = cert.constants["window_end"] * lam
-        rows = [r + (int(r[0] <= window),) for r in rows]
-        write_csv(os.path.join(out_dir, "tail_curve.csv"),
-                  ["t", "bound", "empirical", "ci_low", "ci_high", "passed",
-                   "in_window"], rows)
-        ts = [r[0] for r in rows]
-        svgplot.write_plot(os.path.join(out_dir, "tail_curve.svg"),
-                           "weighted tail bound (heavy-tailed demo)", "t",
-                           "P(|f| >= t)",
-                           [("certificate", ts, [r[1] for r in rows]),
-                            ("empirical", ts, [r[2] for r in rows])], logy=True)
+        rows = [r + (int(r[0] <= window),) for r in _tail_rows(check)]
+        _write_tail_artifacts(out_dir, _TAIL_HEADER + ["in_window"], rows,
+                              "weighted tail bound (heavy-tailed demo)", _TAIL_SERIES)
         report["certificate"] = cert.to_dict()
         report["check"] = check.to_dict()
         report["window_end"] = window
@@ -569,8 +583,8 @@ def _run_rmt(cfg, out_dir, seed, samples_override):
     write_csv(os.path.join(out_dir, "draws.csv"),
               ["draw", "s_n", "s_tilde_n"],
               [(i, s_n[i], s_t[i]) for i in range(s_n.size)])
-    rows = _tail_rows(tail_cert, tail_check)
-    _write_tail_artifacts(out_dir, rows, "linear eigenvalue statistic tail")
+    _write_tail_artifacts(out_dir, _TAIL_HEADER, _tail_rows(tail_check),
+                          "linear eigenvalue statistic tail", _TAIL_SERIES)
     passed = exp_check.passed and tail_check.passed and var_ok
     return {"matrix_size": n, "draws": draws, "cal_draws": cal_draws,
             "sigma_n2": ens.sigma_n2, "discarded": sample.discarded,

@@ -10,7 +10,6 @@ is a constant hypermatrix.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensors import SymTensor
+from .tensors import SymTensor, canonical_layout, op_norms
 
 # Rows per evaluation block, so each term's temporaries (64 kB at 8192 rows)
 # stay in cache. Evaluating the 120-term n=10, d=3 chaos on 10^6 row-major
@@ -171,7 +170,7 @@ class PolyFunction:
         table = self._partials_by_order.get(k)
         if table is None:
             table = {}
-            for idx in itertools.combinations_with_replacement(range(self.dim), k):
+            for idx in canonical_layout(k, self.dim)[0]:
                 alpha = [0] * self.dim
                 for i in idx:
                     alpha[i] += 1
@@ -193,39 +192,18 @@ class PolyFunction:
             raise ValueError("derivative order must be >= 1")
         if k > self.degree:
             return SymTensor.zeros(k, self.dim)
-        partials = self._order_partials(k)
         if x is None:
             if not self.top_is_constant(k):
                 raise ValueError("order-%d derivative is not constant; a point is required" % k)
-            values = {idx: p.evaluate(np.zeros(self.dim)) for idx, p in partials.items()}
-        else:
-            pt = np.asarray(x, dtype=np.float64)
-            values = {idx: p.evaluate(pt) for idx, p in partials.items()}
-        return SymTensor.from_entries(k, self.dim, values)
-
-    def gradient_batch(self, points):
-        """(m, dim) array of gradients at each row of ``points``."""
-        pts = np.asarray(points, dtype=np.float64)
-        out = np.empty_like(pts)
-        for i, g in enumerate(self.gradient):
-            out[:, i] = g.evaluate(pts)
-        return out
-
-    def hessian_batch(self, points):
-        """(m, dim, dim) array of Hessians at each row of ``points``."""
-        pts = np.asarray(points, dtype=np.float64)
-        m = pts.shape[0]
-        out = np.empty((m, self.dim, self.dim))
-        for (i, j), p in self._order_partials(2).items():
-            vals = p.evaluate(pts)
-            out[:, i, j] = vals
-            out[:, j, i] = vals
-        return out
+            x = np.zeros(self.dim)
+        indices, vals = self.derivative_batch(k, np.asarray(x, dtype=np.float64)[None, :])
+        return SymTensor.from_entries(k, self.dim, dict(zip(indices, vals[0].tolist())))
 
     def derivative_batch(self, k, points):
         """Canonical order-k derivative values per point.
 
-        Returns (canonical index list, (m, n_canonical) value array).
+        Returns (canonical index list, (m, n_canonical) value array), the
+        columns in ``tensors.canonical_layout`` order.
         """
         pts = np.asarray(points, dtype=np.float64)
         partials = self._order_partials(k)
@@ -234,6 +212,13 @@ class PolyFunction:
         for col, idx in enumerate(indices):
             vals[:, col] = partials[idx].evaluate(pts)
         return indices, vals
+
+    def derivative_dense(self, k, points):
+        """Order-k derivatives at each row of ``points`` as a dense
+        (m,) + (dim,)*k stack, for ``tensors.op_norms``."""
+        _, vals = self.derivative_batch(k, points)
+        _, slots = canonical_layout(k, self.dim)
+        return vals[:, slots].reshape((vals.shape[0],) + (self.dim,) * k)
 
     # -- exact expectations ----------------------------------------------------
 
@@ -346,36 +331,20 @@ def from_multilinear(spec):
     return f, A
 
 
-def _pointwise_opnorm(tensor):
-    """Operator norm of one SymTensor, cheap deterministic route per order."""
-    if tensor.order == 1:
-        return float(np.linalg.norm(tensor.dense))
-    if tensor.order == 2:
-        if not tensor.entries:
-            return 0.0
-        return float(np.max(np.abs(np.linalg.eigvalsh(tensor.dense))))
-    return tensor.op_norm("iterative")
-
-
 def opnorm_gradient_check(f, k, x, h=1e-5):
     """Finite-difference check that the gradient of |f^(k-1)|_Op is bounded
     by |f^(k)|_Op at ``x``.
 
     Returns (lhs, rhs): lhs is the Euclidean norm of the central-difference
-    gradient of y -> op_norm(f^(k-1)(y)); rhs is op_norm(f^(k)(x)).
+    gradient of y -> op_norm(f^(k-1)(y)); rhs is op_norm(f^(k)(x)). The
+    2*dim perturbed points go to ``op_norms`` in one stack.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     x = np.asarray(x, dtype=np.float64)
-
-    def g(pt):
-        return _pointwise_opnorm(f.derivative_tensor(k - 1, pt))
-
-    grad = np.empty(f.dim)
-    for i in range(f.dim):
-        step = np.zeros(f.dim)
-        step[i] = h
-        grad[i] = (g(x + step) - g(x - step)) / (2.0 * h)
+    steps = h * np.eye(f.dim)
+    g = op_norms(f.derivative_dense(k - 1, np.concatenate([x + steps, x - steps])))
+    grad = (g[:f.dim] - g[f.dim:]) / (2.0 * h)
     lhs = float(np.linalg.norm(grad))
-    rhs = _pointwise_opnorm(f.derivative_tensor(k, x))
+    rhs = float(op_norms(f.derivative_dense(k, x[None, :]))[0])
     return lhs, rhs

@@ -3,8 +3,9 @@
 A symmetric order-d tensor on R^n is stored by its non-decreasing index
 tuples, each carrying the multinomial multiplicity of its permutation orbit,
 so Hilbert-Schmidt norms and contractions agree with the fully expanded n^d
-array. The dense array is still materialized (and cached) for the numeric
-kernels; at desk scale (n <= 10, d <= 4) this is cheap.
+array; ``canonical_layout`` maps one to the other. The dense array is still
+materialized (and cached) for the numeric kernels; at desk scale (n <= 10,
+d <= 4) this is cheap.
 
 Two operator-norm modes are provided. The iterative mode runs a shifted
 symmetric power iteration on +T and -T with random restarts; for symmetric
@@ -12,7 +13,9 @@ forms the sup of the multilinear form over separate unit vectors equals the
 sup of |T[v,...,v]| on the diagonal, so this targets the right quantity.
 The certified mode is a deterministic dense sphere grid followed by
 projected-gradient refinement, available for n <= 4, d <= 4, and serves as
-the oracle for the iterative mode.
+the oracle for the iterative mode. ``op_norms`` gives the norms of a whole
+stack of dense tensors: closed forms at orders 1 and 2, and above them the
+iterative mode's power iteration with the stack in one kernel call.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -52,6 +55,57 @@ def multinomial(index):
     for i in set(index):
         count //= math.factorial(index.count(i))
     return count
+
+
+@lru_cache(maxsize=None)
+def canonical_layout(order, dim):
+    """(canonical tuples in combinations_with_replacement order, slots): the
+    read-only slots[j] is the canonical position of the j-th index of the
+    dense C-ordered array, so ``values[..., slots]`` expands canonical values."""
+    indices = tuple(itertools.combinations_with_replacement(range(dim), order))
+    position = {idx: c for c, idx in enumerate(indices)}
+    slots = np.array([position[_canonical(idx)]
+                      for idx in itertools.product(range(dim), repeat=order)], dtype=np.intp)
+    slots.flags.writeable = False
+    return indices, slots
+
+
+def hs_norms(values, order, dim):
+    """Hilbert-Schmidt norms from canonical values (..., n_canonical), each
+    square weighted by its multiplicity and summed in canonical order."""
+    total = np.zeros(values.shape[:-1])
+    for col, idx in enumerate(canonical_layout(order, dim)[0]):
+        total += multinomial(idx) * values[..., col] * values[..., col]
+    return np.sqrt(total)
+
+
+def op_norms(stack):
+    """sup |T[v, ..., v]| for each tensor of a dense stack (b, n, ..., n).
+
+    Order 1 is the Euclidean norm, order 2 the largest |eigenvalue|, n = 1
+    |T[0, ..., 0]|; higher orders are the iterative mode with seed 0.
+    """
+    stack = np.asarray(stack, dtype=np.float64)
+    if stack.shape[1] == 1:
+        return np.abs(stack.reshape(-1))
+    if stack.ndim == 2:
+        return np.linalg.norm(stack, axis=1)
+    if stack.ndim == 3:
+        return np.max(np.abs(np.linalg.eigvalsh(stack)), axis=1)
+    return _power_norms(stack, 0)
+
+
+def _power_norms(stack, seed):
+    """The iterative mode for each tensor of a dense stack: one kernel call on
+    [+T; -T], shifted by the HS norm; max(+T value, -T value, 0) per tensor."""
+    b, order, dim = stack.shape[0], stack.ndim - 1, stack.shape[1]
+    canonical = np.array(canonical_layout(order, dim)[0]).T
+    shifts = hs_norms(stack[(slice(None),) + tuple(canonical)], order, dim)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(order, dim))))
+    best = kernels.power_opnorm(np.concatenate([stack, -stack]),
+                                rng.standard_normal((RESTARTS, dim)),
+                                np.concatenate([shifts, shifts]), POWER_TOL, POWER_MAX_ITER)
+    return np.maximum(np.maximum(best[:b], best[b:]), 0.0)
 
 
 @dataclass(frozen=True)
@@ -114,12 +168,7 @@ class SymTensor:
             axes[a], axes[a + 1] = axes[a + 1], axes[a]
             if float(np.max(np.abs(arr - np.transpose(arr, axes)))) > tol:
                 raise ValueError("dense input is not symmetric (axes %d,%d differ)" % (a, a + 1))
-        mapping = {}
-        for idx in itertools.combinations_with_replacement(range(n), d):
-            val = float(arr[idx])
-            if val != 0.0:
-                mapping[idx] = val
-        return cls(d, n, tuple(sorted(mapping.items())))
+        return cls.from_entries(d, n, {idx: arr[idx] for idx in canonical_layout(d, n)[0]})
 
     # -- basic queries ----------------------------------------------------
 
@@ -139,12 +188,14 @@ class SymTensor:
         return multinomial(_canonical(index))
 
     @cached_property
+    def _canonical_values(self):
+        return np.array([self._lookup.get(idx, 0.0)
+                         for idx in canonical_layout(self.order, self.dim)[0]])
+
+    @cached_property
     def dense(self):
-        arr = np.zeros((self.dim,) * self.order)
-        for idx, val in self.entries:
-            for perm in set(itertools.permutations(idx)):
-                arr[perm] = val
-        return arr
+        slots = canonical_layout(self.order, self.dim)[1]
+        return self._canonical_values[slots].reshape((self.dim,) * self.order)
 
     def scaled(self, factor):
         return SymTensor(self.order, self.dim,
@@ -166,7 +217,7 @@ class SymTensor:
 
     def hs_norm(self):
         """Euclidean norm of the expanded n^d array."""
-        return math.sqrt(sum(self.multiplicity(idx) * val * val for idx, val in self.entries))
+        return float(hs_norms(self._canonical_values, self.order, self.dim))
 
     def max_abs_entry(self):
         return max((abs(val) for _, val in self.entries), default=0.0)
@@ -180,27 +231,9 @@ class SymTensor:
         ``certified``: dense sphere grid + projected-gradient refinement,
         n <= 4 and d <= 4 only; deterministic, used as the oracle.
         """
-        if mode == "iterative":
-            return self._op_norm_iterative(seed)
-        if mode == "certified":
-            return self._op_norm_certified()
-        raise ValueError("unknown op_norm mode %r" % (mode,))
-
-    def _op_norm_iterative(self, seed):
-        if not self.entries:
-            return 0.0
-        if self.dim == 1:
-            return abs(self.entries[0][1])
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(self.order, self.dim))))
-        starts = rng.standard_normal((RESTARTS, self.dim))
-        shift = self.hs_norm()
-        dense = self.dense
-        best_pos = kernels.power_opnorm(dense, starts, shift, POWER_TOL, POWER_MAX_ITER)
-        best_neg = kernels.power_opnorm(-dense, starts, shift, POWER_TOL, POWER_MAX_ITER)
-        return max(best_pos, best_neg, 0.0)
-
-    def _op_norm_certified(self):
-        if self.dim > 4 or self.order > 4:
+        if mode not in ("iterative", "certified"):
+            raise ValueError("unknown op_norm mode %r" % (mode,))
+        if mode == "certified" and (self.dim > 4 or self.order > 4):
             raise UnsupportedSizeError(
                 "certified mode supports n <= 4 and d <= 4, got n=%d, d=%d"
                 % (self.dim, self.order))
@@ -208,6 +241,8 @@ class SymTensor:
             return 0.0
         if self.dim == 1:
             return abs(self.entries[0][1])
+        if mode == "iterative":
+            return float(_power_norms(self.dense[None], seed)[0])
         dense = self.dense
         grid = _sphere_grid(self.dim)
         values = kernels.diagonal_values(dense, grid)

@@ -26,6 +26,10 @@ TAIL_SLACK_RULE = "bound >= wilson95_low"
 MOMENT_SLACK_RULE = "estimate <= bound + 5*SE"
 EXP_SLACK_RULE = "estimate <= threshold + 3*SE"
 
+# fewest values a tail estimate and a raw Monte Carlo exp-moment estimate accept
+MIN_TAIL_SAMPLES = 1_000
+MIN_EXP_SAMPLES = 100_000
+
 
 def _mean(values):
     """Order-insensitive (exactly rounded) mean."""
@@ -77,8 +81,8 @@ class TailPoint:
 def empirical_tail(values, t_grid):
     """Per-t empirical P(|f| >= t) with Wilson intervals."""
     v = np.abs(np.asarray(values, dtype=np.float64)).ravel()
-    if v.size < 1_000:
-        raise ValueError("tail estimation needs at least 10^3 samples")
+    if v.size < MIN_TAIL_SAMPLES:
+        raise ValueError("tail estimation needs at least %d samples" % MIN_TAIL_SAMPLES)
     out = []
     sv = np.sort(v)
     m = sv.size
@@ -101,7 +105,7 @@ class ExpMomentEstimate:
                 "halves": list(self.halves)}
 
 
-def empirical_exp_moment(values, a, r, min_samples=100_000):
+def empirical_exp_moment(values, a, r, min_samples=MIN_EXP_SAMPLES):
     """Sample mean of exp(a|v|^r) with SE and a half-sample stability flag.
 
     ``min_samples`` is the contract default for raw Monte Carlo; callers with
@@ -179,7 +183,7 @@ def check_tail_certificate(cert, values, t_grid):
                            tuple(rows), all(r.passed for r in rows))
 
 
-def check_exp_certificate(cert, values, extra_se=0.0, min_samples=100_000):
+def check_exp_certificate(cert, values, extra_se=0.0, min_samples=MIN_EXP_SAMPLES):
     """Exp-moment report; extra_se (calibration and the like) adds in quadrature."""
     if cert.kind != "expMoment":
         raise ValueError("certificate kind %r is not 'expMoment'" % (cert.kind,))
@@ -205,7 +209,7 @@ def check_moment_bound(bound, values, p, label=""):
 
 
 def check_certificate(cert, values, t_grid=None, p=None, extra_se=0.0,
-                      min_samples=100_000):
+                      min_samples=MIN_EXP_SAMPLES):
     """Dispatch on certificate kind; wrong inputs for the kind are rejected."""
     if cert.kind == "tail":
         if t_grid is None:

@@ -97,7 +97,7 @@ def test_criterion_3_gradient_moment_domination():
             g = base.shifted(-base.expectation(mspec.moment))
             pts = measures.sample(mspec, m, stage_seed(MASTER_SEED, 3, qi, mi))
             vals = g.evaluate(pts)
-            grad_norms = np.linalg.norm(g.gradient_batch(pts), axis=1)
+            grad_norms = np.linalg.norm(g.derivative_dense(1, pts), axis=1)
             sigma = mspec.sigma()
             for p in (2, 3, 4):
                 lhs, lhs_se = verify.empirical_lp(vals, p)

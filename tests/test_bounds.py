@@ -427,7 +427,19 @@ def test_opnorm_values_blocked_match_whole_batch():
     f = PolyFunction.from_terms(3, {(2, 1, 0): 1.5, (0, 1, 2): -0.75, (1, 1, 1): 2.0,
                                     (3, 0, 0): 0.25})
     pts = np.random.default_rng(8).standard_normal((2 * EVAL_BLOCK + 5, 3))
-    hess = np.max(np.abs(np.linalg.eigvalsh(f.hessian_batch(pts))), axis=1)
+    hess = np.max(np.abs(np.linalg.eigvalsh(f.derivative_dense(2, pts))), axis=1)
     assert np.array_equal(B._opnorm_values(f, 2, pts), hess)
-    grad = np.linalg.norm(f.gradient_batch(pts), axis=1)
+    grad = np.linalg.norm(f.derivative_dense(1, pts), axis=1)
     assert np.array_equal(B._opnorm_values(f, 1, pts), grad)
+
+
+def test_opnorm_values_order3_match_per_point_symtensor(monkeypatch):
+    # the stacked power iteration gives each point what SymTensor.op_norm gives it
+    f = PolyFunction.from_terms(3, {(4, 0, 0): 1.0, (0, 4, 0): 1.0, (0, 0, 4): 1.0,
+                                    (1, 1, 1): 1.0, (2, 1, 1): -0.5, (0, 0, 0): -9.0})
+    pts = np.random.default_rng(12).standard_normal((50, 3))
+    monkeypatch.setattr(B, "OPNORM_POINT_CAP", 40)
+    monkeypatch.setattr(B, "_DENSE_BLOCK_FLOATS", 16 * 27)  # blocks of 16 points
+    got = B._opnorm_values(f, 3, pts)
+    want = [f.derivative_tensor(3, pt).op_norm("iterative") for pt in pts[:40]]
+    assert np.array_equal(got, want)

@@ -140,15 +140,28 @@ _GAUSS2 = {"dim": 2, "coords": [{"dist": "gaussian", "params": {}},
      "samples": 1000, "profile_samples": 10_000},
     # a cubic statistic has no uniform bound on f''
     {"kind": "rmt", "seed": 0, "matrix_size": 5, "coeffs": [0.0, 0.0, 0.0, 1.0],
-     "entry": {"dist": "gaussian", "params": {}}, "draws": 100, "cal_draws": 500},
+     "entry": {"dist": "gaussian", "params": {}}, "draws": 1000, "cal_draws": 500},
     # sample counts and seeds the runners cannot use
     {"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n2-d2-tails",
      "profile_samples": 1000},
     {"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n2-d2-tails",
      "samples": "abc"},
     {"kind": "tails", "seed": -3, "fixture": "gaussian-chaos-n2-d2-tails"},
+    # fewer evaluation samples than the kind's checks accept
+    {"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n2-d2-tails", "samples": 500},
+    {"kind": "rmt", "seed": 0, "fixture": "wigner-gaussian-n50", "draws": 50},
+    {"kind": "multilinear", "seed": 0, "fixture": "gaussian-chaos-n2-d2-multilinear",
+     "samples": 5000},
+    {"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-hs", "samples": 10},
+    # out-of-range sizes and exponents
+    {"kind": "rmt", "seed": 0, "fixture": "wigner-gaussian-n50", "matrix_size": 1},
+    {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d1",
+     "p_values": ["x"]},
+    {"kind": "weighted-tail", "seed": 0, "fixture": "student-weighted-tail-d1", "p": 1},
+    {"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n2-d2-tails", "d": 0},
 ], ids=["uncentered-tails", "rmt-degree-3", "profile-samples-1000", "samples-abc",
-        "negative-seed"])
+        "negative-seed", "tails-samples-500", "rmt-draws-50", "multilinear-samples-5000",
+        "certify-samples-10", "matrix-size-1", "p-values-x", "p-1", "d-0"])
 def test_cli_missing_hypothesis_writes_nothing(tmp_path, capsys, cfg):
     path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
@@ -177,6 +190,20 @@ def test_cli_negative_seed_override_writes_nothing(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli(["run", "--config", cfg, "--out", out, "--seed", -3]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_crash_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(experiments, "_run_tails", crash)
+    cfg = write_cfg(tmp_path, {"kind": "tails", "seed": 0,
+                               "fixture": "gaussian-chaos-n2-d2-tails"})
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: RuntimeError: boom\n"
     assert not out.exists()
 
 

@@ -53,12 +53,35 @@ def test_power_opnorm_matrix_sweep():
     t = sym_dense(2, 6, 31)
     starts = np.random.default_rng(2).standard_normal((32, 6))
     shift = 1.0 + float(np.abs(t).sum())
-    hi = kernels.power_opnorm(t, starts, shift)
-    lo = kernels.power_opnorm(-t, starts, shift)
+    hi = kernels.power_opnorm(t[None], starts, [shift])[0]
+    lo = kernels.power_opnorm(-t[None], starts, [shift])[0]
     eig = np.linalg.eigvalsh(t)
     assert hi == pytest.approx(float(eig[-1]), rel=1e-8)
     assert lo == pytest.approx(float(-eig[0]), rel=1e-8)
     assert max(hi, lo) == pytest.approx(float(np.max(np.abs(eig))), rel=1e-8)
+
+
+def test_power_opnorm_stack_matches_one_tensor_calls(monkeypatch):
+    # each tensor stops on its own restarts, so its value is what it gives in a
+    # stack of one, whatever else shares the stack or the chunk
+    starts = np.random.default_rng(3).standard_normal((16, 3))
+    for order in (1, 2, 3, 4):
+        stack = np.stack([sym_dense(order, 3, 10 * order + i) for i in range(6)]
+                         + [np.zeros((3,) * order)])
+        scale = np.array([0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 0.0])
+        shifts = scale * np.sqrt((stack.reshape(7, -1) ** 2).sum(axis=1))
+        whole = kernels.power_opnorm(stack, starts, shifts)
+        alone = [kernels.power_opnorm(stack[i:i + 1], starts, shifts[i:i + 1])[0]
+                 for i in range(7)]
+        assert np.array_equal(whole, alone)
+        assert whole[-1] == 0.0
+        if order > 1:
+            # step counts differ: after 20 steps some tensors have stopped, some not
+            early = kernels.power_opnorm(stack, starts, shifts, max_iter=20)
+            assert 0 < np.sum(early == whole) < 7
+        monkeypatch.setattr(kernels, "_CHUNK_FLOATS", 1)  # one tensor per chunk
+        assert np.array_equal(kernels.power_opnorm(stack, starts, shifts), whole)
+        monkeypatch.undo()
 
 
 def test_shape_validation():
@@ -67,4 +90,5 @@ def test_shape_validation():
         kernels.diagonal_values(t, np.zeros(3))          # 1-D points
     with pytest.raises(ValueError):
         kernels.diagonal_values(t, np.zeros((4, 2)))     # dim mismatch
-
+    with pytest.raises(ValueError):
+        kernels.power_opnorm(t[None], np.ones((4, 3)), [1.0, 2.0])  # one shift per tensor

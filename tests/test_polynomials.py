@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -99,8 +100,8 @@ def test_gradient_matches_fd(f, seed):
 def test_gradient_batch_and_hessian_batch():
     f = random_poly(3, 3, 5, 21)
     pts = np.random.default_rng(0).standard_normal((11, 3))
-    gb = f.gradient_batch(pts)
-    hb = f.hessian_batch(pts)
+    gb = f.derivative_dense(1, pts)
+    hb = f.derivative_dense(2, pts)
     for r in range(11):
         for i in range(3):
             assert gb[r, i] == pytest.approx(f.gradient[i].evaluate(pts[r]), rel=1e-12)
@@ -109,12 +110,19 @@ def test_gradient_batch_and_hessian_batch():
     assert np.allclose(hb, np.swapaxes(hb, 1, 2))
     # one full evaluation block plus a partial one: rows match smaller batches bit for bit
     big = np.random.default_rng(1).standard_normal((EVAL_BLOCK + 3, 3))
-    gb, hb = f.gradient_batch(big), f.hessian_batch(big)
-    for batch, whole in ((f.gradient_batch, gb), (f.hessian_batch, hb)):
+    gb, hb = f.derivative_dense(1, big), f.derivative_dense(2, big)
+    for batch, whole in ((partial(f.derivative_dense, 1), gb),
+                         (partial(f.derivative_dense, 2), hb)):
         assert np.array_equal(whole[:EVAL_BLOCK], batch(big[:EVAL_BLOCK]))
         assert np.array_equal(whole[EVAL_BLOCK:], batch(big[EVAL_BLOCK:]))
     for r in range(EVAL_BLOCK, EVAL_BLOCK + 3):
         assert np.array_equal(hb[r], f.derivative_tensor(2, big[r]).dense)
+    # orders 3 and 4: the dense stack is each point's SymTensor, row by row
+    for k in (3, 4):
+        stack = f.derivative_dense(k, pts)
+        assert stack.shape == (11,) + (3,) * k
+        for r in range(11):
+            assert np.array_equal(stack[r], f.derivative_tensor(k, pts[r]).dense)
 
 
 def test_derivative_tensor_fd_oracle():
