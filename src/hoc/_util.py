@@ -1,7 +1,9 @@
-"""Shared plumbing: counter-based RNG substreams, deterministic writers."""
+"""Shared plumbing: RNG substreams, serial BLAS scopes, deterministic writers."""
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 
 import numpy as np
@@ -26,6 +28,52 @@ def stage_seed(seed, *key):
     """
     ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in key))
     return int(ss.generate_state(1, dtype=np.uint32)[0])
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count functions of each OpenBLAS loaded in this
+    process, found once through /proc/self/maps; empty where there is none."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        return ()
+    found = []
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for stem in ("scipy_openblas_%s_num_threads64_", "scipy_openblas_%s_num_threads",
+                     "openblas_%s_num_threads64_", "openblas_%s_num_threads"):
+            get, put = (getattr(lib, stem % verb, None) for verb in ("get", "set"))
+            if get is not None and put is not None:
+                get.restype = ctypes.c_int
+                found.append((get, put))
+                break
+    return tuple(found)
+
+
+@contextlib.contextmanager
+def serial_blas():
+    """Run the enclosed block with every OpenBLAS at one thread.
+
+    Small batched eigensolves gain nothing from a second BLAS thread, which
+    only spins; each library's previous count is restored on every exit.
+    Where no OpenBLAS is found (no /proc, MKL, Accelerate) this does nothing.
+    """
+    libs = _openblas_threads()
+    previous = [get() for get, _ in libs]
+    try:
+        for _, put in libs:
+            put(1)
+        yield
+    finally:
+        for (_, put), count in zip(libs, previous):
+            put(count)
 
 
 def jsonable(obj):

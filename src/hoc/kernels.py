@@ -5,6 +5,8 @@ Tensors are dense float64 arrays of shape (n,)*d, points (m, n) batches;
 functions check shapes once; the contractions underneath all work on stacks.
 """
 
+import warnings
+
 import numpy as np
 
 # power_opnorm runs this many floats of fold temporary (tensors x restarts x
@@ -62,7 +64,9 @@ def power_opnorm(tensors, starts, shifts, tol=1e-10, max_iter=10000):
     All restarts of one tensor run in lockstep until each of its form values
     T[x,...,x] moved by at most ``tol`` in one step; the tensor then leaves
     the active set, so its value does not depend on the rest of the stack.
-    The caller is responsible for the +/- sweep.
+    A tensor still moving after ``max_iter`` steps returns its last value,
+    and one RuntimeWarning says how many did. The caller is responsible for
+    the +/- sweep.
     """
     t, s = _coerce(tensors, starts)
     shifts = np.asarray(shifts, dtype=np.float64)
@@ -71,14 +75,20 @@ def power_opnorm(tensors, starts, shifts, tol=1e-10, max_iter=10000):
     x0 = s / np.linalg.norm(s, axis=1, keepdims=True)
     chunk = max(1, _CHUNK_FLOATS // (s.shape[0] * s.shape[1] ** max(t.ndim - 2, 1)))
     out = np.empty(t.shape[0])
+    stalled = 0
     for lo in range(0, t.shape[0], chunk):
-        out[lo:lo + chunk] = _power_chunk(t[lo:lo + chunk], x0, shifts[lo:lo + chunk],
-                                          tol, int(max_iter))
+        stalled += _power_chunk(out[lo:lo + chunk], t[lo:lo + chunk], x0,
+                                shifts[lo:lo + chunk], tol, int(max_iter))
+    if stalled:
+        warnings.warn("power_opnorm: %d of %d tensors stopped at max_iter=%d "
+                      "without converging" % (stalled, t.shape[0], max_iter),
+                      RuntimeWarning, stacklevel=2)
     return out
 
 
-def _power_chunk(t, x0, shifts, tol, max_iter):
-    out = np.empty(t.shape[0])
+def _power_chunk(out, t, x0, shifts, tol, max_iter):
+    """Fill ``out`` with the values of the tensors ``t``; returns how many
+    stopped at ``max_iter``."""
     active = np.arange(t.shape[0])
     shift = shifts[:, None, None]
     x = np.broadcast_to(x0, (t.shape[0],) + x0.shape).copy()
@@ -100,4 +110,4 @@ def _power_chunk(t, x0, shifts, tol, max_iter):
             if not active.size:
                 break
     out[active] = np.max(vals, axis=1)
-    return out
+    return active.size

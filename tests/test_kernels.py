@@ -1,5 +1,7 @@
 """Kernel contracts: contractions against einsum, power iteration against eigh."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -77,11 +79,43 @@ def test_power_opnorm_stack_matches_one_tensor_calls(monkeypatch):
         assert whole[-1] == 0.0
         if order > 1:
             # step counts differ: after 20 steps some tensors have stopped, some not
-            early = kernels.power_opnorm(stack, starts, shifts, max_iter=20)
+            with pytest.warns(RuntimeWarning, match="stopped at max_iter=20"):
+                early = kernels.power_opnorm(stack, starts, shifts, max_iter=20)
             assert 0 < np.sum(early == whole) < 7
         monkeypatch.setattr(kernels, "_CHUNK_FLOATS", 1)  # one tensor per chunk
         assert np.array_equal(kernels.power_opnorm(stack, starts, shifts), whole)
         monkeypatch.undo()
+
+
+def test_power_opnorm_reports_max_iter_stops():
+    stack = np.stack([sym_dense(3, 4, 5 + i) for i in range(3)] + [np.zeros((4,) * 3)])
+    starts = np.random.default_rng(4).standard_normal((8, 4))
+    shifts = np.sqrt((stack.reshape(4, -1) ** 2).sum(axis=1))
+    converged = kernels.power_opnorm(stack, starts, shifts)
+    with pytest.warns(RuntimeWarning) as record:
+        capped = kernels.power_opnorm(stack, starts, shifts, max_iter=1)
+    # one warning for the whole stack; the zero tensor converges at once
+    assert len(record) == 1
+    assert "3 of 4 tensors stopped at max_iter=1" in str(record[0].message)
+    assert capped[-1] == converged[-1] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernels.power_opnorm(stack, starts, shifts)
+
+
+def test_shipped_tails_fixture_converges(tmp_path, monkeypatch):
+    from hoc.experiments import run_config
+
+    calls = []
+    original = kernels.power_opnorm
+    monkeypatch.setattr(kernels, "power_opnorm",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    cfg = {"kind": "tails", "fixture": "gaussian-chaos-n10-d3-tails", "seed": 7,
+           "samples": 1000}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _ = run_config(cfg, str(tmp_path / "out"))
+    assert code == 0 and calls
 
 
 def test_shape_validation():

@@ -67,6 +67,73 @@ def test_trace_identity():
     assert np.allclose(per_draw_eig, per_draw_mat, rtol=1e-10)
 
 
+def test_build_matrices_symmetric_and_matches_reference():
+    from hoc._util import substream
+    from hoc.measures import draw_coordinate
+
+    ens = gaussian_ensemble(5)
+    seed, start, stop = 41, 3, 10
+    mats = rmt._build_matrices(ens, seed, start, stop)
+    assert mats.shape == (7, 5, 5)
+    assert np.array_equal(mats, mats.transpose(0, 2, 1))
+    # the per-draw construction the chunked build replaced
+    iu = np.triu_indices(5)
+    for m, draw in zip(mats, range(start, stop)):
+        vals = draw_coordinate(substream(seed, draw), ens.entry, iu[0].size) / math.sqrt(5)
+        ref = np.zeros((5, 5))
+        ref[iu] = vals
+        ref.T[iu] = vals
+        assert np.array_equal(m, ref)
+
+
+def _failing_eigvalsh(monkeypatch, bad):
+    """Make batched eigvalsh fail, and single calls fail on the matrices in ``bad``."""
+    original = np.linalg.eigvalsh
+
+    def eigvalsh(a, *args, **kwargs):
+        if np.ndim(a) == 3 or any(np.array_equal(a, m) for m in bad):
+            raise np.linalg.LinAlgError("forced failure")
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(rmt.np.linalg, "eigvalsh", eigvalsh)
+
+
+def test_discarded_draw_costs_only_itself(monkeypatch):
+    ens = gaussian_ensemble(5)
+    seed, draws, bad_draw = 8, 1000, 300
+    clean = rmt.sample_ensemble(ens, draws, seed)
+    bad = rmt._build_matrices(ens, seed, bad_draw, bad_draw + 1)
+    _failing_eigvalsh(monkeypatch, bad)
+    got = rmt.sample_ensemble(ens, draws, seed)
+    assert got.discarded == 1
+    kept = np.delete(clean.eigenvalues, bad_draw, axis=0)
+    assert np.array_equal(got.eigenvalues, kept)
+    # two failures in 1000 draws exceed MAX_DISCARD_FRACTION
+    assert 2 > rmt.MAX_DISCARD_FRACTION * draws
+    monkeypatch.undo()
+    _failing_eigvalsh(monkeypatch, list(rmt._build_matrices(ens, seed, 10, 12)))
+    with pytest.raises(RuntimeError, match="discarded 2 of 1000"):
+        rmt.sample_ensemble(ens, draws, seed)
+
+
+def test_sample_ensemble_solves_on_one_blas_thread(monkeypatch):
+    from hoc import _util
+
+    original = np.linalg.eigvalsh
+    seen = []
+
+    def eigvalsh(a, *args, **kwargs):
+        seen.append([get() for get, _ in _util._openblas_threads()])
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(rmt.np.linalg, "eigvalsh", eigvalsh)
+    before = [get() for get, _ in _util._openblas_threads()]
+    rmt.sample_ensemble(gaussian_ensemble(10), 2 * rmt._EIG_CHUNK + 1, seed=3)
+    assert len(seen) == 3
+    assert all(count == 1 for counts in seen for count in counts)
+    assert [get() for get, _ in _util._openblas_threads()] == before
+
+
 # -- Jacobi oracle vs LAPACK (dual route) -----------------------------------------
 
 

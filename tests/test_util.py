@@ -31,6 +31,38 @@ def test_stage_seed_stable():
     assert 0 <= s1 < 2**32
 
 
+def _blas_counts(libs=None):
+    return [get() for get, _ in (libs or _util._openblas_threads())]
+
+
+def test_serial_blas_sets_one_thread_and_restores():
+    libs = _util._openblas_threads()
+    original = _blas_counts()
+    try:
+        for _, put in libs:  # a count of 2 tells a restore from a leak of 1
+            put(2)
+        with _util.serial_blas():
+            assert _blas_counts() == [1] * len(libs)
+        assert _blas_counts() == [2] * len(libs)
+        with pytest.raises(KeyError):
+            with _util.serial_blas():
+                assert _blas_counts() == [1] * len(libs)
+                raise KeyError("boom")
+        assert _blas_counts() == [2] * len(libs)
+    finally:
+        for (_, put), count in zip(libs, original):
+            put(count)
+
+
+def test_serial_blas_without_openblas_is_a_no_op(monkeypatch):
+    libs = _util._openblas_threads()
+    before = _blas_counts(libs)
+    monkeypatch.setattr(_util, "_openblas_threads", lambda: ())
+    with _util.serial_blas():
+        assert _blas_counts(libs) == before
+    assert _blas_counts(libs) == before
+
+
 def test_jsonable():
     obj = {"a": np.float64(1.5), "b": np.int32(3), "c": np.arange(2),
            "d": float("nan"), "e": (1, 2), "f": np.float64("nan")}
