@@ -1,10 +1,11 @@
-"""Shared plumbing: RNG substreams, serial BLAS scopes, deterministic writers."""
+"""Shared plumbing: RNG substreams, CPU count, serial BLAS scopes, deterministic writers."""
 
 from __future__ import annotations
 
 import contextlib
 import functools
 import json
+import os
 
 import numpy as np
 
@@ -28,6 +29,16 @@ def stage_seed(seed, *key):
     """
     ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in key))
     return int(ss.generate_state(1, dtype=np.uint32)[0])
+
+
+def worker_count():
+    """Number of CPUs this process may run on: its affinity set where the
+    platform reports one, else ``os.cpu_count()``; never less than 1."""
+    try:
+        count = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity (macOS, Windows)
+        count = os.cpu_count()
+    return max(1, count or 1)
 
 
 @functools.cache

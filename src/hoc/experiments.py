@@ -49,7 +49,9 @@ _COUNT_FLOORS = {"samples": 1, "profile_samples": bounds.MIN_PROFILE_SAMPLES,
 # the fewest evaluation samples (draws for rmt) each kind's checks accept
 _SAMPLE_FLOORS = {"certify": verify.MIN_EXP_SAMPLES, "multilinear": verify.MIN_EXP_SAMPLES,
                   "tails": verify.MIN_TAIL_SAMPLES, "weighted-tail": verify.MIN_TAIL_SAMPLES,
-                  "rmt": verify.MIN_TAIL_SAMPLES,
+                  # rmt may discard 0.1% of its draws (one of 1001); the kept
+                  # draws must still fill the tail check
+                  "rmt": verify.MIN_TAIL_SAMPLES + 1,
                   "weighted": 2}  # verify.empirical_lp needs two values
 
 # a runner raising one of these was asked for a certificate whose hypotheses
@@ -571,10 +573,11 @@ def _run_rmt(cfg, out_dir, seed, samples_override):
                               "grad_l2": cal.grad_l2 + 3.0 * cal.grad_l2_se})
     rate, _, _ = exp_cert.exp_params()
     shift = rmt.calibration_shift_bound(sample, cal)
-    est = verify.empirical_exp_moment(np.abs(s_t), rate, 0.5, min_samples=draws)
+    # the kept draws: up to 0.1% of the requested ones may have been discarded
+    est = verify.empirical_exp_moment(np.abs(s_t), rate, 0.5, min_samples=sample.draws)
     extra_se = rmt.exp_calibration_se(rate, shift, est.value)
     exp_check = verify.check_exp_certificate(exp_cert, s_t, extra_se=extra_se,
-                                             min_samples=draws)
+                                             min_samples=sample.draws)
     tail_check = verify.check_tail_certificate(tail_cert, s_n,
                                                payload.get("t_grid", [1, 2, 4]))
     var_s = float(np.var(s_n, ddof=1))

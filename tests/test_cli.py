@@ -140,7 +140,7 @@ _GAUSS2 = {"dim": 2, "coords": [{"dist": "gaussian", "params": {}},
      "samples": 1000, "profile_samples": 10_000},
     # a cubic statistic has no uniform bound on f''
     {"kind": "rmt", "seed": 0, "matrix_size": 5, "coeffs": [0.0, 0.0, 0.0, 1.0],
-     "entry": {"dist": "gaussian", "params": {}}, "draws": 1000, "cal_draws": 500},
+     "entry": {"dist": "gaussian", "params": {}}, "draws": 1001, "cal_draws": 500},
     # sample counts and seeds the runners cannot use
     {"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n2-d2-tails",
      "profile_samples": 1000},
@@ -150,6 +150,7 @@ _GAUSS2 = {"dim": 2, "coords": [{"dist": "gaussian", "params": {}},
     # fewer evaluation samples than the kind's checks accept
     {"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n2-d2-tails", "samples": 500},
     {"kind": "rmt", "seed": 0, "fixture": "wigner-gaussian-n50", "draws": 50},
+    {"kind": "rmt", "seed": 0, "fixture": "wigner-gaussian-n50", "draws": 1000},
     {"kind": "multilinear", "seed": 0, "fixture": "gaussian-chaos-n2-d2-multilinear",
      "samples": 5000},
     {"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-hs", "samples": 10},
@@ -160,7 +161,8 @@ _GAUSS2 = {"dim": 2, "coords": [{"dist": "gaussian", "params": {}},
     {"kind": "weighted-tail", "seed": 0, "fixture": "student-weighted-tail-d1", "p": 1},
     {"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n2-d2-tails", "d": 0},
 ], ids=["uncentered-tails", "rmt-degree-3", "profile-samples-1000", "samples-abc",
-        "negative-seed", "tails-samples-500", "rmt-draws-50", "multilinear-samples-5000",
+        "negative-seed", "tails-samples-500", "rmt-draws-50", "rmt-draws-1000",
+        "multilinear-samples-5000",
         "certify-samples-10", "matrix-size-1", "p-values-x", "p-1", "d-0"])
 def test_cli_missing_hypothesis_writes_nothing(tmp_path, capsys, cfg):
     path = write_cfg(tmp_path, cfg)

@@ -1,12 +1,14 @@
 """Wigner ensembles: eigensolver dual route, calibration, route-3.2 certificates."""
 
+import csv
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from hoc import _util, experiments, rmt
 from hoc import bounds as B
-from hoc import rmt
 from hoc.measures import CoordinateDist, UncertifiedConstantError
 
 
@@ -116,22 +118,91 @@ def test_discarded_draw_costs_only_itself(monkeypatch):
         rmt.sample_ensemble(ens, draws, seed)
 
 
-def test_sample_ensemble_solves_on_one_blas_thread(monkeypatch):
-    from hoc import _util
+def test_discarded_draw_does_not_crash_the_runner(tmp_path, monkeypatch):
+    # 1001 is the fewest draws a config may ask for; one discard leaves
+    # exactly the 1000 the tail check needs
+    seed, draws, bad_draw = 4, 1001, 517
+    cfg = {"kind": "rmt", "seed": seed, "matrix_size": 5, "coeffs": [0.0, 0.0, 0.5],
+           "entry": {"dist": "gaussian", "params": {}}, "draws": draws,
+           "cal_draws": rmt.MIN_CAL_DRAWS}
+    ens = gaussian_ensemble(5)
+    eval_seed = _util.stage_seed(seed, experiments._STAGE_EVAL)
+    _failing_eigvalsh(monkeypatch, rmt._build_matrices(ens, eval_seed, bad_draw, bad_draw + 1))
+    code, report = experiments.run_config(cfg, str(tmp_path / "out"))
+    assert code in (0, 1)
+    assert report["draws"] == draws and report["discarded"] == 1
+    with open(tmp_path / "out" / "draws.csv") as fh:
+        assert len(list(csv.reader(fh))) == 1 + draws - 1  # header + kept draws
 
+
+def _blas_counts():
+    return [get() for get, _ in _util._openblas_threads()]
+
+
+def test_thread_count_cannot_change_a_number(monkeypatch):
+    ens = gaussian_ensemble(10)
+    draws = 2 * rmt._EIG_CHUNK + 5
+    original = np.linalg.eigvalsh
+    samples = {}
+    for workers in (1, 3):
+        seen = {}
+
+        def eigvalsh(a, *args, **kwargs):
+            seen.setdefault(threading.get_ident(), []).append(_blas_counts())
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(rmt, "worker_count", lambda: workers)
+        monkeypatch.setattr(rmt.np.linalg, "eigvalsh", eigvalsh)
+        samples[workers] = rmt.sample_ensemble(ens, draws, seed=12)
+        assert 1 <= len(seen) <= rmt.worker_count()
+        assert all(count == 1 for calls in seen.values() for counts in calls
+                   for count in counts)
+    assert np.array_equal(samples[1].eigenvalues, samples[3].eigenvalues)
+    assert samples[1].discarded == samples[3].discarded == 0
+
+
+def test_worker_error_reaches_the_caller(monkeypatch):
+    ens = gaussian_ensemble(6)
+    seed, draws = 21, 2 * rmt._EIG_CHUNK + 5
+    bad = rmt._build_matrices(ens, seed, rmt._EIG_CHUNK + 3, rmt._EIG_CHUNK + 4)[0]
+    original = np.linalg.eigvalsh
+
+    def eigvalsh(a, *args, **kwargs):
+        if any(np.array_equal(m, bad) for m in np.reshape(a, (-1,) + bad.shape)):
+            raise KeyError("boom")
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(rmt, "worker_count", lambda: 2)
+    monkeypatch.setattr(rmt.np.linalg, "eigvalsh", eigvalsh)
+    libs = _util._openblas_threads()
+    original_counts = _blas_counts()
+    try:
+        for _, put in libs:  # a count of 2 tells a restore from a leak of 1
+            put(2)
+        threads = threading.active_count()
+        with pytest.raises(KeyError, match="boom"):
+            rmt.sample_ensemble(ens, draws, seed)
+        assert _blas_counts() == [2] * len(libs)
+        assert threading.active_count() == threads
+    finally:
+        for (_, put), count in zip(libs, original_counts):
+            put(count)
+
+
+def test_sample_ensemble_solves_on_one_blas_thread(monkeypatch):
     original = np.linalg.eigvalsh
     seen = []
 
     def eigvalsh(a, *args, **kwargs):
-        seen.append([get() for get, _ in _util._openblas_threads()])
+        seen.append(_blas_counts())
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(rmt.np.linalg, "eigvalsh", eigvalsh)
-    before = [get() for get, _ in _util._openblas_threads()]
+    before = _blas_counts()
     rmt.sample_ensemble(gaussian_ensemble(10), 2 * rmt._EIG_CHUNK + 1, seed=3)
     assert len(seen) == 3
     assert all(count == 1 for counts in seen for count in counts)
-    assert [get() for get, _ in _util._openblas_threads()] == before
+    assert _blas_counts() == before
 
 
 # -- Jacobi oracle vs LAPACK (dual route) -----------------------------------------

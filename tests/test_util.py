@@ -31,6 +31,16 @@ def test_stage_seed_stable():
     assert 0 <= s1 < 2**32
 
 
+def test_worker_count_from_affinity_with_fallback(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert _util.worker_count() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _util.worker_count() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # count unknown
+    assert _util.worker_count() == 1
+
+
 def _blas_counts(libs=None):
     return [get() for get, _ in (libs or _util._openblas_threads())]
 
