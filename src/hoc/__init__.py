@@ -7,13 +7,12 @@ for the route taxonomy and the experiment runner.
 """
 
 from .bounds import (Certificate, DerivativeProfile, MissingHypothesisError,
-                     MissingNormError, WeightedProfile, derivative_tail_bound,
-                     exp_moment_certificate, gradient_moment_bound,
-                     iterated_moment_bound, moment_certificate,
-                     multilinear_certificates, normalized_moment_cap,
-                     profile_from_function, subexponential_constant,
-                     tail_certificate, weighted_moment_bounds,
-                     weighted_moment_certificate, weighted_tail_bound,
+                     MissingNormError, WeightedProfile, exp_moment_certificate,
+                     gradient_moment_bound, iterated_moment_bound,
+                     moment_certificate, multilinear_certificates,
+                     normalized_moment_cap, profile_from_function,
+                     subexponential_constant, tail_certificate,
+                     weighted_moment_bounds, weighted_moment_certificate,
                      weighted_tail_certificate)
 from .measures import (CATALOG, CoordinateDist, GapResult, MeasureSpec,
                        UncertifiedConstantError, WeightSpec, catalog_oracle,

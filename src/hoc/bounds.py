@@ -12,6 +12,17 @@ Certificates carry a ``route`` label naming the bound family (ladder-inf,
 ladder-hs, ladder-tail, weighted-ladder, weighted-tail, multilinear-hs,
 multilinear-inf, wigner-lss) plus every constant needed to re-evaluate them,
 and serialize to JSON.
+
+Every tail route but weighted-tail is one derivative ladder
+(sigma, d, norms2, top): P(|f| >= t) <= e^2 exp(-eta(t) / (d e)), where eta
+is the least of sqrt(2) t^(1/k) / (sigma n_k^(1/k)) over the nonzero rungs
+n_1..n_(d-1) = norms2 and n_d = top. The routes differ only in the ladder
+their constants give:
+
+  ladder-tail      the profile's (sigma, d, norms2, top_inf)
+  multilinear-hs   (sigma, d, (hs_norm, 0, ..., 0), hs_norm)
+  multilinear-inf  the same with dim_n^(d/2) * max_entry for hs_norm
+  wigner-lss       (sigma sqrt(2/N), 2, (grad_l2,), sqrt(N) * fpp_inf)
 """
 
 from __future__ import annotations
@@ -31,6 +42,7 @@ from .tensors import UnsupportedSizeError, hs_norms, op_norms
 EXP_MOMENT_COEFF = 1.0 / (12.0 * e)  # universal constant in the exp-moment certificates
 EXP_THRESHOLD = 2.0
 TAIL_PREFACTOR = e**2
+EXP_MOMENT_ROUTES = ("ladder-inf", "ladder-hs")  # the routes exp_moment_certificate takes
 
 # Pointwise operator norms of order >= 3 derivative tensors have no closed
 # form; cap the power-iteration work at this many sample points and let the
@@ -232,9 +244,6 @@ class Certificate:
 
 
 def _tail_eval(route, c, t):
-    if route == "ladder-tail":
-        eta = _eta(c, t)
-        return TAIL_PREFACTOR * np.exp(-eta / (c["d"] * e))
     if route == "weighted-tail":
         d, C, p = c["d"], c["C"], c["p"]
         scale = 2.0 ** ((d + 5) / 2.0) * C
@@ -243,44 +252,36 @@ def _tail_eval(route, c, t):
         with np.errstate(divide="ignore"):
             beyond = np.where(t > 0, ((scale * p) ** d / np.maximum(t, 1e-300)) ** p, np.inf)
         return math.exp(d / e) * np.where(t <= window, inside, beyond)
-    if route == "multilinear-hs":
-        hs = c["hs_norm"]
-        if hs == 0.0:
-            return np.where(t > 0, 0.0, 1.0)
-        arg = np.minimum(t / hs, np.power(t, 1.0 / c["d"]) / hs ** (1.0 / c["d"]))
-        return TAIL_PREFACTOR * np.exp(-_SQRT2 * arg / (c["sigma"] * c["d"] * e))
-    if route == "multilinear-inf":
-        amax, n, d = c["max_entry"], c["dim_n"], c["d"]
-        if amax == 0.0:
-            return np.where(t > 0, 0.0, 1.0)
-        arg = np.minimum(t / (n ** (d / 2.0) * amax),
-                         np.power(t, 1.0 / d) / (sqrt(n) * amax ** (1.0 / d)))
-        return TAIL_PREFACTOR * np.exp(-_SQRT2 * arg / (c["sigma"] * d * e))
+    ladder = _ladder(route, c)
+    return TAIL_PREFACTOR * np.exp(-_eta(ladder, t) / (ladder[1] * e))
+
+
+def _ladder(route, c):
+    """(sigma, d, norms2, top) of the derivative ladder behind a tail route,
+    as tabled in the module docstring; wigner-lss constants carry no d."""
+    if route == "ladder-tail":
+        return c["sigma"], c["d"], c["norms2"], c.get("top_inf")
+    if route in ("multilinear-hs", "multilinear-inf"):
+        d = c["d"]
+        a = (c["hs_norm"] if route == "multilinear-hs"
+             else c["dim_n"] ** (d / 2.0) * c["max_entry"])
+        return c["sigma"], d, ((a,) + (0.0,) * d)[:d - 1], a
     if route == "wigner-lss":
-        n_dim, g2, fpp = c["matrix_size"], c["grad_l2"], c["fpp_inf"]
-        terms = []
-        if g2 > 0:
-            terms.append(t * sqrt(n_dim) / g2)
-        if fpp > 0:
-            terms.append(np.sqrt(t) * n_dim ** 0.25 / sqrt(fpp))
-        if not terms:
-            return np.where(t > 0, 0.0, 1.0)
-        arg = terms[0] if len(terms) == 1 else np.minimum(*terms)
-        return TAIL_PREFACTOR * np.exp(-arg / (c["sigma"] * 2.0 * e))
+        n = c["matrix_size"]
+        return c["sigma"] * sqrt(2.0 / n), 2, (c["grad_l2"],), sqrt(n) * c["fpp_inf"]
     raise ValueError("no tail evaluator for route %r" % (route,))
 
 
-def _eta(c, t):
-    """Best decay exponent from the norm ladder; zero norms drop their term,
-    a missing top norm forces the trivial bound."""
-    sigma, d = c["sigma"], c["d"]
-    top = c.get("top_inf")
+def _eta(ladder, t):
+    """Best decay exponent from a (sigma, d, norms2, top) ladder; zero norms
+    drop their term, a missing top norm forces the trivial bound."""
+    sigma, d, norms2, top = ladder
     if top is None:
         return np.zeros_like(t)
     terms = []
     if top > 0:
         terms.append(_SQRT2 * np.power(t, 1.0 / d) / (sigma * top ** (1.0 / d)))
-    for k, nk in enumerate(c["norms2"], start=1):
+    for k, nk in enumerate(norms2, start=1):
         if nk > 0:
             terms.append(_SQRT2 * np.power(t, 1.0 / k) / (sigma * nk ** (1.0 / k)))
     if not terms:
@@ -353,7 +354,7 @@ def exp_moment_certificate(profile, route=None):
     """
     if route is None:
         route = "ladder-hs" if (profile.derivs_centered and profile.top_hs is not None) else "ladder-inf"
-    if route not in ("ladder-inf", "ladder-hs"):
+    if route not in EXP_MOMENT_ROUTES:
         raise ValueError("unknown exp-moment route %r" % (route,))
     if not profile.centered:
         raise MissingHypothesisError("exp-moment certificates need E f = 0; recenter first")
@@ -391,12 +392,8 @@ def subexponential_constant(gamma):
 
 # -- tail bounds -------------------------------------------------------------------
 
-def derivative_tail_bound(profile, t):
-    """P(|f| >= t) bound from the full derivative-norm ladder (route ladder-tail)."""
-    return tail_certificate(profile).tail_bound(t)
-
-
 def tail_certificate(profile):
+    """P(|f| >= t) bound from the full derivative-norm ladder (route ladder-tail)."""
     if not profile.centered:
         raise MissingHypothesisError("the tail bound needs E f = 0; recenter first")
     return Certificate("tail", "ladder-tail",
@@ -449,7 +446,7 @@ def weighted_moment_certificate(wp):
                         "wnorms": list(wp.wnorms), "norms2": list(wp.norms2)})
 
 
-def weighted_tail_bound(C, p, d, t):
+def weighted_tail_certificate(C, p, d, rescale_lambda=1.0):
     """P(|f| >= t) bound for normalized f under a weighted inequality.
 
     Needs ||w||_{2^d p} <= C with C >= 2^(-(d-1)/2), p >= 2, and the
@@ -457,10 +454,6 @@ def weighted_tail_bound(C, p, d, t):
     t <= (2^((d+5)/2) C e p)^d the bound decays like exp(-d t^(1/d) / ...);
     beyond it the general q = p moment-Markov form takes over.
     """
-    return weighted_tail_certificate(C, p, d).tail_bound(t)
-
-
-def weighted_tail_certificate(C, p, d, rescale_lambda=1.0):
     floor = 2.0 ** (-(d - 1) / 2.0)
     if C < floor:
         raise ValueError(

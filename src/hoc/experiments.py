@@ -124,6 +124,10 @@ def validate_config(cfg):
                               % (fixture.name, fixture.kind, kind))
     elif kind not in ("tensor-norm", "catalog-oracle"):
         _validate_inline(cfg, kind)
+    # every other runner's route follows from its kind
+    if "route" in cfg and (kind != "certify" or cfg["route"] not in bounds.EXP_MOMENT_ROUTES):
+        raise ConfigError("only certify configs take a route, one of %s; got %r on a %s config"
+                          % (", ".join(bounds.EXP_MOMENT_ROUTES), cfg["route"], kind))
     payload, _ = _merged_payload(cfg)
     for field, floor in _COUNT_FLOORS.items():
         if field in payload:
@@ -182,17 +186,19 @@ def _merged_payload(cfg):
 def run_config(cfg, out_dir, seed_override=None, samples_override=None):
     """Run one experiment; returns (exit_code, report dict).
 
-    Raises ConfigError for an invalid config, and for a certificate whose
-    hypotheses the configured function or law does not meet. When the run
-    raises, an output directory this call created is removed again.
+    The overrides replace the config's ``seed`` and its ``samples`` (``draws``
+    for rmt) and are validated with the rest of it. Raises ConfigError for an
+    invalid config, and for a certificate whose hypotheses the configured
+    function or law does not meet. When the run raises, an output directory
+    this call created is removed again.
     """
-    cfg = validate_config(cfg)
+    cfg = dict(cfg)
     if seed_override is not None:
-        _check_count("the seed override", seed_override, 0)
+        cfg["seed"] = seed_override
     if samples_override is not None:
-        _check_count("the sample count override", samples_override,
-                     _SAMPLE_FLOORS.get(cfg["kind"], 1))
-    seed = int(seed_override if seed_override is not None else cfg["seed"])
+        cfg["draws" if cfg.get("kind") == "rmt" else "samples"] = samples_override
+    cfg = validate_config(cfg)
+    seed = cfg["seed"]
     created = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     kind = cfg["kind"]
@@ -205,7 +211,7 @@ def run_config(cfg, out_dir, seed_override=None, samples_override=None):
               "weighted-tail": _run_weighted,
               "rmt": _run_rmt}[kind]
     try:
-        report = runner(cfg, out_dir, seed, samples_override)
+        report = runner(cfg, out_dir, seed)
     except Exception as exc:
         if created:
             shutil.rmtree(out_dir)
@@ -228,7 +234,7 @@ def _random_sym_tensor(rng, dim, order):
     return SymTensor.from_entries(order, dim, entries)
 
 
-def _run_tensor_norm(cfg, out_dir, seed, samples_override):
+def _run_tensor_norm(cfg, out_dir, seed):
     count = int(cfg.get("count", 50))
     rows = []
     max_rel = 0.0
@@ -261,7 +267,7 @@ def _run_tensor_norm(cfg, out_dir, seed, samples_override):
 
 # -- catalog-oracle ----------------------------------------------------------------
 
-def _run_catalog_oracle(cfg, out_dir, seed, samples_override):
+def _run_catalog_oracle(cfg, out_dir, seed):
     which = cfg.get("dist", "all")
     dists = [d for d in measures.ORACLE_DOMAINS] if which == "all" else [which]
     rows = []
@@ -301,13 +307,6 @@ def _build_function(payload):
     return PolyFunction.from_dict(payload["function"]), None
 
 
-def _sample_count(payload, samples_override, field="samples", default=1_000_000):
-    """Evaluation sample count: the override when one is given, else the payload's."""
-    if samples_override is not None:
-        return int(samples_override)
-    return int(payload.get(field, default))
-
-
 def _eval_values(f, mspec, m, seed):
     """f at ``measures.sample(mspec, m, seed)``, evaluated block by block as
     the draws are made, so the (m, dim) point matrix never exists."""
@@ -321,13 +320,13 @@ def _eval_values(f, mspec, m, seed):
 
 # -- certify -------------------------------------------------------------------------
 
-def _run_certify(cfg, out_dir, seed, samples_override):
+def _run_certify(cfg, out_dir, seed):
     payload, fixture = _merged_payload(cfg)
     mspec = _build_measure(payload)
     f, _ = _build_function(payload)
     d = int(payload["d"])
     route = payload.get("route") or (fixture.route if fixture else None)
-    m_eval = _sample_count(payload, samples_override)
+    m_eval = int(payload.get("samples", 1_000_000))
     m_prof = int(payload.get("profile_samples", 100_000))
     profile = bounds.profile_from_function(f, mspec, d, m=m_prof,
                                            seed=stage_seed(seed, _STAGE_PROFILE))
@@ -368,17 +367,16 @@ def _write_tail_artifacts(out_dir, header, rows, title, series):
     write_csv(os.path.join(out_dir, "tail_curve.csv"), header, rows)
     ts = [r[0] for r in rows]
     svgplot.write_plot(os.path.join(out_dir, "tail_curve.svg"), title, "t", "P(|f| >= t)",
-                       [(label, ts, [r[col] for r in rows]) for label, col in series],
-                       logy=True)
+                       [(label, ts, [r[col] for r in rows]) for label, col in series])
 
 
-def _run_tails(cfg, out_dir, seed, samples_override):
+def _run_tails(cfg, out_dir, seed):
     payload, fixture = _merged_payload(cfg)
     mspec = _build_measure(payload)
     f, _ = _build_function(payload)
     d = int(payload["d"])
     t_grid = payload["t_grid"]
-    m_eval = _sample_count(payload, samples_override)
+    m_eval = int(payload.get("samples", 1_000_000))
     m_prof = int(payload.get("profile_samples", 100_000))
     profile = bounds.profile_from_function(f, mspec, d, m=m_prof,
                                            seed=stage_seed(seed, _STAGE_PROFILE))
@@ -403,14 +401,14 @@ def _run_tails(cfg, out_dir, seed, samples_override):
 
 # -- multilinear ---------------------------------------------------------------------
 
-def _run_multilinear(cfg, out_dir, seed, samples_override):
+def _run_multilinear(cfg, out_dir, seed):
     payload, fixture = _merged_payload(cfg)
     mspec = _build_measure(payload)
     f, mlspec = _build_function(payload)
     if mlspec is None:
         raise ConfigError("multilinear experiments need a multilinear spec")
     t_grid = payload["t_grid"]
-    m_eval = _sample_count(payload, samples_override)
+    m_eval = int(payload.get("samples", 1_000_000))
     centered = all(mspec.moment(i, 1) == 0.0 for i in range(mspec.dim))
     unit_var = all(abs(mspec.moment(i, 2) - 1.0) < 1e-12 for i in range(mspec.dim))
     certs = bounds.multilinear_certificates(mlspec, mspec.sigma(), centered, unit_var)
@@ -475,17 +473,16 @@ def _exact_gradient_l2(f, mspec):
     return sqrt(total)
 
 
-def _run_weighted(cfg, out_dir, seed, samples_override):
-    payload, fixture = _merged_payload(cfg)
+def _run_weighted(cfg, out_dir, seed):
+    payload, _ = _merged_payload(cfg)
     beta, kappa, gap, mspec, f = _weighted_setup(payload)
     d = int(payload["d"])
     if d > 2:
         # the ladder below the top derivative is computed in closed form here,
         # which this runner only does for gradients
         raise ConfigError("weighted experiments support d <= 2")
-    default_route = "weighted-tail" if cfg["kind"] == "weighted-tail" else "weighted-ladder"
-    route = payload.get("route") or (fixture.route if fixture else default_route)
-    m_eval = _sample_count(payload, samples_override)
+    route = "weighted-tail" if cfg["kind"] == "weighted-tail" else "weighted-ladder"
+    m_eval = int(payload.get("samples", 1_000_000))
     values = _eval_values(f, mspec, m_eval, stage_seed(seed, _STAGE_EVAL))
     norms2 = (_exact_gradient_l2(f, mspec),) if d == 2 else ()
     top_op = bounds.constant_opnorm(f.derivative_tensor(d))
@@ -507,8 +504,8 @@ def _run_weighted(cfg, out_dir, seed, samples_override):
                                                                  mspec.dim)),
                 top_2dp=top_op)
             bm, bp = bounds.weighted_moment_bounds(wp)
-            est, se = verify.empirical_lp(values, p)
-            ok = est <= min(bm, bp) + 5.0 * se
+            row = verify.check_moment_bound(min(bm, bp), values, p).rows[0]
+            est, se, ok = row.empirical, row.extra["se"], row.passed
             passed = passed and ok
             rows.append((p, bm, bp, est, se, int(ok)))
             mom_checks["p=%g" % p] = {"bound_mixed": bm, "bound_plain": bp,
@@ -551,7 +548,7 @@ def _run_weighted(cfg, out_dir, seed, samples_override):
 
 # -- rmt -----------------------------------------------------------------------------
 
-def _run_rmt(cfg, out_dir, seed, samples_override):
+def _run_rmt(cfg, out_dir, seed):
     payload, fixture = _merged_payload(cfg)
     n = int(payload["matrix_size"])
     entry = measures.CoordinateDist.make(payload["entry"]["dist"],
@@ -559,7 +556,7 @@ def _run_rmt(cfg, out_dir, seed, samples_override):
     ens = rmt.WignerEnsemble(n, entry)
     poly = rmt.as_polynomial(payload["coeffs"])
     rmt.certified_fpp(poly)  # before any eigensolve: it depends on f alone
-    draws = _sample_count(payload, samples_override, "draws", 2000)
+    draws = int(payload.get("draws", 2000))
     cal_draws = int(payload.get("cal_draws", 2000))
     cal = rmt.calibrate(ens, poly, cal_draws, stage_seed(seed, _STAGE_CAL))
     sample = rmt.sample_ensemble(ens, draws, stage_seed(seed, _STAGE_EVAL))

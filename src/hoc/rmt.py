@@ -7,6 +7,10 @@ sigma^2 is the certified constant of the entry law. Linear eigenvalue
 statistics S_N = sum_j (f(lambda_j) - E f(lambda_j)) and their recentered
 second-order version S~_N = S_N - sum_j (lambda_j - E lambda_j) E f'(lambda_j)
 then inherit exponential-moment and tail certificates (route wigner-lss).
+The tail certificate is evaluated as the order-2 derivative ladder of S_N on
+the eigenvalue vector (see hoc.bounds): sigma_N = sigma*sqrt(2/N), the
+calibrated grad_l2 = (E sum_j f'(lambda_j)^2)^(1/2) at order 1, and
+sqrt(N) * sup|f''| as the top norm.
 
 Expectations E lambda_j, E f(lambda_j), E f'(lambda_j) are not known in
 closed form; they are estimated on an independent calibration run and their
@@ -213,15 +217,6 @@ class Calibration:
     grad_l2: float        # (E sum_j f'(lambda_j)^2)^(1/2)
     grad_l2_se: float
     draws: int
-
-    def to_dict(self):
-        return {"draws": self.draws, "sum_f": self.sum_f, "se_sum_f": self.se_sum_f,
-                "grad_l2": self.grad_l2, "grad_l2_se": self.grad_l2_se,
-                "se_shift": self.se_shift,
-                "mean_lambda": self.mean_lambda.tolist(),
-                "se_lambda": self.se_lambda.tolist(),
-                "mean_fprime": self.mean_fprime.tolist(),
-                "se_fprime": self.se_fprime.tolist()}
 
 
 def calibrate(ens, poly, draws, seed):

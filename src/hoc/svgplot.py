@@ -1,4 +1,4 @@
-"""Minimal deterministic SVG line plots.
+"""Minimal deterministic SVG line plots on a log y axis.
 
 Plots are views of CSV data, never computations: callers pass the exact
 numbers they wrote to disk. Output is plain SVG text with coordinates
@@ -56,16 +56,15 @@ def _tick_label(v, logy):
     return "%.3g" % v
 
 
-def line_plot_svg(title, xlabel, ylabel, series, logy=False, floor=None):
-    """SVG text for line series [(label, xs, ys), ...].
+def line_plot_svg(title, xlabel, ylabel, series):
+    """SVG text for line series [(label, xs, ys), ...] on a log y axis.
 
-    With logy, nonpositive y values are dropped (they have no place on the
-    axis); ``floor`` pins the lower y limit (e.g. 1/samples for tails).
+    Nonpositive y values are dropped: they have no place on the axis.
     """
     pts = []
     for _, xs, ys in series:
         for x, y in zip(xs, ys):
-            if logy and y <= 0:
+            if y <= 0:
                 continue
             pts.append((float(x), float(y)))
     if not pts:
@@ -74,19 +73,14 @@ def line_plot_svg(title, xlabel, ylabel, series, logy=False, floor=None):
     xhi = max(p[0] for p in pts)
     ylo = min(p[1] for p in pts)
     yhi = max(p[1] for p in pts)
-    if floor is not None:
-        ylo = min(ylo, floor) if logy else min(ylo, floor)
     if xhi <= xlo:
         xhi = xlo + 1.0
-    if logy:
-        ylo = max(ylo, 1e-300)
-        if yhi <= ylo:
-            yhi = ylo * 10.0
-        ylo_l, yhi_l = math.log10(ylo), math.log10(yhi)
-        if yhi_l - ylo_l < 1e-9:
-            yhi_l = ylo_l + 1.0
-    elif yhi <= ylo:
-        yhi = ylo + 1.0
+    ylo = max(ylo, 1e-300)
+    if yhi <= ylo:
+        yhi = ylo * 10.0
+    ylo_l, yhi_l = math.log10(ylo), math.log10(yhi)
+    if yhi_l - ylo_l < 1e-9:
+        yhi_l = ylo_l + 1.0
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
@@ -95,10 +89,7 @@ def line_plot_svg(title, xlabel, ylabel, series, logy=False, floor=None):
         return MARGIN_L + (x - xlo) / (xhi - xlo) * plot_w
 
     def sy(y):
-        if logy:
-            frac = (math.log10(y) - ylo_l) / (yhi_l - ylo_l)
-        else:
-            frac = (y - ylo) / (yhi - ylo)
+        frac = (math.log10(y) - ylo_l) / (yhi_l - ylo_l)
         return MARGIN_T + (1.0 - frac) * plot_h
 
     out = []
@@ -120,14 +111,13 @@ def line_plot_svg(title, xlabel, ylabel, series, logy=False, floor=None):
         out.append('<text x="%s" y="%s" font-family="monospace" font-size="11" '
                    'text-anchor="middle">%s</text>'
                    % (_fmt(px), _fmt(y0 + 18), _tick_label(t, False)))
-    yticks = _decade_ticks(10.0**ylo_l, 10.0**yhi_l) if logy else _nice_ticks(ylo, yhi)
-    for t in yticks:
+    for t in _decade_ticks(10.0**ylo_l, 10.0**yhi_l):
         py = sy(t)
         out.append('<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="black"/>'
                    % (_fmt(x0 - 4), _fmt(py), _fmt(x0), _fmt(py)))
         out.append('<text x="%s" y="%s" font-family="monospace" font-size="11" '
                    'text-anchor="end">%s</text>'
-                   % (_fmt(x0 - 8), _fmt(py + 4), _tick_label(t, logy)))
+                   % (_fmt(x0 - 8), _fmt(py + 4), _tick_label(t, True)))
     out.append('<text x="%s" y="%s" font-family="monospace" font-size="12" '
                'text-anchor="middle">%s</text>'
                % (_fmt(MARGIN_L + plot_w / 2), _fmt(HEIGHT - 12), _escape(xlabel)))
@@ -139,7 +129,7 @@ def line_plot_svg(title, xlabel, ylabel, series, logy=False, floor=None):
     for i, (label, xs, ys) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
         coords = [(sx(float(x)), sy(float(y))) for x, y in zip(xs, ys)
-                  if not (logy and y <= 0)]
+                  if not y <= 0]
         if coords:
             path = "M" + " L".join("%s %s" % (_fmt(px), _fmt(py)) for px, py in coords)
             out.append('<path d="%s" fill="none" stroke="%s" stroke-width="1.5"/>'
@@ -163,7 +153,7 @@ def _escape(text):
             .replace(">", "&gt;"))
 
 
-def write_plot(path, title, xlabel, ylabel, series, logy=False, floor=None):
-    text = line_plot_svg(title, xlabel, ylabel, series, logy=logy, floor=floor)
+def write_plot(path, title, xlabel, ylabel, series):
+    text = line_plot_svg(title, xlabel, ylabel, series)
     with open(path, "w", newline="\n") as fh:
         fh.write(text)

@@ -29,6 +29,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import kernels
+from ._util import substream
 
 RESTARTS = 64
 POWER_TOL = 1e-10
@@ -101,7 +102,7 @@ def _power_norms(stack, seed):
     b, order, dim = stack.shape[0], stack.ndim - 1, stack.shape[1]
     canonical = np.array(canonical_layout(order, dim)[0]).T
     shifts = hs_norms(stack[(slice(None),) + tuple(canonical)], order, dim)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(order, dim))))
+    rng = substream(seed, order, dim)
     best = kernels.power_opnorm(np.concatenate([stack, -stack]),
                                 rng.standard_normal((RESTARTS, dim)),
                                 np.concatenate([shifts, shifts]), POWER_TOL, POWER_MAX_ITER)
@@ -289,7 +290,7 @@ def _sphere_grid(n):
     if n == 2:
         theta = 2.0 * np.pi * np.arange(_GRID_CIRCLE) / _GRID_CIRCLE
         return np.column_stack([np.cos(theta), np.sin(theta)])
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(_CERT_SEED, spawn_key=(n,))))
+    rng = substream(_CERT_SEED, n)
     pts = rng.standard_normal((_GRID_SPHERE, n))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     axes = np.vstack([np.eye(n), -np.eye(n)])

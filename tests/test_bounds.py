@@ -176,7 +176,7 @@ def test_tail_13_frozen_value():
     cert = B.tail_certificate(profile(centered=True))
     # d=2, sigma=1, norms=(1,), top=1 at t=100: eta = sqrt(2)*10
     assert cert.tail_bound(100.0) == pytest.approx(0.548098384102524, rel=1e-12)
-    assert B.derivative_tail_bound(profile(centered=True), 100.0) == \
+    assert B.tail_certificate(profile(centered=True)).tail_bound(100.0) == \
         cert.tail_bound(100.0)
 
 
@@ -277,11 +277,11 @@ def test_weighted_moment_bounds_partial_tops():
 
 def test_weighted_tail_frozen_values():
     # capped inside the window
-    assert B.weighted_tail_bound(1.0, 2.0, 2, 100.0) == 1.0
+    assert B.weighted_tail_certificate(1.0, 2.0, 2).tail_bound(100.0) == 1.0
     # beyond the window the moment-Markov branch takes over
-    assert B.weighted_tail_bound(1.0, 2.0, 2, 5000.0) == \
+    assert B.weighted_tail_certificate(1.0, 2.0, 2).tail_bound(5000.0) == \
         pytest.approx(0.02188446509180685, rel=1e-12)
-    assert B.weighted_tail_bound(1.0, 2.0, 2, 5000.0) == \
+    assert B.weighted_tail_certificate(1.0, 2.0, 2).tail_bound(5000.0) == \
         pytest.approx(math.exp(2.0 / e) * (512.0 / 5000.0) ** 2, rel=1e-14)
 
 
@@ -356,6 +356,74 @@ def test_rmt_tail_evaluator():
                                               "fpp_inf": 0.0, "sigma": sqrt(2.0)})
     want2 = min(1.0, e**2 * math.exp(-2.0 * 10.0 / (sqrt(2.0) * 2 * e)))
     assert only_grad.tail_bound(2.0) == pytest.approx(want2, rel=1e-12)
+
+
+# -- the one ladder evaluator against the former closed forms ------------------------
+# Each route once had its own tail formula; these references keep those forms
+# so the ladder mapping in hoc.bounds._ladder is checked, not just re-derived.
+
+
+def _capped(t, arg_terms, denom):
+    if t <= 0:
+        return 1.0
+    if not arg_terms:
+        return 0.0
+    return min(1.0, e**2 * math.exp(-min(arg_terms) / denom))
+
+
+def _ref_multilinear_hs(c, t):
+    hs, d = c["hs_norm"], c["d"]
+    terms = [t / hs, t ** (1.0 / d) / hs ** (1.0 / d)] if hs != 0.0 else []
+    return _capped(t, [sqrt(2.0) * a for a in terms], c["sigma"] * d * e)
+
+
+def _ref_multilinear_inf(c, t):
+    amax, n, d = c["max_entry"], c["dim_n"], c["d"]
+    terms = [t / (n ** (d / 2.0) * amax),
+             t ** (1.0 / d) / (sqrt(n) * amax ** (1.0 / d))] if amax != 0.0 else []
+    return _capped(t, [sqrt(2.0) * a for a in terms], c["sigma"] * d * e)
+
+
+def _ref_wigner_lss(c, t):
+    n, g2, fpp = c["matrix_size"], c["grad_l2"], c["fpp_inf"]
+    terms = [t * sqrt(n) / g2] if g2 > 0 else []
+    if fpp > 0:
+        terms.append(sqrt(t) * n ** 0.25 / sqrt(fpp))
+    return _capped(t, terms, c["sigma"] * 2.0 * e)
+
+
+def _ladder_cases():
+    cases = []
+    sigmas = (0.5, 1.0, 2.0)
+    for d in (1, 2, 3, 4):
+        for norm in (0.0, 0.02, 0.7, 3.0):
+            sigma = sigmas[len(cases) % 3]
+            cases.append(("multilinear-hs", {"sigma": sigma, "d": d, "hs_norm": norm}))
+            cases.append(("multilinear-inf", {"sigma": sigma, "d": d, "dim_n": d + 1,
+                                              "max_entry": norm}))
+    for n in (2, 50, 400):
+        for g2, fpp in ((1.0, 1.0), (0.0, 0.5), (3.0, 0.0), (0.0, 0.0), (1e-3, 40.0)):
+            # no "d": the wigner-lss ladder is order 2 by construction
+            cases.append(("wigner-lss", {"sigma": sigmas[len(cases) % 3], "matrix_size": n,
+                                         "grad_l2": g2, "fpp_inf": fpp}))
+    return cases
+
+
+_LADDER_REFS = {"multilinear-hs": _ref_multilinear_hs,
+                "multilinear-inf": _ref_multilinear_inf,
+                "wigner-lss": _ref_wigner_lss}
+
+
+@pytest.mark.parametrize("route,consts", _ladder_cases(),
+                         ids=lambda v: v if isinstance(v, str) else
+                         "-".join("%s=%g" % kv for kv in sorted(v.items())))
+def test_route_ladder_matches_closed_form(route, consts):
+    ts = np.geomspace(1e-3, 1e12, 61)
+    want = np.array([_LADDER_REFS[route](consts, t) for t in ts])
+    got = B.Certificate("tail", route, consts).tail_bound(ts)
+    # atol only forgives subnormal results, where relative precision is lost
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+    assert want.min() < 1e-3  # the grid reaches well past the cap at 1
 
 
 # -- certificate container ---------------------------------------------------------

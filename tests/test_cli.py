@@ -160,10 +160,17 @@ _GAUSS2 = {"dim": 2, "coords": [{"dist": "gaussian", "params": {}},
      "p_values": ["x"]},
     {"kind": "weighted-tail", "seed": 0, "fixture": "student-weighted-tail-d1", "p": 1},
     {"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n2-d2-tails", "d": 0},
+    # routes: only certify picks one, and only an exp-moment route
+    {"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-hs", "route": "ladder-typo"},
+    {"kind": "weighted-tail", "seed": 0, "fixture": "student-weighted-tail-d1",
+     "route": "ladder-tail"},
+    {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d1",
+     "route": "weighted-tail"},
 ], ids=["uncentered-tails", "rmt-degree-3", "profile-samples-1000", "samples-abc",
         "negative-seed", "tails-samples-500", "rmt-draws-50", "rmt-draws-1000",
         "multilinear-samples-5000",
-        "certify-samples-10", "matrix-size-1", "p-values-x", "p-1", "d-0"])
+        "certify-samples-10", "matrix-size-1", "p-values-x", "p-1", "d-0",
+        "certify-route-typo", "weighted-tail-route", "weighted-route-weighted-tail"])
 def test_cli_missing_hypothesis_writes_nothing(tmp_path, capsys, cfg):
     path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"

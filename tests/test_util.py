@@ -113,8 +113,8 @@ def demo_series():
 
 
 def test_svg_is_valid_xml_and_deterministic():
-    a = svgplot.line_plot_svg("demo", "t", "P", demo_series(), logy=True, floor=1e-8)
-    b = svgplot.line_plot_svg("demo", "t", "P", demo_series(), logy=True, floor=1e-8)
+    a = svgplot.line_plot_svg("demo", "t", "P", demo_series())
+    b = svgplot.line_plot_svg("demo", "t", "P", demo_series())
     assert a == b
     root = ET.fromstring(a)
     assert root.tag.endswith("svg")
@@ -123,15 +123,8 @@ def test_svg_is_valid_xml_and_deterministic():
 
 def test_svg_logy_drops_nonpositive():
     # the zero point cannot appear on a log axis; the plot must still render
-    svg = svgplot.line_plot_svg("z", "t", "P", demo_series(), logy=True)
+    svg = svgplot.line_plot_svg("z", "t", "P", demo_series())
     ET.fromstring(svg)
-
-
-def test_svg_linear_axis():
-    svg = svgplot.line_plot_svg("lin", "x", "y",
-                                [("s", [0.0, 1.0], [0.0, 2.0])], logy=False)
-    ET.fromstring(svg)
-    assert "lin" in svg
 
 
 def test_svg_escapes_markup():
@@ -141,5 +134,5 @@ def test_svg_escapes_markup():
 
 def test_write_plot(tmp_path):
     out = tmp_path / "curve.svg"
-    svgplot.write_plot(str(out), "demo", "t", "P", demo_series(), logy=True)
+    svgplot.write_plot(str(out), "demo", "t", "P", demo_series())
     assert out.read_text().lstrip().startswith("<svg")
