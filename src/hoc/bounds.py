@@ -37,7 +37,7 @@ import numpy as np
 from . import measures
 from ._util import jsonable
 from .polynomials import EVAL_BLOCK, from_multilinear
-from .tensors import UnsupportedSizeError, hs_norms, op_norms
+from .tensors import hs_norms, op_norms
 
 EXP_MOMENT_COEFF = 1.0 / (12.0 * e)  # universal constant in the exp-moment certificates
 EXP_THRESHOLD = 2.0
@@ -507,30 +507,27 @@ def multilinear_certificates(spec, sigma, centered, unit_variance):
 
 # -- profile estimation ------------------------------------------------------------------
 
-def constant_opnorm(tensor):
-    """Operator norm of a constant derivative tensor, certified when the
-    grid oracle supports the size."""
-    try:
-        return tensor.op_norm("certified")
-    except UnsupportedSizeError:
-        return tensor.op_norm("iterative")
-
-
 def _opnorm_values(f, k, points):
-    """Pointwise operator norms of the order-k derivative at sample points.
+    """Pointwise operator norms of the order-k derivative at ``points``: the
+    profile sample, or the origin alone when that derivative is constant.
 
     The points go block by block, each block's dense derivative stack to one
     ``op_norms`` call, so no (m, dim, dim) Hessian batch is built; every
     point's norm is computed as in a whole-batch call. Orders >= 3 use at
     most OPNORM_POINT_CAP points (deterministic prefix of the sample).
     """
-    pts = np.asarray(points)
     if k >= 3:
-        pts = pts[:OPNORM_POINT_CAP]
+        points = points[:OPNORM_POINT_CAP]
     rows = max(1, min(EVAL_BLOCK, _DENSE_BLOCK_FLOATS // f.dim ** k))
-    out = np.empty(pts.shape[0])
-    for start in range(0, pts.shape[0], rows):
-        out[start:start + rows] = op_norms(f.derivative_dense(k, pts[start:start + rows]))
+    return _blocked(lambda block: op_norms(f.derivative_dense(k, block)), points, rows)
+
+
+def _blocked(norms, points, rows):
+    """``norms`` of consecutive blocks of ``rows`` points, joined; each point's
+    value is as in one whole-batch call."""
+    out = np.empty(points.shape[0])
+    for start in range(0, points.shape[0], rows):
+        out[start:start + rows] = norms(points[start:start + rows])
     return out
 
 
@@ -548,10 +545,12 @@ def _l2_with_se(values):
 def profile_from_function(f, mspec, d, m=100_000, seed=0):
     """Estimate a DerivativeProfile for ``f`` under ``mspec``.
 
-    Constant derivative tensors get exact norms; the rest are Monte Carlo
-    with standard errors. The top operator-norm bound is exact only when the
-    order-d derivative is constant, otherwise it is the sample max and the
-    profile is flagged as a lower-bound estimate. Centering flags come from
+    Every order k = 1..d takes one path: the L2 norm, with its standard
+    error, of pointwise norms at the origin alone when the order-k
+    derivative is constant (exact, SE 0), else at the m sample points. The
+    top operator-norm bound is their max: exact for a constant top, else
+    flagged as a sampled lower estimate; top_hs is the L2 norm of pointwise
+    Hilbert-Schmidt norms at the same points. Centering flags come from
     exact expectations, not samples.
     """
     if m < MIN_PROFILE_SAMPLES:
@@ -560,40 +559,26 @@ def profile_from_function(f, mspec, d, m=100_000, seed=0):
     if d < 1:
         raise ValueError("d must be >= 1")
     sigma = mspec.sigma()
-    pts = measures.sample(mspec, m, seed)
+    sample = measures.sample(mspec, m, seed)
     norms2, ses = [], []
-    for k in range(1, d):
-        if f.top_is_constant(k):
-            norms2.append(constant_opnorm(f.derivative_tensor(k)))
-            ses.append(0.0)
-        else:
-            vals = _opnorm_values(f, k, pts)
+    for k in range(1, d + 1):
+        pts = np.zeros((1, f.dim)) if f.top_is_constant(k) else sample
+        vals = _opnorm_values(f, k, pts)
+        if k < d:
             est, se = _l2_with_se(vals)
             norms2.append(est)
             ses.append(se)
-    if f.top_is_constant(d):
-        tensor = f.derivative_tensor(d)
-        top_inf, exact = constant_opnorm(tensor), True
-        top_hs, top_hs_se = tensor.hs_norm(), 0.0
-        top_p = (lambda v: (lambda p: v))(top_inf)
-    else:
-        vals = _opnorm_values(f, d, pts)
-        top_inf, exact = float(np.max(vals)), False
-        top_hs, top_hs_se = _l2_with_se(hs_norms(f.derivative_batch(d, pts)[1], d, f.dim))
-        top_p = (lambda arr: (lambda p: float(np.mean(np.abs(arr) ** p) ** (1.0 / p))))(vals)
+    top_inf = float(np.max(vals))
+    top_hs, top_hs_se = _l2_with_se(_blocked(
+        lambda block: hs_norms(f.derivative_batch(d, block)[1], d, f.dim), pts, EVAL_BLOCK))
+    top_p = lambda p: float(np.mean(np.abs(vals) ** p) ** (1.0 / p))
     mean = f.expectation(mspec.moment)
     centered = math.isfinite(mean) and abs(mean) <= 1e-12
-    derivs_centered = True
-    for k in range(1, d):
-        for poly in f._order_partials(k).values():
-            ev = poly.expectation(mspec.moment)
-            if not (math.isfinite(ev) and abs(ev) <= 1e-12):
-                derivs_centered = False
-                break
-        if not derivs_centered:
-            break
+    derivs_centered = all(math.isfinite(ev) and abs(ev) <= 1e-12
+                          for k in range(1, d) for poly in f._order_partials(k).values()
+                          for ev in [poly.expectation(mspec.moment)])
     return DerivativeProfile(
         d, sigma, tuple(norms2), top_inf, top_hs, top_p,
-        centered, derivs_centered, exact,
+        centered, derivs_centered, f.top_is_constant(d),
         mean if math.isfinite(mean) else math.inf,
         tuple(ses), top_hs_se)

@@ -46,6 +46,12 @@ _COUNT_FLOORS = {"samples": 1, "profile_samples": bounds.MIN_PROFILE_SAMPLES,
                  "draws": 1, "cal_draws": rmt.MIN_CAL_DRAWS, "count": 1,
                  "matrix_size": 2, "d": 1}
 
+# the fields each kind's runner reads with no default, beyond the measure,
+# function and laws that _check_laws builds
+_REQUIRED = {"certify": ("d",), "tails": ("d", "t_grid"),
+             "multilinear": ("multilinear", "t_grid"), "weighted": ("d",),
+             "weighted-tail": ("d", "t_grid"), "rmt": ("matrix_size", "coeffs")}
+
 # the fewest evaluation samples (draws for rmt) each kind's checks accept
 _SAMPLE_FLOORS = {"certify": verify.MIN_EXP_SAMPLES, "multilinear": verify.MIN_EXP_SAMPLES,
                   "tails": verify.MIN_TAIL_SAMPLES, "weighted-tail": verify.MIN_TAIL_SAMPLES,
@@ -107,42 +113,68 @@ def validate_config(cfg):
         raise ConfigError("unknown experiment kind %r (choose from %s)"
                           % (kind, ", ".join(KINDS)))
     _check_count("seed", _require(cfg, "seed", int, " (a master seed is mandatory)"), 0)
-    if "t_grid" in cfg:
-        grid = cfg["t_grid"]
-        if (not isinstance(grid, list) or len(grid) < 1
-                or any(not isinstance(t, (int, float)) for t in grid)):
-            raise ConfigError("t_grid must be a list of numbers")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError("t_grid must be strictly increasing")
-    if "fixture" in cfg:
-        try:
-            fixture = fixtures.by_name(cfg["fixture"])
-        except KeyError as exc:
-            raise ConfigError(str(exc.args[0]))
-        if fixture.kind != kind:
-            raise ConfigError("fixture %r has kind %r, config says %r"
-                              % (fixture.name, fixture.kind, kind))
-    elif kind not in ("tensor-norm", "catalog-oracle"):
-        _validate_inline(cfg, kind)
+    try:
+        payload, fixture = _merged_payload(cfg)
+    except KeyError as exc:  # no fixture of that name
+        raise ConfigError(str(exc.args[0]))
+    if fixture is not None and fixture.kind != kind:
+        raise ConfigError("fixture %r has kind %r, config says %r"
+                          % (fixture.name, fixture.kind, kind))
     # every other runner's route follows from its kind
     if "route" in cfg and (kind != "certify" or cfg["route"] not in bounds.EXP_MOMENT_ROUTES):
         raise ConfigError("only certify configs take a route, one of %s; got %r on a %s config"
                           % (", ".join(bounds.EXP_MOMENT_ROUTES), cfg["route"], kind))
-    payload, _ = _merged_payload(cfg)
+    for field in _REQUIRED.get(kind, ()):
+        if field not in payload:
+            raise ConfigError("missing required field %r" % (field,))
     for field, floor in _COUNT_FLOORS.items():
         if field in payload:
             _check_count(field, payload[field], floor)
     samples_field = "draws" if kind == "rmt" else "samples"
     if samples_field in payload:
         _check_count(samples_field, payload[samples_field], _SAMPLE_FLOORS.get(kind, 1))
+    if "t_grid" in payload:
+        grid = payload["t_grid"]
+        if not isinstance(grid, list) or not grid or not all(map(_is_finite_number, grid)):
+            raise ConfigError("t_grid must be a non-empty list of finite numbers: %r" % (grid,))
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ConfigError("t_grid must be strictly increasing")
     p_values = payload.get("p_values", [2])
     if not isinstance(p_values, list) or not p_values:
         raise ConfigError("p_values must be a non-empty list, got %r" % (p_values,))
     for p in p_values + [payload.get("p", 2)]:
-        if not isinstance(p, (int, float)) or isinstance(p, bool) or not 2 <= p < math.inf:
+        if not _is_finite_number(p) or p < 2:
             raise ConfigError("p and each of p_values must be a finite number >= 2, got %r"
                               % (p,))
+    _check_laws(kind, cfg, payload)
     return cfg
+
+
+def _is_finite_number(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and -math.inf < value < math.inf)
+
+
+def _check_laws(kind, cfg, payload):
+    """Build the laws and function the runner builds: a malformed one is a config error."""
+    try:
+        if kind == "rmt":
+            measures.CoordinateDist.from_dict(payload["entry"])
+        elif kind == "catalog-oracle":
+            _oracle_laws(cfg)
+        elif kind != "tensor-norm":
+            _build_measure(payload)
+            f, _ = _build_function(payload)
+    except KeyError as exc:
+        raise ConfigError("missing required field %s" % (exc,))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("invalid %s config: %s" % (kind, exc))
+    # the weighted runner has the ladder below the top derivative in closed
+    # form for gradients only, and reads the constant top derivative at one point
+    if kind in ("weighted", "weighted-tail") and (
+            payload["d"] > 2 or not f.top_is_constant(payload["d"])):
+        raise ConfigError("weighted experiments need d <= 2 and a constant order-d "
+                          "derivative, got d = %d for degree %d" % (payload["d"], f.degree))
 
 
 def _check_count(field, value, floor):
@@ -150,25 +182,6 @@ def _check_count(field, value, floor):
         raise ConfigError("%s must be an integer, got %r" % (field, value))
     if value < floor:
         raise ConfigError("%s must be at least %d, got %d" % (field, floor, value))
-
-
-def _validate_inline(cfg, kind):
-    if kind == "rmt":
-        for field in ("matrix_size", "entry", "coeffs"):
-            _require(cfg, field, (int, dict, list))
-        return
-    _require(cfg, "measure", dict)
-    if kind == "multilinear":
-        _require(cfg, "multilinear", dict)
-    elif kind == "tails":
-        if "multilinear" not in cfg:
-            _require(cfg, "function", dict)
-    else:
-        _require(cfg, "function", dict)
-    if kind != "multilinear":
-        _require(cfg, "d", int)
-    if kind in ("tails", "multilinear", "weighted-tail"):
-        _require(cfg, "t_grid", list)
 
 
 def _merged_payload(cfg):
@@ -268,15 +281,10 @@ def _run_tensor_norm(cfg, out_dir, seed):
 # -- catalog-oracle ----------------------------------------------------------------
 
 def _run_catalog_oracle(cfg, out_dir, seed):
-    which = cfg.get("dist", "all")
-    dists = [d for d in measures.ORACLE_DOMAINS] if which == "all" else [which]
     rows = []
     results = {}
     passed = True
-    for dist in dists:
-        if dist not in measures.ORACLE_DOMAINS:
-            raise ConfigError("no oracle domain for distribution %r" % (dist,))
-        coord = measures.CoordinateDist.make(dist, **cfg.get("params", {}))
+    for dist, coord in _oracle_laws(cfg):
         res = measures.catalog_oracle(coord)
         expected = measures.coordinate_sigma2(coord)
         rel = abs(res.sigma2 - expected) / expected
@@ -294,6 +302,15 @@ def _run_catalog_oracle(cfg, out_dir, seed):
 
 
 # -- shared builders ----------------------------------------------------------------
+
+def _oracle_laws(cfg):
+    """(tag, CoordinateDist) for each law a catalog-oracle config names."""
+    which = cfg.get("dist", "all")
+    if which != "all" and which not in measures.ORACLE_DOMAINS:
+        raise ValueError("no oracle domain for distribution %r" % (which,))
+    return [(dist, measures.CoordinateDist.make(dist, **cfg.get("params", {})))
+            for dist in (measures.ORACLE_DOMAINS if which == "all" else [which])]
+
 
 def _build_measure(payload):
     return measures.MeasureSpec.from_dict(payload["measure"])
@@ -405,8 +422,6 @@ def _run_multilinear(cfg, out_dir, seed):
     payload, fixture = _merged_payload(cfg)
     mspec = _build_measure(payload)
     f, mlspec = _build_function(payload)
-    if mlspec is None:
-        raise ConfigError("multilinear experiments need a multilinear spec")
     t_grid = payload["t_grid"]
     m_eval = int(payload.get("samples", 1_000_000))
     centered = all(mspec.moment(i, 1) == 0.0 for i in range(mspec.dim))
@@ -457,13 +472,12 @@ def _run_multilinear(cfg, out_dir, seed):
 # -- weighted ------------------------------------------------------------------------
 
 def _weighted_setup(payload):
-    beta = float(payload["measure"]["coords"][0]["params"].get("beta", 10.0))
+    mspec = _build_measure(payload)
+    beta = mspec.coords[0].beta
     kappa, gap = measures.student_weight_kappa(beta)
-    mdict = dict(payload["measure"])
-    mdict["weight"] = {"kind": "sqrt_one_plus_max_sq", "params": {"kappa": kappa}}
-    mspec = measures.MeasureSpec.from_dict(mdict)
-    f = PolyFunction.from_dict(payload["function"])
-    return beta, kappa, gap, mspec, f
+    weight = measures.WeightSpec.make("sqrt_one_plus_max_sq", kappa=kappa)
+    f, _ = _build_function(payload)
+    return beta, kappa, gap, dataclasses.replace(mspec, weight=weight), f
 
 
 def _exact_gradient_l2(f, mspec):
@@ -477,15 +491,11 @@ def _run_weighted(cfg, out_dir, seed):
     payload, _ = _merged_payload(cfg)
     beta, kappa, gap, mspec, f = _weighted_setup(payload)
     d = int(payload["d"])
-    if d > 2:
-        # the ladder below the top derivative is computed in closed form here,
-        # which this runner only does for gradients
-        raise ConfigError("weighted experiments support d <= 2")
     route = "weighted-tail" if cfg["kind"] == "weighted-tail" else "weighted-ladder"
     m_eval = int(payload.get("samples", 1_000_000))
     values = _eval_values(f, mspec, m_eval, stage_seed(seed, _STAGE_EVAL))
     norms2 = (_exact_gradient_l2(f, mspec),) if d == 2 else ()
-    top_op = bounds.constant_opnorm(f.derivative_tensor(d))
+    top_op = float(op_norms(f.derivative_dense(d, np.zeros((1, f.dim))))[0])
     report = {"beta": beta, "kappa": kappa,
               "weighted_gap": gap.to_dict(), "samples": m_eval,
               "route": route}
@@ -551,9 +561,7 @@ def _run_weighted(cfg, out_dir, seed):
 def _run_rmt(cfg, out_dir, seed):
     payload, fixture = _merged_payload(cfg)
     n = int(payload["matrix_size"])
-    entry = measures.CoordinateDist.make(payload["entry"]["dist"],
-                                         **payload["entry"].get("params", {}))
-    ens = rmt.WignerEnsemble(n, entry)
+    ens = rmt.WignerEnsemble(n, measures.CoordinateDist.from_dict(payload["entry"]))
     poly = rmt.as_polynomial(payload["coeffs"])
     rmt.certified_fpp(poly)  # before any eigensolve: it depends on f alone
     draws = int(payload.get("draws", 2000))

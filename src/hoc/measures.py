@@ -61,10 +61,17 @@ class CoordinateDist:
     def __post_init__(self):
         if self.dist not in CATALOG:
             raise ValueError("unknown distribution tag %r" % (self.dist,))
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError("scale must be finite and positive, got %r"
+                             % (self.params_dict["scale"],))
 
     @classmethod
     def make(cls, dist, **params):
         return cls(dist, tuple(sorted(params.items())))
+
+    @classmethod
+    def from_dict(cls, data):
+        return cls.make(data["dist"], **data.get("params", {}))
 
     @property
     def params_dict(self):
@@ -154,8 +161,7 @@ class MeasureSpec:
 
     @classmethod
     def from_dict(cls, data):
-        coords = tuple(CoordinateDist.make(c["dist"], **c.get("params", {}))
-                       for c in data["coords"])
+        coords = tuple(map(CoordinateDist.from_dict, data["coords"]))
         weight = None
         if data.get("weight"):
             weight = WeightSpec.make(data["weight"]["kind"], **data["weight"].get("params", {}))

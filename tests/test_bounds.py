@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hoc import bounds as B
+from hoc import fixtures, measures
 from hoc.measures import MeasureSpec
-from hoc.polynomials import EVAL_BLOCK, MultilinearSpec, PolyFunction
+from hoc.polynomials import EVAL_BLOCK, MultilinearSpec, PolyFunction, from_multilinear
+from hoc.tensors import hs_norms, op_norms
 
 
 def profile(d=2, sigma=1.0, norms2=(1.0,), top_inf=1.0, **kw):
@@ -489,6 +491,47 @@ def test_profile_from_function_bilinear():
     assert prof.norms2[0] == pytest.approx(sqrt(2.0), abs=6 * prof.norms2_se[0])
     with pytest.raises(ValueError):
         B.profile_from_function(f, spec, 2, m=500)
+
+
+@pytest.mark.parametrize("fixture, d", [("gauss-bilinear-exp-hs", 2),
+                                        ("gauss-bilinear-exp-hs", 3),
+                                        ("gaussian-chaos-n3-d3-tails", 3)])
+def test_profile_constant_orders_are_one_origin_row(fixture, d):
+    # a constant derivative takes the sampled path's op_norms at the origin
+    # alone: exact, SE 0, whatever the size (d = 3 on the bilinear form makes
+    # order 2 a constant rung below a zero top)
+    payload = fixtures.by_name(fixture).payload
+    if "multilinear" in payload:
+        f, _ = from_multilinear(MultilinearSpec.from_dict(payload["multilinear"]))
+    else:
+        f = PolyFunction.from_dict(payload["function"])
+    prof = B.profile_from_function(f, MeasureSpec.from_dict(payload["measure"]), d,
+                                   m=B.MIN_PROFILE_SAMPLES, seed=3)
+    origin = np.zeros((1, f.dim))
+    constant = [k for k in range(1, d + 1) if f.top_is_constant(k)]
+    assert d in constant
+    for k in constant:
+        want = float(op_norms(f.derivative_dense(k, origin))[0])
+        if k < d:
+            assert prof.norms2[k - 1] == want and prof.norms2_se[k - 1] == 0.0
+        else:
+            assert prof.top_inf == want and prof.top_inf_exact
+    want_hs = float(hs_norms(f.derivative_batch(d, origin)[1], d, f.dim)[0])
+    assert prof.top_hs == want_hs and prof.top_hs_se == 0.0
+
+
+def test_profile_top_hs_blocked_matches_whole_batch(monkeypatch):
+    # a sampled top: the blocked HS norms give the whole-batch L2 and SE bit for bit
+    f = PolyFunction.from_terms(3, {(4, 0, 0): 1.0, (0, 4, 0): 1.0, (0, 0, 4): 1.0,
+                                    (1, 1, 1): 1.0, (0, 0, 0): -9.0})
+    spec = MeasureSpec.iid("gaussian", 3)
+    m = B.MIN_PROFILE_SAMPLES + 7
+    monkeypatch.setattr(B, "EVAL_BLOCK", 999)
+    prof = B.profile_from_function(f, spec, 2, m=m, seed=4)
+    assert not prof.top_inf_exact
+    pts = measures.sample(spec, m, 4)
+    whole = hs_norms(f.derivative_batch(2, pts)[1], 2, 3)
+    assert (prof.top_hs, prof.top_hs_se) == B._l2_with_se(whole)
 
 
 def test_opnorm_values_blocked_match_whole_batch():

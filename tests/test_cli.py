@@ -57,6 +57,9 @@ def test_validate_t_grid():
         experiments.validate_config(dict(base, t_grid=[]))
     with pytest.raises(experiments.ConfigError):
         experiments.validate_config(dict(base, t_grid=[1.0, "two"]))
+    for bad in (float("nan"), float("inf"), True):
+        with pytest.raises(experiments.ConfigError, match="finite numbers"):
+            experiments.validate_config(dict(base, t_grid=[0.5, bad]))
 
 
 def test_validate_fixture_name_and_kind():
@@ -81,6 +84,20 @@ def test_validate_inline_requirements():
     with pytest.raises(experiments.ConfigError):
         experiments.validate_config({"kind": "tails", "seed": 0, "measure": measure,
                                      "function": func, "d": 2})  # tails need t_grid
+
+
+def test_validate_weighted_order_before_any_oracle(monkeypatch):
+    def oracle(*args, **kwargs):
+        raise AssertionError("weight oracle before the order check")
+
+    monkeypatch.setattr(experiments.measures, "student_weight_kappa", oracle)
+    base = {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d1"}
+    with pytest.raises(experiments.ConfigError, match="d <= 2"):
+        experiments.validate_config(dict(base, fixture="student-weighted-moments-d2", d=3))
+    # the top derivative must be constant: the runner reads it at one point
+    square = {"dim": 1, "terms": [{"exponents": [2], "coeff": 1.0}]}
+    with pytest.raises(experiments.ConfigError, match="constant"):
+        experiments.validate_config(dict(base, function=square))
 
 
 def test_merged_payload_overrides():
@@ -166,11 +183,22 @@ _GAUSS2 = {"dim": 2, "coords": [{"dist": "gaussian", "params": {}},
      "route": "ladder-tail"},
     {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d1",
      "route": "weighted-tail"},
+    # t grids, laws and weighted orders the runners cannot use
+    {"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n2-d2-tails",
+     "t_grid": [1.0, float("nan")]},
+    {"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n2-d2-tails", "t_grid": [True, 2]},
+    {"kind": "catalog-oracle", "seed": 0, "dist": "laplace", "params": {"scale": "x"}},
+    {"kind": "catalog-oracle", "seed": 0, "dist": "laplace", "params": {"scale": -1}},
+    {"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n2-d2-tails",
+     "measure": {"dim": 2, "coords": [{"dist": "gaussian", "params": {}}]}},
+    {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d2", "d": 3},
 ], ids=["uncentered-tails", "rmt-degree-3", "profile-samples-1000", "samples-abc",
         "negative-seed", "tails-samples-500", "rmt-draws-50", "rmt-draws-1000",
         "multilinear-samples-5000",
         "certify-samples-10", "matrix-size-1", "p-values-x", "p-1", "d-0",
-        "certify-route-typo", "weighted-tail-route", "weighted-route-weighted-tail"])
+        "certify-route-typo", "weighted-tail-route", "weighted-route-weighted-tail",
+        "t-grid-nan", "t-grid-bool", "oracle-scale-x", "oracle-scale-negative",
+        "measure-coords-short", "weighted-d-3"])
 def test_cli_missing_hypothesis_writes_nothing(tmp_path, capsys, cfg):
     path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"

@@ -50,6 +50,13 @@ def test_student_moment_edge_cases():
         M.coordinate_moment(c, -1)
 
 
+def test_coordinate_scale_must_be_finite_and_positive():
+    assert M.CoordinateDist.make("laplace", scale=0.5).scale == 0.5
+    for bad in (0, -1, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="scale"):
+            M.CoordinateDist.make("laplace", scale=bad)
+
+
 def test_sigma2_catalog_values():
     assert M.coordinate_sigma2(M.CoordinateDist.make("gaussian")) == 1.0
     assert M.coordinate_sigma2(M.CoordinateDist.make("uniform01")) == 1.0 / math.pi**2
