@@ -9,15 +9,14 @@ for the route taxonomy and the experiment runner.
 from .bounds import (Certificate, DerivativeProfile, MissingHypothesisError,
                      MissingNormError, WeightedProfile, exp_moment_certificate,
                      gradient_moment_bound, iterated_moment_bound,
-                     moment_certificate, multilinear_certificates,
-                     normalized_moment_cap, profile_from_function,
-                     subexponential_constant, tail_certificate,
-                     weighted_moment_bounds, weighted_moment_certificate,
+                     multilinear_certificates, normalized_moment_cap,
+                     profile_from_function, subexponential_constant,
+                     tail_certificate, weighted_moment_bounds,
                      weighted_tail_certificate)
 from .measures import (CATALOG, CoordinateDist, GapResult, MeasureSpec,
                        UncertifiedConstantError, WeightSpec, catalog_oracle,
-                       coordinate_moment, coordinate_sigma2, poincare_constant,
-                       sample, spectral_gap_oracle, student_weight_kappa,
+                       coordinate_moment, coordinate_sigma2, sample,
+                       spectral_gap_oracle, student_weight_kappa,
                        student_weight_norm, weighted_norm)
 from .polynomials import (MultilinearSpec, PolyFunction, from_multilinear,
                           opnorm_gradient_check)
@@ -25,9 +24,9 @@ from .rmt import (Calibration, EigenSample, WignerEnsemble, calibrate,
                   jacobi_eigenvalues, linear_stat, recentered_stat,
                   rmt_certificates, sample_ensemble)
 from .tensors import SymTensor, UnsupportedSizeError
-from .verify import (EmpiricalReport, check_certificate, check_exp_certificate,
-                     check_moment_bound, check_tail_certificate, empirical_lp,
-                     empirical_tail, wilson_interval)
+from .verify import (EmpiricalReport, check_exp_certificate, check_moment_bound,
+                     check_tail_certificate, empirical_lp, empirical_tail,
+                     wilson_interval)
 
 __version__ = "0.1.0"
 

@@ -9,9 +9,9 @@ inequality. Multilinear polynomials in independent centered coordinates get
 their own sharper certificates driven by the coefficient tensor.
 
 Certificates carry a ``route`` label naming the bound family (ladder-inf,
-ladder-hs, ladder-tail, weighted-ladder, weighted-tail, multilinear-hs,
-multilinear-inf, wigner-lss) plus every constant needed to re-evaluate them,
-and serialize to JSON.
+ladder-hs, ladder-tail, weighted-tail, multilinear-hs, multilinear-inf,
+wigner-lss) plus every constant needed to re-evaluate them, and serialize to
+JSON. The weighted-ladder moment bounds are plain numbers, not certificates.
 
 Every tail route but weighted-tail is one derivative ladder
 (sigma, d, norms2, top): P(|f| >= t) <= e^2 exp(-eta(t) / (d e)), where eta
@@ -166,9 +166,9 @@ class WeightedProfile:
 
 @dataclass(frozen=True)
 class Certificate:
-    """One checkable claim: a moment bound, a tail curve, or an exp-moment cap.
+    """One checkable claim: a tail curve or an exp-moment cap.
 
-    kind is "moment", "tail", or "expMoment". route names the bound family.
+    kind is "tail" or "expMoment". route names the bound family.
     constants holds every number the evaluators need; rescale_lambda reports
     the factor by which the function was divided to restore the hypotheses
     (bounds then apply to f / rescale_lambda).
@@ -180,7 +180,7 @@ class Certificate:
     rescale_lambda: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("moment", "tail", "expMoment"):
+        if self.kind not in ("tail", "expMoment"):
             raise ValueError("unknown certificate kind %r" % (self.kind,))
 
     # ---- exp-moment interface
@@ -206,23 +206,6 @@ class Certificate:
         val = _tail_eval(self.route, self.constants, np.maximum(t_arr, 0.0))
         out = np.where(t_arr <= 0.0, 1.0, np.minimum(1.0, val))
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
-
-    # ---- moment interface
-
-    def moment_bound(self, p):
-        if self.kind != "moment":
-            raise ValueError("not a moment certificate")
-        c = self.constants
-        if self.route == "ladder-inf":
-            prof = DerivativeProfile(int(c["d"]), float(c["sigma"]),
-                                     tuple(c["norms2"]), c.get("top_inf"))
-            return iterated_moment_bound(prof, p)
-        if self.route == "weighted-ladder":
-            if p != c["p"]:
-                raise ValueError("weighted moment certificate is pinned to p=%g" % c["p"])
-            vals = [v for v in (c.get("bound_mixed"), c.get("bound_plain")) if v is not None]
-            return min(vals)
-        raise ValueError("no moment evaluator for route %r" % (self.route,))
 
     # ---- serialization
 
@@ -316,16 +299,6 @@ def normalized_moment_cap(sigma, d, p):
     """4 (sigma p / sqrt 2)^d: the cap on the iterated bound when the norm
     ladder is at its normalized values."""
     return 4.0 * (sigma * p / _SQRT2) ** d
-
-
-def moment_certificate(profile):
-    """Moment-kind certificate wrapping the iterated bound (route ladder-inf)."""
-    if profile.top_inf is None:
-        raise MissingNormError("moment certificate needs top_inf")
-    return Certificate("moment", "ladder-inf",
-                       {"sigma": profile.sigma, "d": profile.order,
-                        "norms2": list(profile.norms2), "top_inf": profile.top_inf,
-                        "top_inf_exact": profile.top_inf_exact})
 
 
 def gradient_moment_bound(sigma, p, grad_lp, l2=None):
@@ -437,13 +410,6 @@ def weighted_moment_bounds(wp):
     if wp.top_2dp is not None:
         bound_plain = ladder + weight_term_coefficient(d, p, wp.wnorm(d)) * wp.top_2dp
     return bound_mixed, bound_plain
-
-
-def weighted_moment_certificate(wp):
-    bm, bp = weighted_moment_bounds(wp)
-    return Certificate("moment", "weighted-ladder",
-                       {"p": wp.p, "d": wp.order, "bound_mixed": bm, "bound_plain": bp,
-                        "wnorms": list(wp.wnorms), "norms2": list(wp.norms2)})
 
 
 def weighted_tail_certificate(C, p, d, rescale_lambda=1.0):

@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import fixtures
-from .experiments import ConfigError, load_config, run_config
+from .experiments import DEFAULTS, ConfigError, load_config, run_config
 
 
 def _add_common(parser):
@@ -39,7 +39,8 @@ def build_parser():
 
     tn = sub.add_parser("tensor-norm",
                         help="compare iterative and certified tensor operator norms")
-    tn.add_argument("--count", type=int, default=50, help="number of random tensors")
+    tn.add_argument("--count", type=int, default=DEFAULTS["count"],
+                    help="number of random tensors (default %(default)d)")
     _add_common(tn)
 
     co = sub.add_parser("catalog-oracle",

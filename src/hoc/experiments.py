@@ -34,6 +34,17 @@ SCHEMA_VERSION = 1
 KINDS = ("tensor-norm", "catalog-oracle", "certify", "tails", "multilinear",
          "weighted", "weighted-tail", "rmt")
 
+# the value of each count, order and grid a config may leave out (a field a
+# kind requires, see _REQUIRED, never falls back to it)
+DEFAULTS = {"samples": 1_000_000, "profile_samples": 100_000, "draws": 2000,
+            "cal_draws": 2000, "count": 50, "p": 2, "p_values": (2, 4),
+            "t_grid": (1, 2, 4)}
+
+# the route of each kind whose config cannot pick one (certify may)
+_KIND_ROUTES = {"tails": "ladder-tail", "multilinear": "multilinear",
+                "weighted": "weighted-ladder", "weighted-tail": "weighted-tail",
+                "rmt": "wigner-lss"}
+
 # spawn-key ids for per-stage seeds
 _STAGE_PROFILE = 1
 _STAGE_EVAL = 2
@@ -47,7 +58,7 @@ _COUNT_FLOORS = {"samples": 1, "profile_samples": bounds.MIN_PROFILE_SAMPLES,
                  "matrix_size": 2, "d": 1}
 
 # the fields each kind's runner reads with no default, beyond the measure,
-# function and laws that _check_laws builds
+# function and laws that resolve builds
 _REQUIRED = {"certify": ("d",), "tails": ("d", "t_grid"),
              "multilinear": ("multilinear", "t_grid"), "weighted": ("d",),
              "weighted-tail": ("d", "t_grid"), "rmt": ("matrix_size", "coeffs")}
@@ -105,7 +116,51 @@ def _require(cfg, field, types, what=""):
     return val
 
 
+@dataclasses.dataclass(frozen=True)
+class Experiment:
+    """A validated config: every field its runner reads, defaults filled in.
+
+    Kind-specific objects are None (or empty) on kinds that do not use them:
+    the measure and function on rmt, tensor-norm and catalog-oracle; the
+    multilinear spec unless the payload holds one; the entry law and
+    polynomial unless rmt; the oracle laws unless catalog-oracle.
+    """
+
+    kind: str
+    seed: int
+    fixture: str | None
+    route: str | None
+    negative_control: bool
+    samples: int
+    profile_samples: int
+    draws: int
+    cal_draws: int
+    count: int
+    p: float
+    p_values: tuple
+    t_grid: tuple
+    d: int | None = None
+    matrix_size: int | None = None
+    measure: measures.MeasureSpec | None = None
+    function: PolyFunction | None = None
+    multilinear: MultilinearSpec | None = None
+    entry: measures.CoordinateDist | None = None
+    poly: np.polynomial.Polynomial | None = None
+    oracle_laws: tuple = ()
+
+
 def validate_config(cfg):
+    """Raise ConfigError unless ``cfg`` resolves; returns ``cfg`` itself."""
+    resolve(cfg)
+    return cfg
+
+
+def resolve(cfg):
+    """The Experiment ``cfg`` describes, or ConfigError with nothing written.
+
+    Only cheap objects are built here (specs, the function, the rmt
+    polynomial); oracles, sampling and eigensolves are the runner's.
+    """
     if cfg.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ConfigError("unsupported schema version %r" % (cfg.get("schema"),))
     kind = _require(cfg, "kind", str)
@@ -139,15 +194,39 @@ def validate_config(cfg):
             raise ConfigError("t_grid must be a non-empty list of finite numbers: %r" % (grid,))
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("t_grid must be strictly increasing")
-    p_values = payload.get("p_values", [2])
-    if not isinstance(p_values, list) or not p_values:
-        raise ConfigError("p_values must be a non-empty list, got %r" % (p_values,))
-    for p in p_values + [payload.get("p", 2)]:
+    if "p_values" in payload and (not isinstance(payload["p_values"], list)
+                                  or not payload["p_values"]):
+        raise ConfigError("p_values must be a non-empty list, got %r" % (payload["p_values"],))
+    vals = {field: payload.get(field, default) for field, default in DEFAULTS.items()}
+    for p in list(vals["p_values"]) + [vals["p"]]:
         if not _is_finite_number(p) or p < 2:
             raise ConfigError("p and each of p_values must be a finite number >= 2, got %r"
                               % (p,))
-    _check_laws(kind, cfg, payload)
-    return cfg
+    vals.update(p=float(vals["p"]), p_values=tuple(vals["p_values"]),
+                t_grid=tuple(vals["t_grid"]))
+    try:
+        built = _build(kind, payload)
+    except KeyError as exc:
+        raise ConfigError("missing required field %s" % (exc,))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("invalid %s config: %s" % (kind, exc))
+    mspec, f, d = built.get("measure"), built.get("function"), payload.get("d")
+    if kind in ("weighted", "weighted-tail"):
+        # the weighted runner has the ladder below the top derivative in closed
+        # form for gradients only, reads the constant top derivative at one
+        # point, and certifies the Student-type law of one beta
+        if d > 2 or not f.top_is_constant(d):
+            raise ConfigError("weighted experiments need d <= 2 and a constant order-d "
+                              "derivative, got d = %d for degree %d" % (d, f.degree))
+        if any(c.dist != "student" for c in mspec.coords) or \
+                len({c.beta for c in mspec.coords}) > 1:
+            raise ConfigError("weighted experiments need student coordinates of one "
+                              "common beta, got %s" % (mspec.to_dict()["coords"],))
+    return Experiment(
+        kind=kind, seed=cfg["seed"], fixture=cfg.get("fixture"),
+        route=payload.get("route") or _KIND_ROUTES.get(kind, fixture.route if fixture else None),
+        negative_control=bool(payload.get("negative_control")), d=d,
+        matrix_size=payload.get("matrix_size"), **vals, **built)
 
 
 def _is_finite_number(value):
@@ -155,26 +234,42 @@ def _is_finite_number(value):
             and -math.inf < value < math.inf)
 
 
-def _check_laws(kind, cfg, payload):
-    """Build the laws and function the runner builds: a malformed one is a config error."""
-    try:
-        if kind == "rmt":
-            measures.CoordinateDist.from_dict(payload["entry"])
-        elif kind == "catalog-oracle":
-            _oracle_laws(cfg)
-        elif kind != "tensor-norm":
-            _build_measure(payload)
-            f, _ = _build_function(payload)
-    except KeyError as exc:
-        raise ConfigError("missing required field %s" % (exc,))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("invalid %s config: %s" % (kind, exc))
-    # the weighted runner has the ladder below the top derivative in closed
-    # form for gradients only, and reads the constant top derivative at one point
-    if kind in ("weighted", "weighted-tail") and (
-            payload["d"] > 2 or not f.top_is_constant(payload["d"])):
-        raise ConfigError("weighted experiments need d <= 2 and a constant order-d "
-                          "derivative, got d = %d for degree %d" % (payload["d"], f.degree))
+def _build(kind, payload):
+    """The laws, function and polynomial a kind's runner reads, by Experiment field."""
+    if kind == "tensor-norm":
+        return {}
+    if kind == "catalog-oracle":
+        return {"oracle_laws": _oracle_laws(payload)}
+    if kind == "rmt":
+        entry = measures.CoordinateDist.from_dict(payload["entry"])
+        coeffs = payload["coeffs"]
+        if not isinstance(coeffs, list) or not coeffs or not all(map(_is_finite_number, coeffs)):
+            raise ValueError("coeffs must be a non-empty list of finite numbers: %r" % (coeffs,))
+        poly = rmt.as_polynomial(coeffs)
+        rmt.certified_fpp(poly)  # it depends on f alone: checked before any eigensolve
+        return {"entry": entry, "poly": poly}
+    if "function" in payload and "multilinear" in payload:
+        raise ValueError("give a function or a multilinear spec, not both")
+    mspec = measures.MeasureSpec.from_dict(payload["measure"])
+    mlspec = None
+    if "multilinear" in payload:
+        mlspec = MultilinearSpec.from_dict(payload["multilinear"])
+        f, _ = from_multilinear(mlspec)
+    else:
+        f = PolyFunction.from_dict(payload["function"])
+    if mspec.dim != f.dim:
+        raise ValueError("the measure has dim %d but the function has dim %d"
+                         % (mspec.dim, f.dim))
+    return {"measure": mspec, "function": f, "multilinear": mlspec}
+
+
+def _oracle_laws(payload):
+    """(tag, CoordinateDist) for each law a catalog-oracle config names."""
+    which = payload.get("dist", "all")
+    if which != "all" and which not in measures.ORACLE_DOMAINS:
+        raise ValueError("no oracle domain for distribution %r" % (which,))
+    return tuple((dist, measures.CoordinateDist.make(dist, **payload.get("params", {})))
+                 for dist in (measures.ORACLE_DOMAINS if which == "all" else [which]))
 
 
 def _check_count(field, value, floor):
@@ -210,11 +305,9 @@ def run_config(cfg, out_dir, seed_override=None, samples_override=None):
         cfg["seed"] = seed_override
     if samples_override is not None:
         cfg["draws" if cfg.get("kind") == "rmt" else "samples"] = samples_override
-    cfg = validate_config(cfg)
-    seed = cfg["seed"]
+    exp = resolve(cfg)
     created = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    kind = cfg["kind"]
     runner = {"tensor-norm": _run_tensor_norm,
               "catalog-oracle": _run_catalog_oracle,
               "certify": _run_certify,
@@ -222,17 +315,17 @@ def run_config(cfg, out_dir, seed_override=None, samples_override=None):
               "multilinear": _run_multilinear,
               "weighted": _run_weighted,
               "weighted-tail": _run_weighted,
-              "rmt": _run_rmt}[kind]
+              "rmt": _run_rmt}[exp.kind]
     try:
-        report = runner(cfg, out_dir, seed)
+        report = runner(exp, out_dir)
     except Exception as exc:
         if created:
             shutil.rmtree(out_dir)
         if isinstance(exc, _HYPOTHESIS_ERRORS):
             raise ConfigError(str(exc)) from exc
         raise
-    report.update({"schema": SCHEMA_VERSION, "kind": kind, "seed": seed,
-                   "fixture": cfg.get("fixture")})
+    report.update({"schema": SCHEMA_VERSION, "kind": exp.kind, "seed": exp.seed,
+                   "fixture": exp.fixture})
     report["exit_code"] = 0 if report["passed"] else 1
     dump_json(os.path.join(out_dir, "report.json"), report)
     return report["exit_code"], report
@@ -247,12 +340,12 @@ def _random_sym_tensor(rng, dim, order):
     return SymTensor.from_entries(order, dim, entries)
 
 
-def _run_tensor_norm(cfg, out_dir, seed):
-    count = int(cfg.get("count", 50))
+def _run_tensor_norm(exp, out_dir):
+    seed = exp.seed
     rows = []
     max_rel = 0.0
     max_rel_eig = 0.0
-    for i in range(count):
+    for i in range(exp.count):
         rng = substream(stage_seed(seed, _STAGE_TENSORS), i)
         dim = int(rng.integers(2, 5))
         order = int(rng.integers(2, 5))
@@ -273,18 +366,18 @@ def _run_tensor_norm(cfg, out_dir, seed):
               ["index", "order", "dim", "iterative", "certified", "rel_diff",
                "eigh", "rel_diff_eigh"], rows)
     passed = max_rel <= 1e-4 and max_rel_eig <= 1e-8
-    return {"count": count, "max_rel_diff": max_rel,
+    return {"count": exp.count, "max_rel_diff": max_rel,
             "max_rel_diff_eigh": max_rel_eig,
             "tolerances": {"certified": 1e-4, "eigh": 1e-8}, "passed": passed}
 
 
 # -- catalog-oracle ----------------------------------------------------------------
 
-def _run_catalog_oracle(cfg, out_dir, seed):
+def _run_catalog_oracle(exp, out_dir):
     rows = []
     results = {}
     passed = True
-    for dist, coord in _oracle_laws(cfg):
+    for dist, coord in exp.oracle_laws:
         res = measures.catalog_oracle(coord)
         expected = measures.coordinate_sigma2(coord)
         rel = abs(res.sigma2 - expected) / expected
@@ -303,27 +396,6 @@ def _run_catalog_oracle(cfg, out_dir, seed):
 
 # -- shared builders ----------------------------------------------------------------
 
-def _oracle_laws(cfg):
-    """(tag, CoordinateDist) for each law a catalog-oracle config names."""
-    which = cfg.get("dist", "all")
-    if which != "all" and which not in measures.ORACLE_DOMAINS:
-        raise ValueError("no oracle domain for distribution %r" % (which,))
-    return [(dist, measures.CoordinateDist.make(dist, **cfg.get("params", {})))
-            for dist in (measures.ORACLE_DOMAINS if which == "all" else [which])]
-
-
-def _build_measure(payload):
-    return measures.MeasureSpec.from_dict(payload["measure"])
-
-
-def _build_function(payload):
-    if "multilinear" in payload:
-        spec = MultilinearSpec.from_dict(payload["multilinear"])
-        f, _ = from_multilinear(spec)
-        return f, spec
-    return PolyFunction.from_dict(payload["function"]), None
-
-
 def _eval_values(f, mspec, m, seed):
     """f at ``measures.sample(mspec, m, seed)``, evaluated block by block as
     the draws are made, so the (m, dim) point matrix never exists."""
@@ -337,18 +409,13 @@ def _eval_values(f, mspec, m, seed):
 
 # -- certify -------------------------------------------------------------------------
 
-def _run_certify(cfg, out_dir, seed):
-    payload, fixture = _merged_payload(cfg)
-    mspec = _build_measure(payload)
-    f, _ = _build_function(payload)
-    d = int(payload["d"])
-    route = payload.get("route") or (fixture.route if fixture else None)
-    m_eval = int(payload.get("samples", 1_000_000))
-    m_prof = int(payload.get("profile_samples", 100_000))
-    profile = bounds.profile_from_function(f, mspec, d, m=m_prof,
-                                           seed=stage_seed(seed, _STAGE_PROFILE))
-    cert = bounds.exp_moment_certificate(profile, route=route)
-    values = _eval_values(f, mspec, m_eval, stage_seed(seed, _STAGE_EVAL))
+def _run_certify(exp, out_dir):
+    profile = bounds.profile_from_function(exp.function, exp.measure, exp.d,
+                                           m=exp.profile_samples,
+                                           seed=stage_seed(exp.seed, _STAGE_PROFILE))
+    cert = bounds.exp_moment_certificate(profile, route=exp.route)
+    values = _eval_values(exp.function, exp.measure, exp.samples,
+                          stage_seed(exp.seed, _STAGE_EVAL))
     report = verify.check_exp_certificate(cert, values)
     rate, power, threshold = cert.exp_params()
     row = report.rows[0]
@@ -359,7 +426,7 @@ def _run_certify(cfg, out_dir, seed):
                 row.extra["se"], cert.rescale_lambda,
                 int(row.extra["stable"]), int(row.passed))])
     return {"certificate": cert.to_dict(), "check": report.to_dict(),
-            "samples": m_eval, "profile_samples": m_prof,
+            "samples": exp.samples, "profile_samples": exp.profile_samples,
             "passed": report.passed}
 
 
@@ -387,28 +454,23 @@ def _write_tail_artifacts(out_dir, header, rows, title, series):
                        [(label, ts, [r[col] for r in rows]) for label, col in series])
 
 
-def _run_tails(cfg, out_dir, seed):
-    payload, fixture = _merged_payload(cfg)
-    mspec = _build_measure(payload)
-    f, _ = _build_function(payload)
-    d = int(payload["d"])
-    t_grid = payload["t_grid"]
-    m_eval = int(payload.get("samples", 1_000_000))
-    m_prof = int(payload.get("profile_samples", 100_000))
-    profile = bounds.profile_from_function(f, mspec, d, m=m_prof,
-                                           seed=stage_seed(seed, _STAGE_PROFILE))
+def _run_tails(exp, out_dir):
+    profile = bounds.profile_from_function(exp.function, exp.measure, exp.d,
+                                           m=exp.profile_samples,
+                                           seed=stage_seed(exp.seed, _STAGE_PROFILE))
     cert = bounds.tail_certificate(profile)
-    values = _eval_values(f, mspec, m_eval, stage_seed(seed, _STAGE_EVAL))
-    report = verify.check_tail_certificate(cert, values, t_grid)
+    values = _eval_values(exp.function, exp.measure, exp.samples,
+                          stage_seed(exp.seed, _STAGE_EVAL))
+    report = verify.check_tail_certificate(cert, values, exp.t_grid)
     _write_tail_artifacts(out_dir, _TAIL_HEADER, _tail_rows(report),
                           "derivative-ladder tail bound", _TAIL_SERIES)
     out = {"certificate": cert.to_dict(), "check": report.to_dict(),
-           "samples": m_eval, "profile_samples": m_prof,
+           "samples": exp.samples, "profile_samples": exp.profile_samples,
            "passed": report.passed}
-    if payload.get("negative_control"):
+    if exp.negative_control:
         weak = dataclasses.replace(profile, sigma=profile.sigma / 10.0)
         control = verify.check_tail_certificate(
-            bounds.tail_certificate(weak), values, t_grid)
+            bounds.tail_certificate(weak), values, exp.t_grid)
         control_failed = not control.passed
         out["negative_control"] = {"failed_somewhere": control_failed,
                                    "check": control.to_dict()}
@@ -418,16 +480,12 @@ def _run_tails(cfg, out_dir, seed):
 
 # -- multilinear ---------------------------------------------------------------------
 
-def _run_multilinear(cfg, out_dir, seed):
-    payload, fixture = _merged_payload(cfg)
-    mspec = _build_measure(payload)
-    f, mlspec = _build_function(payload)
-    t_grid = payload["t_grid"]
-    m_eval = int(payload.get("samples", 1_000_000))
+def _run_multilinear(exp, out_dir):
+    mspec, mlspec, t_grid = exp.measure, exp.multilinear, exp.t_grid
     centered = all(mspec.moment(i, 1) == 0.0 for i in range(mspec.dim))
     unit_var = all(abs(mspec.moment(i, 2) - 1.0) < 1e-12 for i in range(mspec.dim))
     certs = bounds.multilinear_certificates(mlspec, mspec.sigma(), centered, unit_var)
-    values = _eval_values(f, mspec, m_eval, stage_seed(seed, _STAGE_EVAL))
+    values = _eval_values(exp.function, mspec, exp.samples, stage_seed(exp.seed, _STAGE_EVAL))
     checks = {}
     passed = True
     for name in ("exp_hs", "exp_inf"):
@@ -466,19 +524,10 @@ def _run_multilinear(cfg, out_dir, seed):
     return {"certificates": {k: c.to_dict() for k, c in certs.items()},
             "checks": checks, "hs_vs_inf_consistent": norm_consistent,
             "centered": centered, "unit_variance": unit_var,
-            "samples": m_eval, "passed": passed}
+            "samples": exp.samples, "passed": passed}
 
 
 # -- weighted ------------------------------------------------------------------------
-
-def _weighted_setup(payload):
-    mspec = _build_measure(payload)
-    beta = mspec.coords[0].beta
-    kappa, gap = measures.student_weight_kappa(beta)
-    weight = measures.WeightSpec.make("sqrt_one_plus_max_sq", kappa=kappa)
-    f, _ = _build_function(payload)
-    return beta, kappa, gap, dataclasses.replace(mspec, weight=weight), f
-
 
 def _exact_gradient_l2(f, mspec):
     total = 0.0
@@ -487,23 +536,23 @@ def _exact_gradient_l2(f, mspec):
     return sqrt(total)
 
 
-def _run_weighted(cfg, out_dir, seed):
-    payload, _ = _merged_payload(cfg)
-    beta, kappa, gap, mspec, f = _weighted_setup(payload)
-    d = int(payload["d"])
-    route = "weighted-tail" if cfg["kind"] == "weighted-tail" else "weighted-ladder"
-    m_eval = int(payload.get("samples", 1_000_000))
-    values = _eval_values(f, mspec, m_eval, stage_seed(seed, _STAGE_EVAL))
+def _run_weighted(exp, out_dir):
+    f, d, seed = exp.function, exp.d, exp.seed
+    beta = exp.measure.coords[0].beta  # resolve checked: one common Student beta
+    kappa, gap = measures.student_weight_kappa(beta)
+    weight = measures.WeightSpec.make("sqrt_one_plus_max_sq", kappa=kappa)
+    mspec = dataclasses.replace(exp.measure, weight=weight)
+    values = _eval_values(f, mspec, exp.samples, stage_seed(seed, _STAGE_EVAL))
     norms2 = (_exact_gradient_l2(f, mspec),) if d == 2 else ()
     top_op = float(op_norms(f.derivative_dense(d, np.zeros((1, f.dim))))[0])
     report = {"beta": beta, "kappa": kappa,
-              "weighted_gap": gap.to_dict(), "samples": m_eval,
-              "route": route}
+              "weighted_gap": gap.to_dict(), "samples": exp.samples,
+              "route": exp.route}
     passed = True
-    if route == "weighted-ladder":
+    if exp.route == "weighted-ladder":
         rows = []
         mom_checks = {}
-        for p in payload.get("p_values", [2, 4]):
+        for p in exp.p_values:
             wnorms = tuple(
                 measures.student_weight_norm(beta, kappa, 2**k * p, mspec.dim)
                 for k in range(1, d + 1))
@@ -526,8 +575,7 @@ def _run_weighted(cfg, out_dir, seed):
         report["moment_checks"] = mom_checks
         # MC cross-check that the closed-form weight norms are upper bounds
         q = 2.0 ** d * 2.0
-        wn = measures.weighted_norm(mspec, q, m=100_000,
-                                    seed=stage_seed(seed, _STAGE_WEIGHTS))
+        wn = measures.weighted_norm(mspec, q, seed=stage_seed(seed, _STAGE_WEIGHTS))
         closed = measures.student_weight_norm(beta, kappa, q, mspec.dim)
         report["weight_norm_check"] = {
             "p": q, "mc": wn.value, "mc_se": wn.se, "closed_form_upper": closed,
@@ -535,14 +583,13 @@ def _run_weighted(cfg, out_dir, seed):
             "passed": wn.value <= closed * (1.0 + 5.0 * wn.se / max(wn.value, 1e-12))}
         passed = passed and report["weight_norm_check"]["passed"]
     else:  # weighted-tail route
-        p = float(payload.get("p", 2))
+        p = exp.p
         lam = max([1.0, top_op] + [v for v in norms2])
         w2dp = measures.student_weight_norm(beta, kappa, 2**d * p, mspec.dim)
         floor = 2.0 ** (-(d - 1) / 2.0)
         C = max(floor, w2dp)
         cert = bounds.weighted_tail_certificate(C, p, d, rescale_lambda=lam)
-        t_grid = payload["t_grid"]
-        check = verify.check_tail_certificate(cert, values, t_grid)
+        check = verify.check_tail_certificate(cert, values, exp.t_grid)
         passed = check.passed
         window = cert.constants["window_end"] * lam
         rows = [r + (int(r[0] <= window),) for r in _tail_rows(check)]
@@ -558,16 +605,10 @@ def _run_weighted(cfg, out_dir, seed):
 
 # -- rmt -----------------------------------------------------------------------------
 
-def _run_rmt(cfg, out_dir, seed):
-    payload, fixture = _merged_payload(cfg)
-    n = int(payload["matrix_size"])
-    ens = rmt.WignerEnsemble(n, measures.CoordinateDist.from_dict(payload["entry"]))
-    poly = rmt.as_polynomial(payload["coeffs"])
-    rmt.certified_fpp(poly)  # before any eigensolve: it depends on f alone
-    draws = int(payload.get("draws", 2000))
-    cal_draws = int(payload.get("cal_draws", 2000))
-    cal = rmt.calibrate(ens, poly, cal_draws, stage_seed(seed, _STAGE_CAL))
-    sample = rmt.sample_ensemble(ens, draws, stage_seed(seed, _STAGE_EVAL))
+def _run_rmt(exp, out_dir):
+    ens, poly = rmt.WignerEnsemble(exp.matrix_size, exp.entry), exp.poly
+    cal = rmt.calibrate(ens, poly, exp.cal_draws, stage_seed(exp.seed, _STAGE_CAL))
+    sample = rmt.sample_ensemble(ens, exp.draws, stage_seed(exp.seed, _STAGE_EVAL))
     s_n = rmt.linear_stat(sample, poly, cal)
     s_t = rmt.recentered_stat(sample, poly, cal)
     exp_cert, tail_cert = rmt.rmt_certificates(ens, poly, cal)
@@ -583,8 +624,7 @@ def _run_rmt(cfg, out_dir, seed):
     extra_se = rmt.exp_calibration_se(rate, shift, est.value)
     exp_check = verify.check_exp_certificate(exp_cert, s_t, extra_se=extra_se,
                                              min_samples=sample.draws)
-    tail_check = verify.check_tail_certificate(tail_cert, s_n,
-                                               payload.get("t_grid", [1, 2, 4]))
+    tail_check = verify.check_tail_certificate(tail_cert, s_n, exp.t_grid)
     var_s = float(np.var(s_n, ddof=1))
     var_t = float(np.var(s_t, ddof=1))
     var_ok = var_t < var_s
@@ -594,7 +634,7 @@ def _run_rmt(cfg, out_dir, seed):
     _write_tail_artifacts(out_dir, _TAIL_HEADER, _tail_rows(tail_check),
                           "linear eigenvalue statistic tail", _TAIL_SERIES)
     passed = exp_check.passed and tail_check.passed and var_ok
-    return {"matrix_size": n, "draws": draws, "cal_draws": cal_draws,
+    return {"matrix_size": exp.matrix_size, "draws": exp.draws, "cal_draws": exp.cal_draws,
             "sigma_n2": ens.sigma_n2, "discarded": sample.discarded,
             "certificates": {"exp": exp_cert.to_dict(), "tail": tail_cert.to_dict()},
             "calibration": {"grad_l2": cal.grad_l2, "grad_l2_se": cal.grad_l2_se,

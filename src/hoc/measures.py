@@ -174,11 +174,6 @@ class MeasureSpec:
 
 # -- spectral-gap constants ---------------------------------------------------
 
-def poincare_constant(spec):
-    """Certified product constant sigma^2 (max over coordinate constants)."""
-    return spec.sigma2()
-
-
 def coordinate_sigma2(coord):
     """Certified spectral-gap constant of one coordinate law.
 

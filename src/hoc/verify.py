@@ -207,19 +207,3 @@ def check_moment_bound(bound, values, p, label=""):
     return EmpiricalReport(np.asarray(values).size, "moment", MOMENT_SLACK_RULE,
                            (row,), passed)
 
-
-def check_certificate(cert, values, t_grid=None, p=None, extra_se=0.0,
-                      min_samples=MIN_EXP_SAMPLES):
-    """Dispatch on certificate kind; wrong inputs for the kind are rejected."""
-    if cert.kind == "tail":
-        if t_grid is None:
-            raise ValueError("tail certificates need a t_grid")
-        return check_tail_certificate(cert, values, t_grid)
-    if cert.kind == "expMoment":
-        return check_exp_certificate(cert, values, extra_se=extra_se,
-                                     min_samples=min_samples)
-    if cert.kind == "moment":
-        if p is None:
-            raise ValueError("moment certificates need p")
-        return check_moment_bound(cert.moment_bound(p), values, p)
-    raise ValueError("unknown certificate kind %r" % (cert.kind,))

@@ -112,15 +112,6 @@ def test_gradient_bound_sigma_tenth_fails():
     assert B.gradient_moment_bound(0.1, 2, grad_l2) < l2_f
 
 
-def test_moment_certificate_round_trip():
-    p = profile(d=2, norms2=(3.0,), top_inf=2.0)
-    cert = B.moment_certificate(p)
-    assert cert.kind == "moment" and cert.route == "ladder-inf"
-    assert cert.moment_bound(4) == pytest.approx(B.iterated_moment_bound(p, 4), rel=1e-14)
-    with pytest.raises(B.MissingNormError):
-        B.moment_certificate(profile(top_inf=None))
-
-
 # -- exp-moment certificates ----------------------------------------------------
 
 
@@ -262,11 +253,6 @@ def test_weighted_moment_bounds_hand_value():
     ladder = (2.0 ** (-0.5) * 2.0 * 0.5) * 2.0
     assert bm == pytest.approx(ladder + 4.0 * 0.5 * 1.5, rel=1e-14)
     assert bp == pytest.approx(ladder + (2.0 * 0.3) ** 2 * 1.0, rel=1e-14)
-    cert = B.weighted_moment_certificate(wp)
-    assert cert.route == "weighted-ladder"
-    assert cert.moment_bound(2.0) == pytest.approx(min(bm, bp), rel=1e-14)
-    with pytest.raises(ValueError):
-        cert.moment_bound(3.0)  # pinned to its p
 
 
 def test_weighted_moment_bounds_partial_tops():
@@ -435,8 +421,6 @@ def test_certificate_kind_guards():
     tail = B.tail_certificate(profile(centered=True))
     with pytest.raises(ValueError):
         tail.exp_params()
-    with pytest.raises(ValueError):
-        tail.moment_bound(2)
     exp_cert = B.exp_moment_certificate(profile(centered=True))
     with pytest.raises(ValueError):
         exp_cert.tail_bound(1.0)

@@ -1,5 +1,6 @@
 """CLI behavior and config validation: exit codes, error locations, artifacts."""
 
+import dataclasses
 import json
 import os
 
@@ -110,6 +111,24 @@ def test_merged_payload_overrides():
     assert merged["d"] == 2                   # fixture fields survive
 
 
+def test_resolve_fills_omitted_counts_from_defaults():
+    tails = experiments.resolve(
+        {"kind": "tails", "seed": 0, "measure": _GAUSS2, "d": 2, "t_grid": [1.0, 2.0],
+         "function": {"dim": 2, "terms": [{"exponents": [1, 1], "coeff": 1.0}]}})
+    wigner = experiments.resolve(
+        {"kind": "rmt", "seed": 0, "matrix_size": 5, "coeffs": [0.0, 0.0, 0.5],
+         "entry": {"dist": "gaussian", "params": {}}})
+    for exp in (tails, wigner):
+        assert isinstance(exp, experiments.Experiment)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            exp.samples = 1
+        for field in ("samples", "profile_samples", "draws", "cal_draws", "count"):
+            assert getattr(exp, field) == experiments.DEFAULTS[field]
+    assert tails.t_grid == (1.0, 2.0) and tails.route == "ladder-tail"
+    assert wigner.t_grid == tuple(experiments.DEFAULTS["t_grid"])
+    assert wigner.measure is None and wigner.poly is not None
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(experiments.ConfigError) as err:
         experiments.load_config(str(tmp_path / "missing.json"))
@@ -192,13 +211,29 @@ _GAUSS2 = {"dim": 2, "coords": [{"dist": "gaussian", "params": {}},
     {"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n2-d2-tails",
      "measure": {"dim": 2, "coords": [{"dist": "gaussian", "params": {}}]}},
     {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d2", "d": 3},
+    # fields the runner would ignore or trip over: a function beside the
+    # fixture's multilinear spec, a measure and function of different
+    # dimensions, rmt coefficients that are not numbers, a weighted run on a
+    # law that is not the Student-type one
+    {"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n2-d2-tails",
+     "function": {"dim": 2, "terms": [{"exponents": [1, 1], "coeff": 1.0}]}},
+    {"kind": "tails", "seed": 0, "measure": _GAUSS2, "d": 3, "t_grid": [1.0, 2.0],
+     "function": {"dim": 3, "terms": [{"exponents": [1, 1, 1], "coeff": 1.0}]},
+     "samples": 1000, "profile_samples": 10_000},
+    {"kind": "multilinear", "seed": 0, "fixture": "gaussian-chaos-n5-d2-multilinear",
+     "measure": _GAUSS2},
+    {"kind": "rmt", "seed": 0, "fixture": "wigner-gaussian-n50", "coeffs": ["x"]},
+    {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d1",
+     "measure": {"dim": 1, "coords": [{"dist": "gaussian", "params": {}}]}},
 ], ids=["uncentered-tails", "rmt-degree-3", "profile-samples-1000", "samples-abc",
         "negative-seed", "tails-samples-500", "rmt-draws-50", "rmt-draws-1000",
         "multilinear-samples-5000",
         "certify-samples-10", "matrix-size-1", "p-values-x", "p-1", "d-0",
         "certify-route-typo", "weighted-tail-route", "weighted-route-weighted-tail",
         "t-grid-nan", "t-grid-bool", "oracle-scale-x", "oracle-scale-negative",
-        "measure-coords-short", "weighted-d-3"])
+        "measure-coords-short", "weighted-d-3", "function-beside-multilinear",
+        "measure-dim-2-function-dim-3", "multilinear-measure-dim-2", "rmt-coeffs-x",
+        "weighted-gaussian-law"])
 def test_cli_missing_hypothesis_writes_nothing(tmp_path, capsys, cfg):
     path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"

@@ -77,7 +77,6 @@ def test_unit_variance_conventions():
 def test_measure_spec_product():
     spec = M.MeasureSpec.iid("exponential", 3, scale=0.5)
     assert spec.sigma2() == pytest.approx(1.0)
-    assert M.poincare_constant(spec) == spec.sigma2()
     assert spec.moment(1, 3) == pytest.approx(6.0 * 0.125)
 
 

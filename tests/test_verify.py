@@ -170,8 +170,8 @@ def test_check_tail_certificate_report():
         d = row.to_dict()
         assert d["ci_low"] == row.extra["ci_low"]  # extras flatten into the dict
     with pytest.raises(ValueError):
-        V.check_tail_certificate(B.Certificate("moment", "ladder-inf", {"d": 2, "sigma": 1,
-                                                                 "norms2": [1.0]}),
+        V.check_tail_certificate(B.Certificate("expMoment", "ladder-inf", {"d": 2, "sigma": 1,
+                                                                    "norms2": [1.0]}),
                                  values, [1.0])
 
 
@@ -199,25 +199,6 @@ def test_check_moment_bound_report():
     bad = V.check_moment_bound(1.9, values, 2)
     assert not bad.passed
     assert bad.rows[0].slack == 0.0  # constant sample has zero SE
-
-
-def test_check_certificate_dispatch():
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal((100_000, 2))
-    values = x[:, 0] * x[:, 1]
-    tail = centered_tail_cert()
-    with pytest.raises(ValueError):
-        V.check_certificate(tail, values)  # missing t_grid
-    rep = V.check_certificate(tail, values, t_grid=[2.0])
-    assert rep.kind == "tail"
-    prof = B.DerivativeProfile(2, 1.0, (1.5,), 1.0, centered=True)
-    exp_rep = V.check_certificate(B.exp_moment_certificate(prof), values)
-    assert exp_rep.kind == "expMoment"
-    mom = B.moment_certificate(prof)
-    with pytest.raises(ValueError):
-        V.check_certificate(mom, values)  # missing p
-    mom_rep = V.check_certificate(mom, values, p=2)
-    assert mom_rep.kind == "moment" and mom_rep.passed
 
 
 def test_report_serialization():
