@@ -44,7 +44,13 @@ def worker_count():
 @functools.cache
 def _openblas_threads():
     """(get, set) thread-count functions of each OpenBLAS loaded in this
-    process, found once through /proc/self/maps; empty where there is none."""
+    process, found once through /proc/self/maps; empty where there is none.
+
+    The list is fixed at the first call. scipy is imported on first use, so
+    its OpenBLAS is on the list only if scipy was loaded before that call.
+    That is enough for ``serial_blas``: the eigensolves it serializes run in
+    ``numpy.linalg``, on numpy's OpenBLAS, which ``import hoc`` always loads.
+    """
     import ctypes
 
     try:

@@ -194,6 +194,9 @@ def resolve(cfg):
             raise ConfigError("t_grid must be a non-empty list of finite numbers: %r" % (grid,))
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("t_grid must be strictly increasing")
+    if not isinstance(payload.get("negative_control", False), bool):
+        raise ConfigError("negative_control must be true or false, got %r"
+                          % (payload["negative_control"],))
     if "p_values" in payload and (not isinstance(payload["p_values"], list)
                                   or not payload["p_values"]):
         raise ConfigError("p_values must be a non-empty list, got %r" % (payload["p_values"],))
@@ -225,7 +228,7 @@ def resolve(cfg):
     return Experiment(
         kind=kind, seed=cfg["seed"], fixture=cfg.get("fixture"),
         route=payload.get("route") or _KIND_ROUTES.get(kind, fixture.route if fixture else None),
-        negative_control=bool(payload.get("negative_control")), d=d,
+        negative_control=payload.get("negative_control", False), d=d,
         matrix_size=payload.get("matrix_size"), **vals, **built)
 
 
@@ -492,9 +495,8 @@ def _run_multilinear(exp, out_dir):
         rep = verify.check_exp_certificate(certs[name], values)
         checks[name] = rep.to_dict()
         passed = passed and rep.passed
-    _, tensor = from_multilinear(mlspec)
-    norm_consistent = tensor.hs_norm() <= mspec.dim ** (mlspec.order / 2.0) \
-        * tensor.max_abs_entry() + 1e-12
+    hs, amax = certs["exp_hs"].constants["hs_norm"], certs["exp_inf"].constants["max_entry"]
+    norm_consistent = hs <= mspec.dim ** (mlspec.order / 2.0) * amax + 1e-12
     passed = passed and norm_consistent
     rows = []
     if unit_var:

@@ -19,6 +19,12 @@ caller can evaluate m draws without holding an (m, dim) array. The block
 size is part of the stream layout: changing it changes every sample. It is
 not sized for the cache; polynomial evaluation works through each block in
 its own, smaller blocks (``polynomials.EVAL_BLOCK``, 8192 rows).
+
+scipy is imported on first use, inside the three functions that need it: the
+oracle's tridiagonal eigensolve (``_gap_once``) and the Student-law gamma
+constants (``density_function``, ``student_weight_moment``). Only the
+``catalog-oracle``, ``weighted`` and ``weighted-tail`` kinds reach them, so
+``import hoc`` and the sampling, tails and rmt paths load no scipy.
 """
 
 from __future__ import annotations
@@ -29,8 +35,6 @@ from dataclasses import dataclass
 from math import pi, sqrt
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
 from ._util import SAMPLE_BLOCK, substream
 
@@ -297,6 +301,8 @@ class GapResult:
 
 
 def _gap_once(density, lo, hi, gridpoints, weight):
+    from scipy.linalg import eigh_tridiagonal
+
     x = np.linspace(lo, hi, gridpoints)
     h = x[1] - x[0]
     mid = 0.5 * (x[:-1] + x[1:])
@@ -359,6 +365,8 @@ def density_function(coord):
         b = coord.scale
         return lambda x: np.exp(-np.abs(np.asarray(x)) / b) / (2.0 * b)
     if coord.dist == "student":
+        from scipy.special import gammaln
+
         beta = coord.beta
         log_c = gammaln(beta) - gammaln(beta - 0.5) - 0.5 * math.log(pi)
         c = math.exp(log_c)
@@ -398,6 +406,8 @@ def student_weight_kappa(beta=10.0):
 
 def student_weight_moment(beta, q):
     """Exact E (1+X^2)^q under the Student-type law (gamma closed form)."""
+    from scipy.special import gammaln
+
     if q >= beta - 0.5:
         return math.inf
     return math.exp(gammaln(beta) + gammaln(beta - q - 0.5)

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -225,6 +227,9 @@ _GAUSS2 = {"dim": 2, "coords": [{"dist": "gaussian", "params": {}},
     {"kind": "rmt", "seed": 0, "fixture": "wigner-gaussian-n50", "coeffs": ["x"]},
     {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d1",
      "measure": {"dim": 1, "coords": [{"dist": "gaussian", "params": {}}]}},
+    # a string is not a boolean: "false" would run the sigma/10 control
+    {"kind": "tails", "fixture": "gaussian-chaos-n2-d2-tails", "seed": 7, "samples": 2000,
+     "profile_samples": 10000, "negative_control": "false"},
 ], ids=["uncentered-tails", "rmt-degree-3", "profile-samples-1000", "samples-abc",
         "negative-seed", "tails-samples-500", "rmt-draws-50", "rmt-draws-1000",
         "multilinear-samples-5000",
@@ -233,7 +238,7 @@ _GAUSS2 = {"dim": 2, "coords": [{"dist": "gaussian", "params": {}},
         "t-grid-nan", "t-grid-bool", "oracle-scale-x", "oracle-scale-negative",
         "measure-coords-short", "weighted-d-3", "function-beside-multilinear",
         "measure-dim-2-function-dim-3", "multilinear-measure-dim-2", "rmt-coeffs-x",
-        "weighted-gaussian-law"])
+        "weighted-gaussian-law", "negative-control-string"])
 def test_cli_missing_hypothesis_writes_nothing(tmp_path, capsys, cfg):
     path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
@@ -346,3 +351,46 @@ def test_cli_rejects_unknown_subcommand():
         cli.main(["frobnicate"])
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+# Runs in a fresh interpreter, because the rest of the suite imports scipy. It
+# imports hoc and its CLI, runs the numpy-only kinds, lists the scipy modules
+# loaded by then, and last runs the oracle, which does load scipy.
+_SCIPY_PROBE = """
+import json, os, sys
+import hoc, hoc.cli
+from hoc import experiments
+
+out = sys.argv[1]
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+codes = [experiments.run_config(cfg, os.path.join(out, cfg["kind"]))[0]
+         for cfg in json.loads(sys.argv[2])]
+numpy_only = scipy_modules()
+code = experiments.run_config({"kind": "catalog-oracle", "seed": 0, "dist": "uniform01"},
+                              os.path.join(out, "oracle"))[0]
+print(json.dumps({"codes": codes, "numpy_only": numpy_only, "oracle": code,
+                  "oracle_loads": "scipy.linalg" in scipy_modules()}))
+"""
+
+
+def test_scipy_loaded_only_by_the_kinds_that_use_it(tmp_path):
+    cfgs = [
+        {"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n2-d2-tails",
+         "samples": 2000, "profile_samples": 10000},
+        {"kind": "rmt", "seed": 0, "fixture": "wigner-gaussian-n50",
+         "draws": 1001, "cal_draws": 500},
+        {"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-hs",
+         "samples": 100_000, "profile_samples": 10000},
+        {"kind": "multilinear", "seed": 0, "fixture": "gaussian-chaos-n2-d2-multilinear",
+         "samples": 100_000},
+    ]
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path), json.dumps(cfgs)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0, 0]
+    assert result["numpy_only"] == []
+    assert result["oracle"] == 0 and result["oracle_loads"]
