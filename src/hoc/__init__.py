@@ -8,11 +8,9 @@ for the route taxonomy and the experiment runner.
 
 from .bounds import (Certificate, DerivativeProfile, MissingHypothesisError,
                      MissingNormError, WeightedProfile, exp_moment_certificate,
-                     gradient_moment_bound, iterated_moment_bound,
-                     multilinear_certificates, normalized_moment_cap,
-                     profile_from_function, subexponential_constant,
-                     tail_certificate, weighted_moment_bounds,
-                     weighted_tail_certificate)
+                     iterated_moment_bound, multilinear_certificates,
+                     profile_from_function, tail_certificate,
+                     weighted_moment_bounds, weighted_tail_certificate)
 from .measures import (CATALOG, CoordinateDist, GapResult, MeasureSpec,
                        UncertifiedConstantError, WeightSpec, catalog_oracle,
                        coordinate_moment, coordinate_sigma2, sample,

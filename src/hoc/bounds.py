@@ -10,8 +10,8 @@ their own sharper certificates driven by the coefficient tensor.
 
 Certificates carry a ``route`` label naming the bound family (ladder-inf,
 ladder-hs, ladder-tail, weighted-tail, multilinear-hs, multilinear-inf,
-wigner-lss) plus every constant needed to re-evaluate them, and serialize to
-JSON. The weighted-ladder moment bounds are plain numbers, not certificates.
+wigner-lss) plus every constant needed to re-evaluate them. The
+weighted-ladder moment bounds are plain numbers, not certificates.
 
 Every tail route but weighted-tail is one derivative ladder
 (sigma, d, norms2, top): P(|f| >= t) <= e^2 exp(-eta(t) / (d e)), where eta
@@ -27,15 +27,13 @@ their constants give:
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, replace
-from math import comb, e, sqrt
+from dataclasses import dataclass, field
+from math import e, sqrt
 
 import numpy as np
 
 from . import measures
-from ._util import jsonable
 from .polynomials import EVAL_BLOCK, from_multilinear
 from .tensors import hs_norms, op_norms
 
@@ -79,8 +77,6 @@ class DerivativeProfile:
     order-d derivative uniformly (exact when that derivative is constant,
     otherwise a sampled lower bound and top_inf_exact is False). top_hs is
     the L2 norm of the pointwise Hilbert-Schmidt norm of the top derivative.
-    top_p, when present, maps p to the L^p norm of the pointwise operator
-    norm of the top derivative.
     """
 
     order: int
@@ -88,7 +84,6 @@ class DerivativeProfile:
     norms2: tuple
     top_inf: float | None = None
     top_hs: float | None = None
-    top_p: object = None
     centered: bool = False
     derivs_centered: bool = False
     top_inf_exact: bool = True
@@ -108,22 +103,6 @@ class DerivativeProfile:
                 raise ValueError("norms must be finite and nonnegative")
         if self.top_inf is not None and not self.top_inf >= 0:
             raise ValueError("top_inf must be nonnegative")
-
-    def scaled(self, lam):
-        """Profile of f / lam."""
-        if not lam > 0:
-            raise ValueError("lam must be positive")
-        top_p = self.top_p
-        if top_p is not None:
-            base = top_p
-            top_p = lambda p: base(p) / lam
-        return replace(
-            self, norms2=tuple(v / lam for v in self.norms2),
-            top_inf=None if self.top_inf is None else self.top_inf / lam,
-            top_hs=None if self.top_hs is None else self.top_hs / lam,
-            top_p=top_p, mean=self.mean / lam,
-            norms2_se=tuple(v / lam for v in self.norms2_se),
-            top_hs_se=self.top_hs_se / lam)
 
 
 @dataclass(frozen=True)
@@ -213,28 +192,20 @@ class Certificate:
         return {"kind": self.kind, "route": self.route,
                 "constants": dict(self.constants), "rescale_lambda": self.rescale_lambda}
 
-    def to_json(self):
-        return json.dumps(jsonable(self.to_dict()), sort_keys=True)
-
     @classmethod
     def from_dict(cls, data):
         return cls(data["kind"], data["route"], dict(data["constants"]),
                    float(data.get("rescale_lambda", 1.0)))
 
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
-
 
 def _tail_eval(route, c, t):
     if route == "weighted-tail":
-        d, C, p = c["d"], c["C"], c["p"]
-        scale = 2.0 ** ((d + 5) / 2.0) * C
-        window = (scale * e * p) ** d
+        d, p = c["d"], c["p"]
+        scale = 2.0 ** ((d + 5) / 2.0) * c["C"]
         inside = np.exp(np.clip(-d * np.power(t, 1.0 / d) / (scale * e), -745.0, 0.0))
         with np.errstate(divide="ignore"):
             beyond = np.where(t > 0, ((scale * p) ** d / np.maximum(t, 1e-300)) ** p, np.inf)
-        return math.exp(d / e) * np.where(t <= window, inside, beyond)
+        return c["prefactor"] * np.where(t <= c["window_end"], inside, beyond)
     ladder = _ladder(route, c)
     return TAIL_PREFACTOR * np.exp(-_eta(ladder, t) / (ladder[1] * e))
 
@@ -278,39 +249,17 @@ def iterated_moment_bound(profile, p):
     """Closed-form bound on the L^p norm from the derivative ladder.
 
     Sum over k < d of (sigma*p/sqrt(2))^k * norms2[k-1], plus
-    (sigma*p/sqrt(2))^d times the L^p operator-norm moment of the top
-    derivative (top_inf substitutes when no p-dependent value is known).
+    (sigma*p/sqrt(2))^d * top_inf, the uniform operator-norm bound on the
+    top derivative.
     """
     if p < 2:
         raise ValueError("the iterated moment bound needs p >= 2")
+    if profile.top_inf is None:
+        raise MissingNormError("need top_inf for the top term")
     d, sigma = profile.order, profile.sigma
-    if profile.top_p is not None:
-        top = float(profile.top_p(p))
-    elif profile.top_inf is not None:
-        top = profile.top_inf
-    else:
-        raise MissingNormError("need top_p or top_inf for the top term")
     base = sigma * p / _SQRT2
     total = sum(base**k * profile.norms2[k - 1] for k in range(1, d))
-    return total + base**d * top
-
-
-def normalized_moment_cap(sigma, d, p):
-    """4 (sigma p / sqrt 2)^d: the cap on the iterated bound when the norm
-    ladder is at its normalized values."""
-    return 4.0 * (sigma * p / _SQRT2) ** d
-
-
-def gradient_moment_bound(sigma, p, grad_lp, l2=None):
-    """One-step moment bound from the gradient.
-
-    Centered form (l2 None): (sigma*p/sqrt 2) * ||grad f||_p bounds ||f||_p.
-    General form: ||f||_2 + (sigma*p/sqrt 2) * ||grad f||_p.
-    """
-    if p < 1:
-        raise ValueError("need p >= 1")
-    head = 0.0 if l2 is None else float(l2)
-    return head + sigma * p / _SQRT2 * grad_lp
+    return total + base**d * profile.top_inf
 
 
 # -- exponential-moment certificates ------------------------------------------------
@@ -355,14 +304,6 @@ def exp_moment_certificate(profile, route=None):
     return Certificate("expMoment", route, constants, rescale_lambda=lam)
 
 
-def subexponential_constant(gamma):
-    """c = 1/(2*gamma*e): if ||f||_k <= gamma*k for all integers k >= 1 then
-    E exp(c|f|) <= 2 (geometric series argument)."""
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    return 1.0 / (2.0 * gamma * e)
-
-
 # -- tail bounds -------------------------------------------------------------------
 
 def tail_certificate(profile):
@@ -380,11 +321,6 @@ def tail_certificate(profile):
 def weight_term_coefficient(k, p, wnorm):
     """(2^((k-2)/2) * p * wnorm)^k, the order-k coefficient of the weighted bounds."""
     return (2.0 ** ((k - 2) / 2.0) * p * wnorm) ** k
-
-
-def _weight_term_coefficient_iterated(k, p, wnorm):
-    """The same coefficient in the unreduced iterated form 2^C(k,2) (p*wnorm/sqrt2)^k."""
-    return 2.0 ** comb(k, 2) * (p * wnorm / _SQRT2) ** k
 
 
 def weighted_moment_bounds(wp):
@@ -537,14 +473,18 @@ def profile_from_function(f, mspec, d, m=100_000, seed=0):
     top_inf = float(np.max(vals))
     top_hs, top_hs_se = _l2_with_se(_blocked(
         lambda block: hs_norms(f.derivative_batch(d, block)[1], d, f.dim), pts, EVAL_BLOCK))
-    top_p = lambda p: float(np.mean(np.abs(vals) ** p) ** (1.0 / p))
-    mean = f.expectation(mspec.moment)
-    centered = math.isfinite(mean) and abs(mean) <= 1e-12
-    derivs_centered = all(math.isfinite(ev) and abs(ev) <= 1e-12
-                          for k in range(1, d) for poly in f._order_partials(k).values()
-                          for ev in [poly.expectation(mspec.moment)])
+    mean, centered, derivs_centered = centering(f, mspec, d)
     return DerivativeProfile(
-        d, sigma, tuple(norms2), top_inf, top_hs, top_p,
-        centered, derivs_centered, f.top_is_constant(d),
-        mean if math.isfinite(mean) else math.inf,
+        d, sigma, tuple(norms2), top_inf, top_hs,
+        centered, derivs_centered, f.top_is_constant(d), mean,
         tuple(ses), top_hs_se)
+
+
+def centering(f, mspec, d):
+    """(E f, whether E f = 0, whether every partial of order 1..d-1 has
+    mean 0) under ``mspec``, from exact expectations to within 1e-12; a
+    divergent E f reads inf."""
+    partials = [poly for k in range(1, d) for poly in f._order_partials(k).values()]
+    means = [poly.expectation(mspec.moment) for poly in [f] + partials]
+    zero = [math.isfinite(v) and abs(v) <= 1e-12 for v in means]
+    return means[0] if math.isfinite(means[0]) else math.inf, zero[0], all(zero[1:])

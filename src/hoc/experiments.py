@@ -158,8 +158,9 @@ def validate_config(cfg):
 def resolve(cfg):
     """The Experiment ``cfg`` describes, or ConfigError with nothing written.
 
-    Only cheap objects are built here (specs, the function, the rmt
-    polynomial); oracles, sampling and eigensolves are the runner's.
+    Only cheap objects are built and checked here (specs, laws, the
+    function, the rmt polynomial); oracles, sampling and eigensolves are
+    the runner's.
     """
     if cfg.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ConfigError("unsupported schema version %r" % (cfg.get("schema"),))
@@ -214,6 +215,7 @@ def resolve(cfg):
     except (TypeError, ValueError) as exc:
         raise ConfigError("invalid %s config: %s" % (kind, exc))
     mspec, f, d = built.get("measure"), built.get("function"), payload.get("d")
+    route = payload.get("route") or _KIND_ROUTES.get(kind, fixture.route if fixture else None)
     if kind in ("weighted", "weighted-tail"):
         # the weighted runner has the ladder below the top derivative in closed
         # form for gradients only, reads the constant top derivative at one
@@ -225,9 +227,18 @@ def resolve(cfg):
                 len({c.beta for c in mspec.coords}) > 1:
             raise ConfigError("weighted experiments need student coordinates of one "
                               "common beta, got %s" % (mspec.to_dict()["coords"],))
+    # exact centering, as the runners test it (their checks stay as a backstop)
+    if kind == "multilinear" and any(mspec.moment(i, 1) != 0.0 for i in range(mspec.dim)):
+        raise ConfigError("multilinear certificates need E X_i = 0 for all i")
+    if kind in ("certify", "tails"):
+        mean, centered, derivs_centered = bounds.centering(
+            f, mspec, d if route == "ladder-hs" else 1)  # only ladder-hs reads the partials
+        if not centered:
+            raise ConfigError("%s certificates need E f = 0, got E f = %r" % (kind, mean))
+        if route == "ladder-hs" and not derivs_centered:
+            raise ConfigError("route ladder-hs needs all derivatives of order < d centered")
     return Experiment(
-        kind=kind, seed=cfg["seed"], fixture=cfg.get("fixture"),
-        route=payload.get("route") or _KIND_ROUTES.get(kind, fixture.route if fixture else None),
+        kind=kind, seed=cfg["seed"], fixture=cfg.get("fixture"), route=route,
         negative_control=payload.get("negative_control", False), d=d,
         matrix_size=payload.get("matrix_size"), **vals, **built)
 
@@ -245,6 +256,7 @@ def _build(kind, payload):
         return {"oracle_laws": _oracle_laws(payload)}
     if kind == "rmt":
         entry = measures.CoordinateDist.from_dict(payload["entry"])
+        measures.coordinate_sigma2(entry)  # an uncertified entry law has no certificate
         coeffs = payload["coeffs"]
         if not isinstance(coeffs, list) or not coeffs or not all(map(_is_finite_number, coeffs)):
             raise ValueError("coeffs must be a non-empty list of finite numbers: %r" % (coeffs,))
@@ -263,6 +275,8 @@ def _build(kind, payload):
     if mspec.dim != f.dim:
         raise ValueError("the measure has dim %d but the function has dim %d"
                          % (mspec.dim, f.dim))
+    if kind in ("certify", "tails", "multilinear"):
+        mspec.sigma()  # an uncertified law has no certificate of these kinds
     return {"measure": mspec, "function": f, "multilinear": mlspec}
 
 

@@ -50,10 +50,6 @@ class Fixture:
     description: str
     payload: dict
 
-    def to_dict(self):
-        return {"name": self.name, "route": self.route, "kind": self.kind,
-                "description": self.description, "payload": self.payload}
-
 
 def chaos_spec(dim, order):
     """Fixed multilinear coefficients for one (dim, order) shape, unit HS norm."""

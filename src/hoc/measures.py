@@ -29,7 +29,6 @@ constants (``density_function``, ``student_weight_moment``). Only the
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from math import pi, sqrt
@@ -160,9 +159,6 @@ class MeasureSpec:
             data["weight"] = {"kind": self.weight.kind, "params": self.weight.params_dict}
         return data
 
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @classmethod
     def from_dict(cls, data):
         coords = tuple(map(CoordinateDist.from_dict, data["coords"]))
@@ -170,10 +166,6 @@ class MeasureSpec:
         if data.get("weight"):
             weight = WeightSpec.make(data["weight"]["kind"], **data["weight"].get("params", {}))
         return cls(int(data["dim"]), coords, weight)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
 
 
 # -- spectral-gap constants ---------------------------------------------------
@@ -449,11 +441,9 @@ def weighted_norm(spec, p, m=100_000, seed=0):
         raise ValueError("need p >= 1")
     pts = sample(spec, 4 * m, seed)
     w = spec.weight.evaluate(pts) ** p
-    estimates = tuple((float(np.mean(w[:k]))) ** (1.0 / p) for k in (m, 2 * m, 4 * m))
-    full = w
-    mean = float(np.mean(full))
-    sd = float(np.std(full, ddof=1))
-    est = mean ** (1.0 / p)
-    se = sd / sqrt(full.size) * est / (p * mean) if mean > 0 else 0.0
+    means = [float(np.mean(w[:k])) for k in (m, 2 * m, 4 * m)]
+    estimates = tuple(v ** (1.0 / p) for v in means)
+    mean, est = means[2], estimates[2]
+    se = float(np.std(w, ddof=1)) / sqrt(w.size) * est / (p * mean) if mean > 0 else 0.0
     diverged = abs(estimates[2] - estimates[1]) > 0.1 * abs(estimates[2])
     return WeightedNormEstimate(est, se, diverged, estimates)

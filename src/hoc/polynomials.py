@@ -10,7 +10,6 @@ is a constant hypermatrix.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -58,10 +57,6 @@ class PolyFunction:
         cleaned = tuple(sorted((k, v) for k, v in merged.items() if v != 0.0))
         return cls(dim, cleaned)
 
-    @classmethod
-    def zero(cls, dim):
-        return cls(dim, ())
-
     @property
     def degree(self):
         return max((sum(e) for e, _ in self.terms), default=0)
@@ -107,11 +102,6 @@ class PolyFunction:
             out += term
 
     # -- algebra --------------------------------------------------------------
-
-    def __add__(self, other):
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return PolyFunction.from_terms(self.dim, list(self.terms) + list(other.terms))
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
@@ -182,23 +172,6 @@ class PolyFunction:
         """True when every order-k partial is constant (k >= total degree)."""
         return k >= self.degree
 
-    def derivative_tensor(self, k, x=None):
-        """Exact order-k derivative as a SymTensor.
-
-        ``x`` may be omitted when the order-k derivative is constant; orders
-        beyond the total degree give the zero tensor.
-        """
-        if k < 1:
-            raise ValueError("derivative order must be >= 1")
-        if k > self.degree:
-            return SymTensor.zeros(k, self.dim)
-        if x is None:
-            if not self.top_is_constant(k):
-                raise ValueError("order-%d derivative is not constant; a point is required" % k)
-            x = np.zeros(self.dim)
-        indices, vals = self.derivative_batch(k, np.asarray(x, dtype=np.float64)[None, :])
-        return SymTensor.from_entries(k, self.dim, dict(zip(indices, vals[0].tolist())))
-
     def derivative_batch(self, k, points):
         """Canonical order-k derivative values per point.
 
@@ -248,17 +221,10 @@ class PolyFunction:
         return {"dim": self.dim,
                 "terms": [{"exponents": list(e), "coeff": c} for e, c in self.terms]}
 
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @classmethod
     def from_dict(cls, data):
         return cls.from_terms(int(data["dim"]),
                               [(tuple(t["exponents"]), float(t["coeff"])) for t in data["terms"]])
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -298,17 +264,10 @@ class MultilinearSpec:
         return {"dim": self.dim, "order": self.order,
                 "coeffs": [{"index": list(i), "value": v} for i, v in self.coeffs]}
 
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @classmethod
     def from_dict(cls, data):
         return cls.from_coeffs(int(data["dim"]), int(data["order"]),
                                {tuple(c["index"]): float(c["value"]) for c in data["coeffs"]})
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
 
 
 def from_multilinear(spec):

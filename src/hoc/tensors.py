@@ -21,7 +21,6 @@ iterative mode's power iteration with the stack in one kernel call.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -150,57 +149,18 @@ class SymTensor:
         items = tuple(sorted((k, v) for k, v in canon.items() if v != 0.0))
         return cls(order, dim, items)
 
-    @classmethod
-    def zeros(cls, order, dim):
-        return cls(order, dim, ())
-
-    @classmethod
-    def from_dense(cls, array, rtol=1e-8):
-        """Build from a dense (n,)*d array; rejects non-symmetric input."""
-        arr = np.asarray(array, dtype=np.float64)
-        d = arr.ndim
-        if d < 1 or len(set(arr.shape)) > 1:
-            raise ValueError("dense input must have equal axis lengths")
-        n = arr.shape[0]
-        scale = float(np.max(np.abs(arr))) if arr.size else 0.0
-        tol = rtol * max(scale, 1.0)
-        for a in range(d - 1):
-            axes = list(range(d))
-            axes[a], axes[a + 1] = axes[a + 1], axes[a]
-            if float(np.max(np.abs(arr - np.transpose(arr, axes)))) > tol:
-                raise ValueError("dense input is not symmetric (axes %d,%d differ)" % (a, a + 1))
-        return cls.from_entries(d, n, {idx: arr[idx] for idx in canonical_layout(d, n)[0]})
-
-    # -- basic queries ----------------------------------------------------
-
-    def value_at(self, index):
-        """Entry value; invariant under permutations of the index tuple."""
-        key = _canonical(index)
-        if len(key) != self.order or any(i < 0 or i >= self.dim for i in key):
-            raise ValueError("index %r invalid for order %d, dim %d" % (index, self.order, self.dim))
-        return self._lookup.get(key, 0.0)
-
-    @cached_property
-    def _lookup(self):
-        return dict(self.entries)
-
-    def multiplicity(self, index):
-        """Number of distinct permutations of the index tuple."""
-        return multinomial(_canonical(index))
+    # -- dense views ------------------------------------------------------
 
     @cached_property
     def _canonical_values(self):
-        return np.array([self._lookup.get(idx, 0.0)
+        lookup = dict(self.entries)
+        return np.array([lookup.get(idx, 0.0)
                          for idx in canonical_layout(self.order, self.dim)[0]])
 
     @cached_property
     def dense(self):
         slots = canonical_layout(self.order, self.dim)[1]
         return self._canonical_values[slots].reshape((self.dim,) * self.order)
-
-    def scaled(self, factor):
-        return SymTensor(self.order, self.dim,
-                         tuple((idx, factor * val) for idx, val in self.entries))
 
     # -- norms and contraction --------------------------------------------
 
@@ -253,32 +213,6 @@ class SymTensor:
             refined = _refine_on_sphere(dense, grid[i], 1.0 if values[i] >= 0 else -1.0)
             best = max(best, refined)
         return best
-
-    # -- serialization ------------------------------------------------------
-
-    def to_dict(self):
-        return {
-            "order": self.order,
-            "dim": self.dim,
-            "entries": [{"index": list(idx), "value": val} for idx, val in self.entries],
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data):
-        mapping = {}
-        for item in data["entries"]:
-            idx = tuple(item["index"])
-            if list(idx) != sorted(idx):
-                raise ValueError("serialized index %r must be non-decreasing" % (idx,))
-            mapping[idx] = float(item["value"])
-        return cls.from_entries(int(data["order"]), int(data["dim"]), mapping)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
 
 
 def _sphere_grid(n):

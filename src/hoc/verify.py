@@ -73,10 +73,6 @@ class TailPoint:
     ci_low: float
     ci_high: float
 
-    def to_dict(self):
-        return {"t": self.t, "fraction": self.fraction,
-                "ci_low": self.ci_low, "ci_high": self.ci_high}
-
 
 def empirical_tail(values, t_grid):
     """Per-t empirical P(|f| >= t) with Wilson intervals."""
@@ -99,10 +95,6 @@ class ExpMomentEstimate:
     se: float
     stable: bool
     halves: tuple
-
-    def to_dict(self):
-        return {"value": self.value, "se": self.se, "stable": self.stable,
-                "halves": list(self.halves)}
 
 
 def empirical_exp_moment(values, a, r, min_samples=MIN_EXP_SAMPLES):

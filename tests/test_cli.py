@@ -169,13 +169,17 @@ def test_cli_samples_below_one_writes_nothing(tmp_path, capsys, samples):
 
 _GAUSS2 = {"dim": 2, "coords": [{"dist": "gaussian", "params": {}},
                                 {"dist": "gaussian", "params": {}}]}
+_STUDENT = {"dist": "student", "params": {"beta": 10.0}}
+
+# f = x1^2 is not centered, so the tail certificate's E f = 0 fails
+_UNCENTERED_TAILS = {
+    "kind": "tails", "seed": 0, "measure": _GAUSS2, "d": 2, "t_grid": [1.0, 2.0],
+    "function": {"dim": 2, "terms": [{"exponents": [2, 0], "coeff": 1.0}]},
+    "samples": 1000, "profile_samples": 10_000}
 
 
 @pytest.mark.parametrize("cfg", [
-    # f = x1^2 is not centered, so the tail certificate's E f = 0 fails
-    {"kind": "tails", "seed": 0, "measure": _GAUSS2, "d": 2, "t_grid": [1.0, 2.0],
-     "function": {"dim": 2, "terms": [{"exponents": [2, 0], "coeff": 1.0}]},
-     "samples": 1000, "profile_samples": 10_000},
+    _UNCENTERED_TAILS,
     # a cubic statistic has no uniform bound on f''
     {"kind": "rmt", "seed": 0, "matrix_size": 5, "coeffs": [0.0, 0.0, 0.0, 1.0],
      "entry": {"dist": "gaussian", "params": {}}, "draws": 1001, "cal_draws": 500},
@@ -225,6 +229,8 @@ _GAUSS2 = {"dim": 2, "coords": [{"dist": "gaussian", "params": {}},
     {"kind": "multilinear", "seed": 0, "fixture": "gaussian-chaos-n5-d2-multilinear",
      "measure": _GAUSS2},
     {"kind": "rmt", "seed": 0, "fixture": "wigner-gaussian-n50", "coeffs": ["x"]},
+    # the Student-type law has no unweighted spectral-gap constant
+    {"kind": "rmt", "seed": 0, "fixture": "wigner-gaussian-n50", "entry": _STUDENT},
     {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d1",
      "measure": {"dim": 1, "coords": [{"dist": "gaussian", "params": {}}]}},
     # a string is not a boolean: "false" would run the sigma/10 control
@@ -238,7 +244,7 @@ _GAUSS2 = {"dim": 2, "coords": [{"dist": "gaussian", "params": {}},
         "t-grid-nan", "t-grid-bool", "oracle-scale-x", "oracle-scale-negative",
         "measure-coords-short", "weighted-d-3", "function-beside-multilinear",
         "measure-dim-2-function-dim-3", "multilinear-measure-dim-2", "rmt-coeffs-x",
-        "weighted-gaussian-law", "negative-control-string"])
+        "rmt-student-entry", "weighted-gaussian-law", "negative-control-string"])
 def test_cli_missing_hypothesis_writes_nothing(tmp_path, capsys, cfg):
     path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
@@ -246,6 +252,38 @@ def test_cli_missing_hypothesis_writes_nothing(tmp_path, capsys, cfg):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+_STUDENT2 = {"dim": 2, "coords": [_STUDENT, _STUDENT]}
+
+
+@pytest.mark.parametrize("cfg, match", [
+    (_UNCENTERED_TAILS, "E f = 0"),
+    ({"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n2-d2-tails",
+      "measure": _STUDENT2}, "spectral-gap constant"),
+    ({"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-opnorm",
+      "measure": _STUDENT2}, "spectral-gap constant"),
+    ({"kind": "multilinear", "seed": 0, "fixture": "gaussian-chaos-n2-d2-multilinear",
+      "measure": _STUDENT2}, "spectral-gap constant"),
+    ({"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-opnorm",
+      "function": {"dim": 2, "terms": [{"exponents": [1, 1], "coeff": 1.0},
+                                       {"exponents": [0, 0], "coeff": 0.5}]}}, "E f = 0"),
+    # E x1^2 x2 = 0, but its gradient (2 x1 x2, x1^2) has mean (0, 1)
+    ({"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-hs",
+      "function": {"dim": 2, "terms": [{"exponents": [2, 1], "coeff": 1.0}]}}, "ladder-hs"),
+    ({"kind": "multilinear", "seed": 0, "fixture": "gaussian-chaos-n2-d2-multilinear",
+      "measure": {"dim": 2, "coords": [{"dist": "exponential", "params": {}}] * 2}},
+     "E X_i = 0"),
+], ids=["tails-uncentered", "tails-student", "certify-student", "multilinear-student",
+        "certify-shifted", "certify-hs-gradient-mean", "multilinear-exponential"])
+def test_hypotheses_checked_before_any_sampling(monkeypatch, cfg, match):
+    def draw(*args, **kwargs):
+        raise AssertionError("sampling before the hypothesis check")
+
+    monkeypatch.setattr(experiments.measures, "sample", draw)
+    monkeypatch.setattr(experiments.measures, "sample_blocks", draw)
+    with pytest.raises(experiments.ConfigError, match=match):
+        experiments.validate_config(cfg)
 
 
 def test_rmt_degree_checked_before_any_eigensolve(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 """Measure catalog: exact moments vs quadrature, sampler consistency, gap oracle."""
 
+import json
 import math
 
 import numpy as np
@@ -83,7 +84,8 @@ def test_measure_spec_product():
 def test_measure_spec_round_trip():
     w = M.WeightSpec.make("sqrt_one_plus_max_sq", kappa=0.25)
     spec = M.MeasureSpec.iid("student", 4, weight=w, beta=10.0)
-    again = M.MeasureSpec.from_json(spec.to_json())
+    # through JSON text, the way a config's measure arrives
+    again = M.MeasureSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
     assert again == spec
     assert M.MeasureSpec.from_dict(spec.to_dict()) == spec
 

@@ -1,6 +1,7 @@
 """Polynomial calculus against naive-evaluation and finite-difference oracles."""
 
 import itertools
+import json
 import math
 from functools import partial
 
@@ -21,6 +22,18 @@ def naive_eval(f, x):
             v *= xi ** e
         total += v
     return total
+
+
+def dense_oracle(f, k, x):
+    """The order-k derivative of f at the point x as a dense array, each slot
+    its own mixed partial, independent of the batched paths."""
+    out = np.empty((f.dim,) * k)
+    for idx in itertools.product(range(f.dim), repeat=k):
+        alpha = [0] * f.dim
+        for i in idx:
+            alpha[i] += 1
+        out[idx] = f.partial(tuple(alpha)).evaluate(x)
+    return out
 
 
 def random_poly(dim, max_degree, n_terms, seed):
@@ -44,7 +57,7 @@ def test_from_terms_merges_and_drops():
 def test_degree():
     f = PolyFunction.from_terms(2, [((2, 3), 1.0), ((4, 0), 1.0)])
     assert f.degree == 5
-    assert PolyFunction.zero(3).degree == 0
+    assert PolyFunction(3, ()).degree == 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -65,7 +78,8 @@ def test_algebra():
     f = random_poly(3, 3, 4, 1)
     g = random_poly(3, 2, 3, 2)
     x = rng.standard_normal(3)
-    assert (f + g).evaluate(x) == pytest.approx(f.evaluate(x) + g.evaluate(x), rel=1e-12)
+    f_plus_g = PolyFunction.from_terms(3, f.terms + g.terms)
+    assert f_plus_g.evaluate(x) == pytest.approx(f.evaluate(x) + g.evaluate(x), rel=1e-12)
     assert (f * g).evaluate(x) == pytest.approx(f.evaluate(x) * g.evaluate(x), rel=1e-12)
     assert (f * 2.5).evaluate(x) == pytest.approx(2.5 * f.evaluate(x), rel=1e-12)
     assert f.shifted(-1.25).evaluate(x) == pytest.approx(f.evaluate(x) - 1.25, rel=1e-12)
@@ -105,8 +119,7 @@ def test_gradient_batch_and_hessian_batch():
     for r in range(11):
         for i in range(3):
             assert gb[r, i] == pytest.approx(f.gradient[i].evaluate(pts[r]), rel=1e-12)
-        ht = f.derivative_tensor(2, pts[r])
-        assert np.allclose(hb[r], ht.dense, rtol=1e-12)
+        assert np.allclose(hb[r], dense_oracle(f, 2, pts[r]), rtol=1e-12)
     assert np.allclose(hb, np.swapaxes(hb, 1, 2))
     # one full evaluation block plus a partial one: rows match smaller batches bit for bit
     big = np.random.default_rng(1).standard_normal((EVAL_BLOCK + 3, 3))
@@ -116,13 +129,13 @@ def test_gradient_batch_and_hessian_batch():
         assert np.array_equal(whole[:EVAL_BLOCK], batch(big[:EVAL_BLOCK]))
         assert np.array_equal(whole[EVAL_BLOCK:], batch(big[EVAL_BLOCK:]))
     for r in range(EVAL_BLOCK, EVAL_BLOCK + 3):
-        assert np.array_equal(hb[r], f.derivative_tensor(2, big[r]).dense)
-    # orders 3 and 4: the dense stack is each point's SymTensor, row by row
+        assert np.array_equal(hb[r], dense_oracle(f, 2, big[r]))
+    # orders 3 and 4: the dense stack is each point's partials, row by row
     for k in (3, 4):
         stack = f.derivative_dense(k, pts)
         assert stack.shape == (11,) + (3,) * k
         for r in range(11):
-            assert np.array_equal(stack[r], f.derivative_tensor(k, pts[r]).dense)
+            assert np.array_equal(stack[r], dense_oracle(f, k, pts[r]))
 
 
 def test_derivative_tensor_fd_oracle():
@@ -130,7 +143,7 @@ def test_derivative_tensor_fd_oracle():
     f = random_poly(2, 3, 6, 33)
     x = np.array([0.3, -0.7])
     h = 1e-5
-    hess = f.derivative_tensor(2, x).dense
+    hess = f.derivative_dense(2, x[None, :])[0]
     for i, j in itertools.product(range(2), repeat=2):
         ei = np.zeros(2); ei[i] = h
         fd = (f.gradient[j].evaluate(x + ei) - f.gradient[j].evaluate(x - ei)) / (2 * h)
@@ -139,12 +152,13 @@ def test_derivative_tensor_fd_oracle():
 
 def test_derivative_tensor_constant_top():
     f = PolyFunction.from_terms(2, [((2, 1), 4.0), ((1, 0), 1.0)])  # degree 3
-    t = f.derivative_tensor(3)  # constant, no point needed
-    # d^3/dx1^2 dx2 of 4 x1^2 x2 = 8
-    assert t.value_at((0, 0, 1)) == pytest.approx(8.0)
-    assert f.derivative_tensor(4).hs_norm() == 0.0  # beyond the degree
-    with pytest.raises(ValueError):
-        f.derivative_tensor(2)  # non-constant order needs a point
+    assert f.top_is_constant(3) and not f.top_is_constant(2)
+    pts = np.random.default_rng(4).standard_normal((3, 2))
+    top = f.derivative_dense(3, pts)
+    # d^3/dx1^2 dx2 of 4 x1^2 x2 = 8, the same at every point
+    assert np.all(top[:, 0, 0, 1] == 8.0)
+    assert np.array_equal(top, np.broadcast_to(top[0], top.shape))
+    assert not f.derivative_dense(4, pts).any()  # beyond the degree
 
 
 def test_derivative_batch_matches_tensor():
@@ -152,9 +166,9 @@ def test_derivative_batch_matches_tensor():
     pts = np.random.default_rng(9).standard_normal((4, 3))
     indices, vals = f.derivative_batch(2, pts)
     for r in range(4):
-        t = f.derivative_tensor(2, pts[r])
+        dense = dense_oracle(f, 2, pts[r])
         for col, idx in enumerate(indices):
-            assert vals[r, col] == pytest.approx(t.value_at(idx), rel=1e-12, abs=1e-12)
+            assert vals[r, col] == pytest.approx(dense[idx], rel=1e-12, abs=1e-12)
 
 
 def test_expectation_gaussian_closed_form():
@@ -183,7 +197,8 @@ def test_expectation_infinite_moment():
 @settings(max_examples=20, deadline=None)
 @given(f=polys)
 def test_json_round_trip(f):
-    assert PolyFunction.from_json(f.to_json()) == f
+    # through JSON text, the way a config's function arrives
+    assert PolyFunction.from_dict(json.loads(json.dumps(f.to_dict()))) == f
 
 
 # -- multilinear specs -----------------------------------------------------------
@@ -209,14 +224,14 @@ def test_from_multilinear_identities():
         assert tensor.contract([x, x, x]) == pytest.approx(
             math.factorial(3) * f.evaluate(x), rel=1e-12)
     # the top derivative is the tensor itself
-    assert f.derivative_tensor(3) == tensor
+    assert np.array_equal(f.derivative_dense(3, np.zeros((1, 4)))[0], tensor.dense)
     # diagonal entries are zero by construction
-    assert tensor.value_at((0, 0, 1)) == 0.0
+    assert tensor.dense[0, 0, 1] == 0.0
 
 
 def test_multilinear_json_round_trip():
     spec = MultilinearSpec.from_coeffs(3, 2, {(0, 1): 1.0, (1, 2): -2.0})
-    assert MultilinearSpec.from_json(spec.to_json()) == spec
+    assert MultilinearSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
 
 # -- opnorm gradient comparison -----------------------------------------------------
