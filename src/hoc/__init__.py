@@ -7,12 +7,12 @@ for the route taxonomy and the experiment runner.
 """
 
 from .bounds import (Certificate, DerivativeProfile, MissingHypothesisError,
-                     MissingNormError, WeightedProfile, exp_moment_certificate,
+                     MissingNormError, exp_moment_certificate,
                      iterated_moment_bound, multilinear_certificates,
                      profile_from_function, tail_certificate,
                      weighted_moment_bounds, weighted_tail_certificate)
 from .measures import (CATALOG, CoordinateDist, GapResult, MeasureSpec,
-                       UncertifiedConstantError, WeightSpec, catalog_oracle,
+                       UncertifiedConstantError, catalog_oracle,
                        coordinate_moment, coordinate_sigma2, sample,
                        spectral_gap_oracle, student_weight_kappa,
                        student_weight_norm, weighted_norm)

@@ -105,42 +105,6 @@ class DerivativeProfile:
             raise ValueError("top_inf must be nonnegative")
 
 
-@dataclass(frozen=True)
-class WeightedProfile:
-    """Inputs of the weighted moment bounds at one fixed p.
-
-    wnorms[k-1] is ||w||_{2^k p} for k = 1..d (None where unknown).
-    top_mixed is the L^{2^(d-1) p} norm of w(x) * (pointwise operator norm of
-    the top derivative); top_2dp is the plain L^{2^d p} operator-norm moment
-    of the top derivative.
-    """
-
-    order: int
-    p: float
-    wnorms: tuple
-    norms2: tuple
-    top_mixed: float | None = None
-    top_2dp: float | None = None
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
-        if self.p < 2:
-            raise ValueError("the weighted bounds need p >= 2")
-        if len(self.wnorms) != self.order:
-            raise ValueError("need ||w||_{2^k p} slots for k = 1..d")
-        if len(self.norms2) != self.order - 1:
-            raise ValueError("need one Op-2 norm per order 1..d-1")
-
-    def wnorm(self, k):
-        if k < 1 or k > self.order:
-            raise ValueError("k out of range")
-        v = self.wnorms[k - 1]
-        if v is None:
-            raise MissingNormError("missing ||w||_%g (k=%d)" % (2**k * self.p, k))
-        return float(v)
-
-
 # -- certificates ----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -323,28 +287,25 @@ def weight_term_coefficient(k, p, wnorm):
     return (2.0 ** ((k - 2) / 2.0) * p * wnorm) ** k
 
 
-def weighted_moment_bounds(wp):
+def weighted_moment_bounds(p, wnorms, norms2, top_mixed, top_2dp):
     """(bound_mixed, bound_plain) on ||f||_p under a weighted spectral-gap measure.
 
-    Both share the ladder sum over k < d of
-    (2^((k-2)/2) p ||w||_{2^k p})^k * norms2[k-1]. bound_mixed tops it with
-    (2^((d-2)/2) p)^d ||w||_{2^(d-1)p}^(d-1) * top_mixed; bound_plain with
-    (2^((d-2)/2) p ||w||_{2^d p})^d * top_2dp. A bound whose top norm is
-    unavailable comes back as None.
+    wnorms[k-1] is ||w||_{2^k p} for k = 1..d. Both bounds add to the ladder
+    sum over k < d of (2^((k-2)/2) p ||w||_{2^k p})^k * norms2[k-1] a top term:
+    bound_mixed (2^((d-2)/2) p)^d ||w||_{2^(d-1)p}^(d-1) * top_mixed, with
+    top_mixed = || w |f^(d)|_op ||_{2^(d-1) p}; bound_plain
+    (2^((d-2)/2) p ||w||_{2^d p})^d * top_2dp, with top_2dp = || |f^(d)|_op ||_{2^d p}.
     """
-    if wp.top_mixed is None and wp.top_2dp is None:
-        raise MissingNormError("need top_mixed or top_2dp for the top term")
-    d, p = wp.order, wp.p
-    ladder = sum(weight_term_coefficient(k, p, wp.wnorm(k)) * wp.norms2[k - 1]
+    if p < 2:
+        raise ValueError("the weighted bounds need p >= 2")
+    d = len(wnorms)
+    if len(norms2) != d - 1:
+        raise ValueError("need one Op-2 norm per order 1..d-1")
+    ladder = sum(weight_term_coefficient(k, p, wnorms[k - 1]) * norms2[k - 1]
                  for k in range(1, d))
-    bound_mixed = None
-    if wp.top_mixed is not None:
-        w_prev = wp.wnorm(d - 1) if d > 1 else 1.0
-        bound_mixed = ladder + (2.0 ** ((d - 2) / 2.0) * p) ** d \
-            * w_prev ** (d - 1) * wp.top_mixed
-    bound_plain = None
-    if wp.top_2dp is not None:
-        bound_plain = ladder + weight_term_coefficient(d, p, wp.wnorm(d)) * wp.top_2dp
+    w_prev = wnorms[d - 2] if d > 1 else 1.0
+    bound_mixed = ladder + (2.0 ** ((d - 2) / 2.0) * p) ** d * w_prev ** (d - 1) * top_mixed
+    bound_plain = ladder + weight_term_coefficient(d, p, wnorms[d - 1]) * top_2dp
     return bound_mixed, bound_plain
 
 

@@ -40,6 +40,14 @@ DEFAULTS = {"samples": 1_000_000, "profile_samples": 100_000, "draws": 2000,
             "cal_draws": 2000, "count": 50, "p": 2, "p_values": (2, 4),
             "t_grid": (1, 2, 4)}
 
+# the draws behind the weighted runner's Monte Carlo weight-norm check (4x this)
+WEIGHT_NORM_SAMPLES = 100_000
+
+# every field resolve or a runner reads; a config field outside it is refused
+_FIELDS = set(DEFAULTS) | {"schema", "kind", "seed", "fixture", "out", "route",
+                           "negative_control", "d", "matrix_size", "measure", "function",
+                           "multilinear", "entry", "coeffs", "dist", "params"}
+
 # the route of each kind whose config cannot pick one (certify may)
 _KIND_ROUTES = {"tails": "ladder-tail", "multilinear": "multilinear",
                 "weighted": "weighted-ladder", "weighted-tail": "weighted-tail",
@@ -168,6 +176,10 @@ def resolve(cfg):
     if kind not in KINDS:
         raise ConfigError("unknown experiment kind %r (choose from %s)"
                           % (kind, ", ".join(KINDS)))
+    if not set(cfg) <= _FIELDS:
+        raise ConfigError("no runner reads the field(s) %s" % sorted(set(cfg) - _FIELDS))
+    if "negative_control" in cfg and kind != "tails":
+        raise ConfigError("only tails configs take negative_control, not %s ones" % (kind,))
     _check_count("seed", _require(cfg, "seed", int, " (a master seed is mandatory)"), 0)
     try:
         payload, fixture = _merged_payload(cfg)
@@ -553,11 +565,9 @@ def _exact_gradient_l2(f, mspec):
 
 
 def _run_weighted(exp, out_dir):
-    f, d, seed = exp.function, exp.d, exp.seed
-    beta = exp.measure.coords[0].beta  # resolve checked: one common Student beta
+    f, d, seed, mspec = exp.function, exp.d, exp.seed, exp.measure
+    beta = mspec.coords[0].beta  # resolve checked: one common Student beta
     kappa, gap = measures.student_weight_kappa(beta)
-    weight = measures.WeightSpec.make("sqrt_one_plus_max_sq", kappa=kappa)
-    mspec = dataclasses.replace(exp.measure, weight=weight)
     values = _eval_values(f, mspec, exp.samples, stage_seed(seed, _STAGE_EVAL))
     norms2 = (_exact_gradient_l2(f, mspec),) if d == 2 else ()
     top_op = float(op_norms(f.derivative_dense(d, np.zeros((1, f.dim))))[0])
@@ -572,13 +582,9 @@ def _run_weighted(exp, out_dir):
             wnorms = tuple(
                 measures.student_weight_norm(beta, kappa, 2**k * p, mspec.dim)
                 for k in range(1, d + 1))
-            wp = bounds.WeightedProfile(
-                d, float(p), wnorms, norms2,
-                top_mixed=top_op * (wnorms[d - 2] if d > 1 else
-                                    measures.student_weight_norm(beta, kappa, p,
-                                                                 mspec.dim)),
-                top_2dp=top_op)
-            bm, bp = bounds.weighted_moment_bounds(wp)
+            top_mixed = top_op * (wnorms[d - 2] if d > 1 else
+                                  measures.student_weight_norm(beta, kappa, p, mspec.dim))
+            bm, bp = bounds.weighted_moment_bounds(float(p), wnorms, norms2, top_mixed, top_op)
             row = verify.check_moment_bound(min(bm, bp), values, p).rows[0]
             est, se, ok = row.empirical, row.extra["se"], row.passed
             passed = passed and ok
@@ -591,7 +597,8 @@ def _run_weighted(exp, out_dir):
         report["moment_checks"] = mom_checks
         # MC cross-check that the closed-form weight norms are upper bounds
         q = 2.0 ** d * 2.0
-        wn = measures.weighted_norm(mspec, q, seed=stage_seed(seed, _STAGE_WEIGHTS))
+        wn = measures.weighted_norm(mspec, kappa, q, WEIGHT_NORM_SAMPLES,
+                                    stage_seed(seed, _STAGE_WEIGHTS))
         closed = measures.student_weight_norm(beta, kappa, q, mspec.dim)
         report["weight_norm_check"] = {
             "p": q, "mc": wn.value, "mc_se": wn.se, "closed_form_upper": closed,

@@ -109,8 +109,7 @@ def _chaos_fixtures():
 
 def _student_measure(dim):
     return {"dim": dim,
-            "coords": [{"dist": "student", "params": {"beta": STUDENT_BETA}}] * dim,
-            "weight": {"kind": "sqrt_one_plus_max_sq", "params": {}}}
+            "coords": [{"dist": "student", "params": {"beta": STUDENT_BETA}}] * dim}
 
 
 def _weighted_fixtures():

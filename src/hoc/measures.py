@@ -37,7 +37,11 @@ import numpy as np
 
 from ._util import SAMPLE_BLOCK, substream
 
-CATALOG = ("gaussian", "laplace", "exponential", "uniform01", "student")
+# each catalog law and the parameters it reads (draw_coordinate,
+# coordinate_sigma2, coordinate_moment); a law given any other is refused
+LAW_PARAMS = {"gaussian": (), "laplace": ("scale",), "exponential": ("scale",),
+              "uniform01": (), "student": ("beta",)}
+CATALOG = tuple(LAW_PARAMS)
 
 # Certification intervals and base grids for the plain spectral-gap oracle.
 # Chosen so truncation + discretization error stays below the 1e-3 catalog
@@ -64,6 +68,10 @@ class CoordinateDist:
     def __post_init__(self):
         if self.dist not in CATALOG:
             raise ValueError("unknown distribution tag %r" % (self.dist,))
+        if not set(self.params_dict) <= set(LAW_PARAMS[self.dist]):
+            raise ValueError("the %s law reads %s, got %s" % (
+                self.dist, list(LAW_PARAMS[self.dist]) or "no parameters",
+                sorted(self.params_dict)))
         if not 0.0 < self.scale < math.inf:
             raise ValueError("scale must be finite and positive, got %r"
                              % (self.params_dict["scale"],))
@@ -74,6 +82,8 @@ class CoordinateDist:
 
     @classmethod
     def from_dict(cls, data):
+        if not set(data) <= {"dist", "params"}:
+            raise ValueError("a coordinate law takes only dist and params, got %s" % sorted(data))
         return cls.make(data["dist"], **data.get("params", {}))
 
     @property
@@ -93,53 +103,20 @@ class CoordinateDist:
 
 
 @dataclass(frozen=True)
-class WeightSpec:
-    """Weight function handle for weighted spectral-gap measures.
-
-    kinds: "constant" (params: value); "sqrt_one_plus_max_sq" (params:
-    kappa), the scalar form kappa*sqrt(1 + max_i x_i^2) of the Student-type
-    demo weight under the max-coordinate convention.
-    """
-
-    kind: str
-    params: tuple = ()
-
-    @classmethod
-    def make(cls, kind, **params):
-        if kind not in ("constant", "sqrt_one_plus_max_sq"):
-            raise ValueError("unknown weight kind %r" % (kind,))
-        return cls(kind, tuple(sorted(params.items())))
-
-    @property
-    def params_dict(self):
-        return dict(self.params)
-
-    def evaluate(self, points):
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if self.kind == "constant":
-            return np.full(pts.shape[0], float(self.params_dict["value"]))
-        kappa = float(self.params_dict["kappa"])
-        return kappa * np.sqrt(1.0 + np.max(pts * pts, axis=1))
-
-
-@dataclass(frozen=True)
 class MeasureSpec:
-    """Product measure: per-coordinate laws plus an optional weight."""
+    """Product measure: one law per coordinate."""
 
     dim: int
     coords: tuple
-    weight: WeightSpec | None = None
 
     def __post_init__(self):
         if self.dim < 1 or len(self.coords) != self.dim:
             raise ValueError("need one coordinate law per dimension")
 
     @classmethod
-    def iid(cls, dist, dim, weight=None, **params):
+    def iid(cls, dist, dim, **params):
         coord = CoordinateDist.make(dist, **params)
-        return cls(dim, (coord,) * dim, weight)
+        return cls(dim, (coord,) * dim)
 
     def sigma2(self):
         """Product spectral-gap constant: max over coordinates."""
@@ -153,19 +130,14 @@ class MeasureSpec:
         return coordinate_moment(self.coords[i], k)
 
     def to_dict(self):
-        data = {"dim": self.dim,
+        return {"dim": self.dim,
                 "coords": [{"dist": c.dist, "params": c.params_dict} for c in self.coords]}
-        if self.weight is not None:
-            data["weight"] = {"kind": self.weight.kind, "params": self.weight.params_dict}
-        return data
 
     @classmethod
     def from_dict(cls, data):
-        coords = tuple(map(CoordinateDist.from_dict, data["coords"]))
-        weight = None
-        if data.get("weight"):
-            weight = WeightSpec.make(data["weight"]["kind"], **data["weight"].get("params", {}))
-        return cls(int(data["dim"]), coords, weight)
+        if not set(data) <= {"dim", "coords"}:
+            raise ValueError("a measure takes only dim and coords, got %s" % sorted(data))
+        return cls(int(data["dim"]), tuple(map(CoordinateDist.from_dict, data["coords"])))
 
 
 # -- spectral-gap constants ---------------------------------------------------
@@ -421,29 +393,29 @@ def student_weight_norm(beta, kappa, p, dim=1):
 
 # -- Monte Carlo weight norms (spec'd estimator with divergence flag) -----------
 
+def student_weight(pts, kappa):
+    """The demo weight kappa*sqrt(1 + max_i x_i^2) at each row of ``pts``."""
+    return kappa * np.sqrt(1.0 + np.max(pts * pts, axis=1))
+
+
 @dataclass(frozen=True)
 class WeightedNormEstimate:
     value: float
     se: float
     diverged: bool
-    doubling: tuple  # estimates at m, 2m, 4m
 
 
-def weighted_norm(spec, p, m=100_000, seed=0):
-    """Monte Carlo ||w||_p with a stability flag over 4x sample doubling.
+def weighted_norm(spec, kappa, p, m, seed):
+    """Monte Carlo ||w||_p of the demo weight on 4m draws of ``spec``.
 
-    Flags ``diverged`` when the last doubling still moves the estimate by
-    more than 10% relative; divergent weight moments keep drifting upward.
+    Flags ``diverged`` when the last 2m draws still move the estimate by more
+    than 10% relative; divergent weight moments keep drifting upward.
     """
-    if spec.weight is None:
-        raise ValueError("measure has no weight")
     if p < 1:
         raise ValueError("need p >= 1")
-    pts = sample(spec, 4 * m, seed)
-    w = spec.weight.evaluate(pts) ** p
-    means = [float(np.mean(w[:k])) for k in (m, 2 * m, 4 * m)]
-    estimates = tuple(v ** (1.0 / p) for v in means)
-    mean, est = means[2], estimates[2]
+    w = student_weight(sample(spec, 4 * m, seed), kappa) ** p
+    mean = float(np.mean(w))
+    est = mean ** (1.0 / p)
+    half = float(np.mean(w[:2 * m])) ** (1.0 / p)
     se = float(np.std(w, ddof=1)) / sqrt(w.size) * est / (p * mean) if mean > 0 else 0.0
-    diverged = abs(estimates[2] - estimates[1]) > 0.1 * abs(estimates[2])
-    return WeightedNormEstimate(est, se, diverged, estimates)
+    return WeightedNormEstimate(est, se, abs(est - half) > 0.1 * abs(est))

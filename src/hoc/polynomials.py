@@ -104,9 +104,6 @@ class PolyFunction:
     # -- algebra --------------------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return PolyFunction.from_terms(
-                self.dim, [(e, c * other) for e, c in self.terms])
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
         prod = {}
@@ -115,8 +112,6 @@ class PolyFunction:
                 key = tuple(a + b for a, b in zip(e1, e2))
                 prod[key] = prod.get(key, 0.0) + c1 * c2
         return PolyFunction.from_terms(self.dim, prod)
-
-    __rmul__ = __mul__
 
     def shifted(self, constant):
         """f + constant."""

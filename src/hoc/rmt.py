@@ -208,7 +208,6 @@ class Calibration:
     """Independent-run estimates of the per-index eigenvalue expectations."""
 
     mean_lambda: np.ndarray
-    se_lambda: np.ndarray
     sum_f: float          # sum_j E f(lambda_j)
     se_sum_f: float
     mean_fprime: np.ndarray
@@ -216,7 +215,6 @@ class Calibration:
     se_shift: float       # SE of sum_j mean_lambda_j * mean_fprime_j
     grad_l2: float        # (E sum_j f'(lambda_j)^2)^(1/2)
     grad_l2_se: float
-    draws: int
 
 
 def calibrate(ens, poly, draws, seed):
@@ -233,7 +231,6 @@ def calibrate(ens, poly, draws, seed):
     fvals = poly(eig)
     fprime = poly.deriv(1)(eig)
     mean_lambda = eig.mean(axis=0)
-    se_lambda = eig.std(axis=0, ddof=1) / sqrt(m)
     sum_f_per_draw = fvals.sum(axis=1)
     mean_fprime = fprime.mean(axis=0)
     se_fprime = fprime.std(axis=0, ddof=1) / sqrt(m)
@@ -244,11 +241,10 @@ def calibrate(ens, poly, draws, seed):
     grad_l2_se = (float(gradsq_per_draw.std(ddof=1)) / sqrt(m)
                   / (2.0 * grad_l2) if grad_l2 > 0 else 0.0)
     return Calibration(
-        mean_lambda, se_lambda,
-        float(sum_f_per_draw.mean()), float(sum_f_per_draw.std(ddof=1)) / sqrt(m),
+        mean_lambda, float(sum_f_per_draw.mean()), float(sum_f_per_draw.std(ddof=1)) / sqrt(m),
         mean_fprime, se_fprime,
         float(shift_per_draw.std(ddof=1)) / sqrt(m),
-        grad_l2, grad_l2_se, m)
+        grad_l2, grad_l2_se)
 
 
 def linear_stat(sample, poly, cal):

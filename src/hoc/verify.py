@@ -94,7 +94,6 @@ class ExpMomentEstimate:
     value: float
     se: float
     stable: bool
-    halves: tuple
 
 
 def empirical_exp_moment(values, a, r, min_samples=MIN_EXP_SAMPLES):
@@ -114,7 +113,7 @@ def empirical_exp_moment(values, a, r, min_samples=MIN_EXP_SAMPLES):
     h1, h2 = _mean(ev[:half]), _mean(ev[half:])
     ref = 0.5 * (h1 + h2)
     stable = ref == 0.0 or abs(h1 - h2) <= 0.1 * ref
-    return ExpMomentEstimate(est, se, stable, (h1, h2))
+    return ExpMomentEstimate(est, se, stable)
 
 
 def relative_domination(lhs, lhs_se, rhs, rhs_se, slack=5.0):
@@ -190,11 +189,11 @@ def check_exp_certificate(cert, values, extra_se=0.0, min_samples=MIN_EXP_SAMPLE
                            (row,), passed)
 
 
-def check_moment_bound(bound, values, p, label=""):
+def check_moment_bound(bound, values, p):
     """Moment report: empirical L^p vs a closed-form bound, 5*SE additive slack."""
     est, se = empirical_lp(values, p)
     passed = est <= bound + 5.0 * se
-    row = CheckRow(label or ("p=%g" % p), bound, est, 5.0 * se, passed,
+    row = CheckRow("p=%g" % p, bound, est, 5.0 * se, passed,
                    {"p": p, "se": se})
     return EmpiricalReport(np.asarray(values).size, "moment", MOMENT_SLACK_RULE,
                            (row,), passed)

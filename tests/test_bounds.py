@@ -215,32 +215,18 @@ def test_weight_coefficient_identity(k, p, w):
     assert a == pytest.approx(b, rel=1e-11)
 
 
-def test_weighted_profile_validation():
+def test_weighted_moment_bounds_validation():
     with pytest.raises(ValueError):
-        B.WeightedProfile(2, 1.5, (0.5, 0.5), (1.0,))  # p < 2
+        B.weighted_moment_bounds(1.5, (0.5, 0.5), (1.0,), 1.0, 1.0)  # p < 2
     with pytest.raises(ValueError):
-        B.WeightedProfile(2, 2.0, (0.5,), (1.0,))  # missing wnorm slot
-    wp = B.WeightedProfile(2, 2.0, (0.5, None), (1.0,), top_mixed=1.0)
-    with pytest.raises(B.MissingNormError):
-        wp.wnorm(2)
-    with pytest.raises(ValueError):
-        wp.wnorm(3)
+        B.weighted_moment_bounds(2.0, (0.5,), (1.0,), 1.0, 1.0)  # missing wnorm slot
 
 
 def test_weighted_moment_bounds_hand_value():
-    wp = B.WeightedProfile(2, 2.0, (0.5, 0.3), (2.0,), top_mixed=1.5, top_2dp=1.0)
-    bm, bp = B.weighted_moment_bounds(wp)
+    bm, bp = B.weighted_moment_bounds(2.0, (0.5, 0.3), (2.0,), 1.5, 1.0)
     ladder = (2.0 ** (-0.5) * 2.0 * 0.5) * 2.0
     assert bm == pytest.approx(ladder + 4.0 * 0.5 * 1.5, rel=1e-14)
     assert bp == pytest.approx(ladder + (2.0 * 0.3) ** 2 * 1.0, rel=1e-14)
-
-
-def test_weighted_moment_bounds_partial_tops():
-    wp = B.WeightedProfile(2, 2.0, (0.5, 0.3), (2.0,), top_mixed=None, top_2dp=1.0)
-    bm, bp = B.weighted_moment_bounds(wp)
-    assert bm is None and bp is not None
-    with pytest.raises(B.MissingNormError):
-        B.weighted_moment_bounds(B.WeightedProfile(2, 2.0, (0.5, 0.3), (2.0,)))
 
 
 def test_weighted_tail_frozen_values():

@@ -236,6 +236,19 @@ _UNCENTERED_TAILS = {
     # a string is not a boolean: "false" would run the sigma/10 control
     {"kind": "tails", "fixture": "gaussian-chaos-n2-d2-tails", "seed": 7, "samples": 2000,
      "profile_samples": 10000, "negative_control": "false"},
+    # fields no runner reads: the weighted kinds take their weight from the
+    # oracle, a misspelt field would fall back to its default, only tails
+    # runs a negative control, and the gaussian law has no scale
+    {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d1",
+     "measure": {"dim": 1, "coords": [_STUDENT],
+                 "weight": {"kind": "sqrt_one_plus_max_sq", "params": {"kappa": 1e6}}}},
+    {"kind": "tails", "fixture": "gaussian-chaos-n2-d2-tails", "seed": 7, "samples": 2000,
+     "profile_samples": 10000, "negative_controll": True},
+    {"kind": "tails", "fixture": "gaussian-chaos-n2-d2-tails", "seed": 7, "sampels": 2000},
+    {"kind": "multilinear", "seed": 0, "fixture": "gaussian-chaos-n2-d2-multilinear",
+     "negative_control": True},
+    {"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-hs",
+     "measure": {"dim": 2, "coords": [{"dist": "gaussian", "params": {"scale": 3.0}}] * 2}},
 ], ids=["uncentered-tails", "rmt-degree-3", "profile-samples-1000", "samples-abc",
         "negative-seed", "tails-samples-500", "rmt-draws-50", "rmt-draws-1000",
         "multilinear-samples-5000",
@@ -244,7 +257,9 @@ _UNCENTERED_TAILS = {
         "t-grid-nan", "t-grid-bool", "oracle-scale-x", "oracle-scale-negative",
         "measure-coords-short", "weighted-d-3", "function-beside-multilinear",
         "measure-dim-2-function-dim-3", "multilinear-measure-dim-2", "rmt-coeffs-x",
-        "rmt-student-entry", "weighted-gaussian-law", "negative-control-string"])
+        "rmt-student-entry", "weighted-gaussian-law", "negative-control-string",
+        "measure-weight", "negative-controll", "sampels", "multilinear-negative-control",
+        "gaussian-scale"])
 def test_cli_missing_hypothesis_writes_nothing(tmp_path, capsys, cfg):
     path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"

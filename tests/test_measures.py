@@ -82,23 +82,35 @@ def test_measure_spec_product():
 
 
 def test_measure_spec_round_trip():
-    w = M.WeightSpec.make("sqrt_one_plus_max_sq", kappa=0.25)
-    spec = M.MeasureSpec.iid("student", 4, weight=w, beta=10.0)
+    spec = M.MeasureSpec.iid("student", 4, beta=10.0)
     # through JSON text, the way a config's measure arrives
     again = M.MeasureSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
     assert again == spec
     assert M.MeasureSpec.from_dict(spec.to_dict()) == spec
+    # the weighted kinds take their weight from the oracle, never from the measure
+    with pytest.raises(ValueError, match="weight"):
+        M.MeasureSpec.from_dict(dict(spec.to_dict(), weight={"kind": "constant"}))
 
 
-def test_weight_spec_evaluate():
-    w = M.WeightSpec.make("sqrt_one_plus_max_sq", kappa=2.0)
+@pytest.mark.parametrize("dist, params", [
+    ("gaussian", {}), ("uniform01", {}), ("exponential", {"scale": 2.0}),
+    ("laplace", {"scale": 0.5}), ("student", {"beta": 4.0})])
+def test_law_reads_its_parameters(dist, params):
+    coord = M.CoordinateDist.from_dict({"dist": dist, "params": params})
+    assert coord.params_dict == params
+    extra = {"beta": 2.0} if dist != "student" else {"scale": 3.0}
+    with pytest.raises(ValueError, match="law reads"):
+        M.CoordinateDist.make(dist, **params, **extra)
+    with pytest.raises(ValueError, match="'param'"):
+        M.CoordinateDist.make(dist, param=1.0)
+    with pytest.raises(ValueError, match="'law'"):
+        M.CoordinateDist.from_dict({"dist": dist, "params": params, "law": "x"})
+
+
+def test_student_weight():
     pts = np.array([[0.0, 3.0], [1.0, -1.0]])
-    got = w.evaluate(pts)
+    got = M.student_weight(pts, 2.0)
     assert np.allclose(got, [2 * math.sqrt(10.0), 2 * math.sqrt(2.0)])
-    c = M.WeightSpec.make("constant", value=1.5)
-    assert np.allclose(c.evaluate(pts), [1.5, 1.5])
-    with pytest.raises(ValueError):
-        M.WeightSpec.make("cubic")
 
 
 # -- sampler -------------------------------------------------------------------
@@ -225,9 +237,8 @@ def test_student_weight_norm_union_bound():
 
 def test_weighted_norm_monte_carlo():
     kappa, _ = M.student_weight_kappa(10.0)
-    w = M.WeightSpec.make("sqrt_one_plus_max_sq", kappa=kappa)
-    spec = M.MeasureSpec.iid("student", 2, weight=w, beta=10.0)
-    est = M.weighted_norm(spec, 4, m=20_000, seed=3)
+    spec = M.MeasureSpec.iid("student", 2, beta=10.0)
+    est = M.weighted_norm(spec, kappa, 4, 20_000, 3)
     assert not est.diverged
     # sandwiched between the single-coordinate value and the union bound
     assert est.value >= M.student_weight_norm(10.0, kappa, 4, dim=1) - 5 * est.se
@@ -239,18 +250,14 @@ def test_weighted_norm_divergence_flag():
     # keeps drifting and the flag goes up (seed pinned: the flag is a noisy
     # detector at finite m, which is exactly why completed runs re-check norms)
     kappa = 1.0 / math.sqrt(18.0)
-    w = M.WeightSpec.make("sqrt_one_plus_max_sq", kappa=kappa)
-    spec = M.MeasureSpec.iid("student", 2, weight=w, beta=10.0)
-    est = M.weighted_norm(spec, 30, m=20_000, seed=0)
+    spec = M.MeasureSpec.iid("student", 2, beta=10.0)
+    est = M.weighted_norm(spec, kappa, 30, 20_000, 0)
     assert est.diverged
-    with pytest.raises(ValueError):
-        M.weighted_norm(M.MeasureSpec.iid("gaussian", 2), 4)
 
 
 def test_weighted_norm_matches_exact_dim1():
     kappa = 1.0 / math.sqrt(18.0)
-    w = M.WeightSpec.make("sqrt_one_plus_max_sq", kappa=kappa)
-    spec = M.MeasureSpec.iid("student", 1, weight=w, beta=10.0)
-    est = M.weighted_norm(spec, 6, m=50_000, seed=7)
+    spec = M.MeasureSpec.iid("student", 1, beta=10.0)
+    est = M.weighted_norm(spec, kappa, 6, 50_000, 7)
     exact = M.student_weight_norm(10.0, kappa, 6, dim=1)
     assert est.value == pytest.approx(exact, abs=6 * est.se)

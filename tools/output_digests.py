@@ -42,8 +42,7 @@ QUARTIC = {"dim": 3, "terms": [{"exponents": e, "coeff": c} for e, c in (
     ([0, 0, 0], -9.0))]}
 _GAUSS2 = {"dim": 2, "coords": [{"dist": "gaussian", "params": {}}] * 2}
 _BILINEAR = {"dim": 2, "terms": [{"exponents": [1, 1], "coeff": 0.5 ** 0.5}]}
-_STUDENT1 = {"dim": 1, "coords": [{"dist": "student", "params": {"beta": 10.0}}],
-             "weight": {"kind": "sqrt_one_plus_max_sq", "params": {}}}
+_STUDENT1 = {"dim": 1, "coords": [{"dist": "student", "params": {"beta": 10.0}}]}
 _IDENTITY = {"dim": 1, "terms": [{"exponents": [1], "coeff": 1.0}]}
 
 
