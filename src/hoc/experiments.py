@@ -31,27 +31,14 @@ from .tensors import SymTensor, op_norms
 
 SCHEMA_VERSION = 1
 
-KINDS = ("tensor-norm", "catalog-oracle", "certify", "tails", "multilinear",
-         "weighted", "weighted-tail", "rmt")
-
 # the value of each count, order and grid a config may leave out (a field a
-# kind requires, see _REQUIRED, never falls back to it)
+# kind requires, see _KINDS, never falls back to it)
 DEFAULTS = {"samples": 1_000_000, "profile_samples": 100_000, "draws": 2000,
             "cal_draws": 2000, "count": 50, "p": 2, "p_values": (2, 4),
             "t_grid": (1, 2, 4)}
 
 # the draws behind the weighted runner's Monte Carlo weight-norm check (4x this)
 WEIGHT_NORM_SAMPLES = 100_000
-
-# every field resolve or a runner reads; a config field outside it is refused
-_FIELDS = set(DEFAULTS) | {"schema", "kind", "seed", "fixture", "out", "route",
-                           "negative_control", "d", "matrix_size", "measure", "function",
-                           "multilinear", "entry", "coeffs", "dist", "params"}
-
-# the route of each kind whose config cannot pick one (certify may)
-_KIND_ROUTES = {"tails": "ladder-tail", "multilinear": "multilinear",
-                "weighted": "weighted-ladder", "weighted-tail": "weighted-tail",
-                "rmt": "wigner-lss"}
 
 # spawn-key ids for per-stage seeds
 _STAGE_PROFILE = 1
@@ -65,24 +52,17 @@ _COUNT_FLOORS = {"samples": 1, "profile_samples": bounds.MIN_PROFILE_SAMPLES,
                  "draws": 1, "cal_draws": rmt.MIN_CAL_DRAWS, "count": 1,
                  "matrix_size": 2, "d": 1}
 
-# the fields each kind's runner reads with no default, beyond the measure,
-# function and laws that resolve builds
-_REQUIRED = {"certify": ("d",), "tails": ("d", "t_grid"),
-             "multilinear": ("multilinear", "t_grid"), "weighted": ("d",),
-             "weighted-tail": ("d", "t_grid"), "rmt": ("matrix_size", "coeffs")}
 
-# the fewest evaluation samples (draws for rmt) each kind's checks accept
-_SAMPLE_FLOORS = {"certify": verify.MIN_EXP_SAMPLES, "multilinear": verify.MIN_EXP_SAMPLES,
-                  "tails": verify.MIN_TAIL_SAMPLES, "weighted-tail": verify.MIN_TAIL_SAMPLES,
-                  # rmt may discard 0.1% of its draws (one of 1001); the kept
-                  # draws must still fill the tail check
-                  "rmt": verify.MIN_TAIL_SAMPLES + 1,
-                  "weighted": 2}  # verify.empirical_lp needs two values
+@dataclasses.dataclass(frozen=True)
+class _Kind:
+    """One experiment kind; their table, ``_KINDS``, follows the runners."""
 
-# a runner raising one of these was asked for a certificate whose hypotheses
-# the configured function or law does not meet: a config error, not a failed check
-_HYPOTHESIS_ERRORS = (bounds.MissingHypothesisError, bounds.MissingNormError,
-                      measures.UncertifiedConstantError)
+    runner: object
+    fields: tuple  # all it reads besides schema, kind, seed, fixture and out
+    required: tuple = ()  # of those, the ones with no default
+    route: str | None = None  # the certificate route, unless the config picks it
+    samples: str | None = None  # the evaluation-sample field
+    sample_floor: int = 1  # the fewest samples the kind's checks accept
 
 
 class ConfigError(ValueError):
@@ -129,9 +109,10 @@ class Experiment:
     """A validated config: every field its runner reads, defaults filled in.
 
     Kind-specific objects are None (or empty) on kinds that do not use them:
-    the measure and function on rmt, tensor-norm and catalog-oracle; the
-    multilinear spec unless the payload holds one; the entry law and
-    polynomial unless rmt; the oracle laws unless catalog-oracle.
+    the measure and function on rmt, tensor-norm and catalog-oracle; d there
+    and on multilinear; matrix_size, the entry law and polynomial unless rmt;
+    the multilinear spec unless the payload holds one; the oracle laws unless
+    catalog-oracle.
     """
 
     kind: str
@@ -172,14 +153,7 @@ def resolve(cfg):
     """
     if cfg.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ConfigError("unsupported schema version %r" % (cfg.get("schema"),))
-    kind = _require(cfg, "kind", str)
-    if kind not in KINDS:
-        raise ConfigError("unknown experiment kind %r (choose from %s)"
-                          % (kind, ", ".join(KINDS)))
-    if not set(cfg) <= _FIELDS:
-        raise ConfigError("no runner reads the field(s) %s" % sorted(set(cfg) - _FIELDS))
-    if "negative_control" in cfg and kind != "tails":
-        raise ConfigError("only tails configs take negative_control, not %s ones" % (kind,))
+    record, kind = _kind(cfg), cfg["kind"]
     _check_count("seed", _require(cfg, "seed", int, " (a master seed is mandatory)"), 0)
     try:
         payload, fixture = _merged_payload(cfg)
@@ -188,19 +162,20 @@ def resolve(cfg):
     if fixture is not None and fixture.kind != kind:
         raise ConfigError("fixture %r has kind %r, config says %r"
                           % (fixture.name, fixture.kind, kind))
-    # every other runner's route follows from its kind
-    if "route" in cfg and (kind != "certify" or cfg["route"] not in bounds.EXP_MOMENT_ROUTES):
-        raise ConfigError("only certify configs take a route, one of %s; got %r on a %s config"
-                          % (", ".join(bounds.EXP_MOMENT_ROUTES), cfg["route"], kind))
-    for field in _REQUIRED.get(kind, ()):
+    if set(payload).difference(record.fields):
+        raise ConfigError("a %s run reads no field(s) %s"
+                          % (kind, sorted(set(payload).difference(record.fields))))
+    if "route" in payload and payload["route"] not in bounds.EXP_MOMENT_ROUTES:
+        raise ConfigError("route must be one of %s, got %r"
+                          % (", ".join(bounds.EXP_MOMENT_ROUTES), payload["route"]))
+    for field in record.required:
         if field not in payload:
             raise ConfigError("missing required field %r" % (field,))
     for field, floor in _COUNT_FLOORS.items():
         if field in payload:
             _check_count(field, payload[field], floor)
-    samples_field = "draws" if kind == "rmt" else "samples"
-    if samples_field in payload:
-        _check_count(samples_field, payload[samples_field], _SAMPLE_FLOORS.get(kind, 1))
+    if record.samples in payload:
+        _check_count(record.samples, payload[record.samples], record.sample_floor)
     if "t_grid" in payload:
         grid = payload["t_grid"]
         if not isinstance(grid, list) or not grid or not all(map(_is_finite_number, grid)):
@@ -227,7 +202,7 @@ def resolve(cfg):
     except (TypeError, ValueError) as exc:
         raise ConfigError("invalid %s config: %s" % (kind, exc))
     mspec, f, d = built.get("measure"), built.get("function"), payload.get("d")
-    route = payload.get("route") or _KIND_ROUTES.get(kind, fixture.route if fixture else None)
+    route = record.route or payload.get("route") or (fixture.route if fixture else None)
     if kind in ("weighted", "weighted-tail"):
         # the weighted runner has the ladder below the top derivative in closed
         # form for gradients only, reads the constant top derivative at one
@@ -253,6 +228,15 @@ def resolve(cfg):
         kind=kind, seed=cfg["seed"], fixture=cfg.get("fixture"), route=route,
         negative_control=payload.get("negative_control", False), d=d,
         matrix_size=payload.get("matrix_size"), **vals, **built)
+
+
+def _kind(cfg):
+    """The _KINDS record of ``cfg``'s kind, or ConfigError."""
+    kind = _require(cfg, "kind", str)
+    if kind not in _KINDS:
+        raise ConfigError("unknown experiment kind %r (choose from %s)"
+                          % (kind, ", ".join(_KINDS)))
+    return _KINDS[kind]
 
 
 def _is_finite_number(value):
@@ -310,11 +294,8 @@ def _check_count(field, value, floor):
 
 def _merged_payload(cfg):
     """Fixture payload (if any) overlaid with explicit config fields."""
-    merged = {}
-    fixture = None
-    if "fixture" in cfg:
-        fixture = fixtures.by_name(cfg["fixture"])
-        merged.update(fixture.payload)
+    fixture = fixtures.by_name(cfg["fixture"]) if "fixture" in cfg else None
+    merged = dict(fixture.payload) if fixture else {}
     merged.update({k: v for k, v in cfg.items()
                    if k not in ("schema", "kind", "fixture", "seed", "out")})
     return merged, fixture
@@ -323,35 +304,25 @@ def _merged_payload(cfg):
 def run_config(cfg, out_dir, seed_override=None, samples_override=None):
     """Run one experiment; returns (exit_code, report dict).
 
-    The overrides replace the config's ``seed`` and its ``samples`` (``draws``
-    for rmt) and are validated with the rest of it. Raises ConfigError for an
-    invalid config, and for a certificate whose hypotheses the configured
-    function or law does not meet. When the run raises, an output directory
-    this call created is removed again.
+    The overrides replace the config's ``seed`` and its evaluation-sample
+    field (``draws`` for rmt; tensor-norm and catalog-oracle have none) and
+    are validated with the rest of it. Raises ConfigError for an invalid
+    config, such as a law that misses its certificate's hypotheses. When the
+    run raises, an output directory this call created is removed again.
     """
     cfg = dict(cfg)
     if seed_override is not None:
         cfg["seed"] = seed_override
-    if samples_override is not None:
-        cfg["draws" if cfg.get("kind") == "rmt" else "samples"] = samples_override
+    if samples_override is not None:  # resolve refuses it on a kind without samples
+        cfg[_kind(cfg).samples or "samples"] = samples_override
     exp = resolve(cfg)
     created = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    runner = {"tensor-norm": _run_tensor_norm,
-              "catalog-oracle": _run_catalog_oracle,
-              "certify": _run_certify,
-              "tails": _run_tails,
-              "multilinear": _run_multilinear,
-              "weighted": _run_weighted,
-              "weighted-tail": _run_weighted,
-              "rmt": _run_rmt}[exp.kind]
     try:
-        report = runner(exp, out_dir)
-    except Exception as exc:
+        report = _KINDS[exp.kind].runner(exp, out_dir)
+    except Exception:
         if created:
             shutil.rmtree(out_dir)
-        if isinstance(exc, _HYPOTHESIS_ERRORS):
-            raise ConfigError(str(exc)) from exc
         raise
     report.update({"schema": SCHEMA_VERSION, "kind": exp.kind, "seed": exp.seed,
                    "fixture": exp.fixture})
@@ -665,3 +636,29 @@ def _run_rmt(exp, out_dir):
             "exp_check": exp_check.to_dict(), "tail_check": tail_check.to_dict(),
             "var_s_n": var_s, "var_s_tilde": var_t, "variance_reduced": var_ok,
             "passed": passed}
+
+
+# -- the kinds -----------------------------------------------------------------------
+
+_POLY = ("measure", "function", "multilinear", "d", "samples")  # f of order d on a measure
+
+_KINDS = {  # runner, fields, required, route, samples field, its floor
+    "tensor-norm": _Kind(_run_tensor_norm, ("count",)),
+    "catalog-oracle": _Kind(_run_catalog_oracle, ("dist", "params")),
+    # the config's or the fixture's route, else the certificate picks one
+    "certify": _Kind(_run_certify, _POLY + ("profile_samples", "route"), ("d",), None,
+                     "samples", verify.MIN_EXP_SAMPLES),
+    "tails": _Kind(_run_tails, _POLY + ("profile_samples", "t_grid", "negative_control"),
+                   ("d", "t_grid"), "ladder-tail", "samples", verify.MIN_TAIL_SAMPLES),
+    "multilinear": _Kind(_run_multilinear, ("measure", "multilinear", "samples", "t_grid"),
+                         ("multilinear", "t_grid"), "multilinear", "samples",
+                         verify.MIN_EXP_SAMPLES),
+    "weighted": _Kind(_run_weighted, _POLY + ("p_values",), ("d",), "weighted-ladder",
+                      "samples", 2),  # verify.empirical_lp needs two values
+    "weighted-tail": _Kind(_run_weighted, _POLY + ("p", "t_grid"), ("d", "t_grid"),
+                           "weighted-tail", "samples", verify.MIN_TAIL_SAMPLES),
+    # rmt may discard 0.1% of its draws (one of 1001); the kept draws must
+    # still fill the tail check
+    "rmt": _Kind(_run_rmt, ("matrix_size", "entry", "coeffs", "draws", "cal_draws", "t_grid"),
+                 ("matrix_size", "coeffs"), "wigner-lss", "draws", verify.MIN_TAIL_SAMPLES + 1),
+}

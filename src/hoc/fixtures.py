@@ -9,10 +9,12 @@ Routes name which certificate family a fixture exercises:
   multilinear              chaos certificates from the coefficient tensor
   wigner-lss               Wigner linear eigenvalue statistics
 
-The inventory is deterministic: multilinear coefficients come from a fixed
-counter-based stream keyed by (dim, order) and are normalized so the
-coefficient tensor has unit Hilbert-Schmidt norm, which makes Var f = 1/d!
-and standard-deviation-scaled tail grids meaningful across fixtures.
+Each payload holds only the fields its kind's runner reads; ``experiments``
+refuses any other. The inventory is deterministic: multilinear coefficients
+come from a fixed counter-based stream keyed by (dim, order) and are
+normalized so the coefficient tensor has unit Hilbert-Schmidt norm, which
+makes Var f = 1/d! and standard-deviation-scaled tail grids meaningful
+across fixtures.
 
 The d=3 chaos family substitutes dim 3 for the impossible dim 2 (a strictly
 increasing triple needs at least three coordinates).
@@ -92,14 +94,13 @@ def _chaos_fixtures():
         for tag in CHAOS_MEASURES:
             base = {"measure": _measure_payload(tag, dim),
                     "multilinear": spec.to_dict(),
-                    "d": order,
                     "t_grid": chaos_tail_grid(order),
-                    "samples": 1_000_000, "profile_samples": 100_000}
+                    "samples": 1_000_000}
             stem = "%s-chaos-n%d-d%d" % (tag.split("_")[0], dim, order)
             out.append(Fixture(
                 stem + "-tails", "ladder-tail", "tails",
                 "derivative-ladder tail bound for a unit-HS multilinear form",
-                base))
+                dict(base, d=order, profile_samples=100_000)))
             out.append(Fixture(
                 stem + "-multilinear", "multilinear", "multilinear",
                 "coefficient-tensor certificates for the same multilinear form",
@@ -118,24 +119,22 @@ def _weighted_fixtures():
     sd1 = sqrt(1.0 / 17.0)          # E X^2 for the beta=10 law
     sd2 = 1.0 / 17.0                # E (X1 X2)^2 = (E X^2)^2
     base1 = {"measure": _student_measure(1), "function": f1.to_dict(), "d": 1,
-             "p_values": [2, 4], "samples": 1_000_000,
-             "t_grid": [m * sd1 for m in TAIL_GRID_MULTIPLIERS]}
+             "samples": 1_000_000}
     base2 = {"measure": _student_measure(2), "function": f2.to_dict(), "d": 2,
-             "p_values": [2, 4], "samples": 1_000_000,
-             "t_grid": [m * sqrt(sd2) for m in TAIL_GRID_MULTIPLIERS]}
+             "samples": 1_000_000}
     return [
         Fixture("student-weighted-moments-d1", "weighted-ladder", "weighted",
                 "weighted moment bounds, identity map on the heavy-tailed demo law",
-                base1),
+                dict(base1, p_values=[2, 4])),
         Fixture("student-weighted-moments-d2", "weighted-ladder", "weighted",
                 "weighted moment bounds, bilinear form on the 2-D demo product",
-                base2),
+                dict(base2, p_values=[2, 4])),
         Fixture("student-weighted-tail-d1", "weighted-tail", "weighted-tail",
                 "weighted tail bound, d=1 window and beyond-window regimes",
-                base1),
+                dict(base1, t_grid=[m * sd1 for m in TAIL_GRID_MULTIPLIERS])),
         Fixture("student-weighted-tail-d2", "weighted-tail", "weighted-tail",
                 "weighted tail bound, d=2 window and beyond-window regimes",
-                base2),
+                dict(base2, t_grid=[m * sqrt(sd2) for m in TAIL_GRID_MULTIPLIERS])),
     ]
 
 

@@ -75,6 +75,9 @@ class CoordinateDist:
         if not 0.0 < self.scale < math.inf:
             raise ValueError("scale must be finite and positive, got %r"
                              % (self.params_dict["scale"],))
+        if not 0.5 < self.beta < math.inf:  # else (1+x^2)^(-beta) has no finite mass
+            raise ValueError("beta must be a finite number > 0.5, got %r"
+                             % (self.params_dict["beta"],))
 
     @classmethod
     def make(cls, dist, **params):

@@ -1,6 +1,7 @@
 """CLI behavior and config validation: exit codes, error locations, artifacts."""
 
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import sys
 
 import pytest
 
-from hoc import cli, experiments, rmt
+from hoc import cli, experiments, fixtures, rmt
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -131,6 +132,22 @@ def test_resolve_fills_omitted_counts_from_defaults():
     assert wigner.measure is None and wigner.poly is not None
 
 
+def test_every_fixture_and_digest_config_resolves():
+    # tools/output_digests.py runs these configs to compare artifact bytes
+    # across a change; none may fall foul of validation
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tools",
+                        "output_digests.py")
+    spec = importlib.util.spec_from_file_location("output_digests", path)
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    cfgs = [cfg for _, cfg in digests.configs()]
+    assert len(cfgs) == 51
+    for fx in fixtures.inventory():
+        cfgs.append(dict(fx.payload, kind=fx.kind, seed=0))
+    for cfg in cfgs:
+        assert isinstance(experiments.resolve(cfg), experiments.Experiment)
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(experiments.ConfigError) as err:
         experiments.load_config(str(tmp_path / "missing.json"))
@@ -249,6 +266,22 @@ _UNCENTERED_TAILS = {
      "negative_control": True},
     {"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-hs",
      "measure": {"dim": 2, "coords": [{"dist": "gaussian", "params": {"scale": 3.0}}] * 2}},
+    # fields another kind reads, but not this one
+    {"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n2-d2-tails",
+     "coeffs": [0.0, 0.0, 0.5], "entry": {"dist": "gaussian", "params": {}}, "count": 5,
+     "p_values": [2, 4]},
+    {"kind": "rmt", "seed": 0, "fixture": "wigner-gaussian-n50", "d": 2,
+     "profile_samples": 20000},
+    {"kind": "multilinear", "seed": 0, "fixture": "gaussian-chaos-n2-d2-multilinear", "d": 2},
+    {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d1", "p": 4},
+    {"kind": "weighted-tail", "seed": 0, "fixture": "student-weighted-tail-d1",
+     "p_values": [2, 4]},
+    {"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-hs", "t_grid": [1.0, 2.0]},
+    # the Student-type density needs a numeric beta > 1/2
+    {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d1",
+     "measure": {"dim": 1, "coords": [{"dist": "student", "params": {"beta": 0.5}}]}},
+    {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d1",
+     "measure": {"dim": 1, "coords": [{"dist": "student", "params": {"beta": "x"}}]}},
 ], ids=["uncentered-tails", "rmt-degree-3", "profile-samples-1000", "samples-abc",
         "negative-seed", "tails-samples-500", "rmt-draws-50", "rmt-draws-1000",
         "multilinear-samples-5000",
@@ -259,7 +292,9 @@ _UNCENTERED_TAILS = {
         "measure-dim-2-function-dim-3", "multilinear-measure-dim-2", "rmt-coeffs-x",
         "rmt-student-entry", "weighted-gaussian-law", "negative-control-string",
         "measure-weight", "negative-controll", "sampels", "multilinear-negative-control",
-        "gaussian-scale"])
+        "gaussian-scale", "tails-rmt-fields", "rmt-profile-fields", "multilinear-d",
+        "weighted-p", "weighted-tail-p-values", "certify-t-grid", "student-beta-half",
+        "student-beta-x"])
 def test_cli_missing_hypothesis_writes_nothing(tmp_path, capsys, cfg):
     path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
@@ -327,13 +362,29 @@ def test_cli_crash_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
     def crash(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(experiments, "_run_tails", crash)
+    monkeypatch.setattr(experiments.bounds, "profile_from_function", crash)
     cfg = write_cfg(tmp_path, {"kind": "tails", "seed": 0,
                                "fixture": "gaussian-chaos-n2-d2-tails"})
     out = tmp_path / "out"
     assert run_cli(["run", "--config", cfg, "--out", out]) == 3
     err = capsys.readouterr().err
     assert err == "error: RuntimeError: boom\n"
+    assert not out.exists()
+
+
+def test_cli_samples_on_a_kind_without_samples_writes_nothing(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"kind": "tensor-norm", "seed": 0, "count": 2})
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", cfg, "--out", out, "--samples", 5]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_samples_override_on_a_malformed_kind_is_a_config_error(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(experiments.ConfigError):
+        experiments.run_config({"kind": ["tails"], "seed": 0}, str(out), samples_override=5)
     assert not out.exists()
 
 
