@@ -7,7 +7,7 @@ for the route taxonomy and the experiment runner.
 """
 
 from .bounds import (Certificate, DerivativeProfile, MissingHypothesisError,
-                     MissingNormError, exp_moment_certificate,
+                     MissingNormError, exact_hs_rungs, exp_moment_certificate,
                      iterated_moment_bound, multilinear_certificates,
                      profile_from_function, tail_certificate,
                      weighted_moment_bounds, weighted_tail_certificate)

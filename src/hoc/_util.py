@@ -5,11 +5,18 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import math
 import os
 
 import numpy as np
 
 SAMPLE_BLOCK = 65536
+
+
+def is_finite_number(value):
+    """True for an int or float other than a bool, inf or nan."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and -math.inf < value < math.inf)
 
 
 def substream(seed, *key):

@@ -19,7 +19,7 @@ is the least of sqrt(2) t^(1/k) / (sigma n_k^(1/k)) over the nonzero rungs
 n_1..n_(d-1) = norms2 and n_d = top. The routes differ only in the ladder
 their constants give:
 
-  ladder-tail      the profile's (sigma, d, norms2, top_inf)
+  ladder-tail      the exact HS rungs (sigma, d, hs2, top_hs)
   multilinear-hs   (sigma, d, (hs_norm, 0, ..., 0), hs_norm)
   multilinear-inf  the same with dim_n^(d/2) * max_entry for hs_norm
   wigner-lss       (sigma sqrt(2/N), 2, (grad_l2,), sqrt(N) * fpp_inf)
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import measures
 from .polynomials import EVAL_BLOCK, from_multilinear
-from .tensors import hs_norms, op_norms
+from .tensors import hs_norms, multinomial, op_norms
 
 EXP_MOMENT_COEFF = 1.0 / (12.0 * e)  # universal constant in the exp-moment certificates
 EXP_THRESHOLD = 2.0
@@ -178,7 +178,7 @@ def _ladder(route, c):
     """(sigma, d, norms2, top) of the derivative ladder behind a tail route,
     as tabled in the module docstring; wigner-lss constants carry no d."""
     if route == "ladder-tail":
-        return c["sigma"], c["d"], c["norms2"], c.get("top_inf")
+        return c["sigma"], c["d"], c["hs2"], c["top_hs"]
     if route in ("multilinear-hs", "multilinear-inf"):
         d = c["d"]
         a = (c["hs_norm"] if route == "multilinear-hs"
@@ -192,10 +192,8 @@ def _ladder(route, c):
 
 def _eta(ladder, t):
     """Best decay exponent from a (sigma, d, norms2, top) ladder; zero norms
-    drop their term, a missing top norm forces the trivial bound."""
+    drop their term."""
     sigma, d, norms2, top = ladder
-    if top is None:
-        return np.zeros_like(t)
     terms = []
     if top > 0:
         terms.append(_SQRT2 * np.power(t, 1.0 / d) / (sigma * top ** (1.0 / d)))
@@ -270,14 +268,31 @@ def exp_moment_certificate(profile, route=None):
 
 # -- tail bounds -------------------------------------------------------------------
 
-def tail_certificate(profile):
-    """P(|f| >= t) bound from the full derivative-norm ladder (route ladder-tail)."""
-    if not profile.centered:
-        raise MissingHypothesisError("the tail bound needs E f = 0; recenter first")
+def exact_hs_rungs(f, mspec, d):
+    """(hs2, top_hs): the exact rungs n_k = (E |f^(k)|_HS^2)^(1/2) under
+    ``mspec``, hs2 = (n_1, ..., n_(d-1)) and top_hs = n_d.
+
+    |f^(k)|_HS^2 is the sum over canonical index tuples of their multiplicity
+    times the squared partial, so n_k^2 is that sum of exact second moments.
+    Pointwise |T|_op <= |T|_HS, so n_k bounds the L2 norm of |f^(k)|_op, and
+    for a constant order-d derivative n_d bounds its sup operator norm.
+    """
+    rungs = []
+    for k in range(1, d + 1):
+        total = 0.0
+        for idx, partial in f._order_partials(k).items():
+            total += multinomial(idx) * partial.second_moment(mspec.moment)
+        rungs.append(sqrt(total))
+    return tuple(rungs[:-1]), rungs[-1]
+
+
+def tail_certificate(sigma, d, hs2, top_hs):
+    """P(|f| >= t) bound (route ladder-tail) for a centered f whose order-d
+    derivative is constant, from its ``exact_hs_rungs`` (hs2, top_hs)."""
+    if len(hs2) != d - 1:
+        raise ValueError("need one HS rung per order 1..d-1")
     return Certificate("tail", "ladder-tail",
-                       {"sigma": profile.sigma, "d": profile.order,
-                        "norms2": list(profile.norms2), "top_inf": profile.top_inf,
-                        "top_inf_exact": profile.top_inf_exact})
+                       {"sigma": sigma, "d": d, "hs2": list(hs2), "top_hs": top_hs})
 
 
 # -- weighted route ------------------------------------------------------------------

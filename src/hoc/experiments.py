@@ -20,12 +20,11 @@ import json
 import math
 import os
 import shutil
-from math import sqrt
 
 import numpy as np
 
 from . import bounds, fixtures, measures, rmt, svgplot, verify
-from ._util import dump_json, stage_seed, substream, write_csv
+from ._util import dump_json, is_finite_number, stage_seed, substream, write_csv
 from .polynomials import MultilinearSpec, PolyFunction, from_multilinear
 from .tensors import SymTensor, op_norms
 
@@ -178,7 +177,7 @@ def resolve(cfg):
         _check_count(record.samples, payload[record.samples], record.sample_floor)
     if "t_grid" in payload:
         grid = payload["t_grid"]
-        if not isinstance(grid, list) or not grid or not all(map(_is_finite_number, grid)):
+        if not isinstance(grid, list) or not grid or not all(map(is_finite_number, grid)):
             raise ConfigError("t_grid must be a non-empty list of finite numbers: %r" % (grid,))
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("t_grid must be strictly increasing")
@@ -190,7 +189,7 @@ def resolve(cfg):
         raise ConfigError("p_values must be a non-empty list, got %r" % (payload["p_values"],))
     vals = {field: payload.get(field, default) for field, default in DEFAULTS.items()}
     for p in list(vals["p_values"]) + [vals["p"]]:
-        if not _is_finite_number(p) or p < 2:
+        if not is_finite_number(p) or p < 2:
             raise ConfigError("p and each of p_values must be a finite number >= 2, got %r"
                               % (p,))
     vals.update(p=float(vals["p"]), p_values=tuple(vals["p_values"]),
@@ -214,6 +213,19 @@ def resolve(cfg):
                 len({c.beta for c in mspec.coords}) > 1:
             raise ConfigError("weighted experiments need student coordinates of one "
                               "common beta, got %s" % (mspec.to_dict()["coords"],))
+        # ||w||_q is finite just when q < 2 beta - 1, so the largest q the runner
+        # reads (2^d p; every p >= 2) decides; kappa scales it and can wait
+        q = 2 ** d * (vals["p"] if kind == "weighted-tail" else max(vals["p_values"]))
+        beta = mspec.coords[0].beta
+        if math.isinf(measures.student_weight_norm(beta, 1.0, q, mspec.dim)):
+            raise ConfigError("the %s checks read the weight norm ||w||_%g, infinite for "
+                              "the student law with beta = %g (it needs 2 beta - 1 > %g)"
+                              % (kind, q, beta, q))
+    if kind == "tails" and not f.top_is_constant(d):
+        # the top rung bounds the sup of |f^(d)|_op only for a constant f^(d);
+        # under an unbounded law any other has an infinite sup
+        raise ConfigError("tails certificates need a constant order-d derivative, "
+                          "got d = %d for degree %d" % (d, f.degree))
     # exact centering, as the runners test it (their checks stay as a backstop)
     if kind == "multilinear" and any(mspec.moment(i, 1) != 0.0 for i in range(mspec.dim)):
         raise ConfigError("multilinear certificates need E X_i = 0 for all i")
@@ -239,11 +251,6 @@ def _kind(cfg):
     return _KINDS[kind]
 
 
-def _is_finite_number(value):
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and -math.inf < value < math.inf)
-
-
 def _build(kind, payload):
     """The laws, function and polynomial a kind's runner reads, by Experiment field."""
     if kind == "tensor-norm":
@@ -254,7 +261,7 @@ def _build(kind, payload):
         entry = measures.CoordinateDist.from_dict(payload["entry"])
         measures.coordinate_sigma2(entry)  # an uncertified entry law has no certificate
         coeffs = payload["coeffs"]
-        if not isinstance(coeffs, list) or not coeffs or not all(map(_is_finite_number, coeffs)):
+        if not isinstance(coeffs, list) or not coeffs or not all(map(is_finite_number, coeffs)):
             raise ValueError("coeffs must be a non-empty list of finite numbers: %r" % (coeffs,))
         poly = rmt.as_polynomial(coeffs)
         rmt.certified_fpp(poly)  # it depends on f alone: checked before any eigensolve
@@ -455,22 +462,18 @@ def _write_tail_artifacts(out_dir, header, rows, title, series):
 
 
 def _run_tails(exp, out_dir):
-    profile = bounds.profile_from_function(exp.function, exp.measure, exp.d,
-                                           m=exp.profile_samples,
-                                           seed=stage_seed(exp.seed, _STAGE_PROFILE))
-    cert = bounds.tail_certificate(profile)
+    sigma, rungs = exp.measure.sigma(), bounds.exact_hs_rungs(exp.function, exp.measure, exp.d)
+    cert = bounds.tail_certificate(sigma, exp.d, *rungs)
     values = _eval_values(exp.function, exp.measure, exp.samples,
                           stage_seed(exp.seed, _STAGE_EVAL))
     report = verify.check_tail_certificate(cert, values, exp.t_grid)
     _write_tail_artifacts(out_dir, _TAIL_HEADER, _tail_rows(report),
                           "derivative-ladder tail bound", _TAIL_SERIES)
     out = {"certificate": cert.to_dict(), "check": report.to_dict(),
-           "samples": exp.samples, "profile_samples": exp.profile_samples,
-           "passed": report.passed}
+           "samples": exp.samples, "passed": report.passed}
     if exp.negative_control:
-        weak = dataclasses.replace(profile, sigma=profile.sigma / 10.0)
         control = verify.check_tail_certificate(
-            bounds.tail_certificate(weak), values, exp.t_grid)
+            bounds.tail_certificate(sigma / 10.0, exp.d, *rungs), values, exp.t_grid)
         control_failed = not control.passed
         out["negative_control"] = {"failed_somewhere": control_failed,
                                    "check": control.to_dict()}
@@ -528,19 +531,12 @@ def _run_multilinear(exp, out_dir):
 
 # -- weighted ------------------------------------------------------------------------
 
-def _exact_gradient_l2(f, mspec):
-    total = 0.0
-    for g in f.gradient:
-        total += g.second_moment(mspec.moment)
-    return sqrt(total)
-
-
 def _run_weighted(exp, out_dir):
     f, d, seed, mspec = exp.function, exp.d, exp.seed, exp.measure
     beta = mspec.coords[0].beta  # resolve checked: one common Student beta
     kappa, gap = measures.student_weight_kappa(beta)
     values = _eval_values(f, mspec, exp.samples, stage_seed(seed, _STAGE_EVAL))
-    norms2 = (_exact_gradient_l2(f, mspec),) if d == 2 else ()
+    norms2, _ = bounds.exact_hs_rungs(f, mspec, d)  # the gradient's rung when d = 2
     top_op = float(op_norms(f.derivative_dense(d, np.zeros((1, f.dim))))[0])
     report = {"beta": beta, "kappa": kappa,
               "weighted_gap": gap.to_dict(), "samples": exp.samples,
@@ -648,7 +644,7 @@ _KINDS = {  # runner, fields, required, route, samples field, its floor
     # the config's or the fixture's route, else the certificate picks one
     "certify": _Kind(_run_certify, _POLY + ("profile_samples", "route"), ("d",), None,
                      "samples", verify.MIN_EXP_SAMPLES),
-    "tails": _Kind(_run_tails, _POLY + ("profile_samples", "t_grid", "negative_control"),
+    "tails": _Kind(_run_tails, _POLY + ("t_grid", "negative_control"),
                    ("d", "t_grid"), "ladder-tail", "samples", verify.MIN_TAIL_SAMPLES),
     "multilinear": _Kind(_run_multilinear, ("measure", "multilinear", "samples", "t_grid"),
                          ("multilinear", "t_grid"), "multilinear", "samples",

@@ -100,7 +100,7 @@ def _chaos_fixtures():
             out.append(Fixture(
                 stem + "-tails", "ladder-tail", "tails",
                 "derivative-ladder tail bound for a unit-HS multilinear form",
-                dict(base, d=order, profile_samples=100_000)))
+                dict(base, d=order)))
             out.append(Fixture(
                 stem + "-multilinear", "multilinear", "multilinear",
                 "coefficient-tensor certificates for the same multilinear form",

@@ -35,7 +35,7 @@ from math import pi, sqrt
 
 import numpy as np
 
-from ._util import SAMPLE_BLOCK, substream
+from ._util import SAMPLE_BLOCK, is_finite_number, substream
 
 # each catalog law and the parameters it reads (draw_coordinate,
 # coordinate_sigma2, coordinate_moment); a law given any other is refused
@@ -72,12 +72,10 @@ class CoordinateDist:
             raise ValueError("the %s law reads %s, got %s" % (
                 self.dist, list(LAW_PARAMS[self.dist]) or "no parameters",
                 sorted(self.params_dict)))
-        if not 0.0 < self.scale < math.inf:
-            raise ValueError("scale must be finite and positive, got %r"
-                             % (self.params_dict["scale"],))
-        if not 0.5 < self.beta < math.inf:  # else (1+x^2)^(-beta) has no finite mass
-            raise ValueError("beta must be a finite number > 0.5, got %r"
-                             % (self.params_dict["beta"],))
+        if not self.scale > 0.0:
+            raise ValueError("scale must be positive, got %r" % (self.scale,))
+        if not self.beta > 0.5:  # else (1+x^2)^(-beta) has no finite mass
+            raise ValueError("beta must be > 0.5, got %r" % (self.beta,))
 
     @classmethod
     def make(cls, dist, **params):
@@ -94,7 +92,10 @@ class CoordinateDist:
         return dict(self.params)
 
     def _param(self, name, default):
-        return float(self.params_dict.get(name, default))
+        value = self.params_dict.get(name, default)
+        if not is_finite_number(value):  # a bool or a string is no number here
+            raise ValueError("%s must be a finite number, got %r" % (name, value))
+        return float(value)
 
     @property
     def scale(self):

@@ -24,6 +24,10 @@ def profile(d=2, sigma=1.0, norms2=(1.0,), top_inf=1.0, **kw):
     return B.DerivativeProfile(d, sigma, norms2, top_inf, **kw)
 
 
+def ladder_tail(hs2=(1.0,), top_hs=1.0, sigma=1.0):
+    return B.tail_certificate(sigma, len(hs2) + 1, hs2, top_hs)
+
+
 def to_json(cert):
     return json.dumps(jsonable(cert.to_dict()), sort_keys=True)
 
@@ -146,20 +150,20 @@ def test_exp_certificate_lambda_floor():
 
 
 def test_tail_13_frozen_value():
-    cert = B.tail_certificate(profile(centered=True))
+    cert = ladder_tail()
     # d=2, sigma=1, norms=(1,), top=1 at t=100: eta = sqrt(2)*10
     assert cert.tail_bound(100.0) == pytest.approx(0.548098384102524, rel=1e-12)
-    assert B.tail_certificate(profile(centered=True)).tail_bound(100.0) == \
-        cert.tail_bound(100.0)
+    assert ladder_tail().tail_bound(100.0) == cert.tail_bound(100.0)
+    assert set(cert.constants) == {"sigma", "d", "hs2", "top_hs"}
 
 
-def test_tail_requires_centered():
-    with pytest.raises(B.MissingHypothesisError):
-        B.tail_certificate(profile(centered=False))
+def test_tail_needs_one_rung_per_order():
+    with pytest.raises(ValueError, match="rung"):
+        B.tail_certificate(1.0, 3, (1.0,), 1.0)
 
 
 def test_tail_caps_and_edges():
-    cert = B.tail_certificate(profile(centered=True))
+    cert = ladder_tail()
     assert cert.tail_bound(0.0) == 1.0
     assert cert.tail_bound(-3.0) == 1.0
     assert cert.tail_bound(1e-9) == 1.0  # prefactor region, capped
@@ -172,7 +176,7 @@ def test_tail_caps_and_edges():
 
 
 def test_tail_rescale_shifts_argument():
-    base = B.tail_certificate(profile(centered=True))
+    base = ladder_tail()
     scaled = B.Certificate("tail", "ladder-tail", dict(base.constants), rescale_lambda=2.0)
     for t in (5.0, 50.0, 200.0):
         assert scaled.tail_bound(t) == pytest.approx(base.tail_bound(t / 2.0), rel=1e-14)
@@ -180,19 +184,14 @@ def test_tail_rescale_shifts_argument():
 
 def test_tail_zero_norm_terms_drop():
     # a zero ladder entry contributes no eta term instead of a zero division
-    cert = B.tail_certificate(profile(norms2=(0.0,), centered=True))
+    cert = ladder_tail(hs2=(0.0,))
     t = 123.0
     want = min(1.0, e**2 * math.exp(-sqrt(2.0) * sqrt(t) / (2.0 * e)))
     assert cert.tail_bound(t) == pytest.approx(want, rel=1e-12)
 
 
-def test_tail_missing_top_is_trivial():
-    cert = B.tail_certificate(profile(top_inf=None, centered=True))
-    assert cert.tail_bound(1e6) == 1.0
-
-
 def test_tail_zero_function():
-    cert = B.tail_certificate(profile(norms2=(0.0,), top_inf=0.0, centered=True))
+    cert = ladder_tail(hs2=(0.0,), top_hs=0.0)
     assert cert.tail_bound(0.5) == 0.0
     assert cert.tail_bound(0.0) == 1.0
 
@@ -384,7 +383,7 @@ def test_route_ladder_matches_closed_form(route, consts):
 
 
 def test_certificate_kind_guards():
-    tail = B.tail_certificate(profile(centered=True))
+    tail = ladder_tail()
     with pytest.raises(ValueError):
         tail.exp_params()
     exp_cert = B.exp_moment_certificate(profile(centered=True))
@@ -396,7 +395,7 @@ def test_certificate_kind_guards():
 
 def test_certificate_json_round_trip():
     certs = [
-        B.tail_certificate(profile(centered=True)),
+        ladder_tail(),
         B.exp_moment_certificate(profile(centered=True)),
         B.weighted_tail_certificate(1.0, 2.0, 2, rescale_lambda=1.5),
     ]
@@ -422,6 +421,54 @@ def test_unknown_tail_route_rejected():
     cert = B.Certificate("tail", "9.9", {"d": 2})
     with pytest.raises(ValueError):
         cert.tail_bound(1.0)
+
+
+# -- exact Hilbert-Schmidt rungs ----------------------------------------------------
+
+
+def _chaos_tails():
+    """(name, f, measure, d) for every shipped chaos tails fixture."""
+    out = []
+    for fx in fixtures.inventory():
+        if fx.kind == "tails":
+            f, _ = from_multilinear(MultilinearSpec.from_dict(fx.payload["multilinear"]))
+            out.append((fx.name, f, MeasureSpec.from_dict(fx.payload["measure"]),
+                        fx.payload["d"]))
+    return out
+
+
+def test_exact_hs_rungs_of_unit_hs_chaos():
+    # a unit-HS coefficient tensor on unit-variance centered coordinates:
+    # E |f^(k)|_HS^2 = d!/(d-k)! * sum of squared coefficients = 1/(d-k)!
+    chaos = _chaos_tails()
+    assert len(chaos) == 12 and {m.coords[0].dist for _, _, m, _ in chaos} == \
+        {"gaussian", "laplace"}
+    for name, f, mspec, d in chaos:
+        hs2, top_hs = B.exact_hs_rungs(f, mspec, d)
+        want = [1.0 / sqrt(math.factorial(d - k)) for k in range(1, d + 1)]
+        assert len(hs2) == d - 1, name
+        assert list(hs2) + [top_hs] == pytest.approx(want, rel=0, abs=1e-12), name
+
+
+def test_exact_hs_rungs_count_repeated_indices():
+    # f = x1^2 x2: E|grad|^2 = E 4 x1^2 x2^2 + E x1^4 = 7; the Hessian
+    # (2 x2, 2 x1; 2 x1, 0) gives 4 + 2 * 4 = 12; the constant third
+    # derivative has entry 2 at the 3 permutations of (0, 0, 1): 12
+    f = PolyFunction.from_terms(2, {(2, 1): 1.0})
+    hs2, top_hs = B.exact_hs_rungs(f, MeasureSpec.iid("gaussian", 2), 3)
+    assert hs2 == pytest.approx((sqrt(7.0), sqrt(12.0)), rel=1e-15)
+    assert top_hs == pytest.approx(sqrt(12.0), rel=1e-15)
+
+
+def test_exact_hs_rungs_dominate_the_sampled_profile():
+    # |T|_op <= |T|_HS pointwise, so each exact rung sits above the sampled
+    # operator-norm rung up to its sampling error
+    for name, f, mspec, d in _chaos_tails():
+        hs2, top_hs = B.exact_hs_rungs(f, mspec, d)
+        prof = B.profile_from_function(f, mspec, d, m=10_000, seed=11)
+        for k in range(1, d):
+            assert hs2[k - 1] >= prof.norms2[k - 1] - 5.0 * prof.norms2_se[k - 1], (name, k)
+        assert prof.top_inf_exact and top_hs >= prof.top_inf, name
 
 
 # -- profile estimation -------------------------------------------------------------

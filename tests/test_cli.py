@@ -141,7 +141,7 @@ def test_every_fixture_and_digest_config_resolves():
     digests = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digests)
     cfgs = [cfg for _, cfg in digests.configs()]
-    assert len(cfgs) == 51
+    assert len(cfgs) == 50
     for fx in fixtures.inventory():
         cfgs.append(dict(fx.payload, kind=fx.kind, seed=0))
     for cfg in cfgs:
@@ -187,12 +187,17 @@ def test_cli_samples_below_one_writes_nothing(tmp_path, capsys, samples):
 _GAUSS2 = {"dim": 2, "coords": [{"dist": "gaussian", "params": {}},
                                 {"dist": "gaussian", "params": {}}]}
 _STUDENT = {"dist": "student", "params": {"beta": 10.0}}
+_GAUSS3 = {"dim": 3, "coords": [{"dist": "gaussian", "params": {}}] * 3}
+# x1^4 + x2^4 + x3^4 + x1 x2 x3 - 9 (E f = 0 under _GAUSS3): its Hessian is not constant
+_QUARTIC = {"dim": 3, "terms": [{"exponents": e, "coeff": c} for e, c in (
+    ([4, 0, 0], 1.0), ([0, 4, 0], 1.0), ([0, 0, 4], 1.0), ([1, 1, 1], 1.0),
+    ([0, 0, 0], -9.0))]}
 
 # f = x1^2 is not centered, so the tail certificate's E f = 0 fails
 _UNCENTERED_TAILS = {
     "kind": "tails", "seed": 0, "measure": _GAUSS2, "d": 2, "t_grid": [1.0, 2.0],
     "function": {"dim": 2, "terms": [{"exponents": [2, 0], "coeff": 1.0}]},
-    "samples": 1000, "profile_samples": 10_000}
+    "samples": 1000}
 
 
 @pytest.mark.parametrize("cfg", [
@@ -201,7 +206,7 @@ _UNCENTERED_TAILS = {
     {"kind": "rmt", "seed": 0, "matrix_size": 5, "coeffs": [0.0, 0.0, 0.0, 1.0],
      "entry": {"dist": "gaussian", "params": {}}, "draws": 1001, "cal_draws": 500},
     # sample counts and seeds the runners cannot use
-    {"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n2-d2-tails",
+    {"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-hs",
      "profile_samples": 1000},
     {"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n2-d2-tails",
      "samples": "abc"},
@@ -242,7 +247,7 @@ _UNCENTERED_TAILS = {
      "function": {"dim": 2, "terms": [{"exponents": [1, 1], "coeff": 1.0}]}},
     {"kind": "tails", "seed": 0, "measure": _GAUSS2, "d": 3, "t_grid": [1.0, 2.0],
      "function": {"dim": 3, "terms": [{"exponents": [1, 1, 1], "coeff": 1.0}]},
-     "samples": 1000, "profile_samples": 10_000},
+     "samples": 1000},
     {"kind": "multilinear", "seed": 0, "fixture": "gaussian-chaos-n5-d2-multilinear",
      "measure": _GAUSS2},
     {"kind": "rmt", "seed": 0, "fixture": "wigner-gaussian-n50", "coeffs": ["x"]},
@@ -252,7 +257,7 @@ _UNCENTERED_TAILS = {
      "measure": {"dim": 1, "coords": [{"dist": "gaussian", "params": {}}]}},
     # a string is not a boolean: "false" would run the sigma/10 control
     {"kind": "tails", "fixture": "gaussian-chaos-n2-d2-tails", "seed": 7, "samples": 2000,
-     "profile_samples": 10000, "negative_control": "false"},
+     "negative_control": "false"},
     # fields no runner reads: the weighted kinds take their weight from the
     # oracle, a misspelt field would fall back to its default, only tails
     # runs a negative control, and the gaussian law has no scale
@@ -260,7 +265,7 @@ _UNCENTERED_TAILS = {
      "measure": {"dim": 1, "coords": [_STUDENT],
                  "weight": {"kind": "sqrt_one_plus_max_sq", "params": {"kappa": 1e6}}}},
     {"kind": "tails", "fixture": "gaussian-chaos-n2-d2-tails", "seed": 7, "samples": 2000,
-     "profile_samples": 10000, "negative_controll": True},
+     "negative_controll": True},
     {"kind": "tails", "fixture": "gaussian-chaos-n2-d2-tails", "seed": 7, "sampels": 2000},
     {"kind": "multilinear", "seed": 0, "fixture": "gaussian-chaos-n2-d2-multilinear",
      "negative_control": True},
@@ -282,6 +287,17 @@ _UNCENTERED_TAILS = {
      "measure": {"dim": 1, "coords": [{"dist": "student", "params": {"beta": 0.5}}]}},
     {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d1",
      "measure": {"dim": 1, "coords": [{"dist": "student", "params": {"beta": "x"}}]}},
+    # a law parameter must be a number, not a boolean or a numeric string
+    {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d1",
+     "measure": {"dim": 1, "coords": [{"dist": "student", "params": {"beta": True}}]}},
+    {"kind": "catalog-oracle", "seed": 0, "dist": "laplace", "params": {"scale": "0.5"}},
+    # just above 1/2 the weight norms the weighted checks read are infinite
+    {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d1", "samples": 1000,
+     "measure": {"dim": 1, "coords": [{"dist": "student", "params": {"beta": 0.51}}]}},
+    {"kind": "weighted-tail", "seed": 0, "fixture": "student-weighted-tail-d2", "p": 16},
+    # an order-d derivative that is not constant has no finite sup on R^n
+    {"kind": "tails", "seed": 0, "measure": _GAUSS3, "function": _QUARTIC, "d": 2,
+     "t_grid": [1, 2, 4, 8, 16]},
 ], ids=["uncentered-tails", "rmt-degree-3", "profile-samples-1000", "samples-abc",
         "negative-seed", "tails-samples-500", "rmt-draws-50", "rmt-draws-1000",
         "multilinear-samples-5000",
@@ -294,7 +310,8 @@ _UNCENTERED_TAILS = {
         "measure-weight", "negative-controll", "sampels", "multilinear-negative-control",
         "gaussian-scale", "tails-rmt-fields", "rmt-profile-fields", "multilinear-d",
         "weighted-p", "weighted-tail-p-values", "certify-t-grid", "student-beta-half",
-        "student-beta-x"])
+        "student-beta-x", "student-beta-true", "oracle-scale-string", "student-beta-0.51",
+        "weighted-tail-p-16", "tails-quartic-d2"])
 def test_cli_missing_hypothesis_writes_nothing(tmp_path, capsys, cfg):
     path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
@@ -362,7 +379,7 @@ def test_cli_crash_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
     def crash(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(experiments.bounds, "profile_from_function", crash)
+    monkeypatch.setattr(experiments, "_eval_values", crash)
     cfg = write_cfg(tmp_path, {"kind": "tails", "seed": 0,
                                "fixture": "gaussian-chaos-n2-d2-tails"})
     out = tmp_path / "out"
@@ -370,6 +387,25 @@ def test_cli_crash_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err == "error: RuntimeError: boom\n"
     assert not out.exists()
+
+
+def test_tails_certifies_from_exact_rungs_without_a_profile(tmp_path, monkeypatch):
+    def profile(*args, **kwargs):
+        raise AssertionError("the tails runner sampled a derivative profile")
+
+    monkeypatch.setattr(experiments.bounds, "profile_from_function", profile)
+    cfg = {"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n3-d3-tails",
+           "samples": 2000, "negative_control": True}
+    code, report = experiments.run_config(cfg, str(tmp_path / "out"))
+    assert report["check"]["passed"] and code == (0 if report["passed"] else 1)
+    assert "profile_samples" not in report
+    constants = report["certificate"]["constants"]
+    assert set(constants) == {"sigma", "d", "hs2", "top_hs"}
+    assert constants["hs2"] == pytest.approx([0.5 ** 0.5, 1.0], abs=1e-12)
+    control = report["negative_control"]["check"]["rows"]
+    weak = experiments.bounds.tail_certificate(constants["sigma"] / 10.0, 3,
+                                               constants["hs2"], constants["top_hs"])
+    assert [r["bound"] for r in control] == [weak.tail_bound(r["t"]) for r in control]
 
 
 def test_cli_samples_on_a_kind_without_samples_writes_nothing(tmp_path, capsys):
@@ -481,7 +517,7 @@ print(json.dumps({"codes": codes, "numpy_only": numpy_only, "oracle": code,
 def test_scipy_loaded_only_by_the_kinds_that_use_it(tmp_path):
     cfgs = [
         {"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n2-d2-tails",
-         "samples": 2000, "profile_samples": 10000},
+         "samples": 2000},
         {"kind": "rmt", "seed": 0, "fixture": "wigner-gaussian-n50",
          "draws": 1001, "cal_draws": 500},
         {"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-hs",

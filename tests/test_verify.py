@@ -150,8 +150,7 @@ def test_relative_domination():
 
 
 def centered_tail_cert():
-    prof = B.DerivativeProfile(2, 1.0, (1.0,), 1.0, centered=True)
-    return B.tail_certificate(prof)
+    return B.tail_certificate(1.0, 2, (1.0,), 1.0)
 
 
 def test_check_tail_certificate_report():

@@ -1,12 +1,11 @@
 """Print the sha256 of every artifact of a fixed set of hoc runs.
 
-The set is 51 ``run_config`` outputs at master seed 7: every shipped fixture,
+The set is 50 ``run_config`` outputs at master seed 7: every shipped fixture,
 the negative-control variant of each ``tails`` fixture at 70,001 evaluation
-samples, ``tensor-norm`` with 8 tensors, ``catalog-oracle`` for all laws, one
-inline ``tails`` run on a centered quartic, the only run whose profile
-samples its top derivative, and three inline runs that leave the counts,
-route, ``p_values`` and ``t_grid`` every shipped fixture spells out to the
-defaults: a ``certify``, a ``weighted`` and an ``rmt`` run.
+samples, ``tensor-norm`` with 8 tensors, ``catalog-oracle`` for all laws, and
+three inline runs that leave the counts, route, ``p_values`` and ``t_grid``
+every shipped fixture spells out to the defaults: a ``certify``, a
+``weighted`` and an ``rmt`` run.
 Each file gives one ``<sha256>  <config>/<file>`` line, in a fixed order, so
 two checkouts can be compared with ``diff``:
 
@@ -34,12 +33,6 @@ SEED = 7
 CONTROL_SAMPLES = 70_001
 TENSOR_COUNT = 8
 
-# x1^4 + x2^4 + x3^4 + x1 x2 x3 - 9 on three gaussian coordinates (E f = 0):
-# at d = 2 its Hessian is not constant
-_GAUSS3 = {"dim": 3, "coords": [{"dist": "gaussian", "params": {}}] * 3}
-QUARTIC = {"dim": 3, "terms": [{"exponents": e, "coeff": c} for e, c in (
-    ([4, 0, 0], 1.0), ([0, 4, 0], 1.0), ([0, 0, 4], 1.0), ([1, 1, 1], 1.0),
-    ([0, 0, 0], -9.0))]}
 _GAUSS2 = {"dim": 2, "coords": [{"dist": "gaussian", "params": {}}] * 2}
 _BILINEAR = {"dim": 2, "terms": [{"exponents": [1, 1], "coeff": 0.5 ** 0.5}]}
 _STUDENT1 = {"dim": 1, "coords": [{"dist": "student", "params": {"beta": 10.0}}]}
@@ -47,7 +40,7 @@ _IDENTITY = {"dim": 1, "terms": [{"exponents": [1], "coeff": 1.0}]}
 
 
 def configs():
-    """(name, config) for each of the 51 runs, in output order."""
+    """(name, config) for each of the 50 runs, in output order."""
     out = []
     for fx in fixtures.inventory():
         out.append((fx.name, {"kind": fx.kind, "fixture": fx.name, "seed": SEED}))
@@ -58,9 +51,6 @@ def configs():
                          "negative_control": True, "samples": CONTROL_SAMPLES}))
     out.append(("tensor-norm", {"kind": "tensor-norm", "seed": SEED, "count": TENSOR_COUNT}))
     out.append(("catalog-oracle", {"kind": "catalog-oracle", "seed": SEED, "dist": "all"}))
-    out.append(("gaussian-quartic-n3-d2-tails",
-                {"kind": "tails", "seed": SEED, "measure": _GAUSS3, "function": QUARTIC,
-                 "d": 2, "t_grid": [1, 2, 4, 8, 16]}))
     out.append(("gaussian-bilinear-n2-d2-certify-defaults",
                 {"kind": "certify", "seed": SEED, "measure": _GAUSS2, "function": _BILINEAR,
                  "d": 2}))
