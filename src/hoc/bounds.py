@@ -1,12 +1,15 @@
 """Concentration bounds as explicit, checkable certificates.
 
 Everything here evaluates a closed-form right-hand side from a profile of
-derivative norms: iterated moment bounds, exponential-moment certificates
-(with automatic rescaling when the normalization hypotheses fail by a factor
-lambda), tail bounds built from the full ladder of derivative norms, and the
-weighted variants for measures that only satisfy a weighted spectral-gap
-inequality. Multilinear polynomials in independent centered coordinates get
-their own sharper certificates driven by the coefficient tensor.
+derivative norms. For a polynomial under a product law those norms are
+exact moments (``exact_hs_rungs``, ``exact_profile``); no rung is sampled.
+The right-hand sides are iterated moment bounds, exponential-moment
+certificates (with automatic rescaling when the normalization hypotheses
+fail by a factor lambda), tail bounds built from the full ladder of
+derivative norms, and the weighted variants for measures that only satisfy
+a weighted spectral-gap inequality. Multilinear polynomials in independent
+centered coordinates get their own sharper certificates driven by the
+coefficient tensor.
 
 Certificates carry a ``route`` label naming the bound family (ladder-inf,
 ladder-hs, ladder-tail, weighted-tail, multilinear-hs, multilinear-inf,
@@ -33,27 +36,13 @@ from math import e, sqrt
 
 import numpy as np
 
-from . import measures
-from .polynomials import EVAL_BLOCK, from_multilinear
-from .tensors import hs_norms, multinomial, op_norms
+from .polynomials import from_multilinear
+from .tensors import multinomial, op_norms
 
 EXP_MOMENT_COEFF = 1.0 / (12.0 * e)  # universal constant in the exp-moment certificates
 EXP_THRESHOLD = 2.0
 TAIL_PREFACTOR = e**2
 EXP_MOMENT_ROUTES = ("ladder-inf", "ladder-hs")  # the routes exp_moment_certificate takes
-
-# Pointwise operator norms of order >= 3 derivative tensors have no closed
-# form; cap the power-iteration work at this many sample points and let the
-# reported standard error reflect the smaller sample.
-OPNORM_POINT_CAP = 4096
-
-# A block of dense derivative tensors holds at most this many floats (8 MB):
-# order 4 on R^10 goes 100 points at a time, orders 1 and 2 on R^10 a whole
-# EVAL_BLOCK.
-_DENSE_BLOCK_FLOATS = 1 << 20
-
-# fewest sample points profile_from_function accepts
-MIN_PROFILE_SAMPLES = 10_000
 
 _SQRT2 = sqrt(2.0)
 
@@ -72,11 +61,12 @@ class MissingHypothesisError(ValueError):
 class DerivativeProfile:
     """Derivative-norm summary of one function under one measure.
 
-    norms2[k-1] is the L2 norm of the pointwise operator norm of the order-k
-    derivative, k = 1..order-1. top_inf bounds the operator norm of the
-    order-d derivative uniformly (exact when that derivative is constant,
-    otherwise a sampled lower bound and top_inf_exact is False). top_hs is
-    the L2 norm of the pointwise Hilbert-Schmidt norm of the top derivative.
+    norms2[k-1] bounds the L2 norm of the pointwise operator norm of the
+    order-k derivative, k = 1..order-1 (``exact_profile`` gives the exact
+    Hilbert-Schmidt rung, which bounds it). top_inf bounds the operator norm
+    of the order-d derivative uniformly; top_inf_exact is False when it is
+    only an estimate. top_hs is the L2 norm of the pointwise Hilbert-Schmidt
+    norm of the top derivative.
     """
 
     order: int
@@ -87,9 +77,6 @@ class DerivativeProfile:
     centered: bool = False
     derivs_centered: bool = False
     top_inf_exact: bool = True
-    mean: float = 0.0
-    norms2_se: tuple = ()
-    top_hs_se: float = 0.0
 
     def __post_init__(self):
         if self.order < 1:
@@ -383,77 +370,21 @@ def multilinear_certificates(spec, sigma, centered, unit_variance):
     return certs
 
 
-# -- profile estimation ------------------------------------------------------------------
+# -- exact profiles ---------------------------------------------------------------------
 
-def _opnorm_values(f, k, points):
-    """Pointwise operator norms of the order-k derivative at ``points``: the
-    profile sample, or the origin alone when that derivative is constant.
-
-    The points go block by block, each block's dense derivative stack to one
-    ``op_norms`` call, so no (m, dim, dim) Hessian batch is built; every
-    point's norm is computed as in a whole-batch call. Orders >= 3 use at
-    most OPNORM_POINT_CAP points (deterministic prefix of the sample).
-    """
-    if k >= 3:
-        points = points[:OPNORM_POINT_CAP]
-    rows = max(1, min(EVAL_BLOCK, _DENSE_BLOCK_FLOATS // f.dim ** k))
-    return _blocked(lambda block: op_norms(f.derivative_dense(k, block)), points, rows)
-
-
-def _blocked(norms, points, rows):
-    """``norms`` of consecutive blocks of ``rows`` points, joined; each point's
-    value is as in one whole-batch call."""
-    out = np.empty(points.shape[0])
-    for start in range(0, points.shape[0], rows):
-        out[start:start + rows] = norms(points[start:start + rows])
-    return out
-
-
-def _l2_with_se(values):
-    m = values.size
-    sq = values * values
-    mean = float(np.mean(sq))
-    est = sqrt(mean)
-    if m < 2 or est == 0.0:
-        return est, 0.0
-    se_mean = float(np.std(sq, ddof=1)) / sqrt(m)
-    return est, se_mean / (2.0 * est)
-
-
-def profile_from_function(f, mspec, d, m=100_000, seed=0):
-    """Estimate a DerivativeProfile for ``f`` under ``mspec``.
-
-    Every order k = 1..d takes one path: the L2 norm, with its standard
-    error, of pointwise norms at the origin alone when the order-k
-    derivative is constant (exact, SE 0), else at the m sample points. The
-    top operator-norm bound is their max: exact for a constant top, else
-    flagged as a sampled lower estimate; top_hs is the L2 norm of pointwise
-    Hilbert-Schmidt norms at the same points. Centering flags come from
-    exact expectations, not samples.
-    """
-    if m < MIN_PROFILE_SAMPLES:
-        raise ValueError("need m >= %d samples for a usable profile"
-                         % MIN_PROFILE_SAMPLES)
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    sigma = mspec.sigma()
-    sample = measures.sample(mspec, m, seed)
-    norms2, ses = [], []
-    for k in range(1, d + 1):
-        pts = np.zeros((1, f.dim)) if f.top_is_constant(k) else sample
-        vals = _opnorm_values(f, k, pts)
-        if k < d:
-            est, se = _l2_with_se(vals)
-            norms2.append(est)
-            ses.append(se)
-    top_inf = float(np.max(vals))
-    top_hs, top_hs_se = _l2_with_se(_blocked(
-        lambda block: hs_norms(f.derivative_batch(d, block)[1], d, f.dim), pts, EVAL_BLOCK))
-    mean, centered, derivs_centered = centering(f, mspec, d)
-    return DerivativeProfile(
-        d, sigma, tuple(norms2), top_inf, top_hs,
-        centered, derivs_centered, f.top_is_constant(d), mean,
-        tuple(ses), top_hs_se)
+def exact_profile(f, mspec, d):
+    """The DerivativeProfile of ``f`` under ``mspec`` for a constant order-d
+    derivative, from exact moments: the ``exact_hs_rungs``, top_inf the
+    operator norm of that derivative at the origin (exact at order <= 2 or
+    in one dimension, else a power-iteration lower estimate and flagged so)
+    and the ``centering`` flags. Nothing is sampled."""
+    if not f.top_is_constant(d):
+        raise ValueError("an exact profile needs a constant order-d derivative")
+    hs2, top_hs = exact_hs_rungs(f, mspec, d)
+    top_inf = float(op_norms(f.derivative_dense(d, np.zeros((1, f.dim))))[0])
+    _, centered, derivs_centered = centering(f, mspec, d)
+    return DerivativeProfile(d, mspec.sigma(), hs2, top_inf, top_hs, centered,
+                             derivs_centered, d <= 2 or f.dim == 1)
 
 
 def centering(f, mspec, d):

@@ -6,8 +6,8 @@ numbers. Exit codes: 0 all checks passed, 1 a domination/equivalence check
 failed, 2 invalid config (nothing is written in that case), 3 the run
 crashed (the CLI's code; an output directory the run created is removed).
 
-Determinism: the master seed is the only entropy source. Stages (profile
-estimation, evaluation sampling, calibration, negative controls) derive
+Determinism: the master seed is the only entropy source. Stages
+(evaluation sampling, calibration, random tensors, weight norms) derive
 their own integer seeds from it, so artifact bytes depend only on
 (config, seed).
 """
@@ -32,23 +32,20 @@ SCHEMA_VERSION = 1
 
 # the value of each count, order and grid a config may leave out (a field a
 # kind requires, see _KINDS, never falls back to it)
-DEFAULTS = {"samples": 1_000_000, "profile_samples": 100_000, "draws": 2000,
-            "cal_draws": 2000, "count": 50, "p": 2, "p_values": (2, 4),
-            "t_grid": (1, 2, 4)}
+DEFAULTS = {"samples": 1_000_000, "draws": 2000, "cal_draws": 2000, "count": 50,
+            "p": 2, "p_values": (2, 4), "t_grid": (1, 2, 4)}
 
 # the draws behind the weighted runner's Monte Carlo weight-norm check (4x this)
 WEIGHT_NORM_SAMPLES = 100_000
 
 # spawn-key ids for per-stage seeds
-_STAGE_PROFILE = 1
 _STAGE_EVAL = 2
 _STAGE_CAL = 3
 _STAGE_TENSORS = 4
 _STAGE_WEIGHTS = 5
 
 # the least value of each count or size a runner reads from the config or fixture
-_COUNT_FLOORS = {"samples": 1, "profile_samples": bounds.MIN_PROFILE_SAMPLES,
-                 "draws": 1, "cal_draws": rmt.MIN_CAL_DRAWS, "count": 1,
+_COUNT_FLOORS = {"samples": 1, "draws": 1, "cal_draws": rmt.MIN_CAL_DRAWS, "count": 1,
                  "matrix_size": 2, "d": 1}
 
 
@@ -120,7 +117,6 @@ class Experiment:
     route: str | None
     negative_control: bool
     samples: int
-    profile_samples: int
     draws: int
     cal_draws: int
     count: int
@@ -221,11 +217,11 @@ def resolve(cfg):
             raise ConfigError("the %s checks read the weight norm ||w||_%g, infinite for "
                               "the student law with beta = %g (it needs 2 beta - 1 > %g)"
                               % (kind, q, beta, q))
-    if kind == "tails" and not f.top_is_constant(d):
+    if kind in ("certify", "tails") and not f.top_is_constant(d):
         # the top rung bounds the sup of |f^(d)|_op only for a constant f^(d);
         # under an unbounded law any other has an infinite sup
-        raise ConfigError("tails certificates need a constant order-d derivative, "
-                          "got d = %d for degree %d" % (d, f.degree))
+        raise ConfigError("%s certificates need a constant order-d derivative, "
+                          "got d = %d for degree %d" % (kind, d, f.degree))
     # exact centering, as the runners test it (their checks stay as a backstop)
     if kind == "multilinear" and any(mspec.moment(i, 1) != 0.0 for i in range(mspec.dim)):
         raise ConfigError("multilinear certificates need E X_i = 0 for all i")
@@ -417,9 +413,7 @@ def _eval_values(f, mspec, m, seed):
 # -- certify -------------------------------------------------------------------------
 
 def _run_certify(exp, out_dir):
-    profile = bounds.profile_from_function(exp.function, exp.measure, exp.d,
-                                           m=exp.profile_samples,
-                                           seed=stage_seed(exp.seed, _STAGE_PROFILE))
+    profile = bounds.exact_profile(exp.function, exp.measure, exp.d)
     cert = bounds.exp_moment_certificate(profile, route=exp.route)
     values = _eval_values(exp.function, exp.measure, exp.samples,
                           stage_seed(exp.seed, _STAGE_EVAL))
@@ -433,8 +427,7 @@ def _run_certify(exp, out_dir):
                 row.extra["se"], cert.rescale_lambda,
                 int(row.extra["stable"]), int(row.passed))])
     return {"certificate": cert.to_dict(), "check": report.to_dict(),
-            "samples": exp.samples, "profile_samples": exp.profile_samples,
-            "passed": report.passed}
+            "samples": exp.samples, "passed": report.passed}
 
 
 # -- tails ----------------------------------------------------------------------------
@@ -642,7 +635,7 @@ _KINDS = {  # runner, fields, required, route, samples field, its floor
     "tensor-norm": _Kind(_run_tensor_norm, ("count",)),
     "catalog-oracle": _Kind(_run_catalog_oracle, ("dist", "params")),
     # the config's or the fixture's route, else the certificate picks one
-    "certify": _Kind(_run_certify, _POLY + ("profile_samples", "route"), ("d",), None,
+    "certify": _Kind(_run_certify, _POLY + ("route",), ("d",), None,
                      "samples", verify.MIN_EXP_SAMPLES),
     "tails": _Kind(_run_tails, _POLY + ("t_grid", "negative_control"),
                    ("d", "t_grid"), "ladder-tail", "samples", verify.MIN_TAIL_SAMPLES),

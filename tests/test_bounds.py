@@ -15,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 from hoc import bounds as B
 from hoc import fixtures, measures
 from hoc.measures import MeasureSpec
-from hoc.polynomials import EVAL_BLOCK, MultilinearSpec, PolyFunction, from_multilinear
+from hoc.polynomials import MultilinearSpec, PolyFunction, from_multilinear
 from hoc._util import jsonable
-from hoc.tensors import SymTensor, hs_norms, op_norms
+from hoc.tensors import op_norms
 
 
 def profile(d=2, sigma=1.0, norms2=(1.0,), top_inf=1.0, **kw):
@@ -460,97 +460,59 @@ def test_exact_hs_rungs_count_repeated_indices():
     assert top_hs == pytest.approx(sqrt(12.0), rel=1e-15)
 
 
+def _sampled_opnorm_rungs(f, mspec, d, m, seed):
+    """(L2 norm, SE) of the pointwise operator norm of f^(k), k = 1..d-1, at
+    m ``measures.sample`` points: the Monte Carlo oracle for the exact rungs."""
+    pts = measures.sample(mspec, m, seed)
+    out = []
+    for k in range(1, d):
+        sq = op_norms(f.derivative_dense(k, pts)) ** 2
+        est = sqrt(float(np.mean(sq)))
+        out.append((est, float(np.std(sq, ddof=1)) / sqrt(m) / (2.0 * est)))
+    return out
+
+
 def test_exact_hs_rungs_dominate_the_sampled_profile():
     # |T|_op <= |T|_HS pointwise, so each exact rung sits above the sampled
-    # operator-norm rung up to its sampling error
-    for name, f, mspec, d in _chaos_tails():
+    # operator-norm rung up to its sampling error; at order 1 the two norms
+    # coincide, so there the exact rung must also agree with the sample
+    payload = fixtures.by_name("gauss-bilinear-exp-opnorm").payload
+    bilinear = ("gauss-bilinear-exp-opnorm", PolyFunction.from_dict(payload["function"]),
+                MeasureSpec.from_dict(payload["measure"]), payload["d"])
+    for name, f, mspec, d in _chaos_tails() + [bilinear]:
         hs2, top_hs = B.exact_hs_rungs(f, mspec, d)
-        prof = B.profile_from_function(f, mspec, d, m=10_000, seed=11)
-        for k in range(1, d):
-            assert hs2[k - 1] >= prof.norms2[k - 1] - 5.0 * prof.norms2_se[k - 1], (name, k)
-        assert prof.top_inf_exact and top_hs >= prof.top_inf, name
+        for k, (est, se) in enumerate(_sampled_opnorm_rungs(f, mspec, d, 10_000, 11), 1):
+            assert hs2[k - 1] >= est - 5.0 * se, (name, k)
+            if k == 1:
+                assert abs(hs2[0] - est) <= 5.0 * se, name
+        assert top_hs >= B.exact_profile(f, mspec, d).top_inf, name
 
 
-# -- profile estimation -------------------------------------------------------------
+# -- exact profiles -----------------------------------------------------------------
 
 
-def test_profile_from_function_bilinear():
+def test_exact_profile_bilinear():
+    # f = x1 x2 under the standard gaussian pair: E |grad f|^2 = E x1^2 + x2^2
+    # = 2, the constant Hessian ((0, 1), (1, 0)) has operator norm 1 and HS
+    # norm sqrt(2)
     f = PolyFunction.from_terms(2, [((1, 1), 1.0)])
-    spec = MeasureSpec.iid("gaussian", 2)
-    prof = B.profile_from_function(f, spec, 2, m=20_000, seed=5)
+    prof = B.exact_profile(f, MeasureSpec.iid("gaussian", 2), 2)
     assert prof.order == 2 and prof.sigma == 1.0
-    assert prof.centered and prof.derivs_centered
-    # constant hessian: uniform norm exactly 1, HS norm exactly sqrt(2)
-    assert prof.top_inf == pytest.approx(1.0, rel=1e-6)
-    assert prof.top_inf_exact
-    assert prof.top_hs == pytest.approx(sqrt(2.0), rel=1e-12)
-    assert prof.top_hs_se == 0.0
-    # E |grad f|^2 = E x1^2 + x2^2 = 2
-    assert prof.norms2[0] == pytest.approx(sqrt(2.0), abs=6 * prof.norms2_se[0])
-    with pytest.raises(ValueError):
-        B.profile_from_function(f, spec, 2, m=500)
+    assert prof.norms2 == pytest.approx((sqrt(2.0),), rel=1e-15)
+    assert prof.top_inf == pytest.approx(1.0, rel=1e-15)
+    assert prof.top_hs == pytest.approx(sqrt(2.0), rel=1e-15)
+    assert prof.centered and prof.derivs_centered and prof.top_inf_exact
 
 
-@pytest.mark.parametrize("fixture, d", [("gauss-bilinear-exp-hs", 2),
-                                        ("gauss-bilinear-exp-hs", 3),
-                                        ("gaussian-chaos-n3-d3-tails", 3)])
-def test_profile_constant_orders_are_one_origin_row(fixture, d):
-    # a constant derivative takes the sampled path's op_norms at the origin
-    # alone: exact, SE 0, whatever the size (d = 3 on the bilinear form makes
-    # order 2 a constant rung below a zero top)
-    payload = fixtures.by_name(fixture).payload
-    if "multilinear" in payload:
-        f, _ = from_multilinear(MultilinearSpec.from_dict(payload["multilinear"]))
-    else:
-        f = PolyFunction.from_dict(payload["function"])
-    prof = B.profile_from_function(f, MeasureSpec.from_dict(payload["measure"]), d,
-                                   m=B.MIN_PROFILE_SAMPLES, seed=3)
-    origin = np.zeros((1, f.dim))
-    constant = [k for k in range(1, d + 1) if f.top_is_constant(k)]
-    assert d in constant
-    for k in constant:
-        want = float(op_norms(f.derivative_dense(k, origin))[0])
-        if k < d:
-            assert prof.norms2[k - 1] == want and prof.norms2_se[k - 1] == 0.0
-        else:
-            assert prof.top_inf == want and prof.top_inf_exact
-    want_hs = float(hs_norms(f.derivative_batch(d, origin)[1], d, f.dim)[0])
-    assert prof.top_hs == want_hs and prof.top_hs_se == 0.0
-
-
-def test_profile_top_hs_blocked_matches_whole_batch(monkeypatch):
-    # a sampled top: the blocked HS norms give the whole-batch L2 and SE bit for bit
-    f = PolyFunction.from_terms(3, {(4, 0, 0): 1.0, (0, 4, 0): 1.0, (0, 0, 4): 1.0,
-                                    (1, 1, 1): 1.0, (0, 0, 0): -9.0})
+def test_exact_profile_flags_a_power_iteration_top():
+    # a constant order-3 top on R^3 gets its operator norm from power
+    # iteration, a lower estimate, so top_inf_exact is False; in one
+    # dimension the norm is exact, and a top that is not constant is refused
+    f = PolyFunction.from_terms(3, {(1, 1, 1): 1.0})
     spec = MeasureSpec.iid("gaussian", 3)
-    m = B.MIN_PROFILE_SAMPLES + 7
-    monkeypatch.setattr(B, "EVAL_BLOCK", 999)
-    prof = B.profile_from_function(f, spec, 2, m=m, seed=4)
-    assert not prof.top_inf_exact
-    pts = measures.sample(spec, m, 4)
-    whole = hs_norms(f.derivative_batch(2, pts)[1], 2, 3)
-    assert (prof.top_hs, prof.top_hs_se) == B._l2_with_se(whole)
-
-
-def test_opnorm_values_blocked_match_whole_batch():
-    f = PolyFunction.from_terms(3, {(2, 1, 0): 1.5, (0, 1, 2): -0.75, (1, 1, 1): 2.0,
-                                    (3, 0, 0): 0.25})
-    pts = np.random.default_rng(8).standard_normal((2 * EVAL_BLOCK + 5, 3))
-    hess = np.max(np.abs(np.linalg.eigvalsh(f.derivative_dense(2, pts))), axis=1)
-    assert np.array_equal(B._opnorm_values(f, 2, pts), hess)
-    grad = np.linalg.norm(f.derivative_dense(1, pts), axis=1)
-    assert np.array_equal(B._opnorm_values(f, 1, pts), grad)
-
-
-def test_opnorm_values_order3_match_per_point_symtensor(monkeypatch):
-    # the stacked power iteration gives each point what SymTensor.op_norm gives it
-    f = PolyFunction.from_terms(3, {(4, 0, 0): 1.0, (0, 4, 0): 1.0, (0, 0, 4): 1.0,
-                                    (1, 1, 1): 1.0, (2, 1, 1): -0.5, (0, 0, 0): -9.0})
-    pts = np.random.default_rng(12).standard_normal((50, 3))
-    monkeypatch.setattr(B, "OPNORM_POINT_CAP", 40)
-    monkeypatch.setattr(B, "_DENSE_BLOCK_FLOATS", 16 * 27)  # blocks of 16 points
-    got = B._opnorm_values(f, 3, pts)
-    indices, vals = f.derivative_batch(3, pts[:40])
-    want = [SymTensor.from_entries(3, 3, dict(zip(indices, row))).op_norm("iterative")
-            for row in vals.tolist()]
-    assert np.array_equal(got, want)
+    prof = B.exact_profile(f, spec, 3)
+    assert not prof.top_inf_exact and prof.top_inf > 0
+    assert B.exact_profile(PolyFunction.from_terms(1, {(3,): 1.0}),
+                           MeasureSpec.iid("gaussian", 1), 3).top_inf_exact
+    with pytest.raises(ValueError):
+        B.exact_profile(f, spec, 2)

@@ -125,7 +125,7 @@ def test_resolve_fills_omitted_counts_from_defaults():
         assert isinstance(exp, experiments.Experiment)
         with pytest.raises(dataclasses.FrozenInstanceError):
             exp.samples = 1
-        for field in ("samples", "profile_samples", "draws", "cal_draws", "count"):
+        for field in ("samples", "draws", "cal_draws", "count"):
             assert getattr(exp, field) == experiments.DEFAULTS[field]
     assert tails.t_grid == (1.0, 2.0) and tails.route == "ladder-tail"
     assert wigner.t_grid == tuple(experiments.DEFAULTS["t_grid"])
@@ -206,8 +206,6 @@ _UNCENTERED_TAILS = {
     {"kind": "rmt", "seed": 0, "matrix_size": 5, "coeffs": [0.0, 0.0, 0.0, 1.0],
      "entry": {"dist": "gaussian", "params": {}}, "draws": 1001, "cal_draws": 500},
     # sample counts and seeds the runners cannot use
-    {"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-hs",
-     "profile_samples": 1000},
     {"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n2-d2-tails",
      "samples": "abc"},
     {"kind": "tails", "seed": -3, "fixture": "gaussian-chaos-n2-d2-tails"},
@@ -260,7 +258,8 @@ _UNCENTERED_TAILS = {
      "negative_control": "false"},
     # fields no runner reads: the weighted kinds take their weight from the
     # oracle, a misspelt field would fall back to its default, only tails
-    # runs a negative control, and the gaussian law has no scale
+    # runs a negative control, no runner samples a derivative profile, and
+    # the gaussian law has no scale
     {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d1",
      "measure": {"dim": 1, "coords": [_STUDENT],
                  "weight": {"kind": "sqrt_one_plus_max_sq", "params": {"kappa": 1e6}}}},
@@ -270,13 +269,14 @@ _UNCENTERED_TAILS = {
     {"kind": "multilinear", "seed": 0, "fixture": "gaussian-chaos-n2-d2-multilinear",
      "negative_control": True},
     {"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-hs",
+     "profile_samples": 1000},
+    {"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-hs",
      "measure": {"dim": 2, "coords": [{"dist": "gaussian", "params": {"scale": 3.0}}] * 2}},
     # fields another kind reads, but not this one
     {"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n2-d2-tails",
      "coeffs": [0.0, 0.0, 0.5], "entry": {"dist": "gaussian", "params": {}}, "count": 5,
      "p_values": [2, 4]},
-    {"kind": "rmt", "seed": 0, "fixture": "wigner-gaussian-n50", "d": 2,
-     "profile_samples": 20000},
+    {"kind": "rmt", "seed": 0, "fixture": "wigner-gaussian-n50", "d": 2},
     {"kind": "multilinear", "seed": 0, "fixture": "gaussian-chaos-n2-d2-multilinear", "d": 2},
     {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d1", "p": 4},
     {"kind": "weighted-tail", "seed": 0, "fixture": "student-weighted-tail-d1",
@@ -298,7 +298,7 @@ _UNCENTERED_TAILS = {
     # an order-d derivative that is not constant has no finite sup on R^n
     {"kind": "tails", "seed": 0, "measure": _GAUSS3, "function": _QUARTIC, "d": 2,
      "t_grid": [1, 2, 4, 8, 16]},
-], ids=["uncentered-tails", "rmt-degree-3", "profile-samples-1000", "samples-abc",
+], ids=["uncentered-tails", "rmt-degree-3", "samples-abc",
         "negative-seed", "tails-samples-500", "rmt-draws-50", "rmt-draws-1000",
         "multilinear-samples-5000",
         "certify-samples-10", "matrix-size-1", "p-values-x", "p-1", "d-0",
@@ -308,7 +308,7 @@ _UNCENTERED_TAILS = {
         "measure-dim-2-function-dim-3", "multilinear-measure-dim-2", "rmt-coeffs-x",
         "rmt-student-entry", "weighted-gaussian-law", "negative-control-string",
         "measure-weight", "negative-controll", "sampels", "multilinear-negative-control",
-        "gaussian-scale", "tails-rmt-fields", "rmt-profile-fields", "multilinear-d",
+        "profile-samples-1000", "gaussian-scale", "tails-rmt-fields", "rmt-d", "multilinear-d",
         "weighted-p", "weighted-tail-p-values", "certify-t-grid", "student-beta-half",
         "student-beta-x", "student-beta-true", "oracle-scale-string", "student-beta-0.51",
         "weighted-tail-p-16", "tails-quartic-d2"])
@@ -336,13 +336,18 @@ _STUDENT2 = {"dim": 2, "coords": [_STUDENT, _STUDENT]}
       "function": {"dim": 2, "terms": [{"exponents": [1, 1], "coeff": 1.0},
                                        {"exponents": [0, 0], "coeff": 0.5}]}}, "E f = 0"),
     # E x1^2 x2 = 0, but its gradient (2 x1 x2, x1^2) has mean (0, 1)
-    ({"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-hs",
+    ({"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-hs", "d": 3,
       "function": {"dim": 2, "terms": [{"exponents": [2, 1], "coeff": 1.0}]}}, "ladder-hs"),
+    # at d = 2 its Hessian (2 x2, 2 x1; 2 x1, 0) is not constant: no finite sup
+    ({"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-opnorm",
+      "function": {"dim": 2, "terms": [{"exponents": [2, 1], "coeff": 1.0}]}},
+     "constant order-d derivative"),
     ({"kind": "multilinear", "seed": 0, "fixture": "gaussian-chaos-n2-d2-multilinear",
       "measure": {"dim": 2, "coords": [{"dist": "exponential", "params": {}}] * 2}},
      "E X_i = 0"),
 ], ids=["tails-uncentered", "tails-student", "certify-student", "multilinear-student",
-        "certify-shifted", "certify-hs-gradient-mean", "multilinear-exponential"])
+        "certify-shifted", "certify-hs-gradient-mean", "certify-cubic-d2",
+        "multilinear-exponential"])
 def test_hypotheses_checked_before_any_sampling(monkeypatch, cfg, match):
     def draw(*args, **kwargs):
         raise AssertionError("sampling before the hypothesis check")
@@ -389,16 +394,24 @@ def test_cli_crash_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-def test_tails_certifies_from_exact_rungs_without_a_profile(tmp_path, monkeypatch):
+def test_runners_certify_from_exact_rungs_without_a_profile(tmp_path, monkeypatch):
+    # the evaluation blocks are the only draws either runner makes
     def profile(*args, **kwargs):
-        raise AssertionError("the tails runner sampled a derivative profile")
+        raise AssertionError("a runner sampled a derivative profile")
 
-    monkeypatch.setattr(experiments.bounds, "profile_from_function", profile)
+    monkeypatch.setattr(experiments.measures, "sample", profile)
+    cfg = {"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-opnorm",
+           "samples": 100_000}
+    code, report = experiments.run_config(cfg, str(tmp_path / "certify"))
+    assert code == 0
+    constants = report["certificate"]["constants"]
+    assert constants["norms2"] == pytest.approx([1.0], abs=1e-12)
+    assert constants["top_inf"] == pytest.approx(0.5 ** 0.5, abs=1e-12)
+    assert constants["top_inf_exact"]
     cfg = {"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n3-d3-tails",
            "samples": 2000, "negative_control": True}
     code, report = experiments.run_config(cfg, str(tmp_path / "out"))
     assert report["check"]["passed"] and code == (0 if report["passed"] else 1)
-    assert "profile_samples" not in report
     constants = report["certificate"]["constants"]
     assert set(constants) == {"sigma", "d", "hs2", "top_hs"}
     assert constants["hs2"] == pytest.approx([0.5 ** 0.5, 1.0], abs=1e-12)
@@ -521,7 +534,7 @@ def test_scipy_loaded_only_by_the_kinds_that_use_it(tmp_path):
         {"kind": "rmt", "seed": 0, "fixture": "wigner-gaussian-n50",
          "draws": 1001, "cal_draws": 500},
         {"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-hs",
-         "samples": 100_000, "profile_samples": 10000},
+         "samples": 100_000},
         {"kind": "multilinear", "seed": 0, "fixture": "gaussian-chaos-n2-d2-multilinear",
          "samples": 100_000},
     ]
