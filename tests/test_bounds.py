@@ -17,7 +17,7 @@ from hoc import fixtures, measures
 from hoc.measures import MeasureSpec
 from hoc.polynomials import MultilinearSpec, PolyFunction, from_multilinear
 from hoc._util import jsonable
-from hoc.tensors import op_norms
+from hoc.tensors import hs_norms, op_norms
 
 
 def profile(d=2, sigma=1.0, norms2=(1.0,), top_inf=1.0, **kw):
@@ -502,6 +502,32 @@ def test_exact_profile_bilinear():
     assert prof.top_inf == pytest.approx(1.0, rel=1e-15)
     assert prof.top_hs == pytest.approx(sqrt(2.0), rel=1e-15)
     assert prof.centered and prof.derivs_centered and prof.top_inf_exact
+
+
+@pytest.mark.parametrize("fixture, d", [("gauss-bilinear-exp-hs", 2),
+                                        ("gauss-bilinear-exp-hs", 3),
+                                        ("gaussian-chaos-n3-d3-tails", 3)])
+def test_profile_constant_orders_are_one_origin_row(fixture, d):
+    # a constant derivative is its value at the origin: its exact rung is the
+    # HS norm of that one row, and the top's operator norm is op_norms of it
+    # (d = 3 on the bilinear form makes order 2 a constant rung below a zero top)
+    payload = fixtures.by_name(fixture).payload
+    if "multilinear" in payload:
+        f, _ = from_multilinear(MultilinearSpec.from_dict(payload["multilinear"]))
+    else:
+        f = PolyFunction.from_dict(payload["function"])
+    prof = B.exact_profile(f, MeasureSpec.from_dict(payload["measure"]), d)
+    origin = np.zeros((1, f.dim))
+    constant = [k for k in range(1, d + 1) if f.top_is_constant(k)]
+    assert d in constant
+    for k in constant:
+        want_hs = float(hs_norms(f.derivative_batch(k, origin)[1], k, f.dim)[0])
+        if k < d:
+            assert prof.norms2[k - 1] == pytest.approx(want_hs, rel=1e-12, abs=1e-15)
+        else:
+            assert prof.top_hs == pytest.approx(want_hs, rel=1e-12, abs=1e-15)
+    assert prof.top_inf == float(op_norms(f.derivative_dense(d, origin))[0])
+    assert prof.top_inf_exact == (d <= 2 or f.dim == 1)
 
 
 def test_exact_profile_flags_a_power_iteration_top():

@@ -277,6 +277,8 @@ _UNCENTERED_TAILS = {
      "coeffs": [0.0, 0.0, 0.5], "entry": {"dist": "gaussian", "params": {}}, "count": 5,
      "p_values": [2, 4]},
     {"kind": "rmt", "seed": 0, "fixture": "wigner-gaussian-n50", "d": 2},
+    {"kind": "rmt", "seed": 0, "fixture": "wigner-gaussian-n50", "d": 2,
+     "profile_samples": 20000},
     {"kind": "multilinear", "seed": 0, "fixture": "gaussian-chaos-n2-d2-multilinear", "d": 2},
     {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d1", "p": 4},
     {"kind": "weighted-tail", "seed": 0, "fixture": "student-weighted-tail-d1",
@@ -308,7 +310,7 @@ _UNCENTERED_TAILS = {
         "measure-dim-2-function-dim-3", "multilinear-measure-dim-2", "rmt-coeffs-x",
         "rmt-student-entry", "weighted-gaussian-law", "negative-control-string",
         "measure-weight", "negative-controll", "sampels", "multilinear-negative-control",
-        "profile-samples-1000", "gaussian-scale", "tails-rmt-fields", "rmt-d", "multilinear-d",
+        "profile-samples-1000", "gaussian-scale", "tails-rmt-fields", "rmt-d", "rmt-profile-fields", "multilinear-d",
         "weighted-p", "weighted-tail-p-values", "certify-t-grid", "student-beta-half",
         "student-beta-x", "student-beta-true", "oracle-scale-string", "student-beta-0.51",
         "weighted-tail-p-16", "tails-quartic-d2"])
@@ -394,20 +396,28 @@ def test_cli_crash_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-def test_runners_certify_from_exact_rungs_without_a_profile(tmp_path, monkeypatch):
-    # the evaluation blocks are the only draws either runner makes
+def _refuse_profile_draws(monkeypatch):
+    # the evaluation blocks are the only draws a runner makes
     def profile(*args, **kwargs):
         raise AssertionError("a runner sampled a derivative profile")
 
     monkeypatch.setattr(experiments.measures, "sample", profile)
+
+
+def test_certify_reads_exact_rungs_without_a_profile(tmp_path, monkeypatch):
+    _refuse_profile_draws(monkeypatch)
     cfg = {"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-opnorm",
            "samples": 100_000}
-    code, report = experiments.run_config(cfg, str(tmp_path / "certify"))
+    code, report = experiments.run_config(cfg, str(tmp_path / "out"))
     assert code == 0
     constants = report["certificate"]["constants"]
     assert constants["norms2"] == pytest.approx([1.0], abs=1e-12)
     assert constants["top_inf"] == pytest.approx(0.5 ** 0.5, abs=1e-12)
     assert constants["top_inf_exact"]
+
+
+def test_tails_certifies_from_exact_rungs_without_a_profile(tmp_path, monkeypatch):
+    _refuse_profile_draws(monkeypatch)
     cfg = {"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n3-d3-tails",
            "samples": 2000, "negative_control": True}
     code, report = experiments.run_config(cfg, str(tmp_path / "out"))
