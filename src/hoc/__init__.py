@@ -7,10 +7,10 @@ for the route taxonomy and the experiment runner.
 """
 
 from .bounds import (Certificate, DerivativeProfile, MissingHypothesisError,
-                     MissingNormError, exact_hs_rungs, exact_profile,
-                     exp_moment_certificate, iterated_moment_bound,
-                     multilinear_certificates, tail_certificate,
-                     weighted_moment_bounds, weighted_tail_certificate)
+                     exact_hs_rungs, exact_profile, exp_moment_certificate,
+                     iterated_moment_bound, multilinear_certificates,
+                     tail_certificate, weighted_moment_bounds,
+                     weighted_tail_certificate)
 from .measures import (CATALOG, CoordinateDist, GapResult, MeasureSpec,
                        UncertifiedConstantError, catalog_oracle,
                        coordinate_moment, coordinate_sigma2, sample,

@@ -47,10 +47,6 @@ EXP_MOMENT_ROUTES = ("ladder-inf", "ladder-hs")  # the routes exp_moment_certifi
 _SQRT2 = sqrt(2.0)
 
 
-class MissingNormError(ValueError):
-    """A bound was requested without the derivative norm it needs."""
-
-
 class MissingHypothesisError(ValueError):
     """A certificate was requested for a function violating its hypotheses."""
 
@@ -72,8 +68,8 @@ class DerivativeProfile:
     order: int
     sigma: float
     norms2: tuple
-    top_inf: float | None = None
-    top_hs: float | None = None
+    top_inf: float
+    top_hs: float
     centered: bool = False
     derivs_centered: bool = False
     top_inf_exact: bool = True
@@ -88,7 +84,7 @@ class DerivativeProfile:
         for v in self.norms2:
             if not (math.isfinite(v) and v >= 0):
                 raise ValueError("norms must be finite and nonnegative")
-        if self.top_inf is not None and not self.top_inf >= 0:
+        if not self.top_inf >= 0:
             raise ValueError("top_inf must be nonnegative")
 
 
@@ -203,8 +199,6 @@ def iterated_moment_bound(profile, p):
     """
     if p < 2:
         raise ValueError("the iterated moment bound needs p >= 2")
-    if profile.top_inf is None:
-        raise MissingNormError("need top_inf for the top term")
     d, sigma = profile.order, profile.sigma
     base = sigma * p / _SQRT2
     total = sum(base**k * profile.norms2[k - 1] for k in range(1, d))
@@ -216,21 +210,20 @@ def iterated_moment_bound(profile, p):
 def exp_moment_certificate(profile, route=None):
     """Certificate that E exp(rate * |f|^(1/d)) <= 2.
 
-    Route "ladder-inf" (default) needs the Op-2 norm ladder below sigma^(d-k) and a
-    uniform operator-norm bound on the top derivative; route "ladder-hs" trades the
+    Route "ladder-inf" needs the Op-2 norm ladder below sigma^(d-k) and a
+    uniform operator-norm bound on the top derivative; route "ladder-hs" (the
+    default when every derivative of order < d is centered) trades the
     ladder for centered derivatives plus an L2 Hilbert-Schmidt bound on the
     top derivative. Hypotheses failing by a factor are absorbed by rescaling:
     the certificate is issued for f / rescale_lambda, equivalently the rate
     already includes the lambda^(-1/d) factor so the claim holds for f itself.
     """
     if route is None:
-        route = "ladder-hs" if (profile.derivs_centered and profile.top_hs is not None) else "ladder-inf"
+        route = "ladder-hs" if profile.derivs_centered else "ladder-inf"
     if route not in EXP_MOMENT_ROUTES:
         raise ValueError("unknown exp-moment route %r" % (route,))
     if not profile.centered:
         raise MissingHypothesisError("exp-moment certificates need E f = 0; recenter first")
-    if profile.top_inf is None:
-        raise MissingNormError("need a uniform operator-norm bound on the top derivative")
     d, sigma = profile.order, profile.sigma
     if route == "ladder-inf":
         lam = max(1.0, profile.top_inf,
@@ -241,8 +234,6 @@ def exp_moment_certificate(profile, route=None):
         if not profile.derivs_centered:
             raise MissingHypothesisError(
                 "route ladder-hs needs all derivatives of order < d centered")
-        if profile.top_hs is None:
-            raise MissingNormError("route ladder-hs needs the Hilbert-Schmidt top norm")
         lam = max(1.0, profile.top_inf, profile.top_hs)
         used = {"top_hs": profile.top_hs, "top_inf": profile.top_inf}
     rate = EXP_MOMENT_COEFF / (sigma * lam ** (1.0 / d))

@@ -122,19 +122,17 @@ class PolyFunction:
 
     def partial(self, alpha):
         """Mixed partial derivative for a multi-exponent alpha (length dim)."""
+        steps = [(i, a) for i, a in enumerate(alpha) if a]  # at most k of dim
         out = {}
         for exps, coeff in self.terms:
-            c = coeff
-            new = []
-            for e, a in zip(exps, alpha):
-                if e < a:
-                    c = 0.0
-                    break
-                c *= _falling(e, a)
-                new.append(e - a)
-            if c != 0.0:
-                key = tuple(new)
-                out[key] = out.get(key, 0.0) + c
+            if any(exps[i] < a for i, a in steps):
+                continue
+            c, new = coeff, list(exps)
+            for i, a in steps:
+                c *= _falling(exps[i], a)
+                new[i] -= a
+            key = tuple(new)
+            out[key] = out.get(key, 0.0) + c
         return PolyFunction.from_terms(self.dim, out)
 
     @cached_property

@@ -8,13 +8,17 @@ statistics S_N = sum_j (f(lambda_j) - E f(lambda_j)) and their recentered
 second-order version S~_N = S_N - sum_j (lambda_j - E lambda_j) E f'(lambda_j)
 then inherit exponential-moment and tail certificates (route wigner-lss).
 The tail certificate is evaluated as the order-2 derivative ladder of S_N on
-the eigenvalue vector (see hoc.bounds): sigma_N = sigma*sqrt(2/N), the
-calibrated grad_l2 = (E sum_j f'(lambda_j)^2)^(1/2) at order 1, and
-sqrt(N) * sup|f''| as the top norm.
+the eigenvalue vector (see hoc.bounds): sigma_N = sigma*sqrt(2/N),
+grad_l2 = (E sum_j f'(lambda_j)^2)^(1/2) at order 1, and sqrt(N) * sup|f''|
+as the top norm.
 
-Expectations E lambda_j, E f(lambda_j), E f'(lambda_j) are not known in
-closed form; they are estimated on an independent calibration run and their
-standard errors are propagated into the verification slack.
+For f = a0 + a1 x + a2 x^2 both sums over the spectrum are traces, so with
+mu and m2 the entry law's first two moments, E tr M = sqrt(N) mu and
+E |M|_F^2 = N m2 give sum_j E f(lambda_j) (the centering of S_N) and grad_l2
+in closed form (``exact_sums``). The per-index E lambda_j and E f'(lambda_j)
+that S~_N subtracts have no closed form: they are estimated on an
+independent calibration run, and their standard errors are propagated into
+the verification slack.
 
 Each draw's ordered eigenvalues come from a batched LAPACK eigensolve
 (``numpy.linalg.eigvalsh``) on a single BLAS thread; chunks of draws are
@@ -39,7 +43,8 @@ from numpy.polynomial import Polynomial
 from ._util import serial_blas, substream, worker_count
 from .bounds import (EXP_MOMENT_COEFF, EXP_THRESHOLD, Certificate,
                      MissingHypothesisError)
-from .measures import CoordinateDist, coordinate_sigma2, draw_coordinate
+from .measures import (CoordinateDist, coordinate_moment, coordinate_sigma2,
+                       draw_coordinate)
 
 # Draws per batched eigensolver call. Each thread in flight holds one chunk of
 # matrices and LAPACK workspace: at N = 100 on two threads, in-process
@@ -203,58 +208,61 @@ def certified_fpp(poly):
     return fpp
 
 
+def exact_sums(ens, poly):
+    """(sum_j E f(lambda_j), (E sum_j f'(lambda_j)^2)^(1/2)) in closed form.
+
+    For f = a0 + a1 x + a2 x^2, sum_j f(lambda_j) = N a0 + a1 tr M + a2 |M|_F^2
+    and sum_j f'(lambda_j)^2 = N a1^2 + 4 a1 a2 tr M + 4 a2^2 |M|_F^2; the
+    N(N+1)/2 entries on and above the diagonal are i.i.d. over sqrt(N), so
+    E tr M = sqrt(N) mu and E |M|_F^2 = N m2 with mu, m2 the entry law's exact
+    first two moments. Degree > 2 is refused.
+    """
+    second_derivative_bound(poly)  # raises for degree > 2
+    a0, a1, a2 = (float(c) for c in np.pad(poly.coef, (0, 3))[:3])
+    n = ens.size
+    trace = sqrt(n) * coordinate_moment(ens.entry, 1)
+    frob2 = n * coordinate_moment(ens.entry, 2)
+    grad2 = n * a1 * a1 + 4.0 * a1 * a2 * trace + 4.0 * a2 * a2 * frob2
+    return n * a0 + a1 * trace + a2 * frob2, sqrt(grad2)
+
+
 @dataclass(frozen=True)
 class Calibration:
-    """Independent-run estimates of the per-index eigenvalue expectations."""
+    """Independent-run estimates of the per-index E lambda_j and E f'(lambda_j),
+    which S~_N needs and which have no closed form."""
 
     mean_lambda: np.ndarray
-    sum_f: float          # sum_j E f(lambda_j)
-    se_sum_f: float
     mean_fprime: np.ndarray
     se_fprime: np.ndarray
     se_shift: float       # SE of sum_j mean_lambda_j * mean_fprime_j
-    grad_l2: float        # (E sum_j f'(lambda_j)^2)^(1/2)
-    grad_l2_se: float
 
 
 def calibrate(ens, poly, draws, seed):
-    """Estimate E lambda_j, E f(lambda_j), E f'(lambda_j) on a dedicated run.
+    """Estimate E lambda_j and E f'(lambda_j) on a dedicated run.
 
     The seed must be independent of any evaluation seed (the certificates
     treat these as constants, so reusing draws would correlate the errors).
     """
     if draws < MIN_CAL_DRAWS:
         raise ValueError("calibration needs at least %d draws" % MIN_CAL_DRAWS)
-    sample = sample_ensemble(ens, draws, seed)
-    eig = sample.eigenvalues
+    eig = sample_ensemble(ens, draws, seed).eigenvalues
     m = eig.shape[0]
-    fvals = poly(eig)
     fprime = poly.deriv(1)(eig)
-    mean_lambda = eig.mean(axis=0)
-    sum_f_per_draw = fvals.sum(axis=1)
     mean_fprime = fprime.mean(axis=0)
-    se_fprime = fprime.std(axis=0, ddof=1) / sqrt(m)
     shift_per_draw = eig @ mean_fprime
-    gradsq_per_draw = (fprime * fprime).sum(axis=1)
-    grad_l2_sq = float(gradsq_per_draw.mean())
-    grad_l2 = sqrt(max(grad_l2_sq, 0.0))
-    grad_l2_se = (float(gradsq_per_draw.std(ddof=1)) / sqrt(m)
-                  / (2.0 * grad_l2) if grad_l2 > 0 else 0.0)
-    return Calibration(
-        mean_lambda, float(sum_f_per_draw.mean()), float(sum_f_per_draw.std(ddof=1)) / sqrt(m),
-        mean_fprime, se_fprime,
-        float(shift_per_draw.std(ddof=1)) / sqrt(m),
-        grad_l2, grad_l2_se)
+    return Calibration(eig.mean(axis=0), mean_fprime,
+                       fprime.std(axis=0, ddof=1) / sqrt(m),
+                       float(shift_per_draw.std(ddof=1)) / sqrt(m))
 
 
-def linear_stat(sample, poly, cal):
-    """Per-draw S_N = sum_j f(lambda_j) - sum_j E f(lambda_j)."""
-    return poly(sample.eigenvalues).sum(axis=1) - cal.sum_f
+def linear_stat(ens, sample, poly):
+    """Per-draw S_N = sum_j f(lambda_j) - sum_j E f(lambda_j), centered exactly."""
+    return poly(sample.eigenvalues).sum(axis=1) - exact_sums(ens, poly)[0]
 
 
-def recentered_stat(sample, poly, cal):
+def recentered_stat(ens, sample, poly, cal):
     """Per-draw S~_N: S_N minus its first-order eigenvalue fluctuation."""
-    s_n = linear_stat(sample, poly, cal)
+    s_n = linear_stat(ens, sample, poly)
     shift = (sample.eigenvalues - cal.mean_lambda) @ cal.mean_fprime
     return s_n - shift
 
@@ -262,14 +270,13 @@ def recentered_stat(sample, poly, cal):
 def calibration_shift_bound(sample, cal):
     """Conservative bound on how far calibration error can shift any S~_N.
 
-    Three first-order contributions: the error of sum_j E f(lambda_j), the
-    error of the fixed shift sum_j E lambda_j * E f'(lambda_j), and (by
-    Cauchy-Schwarz over the per-draw fluctuations) the per-index errors of
-    E f'(lambda_j).
+    Two first-order contributions: the error of the fixed shift
+    sum_j E lambda_j * E f'(lambda_j), and (by Cauchy-Schwarz over the
+    per-draw fluctuations) the per-index errors of E f'(lambda_j).
     """
     centered = sample.eigenvalues - cal.mean_lambda
     fluct = sqrt(float(np.mean(np.sum(centered * centered, axis=1))))
-    return cal.se_sum_f + cal.se_shift + fluct * sqrt(float(np.sum(cal.se_fprime**2)))
+    return cal.se_shift + fluct * sqrt(float(np.sum(cal.se_fprime**2)))
 
 
 def exp_calibration_se(rate, shift_bound, estimate):
@@ -280,12 +287,12 @@ def exp_calibration_se(rate, shift_bound, estimate):
     return (math.exp(rate * sqrt(max(shift_bound, 0.0))) - 1.0) * estimate
 
 
-def rmt_certificates(ens, poly, cal):
+def rmt_certificates(ens, poly):
     """(exp-moment certificate for S~_N, tail certificate for S_N), route wigner-lss.
 
     The exp-moment rate is c N^(1/4) / (sqrt(2) sigma ||f''||^(1/2)) with
-    sigma the entry-law constant; the tail curve uses the calibration
-    estimate of (E sum_j f'(lambda_j)^2)^(1/2).
+    sigma the entry-law constant; the tail curve reads the closed-form
+    (E sum_j f'(lambda_j)^2)^(1/2) of ``exact_sums``. No constant is estimated.
     """
     fpp = certified_fpp(poly)
     sigma = sqrt(ens.sigma2)
@@ -299,5 +306,5 @@ def rmt_certificates(ens, poly, cal):
     tail_cert = Certificate(
         "tail", "wigner-lss",
         {"sigma": sigma, "d": 2, "matrix_size": n,
-         "grad_l2": cal.grad_l2, "fpp_inf": fpp})
+         "grad_l2": exact_sums(ens, poly)[1], "fpp_inf": fpp})
     return exp_cert, tail_cert

@@ -1,7 +1,10 @@
-"""Wigner ensembles: eigensolver dual route, calibration, route-3.2 certificates."""
+"""Wigner ensembles: eigensolver dual route, closed-form constants,
+calibration, route-3.2 certificates."""
 
 import csv
+import importlib.util
 import math
+import pathlib
 import threading
 
 import numpy as np
@@ -238,6 +241,35 @@ def test_jacobi_validation():
 # -- statistics and calibration ------------------------------------------------------
 
 
+@pytest.mark.parametrize("entry, coeffs, sum_f, grad2", [
+    # centered entries, f = x^2/2: sum_f = N/2 and grad_l2^2 = N
+    (CoordinateDist.make("gaussian"), [0.0, 0.0, 0.5], 25.0, 50.0),
+    # mu = 1, m2 = 2: sum_f = 15 - sqrt(50) + 50 and grad_l2^2 = 50 - 2 sqrt(50) + 100
+    (CoordinateDist.make("exponential", scale=1.0), [0.3, -1.0, 0.5],
+     65.0 - math.sqrt(50.0), 150.0 - 2.0 * math.sqrt(50.0)),
+])
+def test_exact_sums_match_monte_carlo(entry, coeffs, sum_f, grad2):
+    """sum_j E f(lambda_j) and E sum_j f'(lambda_j)^2 in closed form against
+    their Monte Carlo means over sampled spectra at N = 50, within 5 SE."""
+    ens = rmt.WignerEnsemble(50, entry)
+    f = rmt.as_polynomial(coeffs)
+    got_f, got_grad = rmt.exact_sums(ens, f)
+    assert got_f == pytest.approx(sum_f, rel=1e-14)
+    assert got_grad == pytest.approx(math.sqrt(grad2), rel=1e-14)
+    eig = rmt.sample_ensemble(ens, 2000, seed=53).eigenvalues
+    for per_draw, want in ((f(eig).sum(axis=1), got_f),
+                           ((f.deriv(1)(eig) ** 2).sum(axis=1), got_grad ** 2)):
+        se = float(per_draw.std(ddof=1)) / math.sqrt(per_draw.size)
+        assert abs(float(per_draw.mean()) - want) <= 5.0 * se
+
+
+def test_exact_sums_need_degree_two():
+    ens = gaussian_ensemble(10)
+    assert rmt.exact_sums(ens, rmt.as_polynomial([2.0, 1.0])) == (20.0, math.sqrt(10.0))
+    with pytest.raises(B.MissingHypothesisError):
+        rmt.exact_sums(ens, rmt.as_polynomial([0.0, 0.0, 0.0, 1.0]))
+
+
 def test_second_derivative_bound():
     assert rmt.second_derivative_bound(rmt.as_polynomial([0.0, 0.0, 0.5])) == 1.0
     assert rmt.second_derivative_bound(rmt.as_polynomial([3.0, 2.0])) == 0.0
@@ -256,8 +288,8 @@ def test_recentering_reduces_variance():
     f = rmt.as_polynomial([0.0, 0.0, 0.5])
     cal = rmt.calibrate(ens, f, 600, seed=101)
     sample = rmt.sample_ensemble(ens, 600, seed=202)
-    s = rmt.linear_stat(sample, f, cal)
-    s_tilde = rmt.recentered_stat(sample, f, cal)
+    s = rmt.linear_stat(ens, sample, f)
+    s_tilde = rmt.recentered_stat(ens, sample, f, cal)
     assert s.shape == (600,)
     # the first-order eigenvalue fluctuation carries most of the variance
     assert float(np.var(s_tilde)) < 0.5 * float(np.var(s))
@@ -289,15 +321,28 @@ def test_exp_calibration_se():
 def test_rmt_certificates():
     ens = gaussian_ensemble(100)
     f = rmt.as_polynomial([0.0, 0.0, 0.5])
-    cal = rmt.calibrate(ens, f, 600, seed=31)
-    exp_cert, tail_cert = rmt.rmt_certificates(ens, f, cal)
+    exp_cert, tail_cert = rmt.rmt_certificates(ens, f)
     rate, power, threshold = exp_cert.exp_params()
     assert rate == pytest.approx(B.EXP_MOMENT_COEFF * math.sqrt(5.0), rel=1e-12)
     assert power == 0.5 and threshold == 2.0
     assert exp_cert.route == "wigner-lss" and tail_cert.route == "wigner-lss"
-    assert tail_cert.constants["grad_l2"] == cal.grad_l2
+    # the closed form (E sum_j f'(lambda_j)^2)^(1/2) = sqrt(N), nothing estimated
+    assert tail_cert.constants["grad_l2"] == rmt.exact_sums(ens, f)[1] == 10.0
     assert tail_cert.constants["matrix_size"] == 100
     with pytest.raises(B.MissingHypothesisError):
-        rmt.rmt_certificates(ens, rmt.as_polynomial([0, 0, 0, 1.0]), cal)
+        rmt.rmt_certificates(ens, rmt.as_polynomial([0, 0, 0, 1.0]))
     with pytest.raises(B.MissingHypothesisError):
-        rmt.rmt_certificates(ens, rmt.as_polynomial([0, 1.0]), cal)  # f'' = 0
+        rmt.rmt_certificates(ens, rmt.as_polynomial([0, 1.0]))  # f'' = 0
+
+
+def test_benchmark_wigner_check_passes(rmt_run, monkeypatch):
+    """perfbench's wigner-lss check, loaded unchanged, accepts the session run:
+    a report.json key it reads cannot go missing unnoticed."""
+    bench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("perfbench_checks", bench / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    cfg, (out, code, report, _) = rmt_run
+    assert code == 0
+    assert checks.check_wigner(cfg["seed"], str(out)) == []

@@ -174,7 +174,7 @@ def test_check_tail_certificate_report():
 
 
 def test_check_exp_certificate_report():
-    prof = B.DerivativeProfile(2, 1.0, (1.5,), 1.0, centered=True)
+    prof = B.DerivativeProfile(2, 1.0, (1.5,), 1.0, 1.0, centered=True)
     cert = B.exp_moment_certificate(prof)
     rng = np.random.default_rng(7)
     x = rng.standard_normal((100_000, 2))
