@@ -20,11 +20,12 @@ import json
 import math
 import os
 import shutil
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import bounds, fixtures, measures, rmt, svgplot, verify
-from ._util import dump_json, is_finite_number, stage_seed, substream, write_csv
+from ._util import SAMPLE_BLOCK, dump_json, is_finite_number, stage_seed, substream, write_csv
 from .polynomials import MultilinearSpec, PolyFunction, from_multilinear
 from .tensors import SymTensor, op_norms
 
@@ -400,13 +401,32 @@ def _run_catalog_oracle(exp, out_dir):
 # -- shared builders ----------------------------------------------------------------
 
 def _eval_values(f, mspec, m, seed):
-    """f at ``measures.sample(mspec, m, seed)``, evaluated block by block as
-    the draws are made, so the (m, dim) point matrix never exists."""
+    """f at ``measures.sample(mspec, m, seed)``, evaluated block by block.
+
+    Two column-major SAMPLE_BLOCK-row buffers, owned by this call, take
+    turns: one worker thread draws the next block into the idle buffer
+    (``measures.fill_block``; numpy's generators fill without the GIL) while
+    this thread evaluates the other. So the (m, dim) point matrix never
+    exists, no block is allocated twice, and the values are those of one
+    serial pass. A filler's exception is raised here, and the thread is
+    joined before this returns.
+    """
     out = np.empty(m)
-    start = 0
-    for block in measures.sample_blocks(mspec, m, seed):
-        out[start:start + block.shape[0]] = f.evaluate(block)
-        start += block.shape[0]
+    starts = range(0, m, SAMPLE_BLOCK)
+    buffers = [np.empty((min(m, SAMPLE_BLOCK), mspec.dim), order="F")
+               for _ in range(min(2, len(starts)))]
+
+    def fill(block_index):
+        block = buffers[block_index % 2][:m - starts[block_index]]
+        return measures.fill_block(mspec, seed, block_index, block)
+
+    with ThreadPoolExecutor(1) as pool:
+        pending = pool.submit(fill, 0)
+        for block_index, start in enumerate(starts):
+            block = pending.result()
+            if block_index + 1 < len(starts):
+                pending = pool.submit(fill, block_index + 1)
+            out[start:start + block.shape[0]] = f.evaluate(block)
     return out
 
 

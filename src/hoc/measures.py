@@ -14,11 +14,13 @@ nonzero eigenvalue with a grid-doubling stability flag.
 
 Sampling is deterministic: a counter-based Philox stream per 65536-row block
 (``SAMPLE_BLOCK``), keyed by (seed, block index), so results do not depend on
-how work is split. ``sample_blocks`` yields those blocks one at a time, so a
-caller can evaluate m draws without holding an (m, dim) array. The block
-size is part of the stream layout: changing it changes every sample. It is
-not sized for the cache; polynomial evaluation works through each block in
-its own, smaller blocks (``polynomials.EVAL_BLOCK``, 8192 rows).
+how work is split. ``fill_block`` draws one such block into an array the
+caller owns, so a caller can evaluate m draws without holding an (m, dim)
+array, and can draw the next block while it evaluates this one
+(``experiments._eval_values``). The block size is part of the stream layout:
+changing it changes every sample. It is not sized for the cache; polynomial
+evaluation works through each block in its own, smaller blocks
+(``polynomials.EVAL_BLOCK``).
 
 scipy is imported on first use, inside the three functions that need it: the
 oracle's tridiagonal eigensolve (``_gap_once``) and the Student-law gamma
@@ -202,50 +204,56 @@ def coordinate_moment(coord, k):
 
 # -- sampling -----------------------------------------------------------------
 
-def draw_coordinate(rng, coord, size):
-    """Draw ``size`` values of one coordinate law from a caller-owned stream."""
+def draw_coordinate(rng, coord, size, out=None):
+    """Draw ``size`` values of one coordinate law from a caller-owned stream.
+
+    With ``out`` (a contiguous float64 array of ``size`` values) the draws go
+    there and ``out`` is returned; the values are the same either way. The
+    gaussian, uniform01 and exponential laws draw straight into it.
+    """
     if coord.dist == "gaussian":
-        return rng.standard_normal(size)
+        return rng.standard_normal(size, out=out)
     if coord.dist == "uniform01":
-        return rng.random(size)
+        return rng.random(size, out=out)
     if coord.dist == "exponential":
-        return coord.scale * rng.standard_exponential(size)
-    if coord.dist == "laplace":
-        return rng.laplace(0.0, coord.scale, size)
+        return np.multiply(coord.scale, rng.standard_exponential(size, out=out), out=out)
     if coord.dist == "student":
         nu = 2.0 * coord.beta - 1.0
-        return rng.standard_t(nu, size) / sqrt(nu)
-    raise ValueError("unknown distribution tag %r" % (coord.dist,))
+        return np.divide(rng.standard_t(nu, size), sqrt(nu), out=out)
+    if coord.dist != "laplace":
+        raise ValueError("unknown distribution tag %r" % (coord.dist,))
+    vals = rng.laplace(0.0, coord.scale, size)
+    if out is None:
+        return vals
+    out[...] = vals
+    return out
 
 
-def sample_blocks(spec, m, seed):
-    """Yield the rows of ``sample(spec, m, seed)`` as consecutive blocks.
+def fill_block(spec, seed, block_index, out):
+    """Draw block ``block_index`` of ``sample(spec, m, seed)`` into ``out``.
 
-    Each block holds SAMPLE_BLOCK rows (the last one the remainder) drawn
-    from its own substream, so a caller can consume m draws while only one
-    block exists at a time. Blocks are column-major: each coordinate's draws
-    are written, and read back by polynomial evaluation, contiguously.
+    The block's rows come from substream (seed, block_index), one coordinate
+    column at a time, so every column of ``out`` (shape (rows, dim)) must be
+    contiguous: a column-major array or a row slice of one. ``rows`` is
+    SAMPLE_BLOCK for every block but the last, which holds the remainder.
     """
-    if m < 1:
-        raise ValueError("need m >= 1")
-    for block_index, start in enumerate(range(0, m, SAMPLE_BLOCK)):
-        rows = min(SAMPLE_BLOCK, m - start)
-        rng = substream(seed, block_index)
-        block = np.empty((rows, spec.dim), order="F")
-        for j, coord in enumerate(spec.coords):
-            block[:, j] = draw_coordinate(rng, coord, rows)
-        yield block
+    rng = substream(seed, block_index)
+    for j, coord in enumerate(spec.coords):
+        draw_coordinate(rng, coord, out.shape[0], out=out[:, j])
+    return out
 
 
 def sample(spec, m, seed):
-    """(m, dim) draws from the product measure; deterministic in (seed, m)."""
+    """(m, dim) draws from the product measure; deterministic in (seed, m).
+
+    The array is column-major, so ``fill_block`` writes each block into it
+    in place.
+    """
     if m < 1:
         raise ValueError("need m >= 1")
-    out = np.empty((m, spec.dim))
-    start = 0
-    for block in sample_blocks(spec, m, seed):
-        out[start:start + block.shape[0]] = block
-        start += block.shape[0]
+    out = np.empty((m, spec.dim), order="F")
+    for block_index, start in enumerate(range(0, m, SAMPLE_BLOCK)):
+        fill_block(spec, seed, block_index, out[start:start + SAMPLE_BLOCK])
     return out
 
 

@@ -32,6 +32,7 @@ needs a finite uniform bound on f'', so it is only issued for degree <= 2.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -90,16 +91,30 @@ class EigenSample:
         return self.eigenvalues.shape[0]
 
 
+@functools.cache
+def _triangle_slots(n):
+    """Flat indices of the upper triangle of an n x n matrix, row by row, and
+    of their mirror images; read-only, and made once per n rather than in
+    each thread's chunk (per-chunk copies raised wigner-lss peak RSS)."""
+    upper = np.ravel_multi_index(np.triu_indices(n), (n, n))
+    lower = upper % n * n + upper // n  # (j, i) for each (i, j)
+    upper.flags.writeable = lower.flags.writeable = False
+    return upper, lower
+
+
 def _build_matrices(ens, seed, start, stop):
+    """Draws start..stop-1 as one (k, N, N) batch: each draw writes its
+    upper-triangle values into its flat row of N*N entries, above and below
+    the diagonal, without 2-D fancy indexing."""
     n = ens.size
-    iu = np.triu_indices(n)
-    mats = np.empty((stop - start, n, n))
+    upper, lower = _triangle_slots(n)
+    flat = np.empty((stop - start, n * n))
     root_n = sqrt(n)
-    for m, draw in zip(mats, range(start, stop)):
-        vals = draw_coordinate(substream(seed, draw), ens.entry, iu[0].size) / root_n
-        m[iu] = vals
-        m.T[iu] = vals
-    return mats
+    for row, draw in zip(flat, range(start, stop)):
+        vals = draw_coordinate(substream(seed, draw), ens.entry, upper.size) / root_n
+        row[upper] = vals
+        row[lower] = vals
+    return flat.reshape(-1, n, n)
 
 
 def _eig_chunk(ens, seed, start, stop):

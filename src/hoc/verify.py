@@ -80,10 +80,10 @@ def empirical_tail(values, t_grid):
     if v.size < MIN_TAIL_SAMPLES:
         raise ValueError("tail estimation needs at least %d samples" % MIN_TAIL_SAMPLES)
     out = []
-    sv = np.sort(v)
-    m = sv.size
+    v.sort()  # v is this function's own array: sort it in place, not a copy
+    m = v.size
     for t in t_grid:
-        k = m - int(np.searchsorted(sv, t, side="left"))
+        k = m - int(np.searchsorted(v, t, side="left"))
         low, high = wilson_interval(k, m)
         out.append(TailPoint(float(t), k / m, low, high))
     return out

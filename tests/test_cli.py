@@ -355,7 +355,7 @@ def test_hypotheses_checked_before_any_sampling(monkeypatch, cfg, match):
         raise AssertionError("sampling before the hypothesis check")
 
     monkeypatch.setattr(experiments.measures, "sample", draw)
-    monkeypatch.setattr(experiments.measures, "sample_blocks", draw)
+    monkeypatch.setattr(experiments.measures, "fill_block", draw)
     with pytest.raises(experiments.ConfigError, match=match):
         experiments.validate_config(cfg)
 

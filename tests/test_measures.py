@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -138,19 +140,49 @@ def test_sample_deterministic():
     c = M.sample(spec, 70_000, seed=12)
     assert not np.array_equal(a, c)
     assert a.shape == (70_000, 3)
-    blocks = list(M.sample_blocks(spec, 70_000, seed=11))
-    assert [blk.shape[0] for blk in blocks] == [SAMPLE_BLOCK, 70_000 - SAMPLE_BLOCK]
+    sizes = [SAMPLE_BLOCK, 70_000 - SAMPLE_BLOCK]
+    blocks = [M.fill_block(spec, 11, i, np.empty((rows, 3), order="F"))
+              for i, rows in enumerate(sizes)]
+    assert [blk.shape[0] for blk in blocks] == sizes
     assert np.array_equal(np.concatenate(blocks), a)
 
 
 def test_eval_values_streams_the_sample():
-    # evaluated block by block as drawn, bit-identical to one whole-sample call
-    spec = M.MeasureSpec.iid("gaussian", 3)
+    # evaluated block by block while the next block is drawn, bit-identical
+    # to one whole-sample call: 3 blocks reuse the two buffers, and one short
+    # block uses one; gaussian draws with out=, laplace without
     f = PolyFunction.from_terms(3, {(1, 1, 1): 0.5, (3, 0, 0): -1.25, (0, 2, 1): 2.0,
                                     (0, 0, 0): 0.1})
-    m = 2 * SAMPLE_BLOCK + 17
-    streamed = experiments._eval_values(f, spec, m, seed=4)
-    assert np.array_equal(streamed, f.evaluate(M.sample(spec, m, seed=4)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so a buffer race would show
+    try:
+        for dist in ("gaussian", "laplace"):
+            spec = M.MeasureSpec.iid(dist, 3)
+            for m in (2 * SAMPLE_BLOCK + 17, 1000):
+                streamed = experiments._eval_values(f, spec, m, seed=4)
+                assert np.array_equal(streamed, f.evaluate(M.sample(spec, m, seed=4)))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_eval_values_raises_a_filler_error_and_joins(monkeypatch):
+    spec = M.MeasureSpec.iid("gaussian", 2)
+    f = PolyFunction.from_terms(2, {(1, 1): 1.0})
+    rngs = []
+    draw = M.draw_coordinate
+
+    def failing(rng, coord, size, out=None):
+        if rng not in rngs:
+            rngs.append(rng)
+        if len(rngs) == 3:  # the third substream is block 2
+            raise RuntimeError("filler failed on block 2")
+        return draw(rng, coord, size, out=out)
+
+    monkeypatch.setattr(M, "draw_coordinate", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="block 2"):
+        experiments._eval_values(f, spec, 3 * SAMPLE_BLOCK, seed=4)
+    assert threading.active_count() == before
 
 
 def test_sample_rejects_empty():

@@ -73,6 +73,36 @@ def test_evaluate_matches_naive(f, seed):
         assert batch[i] == pytest.approx(naive_eval(f, pts[i]), rel=1e-12, abs=1e-12)
 
 
+def old_add_terms(f, pts, out):
+    """Reference term loop with a fresh buffer per term: np.full(coeff), then
+    one in-place product per factor."""
+    for exps, coeff in f.terms:
+        term = np.full(pts.shape[0], coeff)
+        for i, e in enumerate(exps):
+            if e == 1:
+                term *= pts[:, i]
+            elif e > 1:
+                term *= pts[:, i] ** e
+        out += term
+
+
+def test_add_terms_matches_the_full_then_multiply_loop():
+    # a constant, a leading power (x1^3 x2), a pure power and mixed terms,
+    # evaluated across an EVAL_BLOCK boundary
+    f = PolyFunction.from_terms(3, {(0, 0, 0): 0.3, (3, 1, 0): -1.7, (0, 0, 4): 0.9,
+                                    (1, 1, 1): 2.5, (0, 2, 1): -0.4, (1, 0, 0): 1.1})
+    pts = np.random.default_rng(5).standard_normal((EVAL_BLOCK + 5, 3)) * 1.3
+    expected = np.zeros(pts.shape[0])
+    for start in range(0, pts.shape[0], EVAL_BLOCK):
+        old_add_terms(f, pts[start:start + EVAL_BLOCK], expected[start:start + EVAL_BLOCK])
+    assert np.array_equal(f.evaluate(pts), expected)
+    for block in (np.asfortranarray(pts), pts[:7]):  # column-major, and a short block
+        out, ref = np.zeros(block.shape[0]), np.zeros(block.shape[0])
+        f._add_terms(block, out)
+        old_add_terms(f, block, ref)
+        assert np.array_equal(out, ref)
+
+
 def test_algebra():
     rng = np.random.default_rng(5)
     f = random_poly(3, 3, 4, 1)
