@@ -19,6 +19,18 @@ def is_finite_number(value):
             and -math.inf < value < math.inf)
 
 
+def is_integer(value):
+    """True for an int other than a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def require_all(test, message, values):
+    """ValueError(message) at the first value failing ``test``; none is truncated."""
+    for value in values:
+        if not test(value):
+            raise ValueError("%s, got %r" % (message, value))
+
+
 def substream(seed, *key):
     """Philox generator for a (seed, key...) substream.
 

@@ -36,7 +36,6 @@ from math import e, sqrt
 
 import numpy as np
 
-from .polynomials import from_multilinear
 from .tensors import multinomial, op_norms
 
 EXP_MOMENT_COEFF = 1.0 / (12.0 * e)  # universal constant in the exp-moment certificates
@@ -336,10 +335,11 @@ def multilinear_certificates(spec, sigma, centered, unit_variance):
     """
     if not centered:
         raise MissingHypothesisError("multilinear certificates need E X_i = 0 for all i")
-    _, tensor = from_multilinear(spec)
-    hs = tensor.hs_norm()
-    amax = tensor.max_abs_entry()
     d, n = spec.order, spec.dim
+    total = 0.0  # each of the d! permutations of an index tuple holds its coefficient
+    for _, a in spec.coeffs:
+        total += math.factorial(d) * a * a
+    hs, amax = sqrt(total), max((abs(a) for _, a in spec.coeffs), default=0.0)
     certs = {}
     rate_hs = EXP_MOMENT_COEFF / (sigma * hs ** (1.0 / d)) if hs > 0 else math.inf
     certs["exp_hs"] = Certificate(
@@ -365,17 +365,22 @@ def multilinear_certificates(spec, sigma, centered, unit_variance):
 
 def exact_profile(f, mspec, d):
     """The DerivativeProfile of ``f`` under ``mspec`` for a constant order-d
-    derivative, from exact moments: the ``exact_hs_rungs``, top_inf the
-    operator norm of that derivative at the origin (exact at order <= 2 or
-    in one dimension, else a power-iteration lower estimate and flagged so)
-    and the ``centering`` flags. Nothing is sampled."""
-    if not f.top_is_constant(d):
-        raise ValueError("an exact profile needs a constant order-d derivative")
+    derivative, from exact moments: the ``exact_hs_rungs``, top_inf its
+    ``constant_top_op`` (flagged when only a lower estimate) and the
+    ``centering`` flags. Nothing is sampled."""
+    top_inf = constant_top_op(f, d)
     hs2, top_hs = exact_hs_rungs(f, mspec, d)
-    top_inf = float(op_norms(f.derivative_dense(d, np.zeros((1, f.dim))))[0])
     _, centered, derivs_centered = centering(f, mspec, d)
     return DerivativeProfile(d, mspec.sigma(), hs2, top_inf, top_hs, centered,
                              derivs_centered, d <= 2 or f.dim == 1)
+
+
+def constant_top_op(f, d):
+    """|f^(d)|_op of a constant order-d derivative, at the origin: exact at
+    order <= 2 or in one dimension, else a power-iteration lower estimate."""
+    if not f.top_is_constant(d):
+        raise ValueError("need a constant order-d derivative")
+    return float(op_norms(f.derivative_dense(d, np.zeros((1, f.dim))))[0])
 
 
 def centering(f, mspec, d):

@@ -25,7 +25,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import bounds, fixtures, measures, rmt, svgplot, verify
-from ._util import SAMPLE_BLOCK, dump_json, is_finite_number, stage_seed, substream, write_csv
+from ._util import (SAMPLE_BLOCK, dump_json, is_finite_number, is_integer, stage_seed, substream,
+                    write_csv)
 from .polynomials import MultilinearSpec, PolyFunction, from_multilinear
 from .tensors import SymTensor, op_norms
 
@@ -130,7 +131,7 @@ class Experiment:
     function: PolyFunction | None = None
     multilinear: MultilinearSpec | None = None
     entry: measures.CoordinateDist | None = None
-    poly: np.polynomial.Polynomial | None = None
+    poly: tuple | None = None  # (a0, a1, a2) of f = a0 + a1 x + a2 x^2
     oracle_laws: tuple = ()
 
 
@@ -189,6 +190,8 @@ def resolve(cfg):
         if not is_finite_number(p) or p < 2:
             raise ConfigError("p and each of p_values must be a finite number >= 2, got %r"
                               % (p,))
+    if len(set(vals["p_values"])) < len(vals["p_values"]):  # one moment check per p
+        raise ConfigError("p_values must not repeat a p, got %r" % (vals["p_values"],))
     vals.update(p=float(vals["p"]), p_values=tuple(vals["p_values"]),
                 t_grid=tuple(vals["t_grid"]))
     try:
@@ -199,13 +202,15 @@ def resolve(cfg):
         raise ConfigError("invalid %s config: %s" % (kind, exc))
     mspec, f, d = built.get("measure"), built.get("function"), payload.get("d")
     route = record.route or payload.get("route") or (fixture.route if fixture else None)
+    if d is not None and not f.top_is_constant(d):
+        # a top rung bounds sup |f^(d)|_op, finite under an unbounded law only if constant
+        raise ConfigError("%s certificates need a constant order-d derivative, "
+                          "got d = %d for degree %d" % (kind, d, f.degree))
     if kind in ("weighted", "weighted-tail"):
         # the weighted runner has the ladder below the top derivative in closed
-        # form for gradients only, reads the constant top derivative at one
-        # point, and certifies the Student-type law of one beta
-        if d > 2 or not f.top_is_constant(d):
-            raise ConfigError("weighted experiments need d <= 2 and a constant order-d "
-                              "derivative, got d = %d for degree %d" % (d, f.degree))
+        # form for gradients only and certifies the Student-type law of one beta
+        if d > 2:
+            raise ConfigError("weighted experiments need d <= 2, got d = %d" % (d,))
         if any(c.dist != "student" for c in mspec.coords) or \
                 len({c.beta for c in mspec.coords}) > 1:
             raise ConfigError("weighted experiments need student coordinates of one "
@@ -218,11 +223,6 @@ def resolve(cfg):
             raise ConfigError("the %s checks read the weight norm ||w||_%g, infinite for "
                               "the student law with beta = %g (it needs 2 beta - 1 > %g)"
                               % (kind, q, beta, q))
-    if kind in ("certify", "tails") and not f.top_is_constant(d):
-        # the top rung bounds the sup of |f^(d)|_op only for a constant f^(d);
-        # under an unbounded law any other has an infinite sup
-        raise ConfigError("%s certificates need a constant order-d derivative, "
-                          "got d = %d for degree %d" % (kind, d, f.degree))
     # exact centering, as the runners test it (their checks stay as a backstop)
     if kind == "multilinear" and any(mspec.moment(i, 1) != 0.0 for i in range(mspec.dim)):
         raise ConfigError("multilinear certificates need E X_i = 0 for all i")
@@ -257,19 +257,14 @@ def _build(kind, payload):
     if kind == "rmt":
         entry = measures.CoordinateDist.from_dict(payload["entry"])
         measures.coordinate_sigma2(entry)  # an uncertified entry law has no certificate
-        coeffs = payload["coeffs"]
-        if not isinstance(coeffs, list) or not coeffs or not all(map(is_finite_number, coeffs)):
-            raise ValueError("coeffs must be a non-empty list of finite numbers: %r" % (coeffs,))
-        poly = rmt.as_polynomial(coeffs)
-        rmt.certified_fpp(poly)  # it depends on f alone: checked before any eigensolve
-        return {"entry": entry, "poly": poly}
+        return {"entry": entry, "poly": rmt.quadratic(payload["coeffs"])}
     if "function" in payload and "multilinear" in payload:
         raise ValueError("give a function or a multilinear spec, not both")
     mspec = measures.MeasureSpec.from_dict(payload["measure"])
     mlspec = None
     if "multilinear" in payload:
         mlspec = MultilinearSpec.from_dict(payload["multilinear"])
-        f, _ = from_multilinear(mlspec)
+        f = from_multilinear(mlspec)
     else:
         f = PolyFunction.from_dict(payload["function"])
     if mspec.dim != f.dim:
@@ -290,7 +285,7 @@ def _oracle_laws(payload):
 
 
 def _check_count(field, value, floor):
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not is_integer(value):
         raise ConfigError("%s must be an integer, got %r" % (field, value))
     if value < floor:
         raise ConfigError("%s must be at least %d, got %d" % (field, floor, value))
@@ -502,37 +497,28 @@ def _run_multilinear(exp, out_dir):
     unit_var = all(abs(mspec.moment(i, 2) - 1.0) < 1e-12 for i in range(mspec.dim))
     certs = bounds.multilinear_certificates(mlspec, mspec.sigma(), centered, unit_var)
     values = _eval_values(exp.function, mspec, exp.samples, stage_seed(exp.seed, _STAGE_EVAL))
-    checks = {}
-    passed = True
-    for name in ("exp_hs", "exp_inf"):
-        rep = verify.check_exp_certificate(certs[name], values)
-        checks[name] = rep.to_dict()
-        passed = passed and rep.passed
+    reps = {name: verify.check_exp_certificate(certs[name], values)
+            for name in ("exp_hs", "exp_inf")}
     hs, amax = certs["exp_hs"].constants["hs_norm"], certs["exp_inf"].constants["max_entry"]
     norm_consistent = hs <= mspec.dim ** (mlspec.order / 2.0) * amax + 1e-12
-    passed = passed and norm_consistent
-    rows = []
     if unit_var:
-        rep_hs = verify.check_tail_certificate(certs["tail_hs"], values, t_grid)
-        rep_inf = verify.check_tail_certificate(certs["tail_inf"], values, t_grid)
-        checks["tail_hs"] = rep_hs.to_dict()
-        checks["tail_inf"] = rep_inf.to_dict()
-        passed = passed and rep_hs.passed and rep_inf.passed
-        for rh, ri in zip(rep_hs.rows, rep_inf.rows):
-            rows.append((rh.extra["t"], rh.bound, ri.bound, rh.empirical,
-                         rh.extra["ci_low"], rh.extra["ci_high"],
-                         int(rh.passed), int(ri.passed)))
+        for name in ("tail_hs", "tail_inf"):
+            reps[name] = verify.check_tail_certificate(certs[name], values, t_grid)
+        rows = [(rh.extra["t"], rh.bound, ri.bound, rh.empirical, rh.extra["ci_low"],
+                 rh.extra["ci_high"], int(rh.passed), int(ri.passed))
+                for rh, ri in zip(reps["tail_hs"].rows, reps["tail_inf"].rows)]
         _write_tail_artifacts(
             out_dir, ["t", "bound_hs", "bound_inf", "empirical", "ci_low",
                       "ci_high", "passed_hs", "passed_inf"], rows,
             "multilinear chaos tail bounds",
             (("hs-form bound", 1), ("inf-form bound", 2), ("empirical", 3)))
+    checks = {name: rep.to_dict() for name, rep in reps.items()}
+    passed = norm_consistent and all(rep.passed for rep in reps.values())
     exp_rows = []
     for name in ("exp_hs", "exp_inf"):
-        rate, power, threshold = certs[name].exp_params()
-        row = checks[name]["rows"][0]
-        exp_rows.append((name, rate, power, threshold, row["empirical"],
-                         row["se"], int(row["stable"]), int(row["passed"])))
+        row = reps[name].rows[0]
+        exp_rows.append((name, *certs[name].exp_params(), row.empirical, row.extra["se"],
+                         int(row.extra["stable"]), int(row.passed)))
     write_csv(os.path.join(out_dir, "exp_check.csv"),
               ["form", "rate", "power", "threshold", "estimate", "se",
                "stable", "passed"], exp_rows)
@@ -550,7 +536,7 @@ def _run_weighted(exp, out_dir):
     kappa, gap = measures.student_weight_kappa(beta)
     values = _eval_values(f, mspec, exp.samples, stage_seed(seed, _STAGE_EVAL))
     norms2, _ = bounds.exact_hs_rungs(f, mspec, d)  # the gradient's rung when d = 2
-    top_op = float(op_norms(f.derivative_dense(d, np.zeros((1, f.dim))))[0])
+    top_op = bounds.constant_top_op(f, d)
     report = {"beta": beta, "kappa": kappa,
               "weighted_gap": gap.to_dict(), "samples": exp.samples,
               "route": exp.route}
@@ -609,12 +595,12 @@ def _run_weighted(exp, out_dir):
 # -- rmt -----------------------------------------------------------------------------
 
 def _run_rmt(exp, out_dir):
-    ens, poly = rmt.WignerEnsemble(exp.matrix_size, exp.entry), exp.poly
-    cal = rmt.calibrate(ens, poly, exp.cal_draws, stage_seed(exp.seed, _STAGE_CAL))
+    ens, f = rmt.WignerEnsemble(exp.matrix_size, exp.entry), exp.poly
+    cal = rmt.calibrate(ens, f, exp.cal_draws, stage_seed(exp.seed, _STAGE_CAL))
     sample = rmt.sample_ensemble(ens, exp.draws, stage_seed(exp.seed, _STAGE_EVAL))
-    s_n = rmt.linear_stat(ens, sample, poly)
-    s_t = rmt.recentered_stat(ens, sample, poly, cal)
-    exp_cert, tail_cert = rmt.rmt_certificates(ens, poly)
+    s_n = rmt.linear_stat(ens, sample, f)
+    s_t = rmt.recentered_stat(sample, s_n, cal)
+    exp_cert, tail_cert = rmt.rmt_certificates(ens, f)
     rate, _, _ = exp_cert.exp_params()
     shift = rmt.calibration_shift_bound(sample, cal)
     # the kept draws: up to 0.1% of the requested ones may have been discarded

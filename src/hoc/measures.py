@@ -37,7 +37,7 @@ from math import pi, sqrt
 
 import numpy as np
 
-from ._util import SAMPLE_BLOCK, is_finite_number, substream
+from ._util import SAMPLE_BLOCK, is_finite_number, is_integer, require_all, substream
 
 # each catalog law and the parameters it reads (draw_coordinate,
 # coordinate_sigma2, coordinate_moment); a law given any other is refused
@@ -143,7 +143,8 @@ class MeasureSpec:
     def from_dict(cls, data):
         if not set(data) <= {"dim", "coords"}:
             raise ValueError("a measure takes only dim and coords, got %s" % sorted(data))
-        return cls(int(data["dim"]), tuple(map(CoordinateDist.from_dict, data["coords"])))
+        require_all(is_integer, "a measure's dim must be an integer", [data["dim"]])
+        return cls(data["dim"], tuple(map(CoordinateDist.from_dict, data["coords"])))
 
 
 # -- spectral-gap constants ---------------------------------------------------

@@ -16,7 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensors import SymTensor, canonical_layout, op_norms
+from ._util import is_finite_number, is_integer, require_all
+from .tensors import canonical_layout, op_norms
 
 # Rows per evaluation block, so each term's temporaries (128 kB at 16384
 # rows) stay in cache. Evaluating the 120-term n=10, d=3 chaos on 16
@@ -229,8 +230,11 @@ class PolyFunction:
 
     @classmethod
     def from_dict(cls, data):
-        return cls.from_terms(int(data["dim"]),
-                              [(tuple(t["exponents"]), float(t["coeff"])) for t in data["terms"]])
+        terms = [(t["exponents"], t["coeff"]) for t in data["terms"]]
+        require_all(is_integer, "dim and exponents must be integers",
+                    [data["dim"]] + [e for exps, _ in terms for e in exps])
+        require_all(is_finite_number, "coefficients must be finite numbers", [c for _, c in terms])
+        return cls.from_terms(data["dim"], terms)
 
 
 @dataclass(frozen=True)
@@ -272,28 +276,23 @@ class MultilinearSpec:
 
     @classmethod
     def from_dict(cls, data):
-        return cls.from_coeffs(int(data["dim"]), int(data["order"]),
-                               {tuple(c["index"]): float(c["value"]) for c in data["coeffs"]})
+        coeffs = [(c["index"], c["value"]) for c in data["coeffs"]]
+        require_all(is_integer, "dim, order and indices must be integers",
+                    [data["dim"], data["order"]] + [i for idx, _ in coeffs for i in idx])
+        require_all(is_finite_number, "coefficients must be finite numbers", [v for _, v in coeffs])
+        return cls.from_coeffs(data["dim"], data["order"], {tuple(i): v for i, v in coeffs})
 
 
 def from_multilinear(spec):
-    """(PolyFunction, constant order-d SymTensor) for a multilinear spec.
-
-    The tensor entry at any permutation of (i_1 < ... < i_d) is the
-    coefficient itself: differentiating the single term a*X_{i1}...X_{id} by
-    each variable once leaves a.
-    """
+    """The PolyFunction of a multilinear spec, one term X_{i1}...X_{id} per
+    coefficient; its constant order-d derivative is the symmetrized spec."""
     terms = {}
-    tensor_entries = {}
     for idx, val in spec.coeffs:
         exps = [0] * spec.dim
         for i in idx:
             exps[i] = 1
         terms[tuple(exps)] = val
-        tensor_entries[idx] = val
-    f = PolyFunction.from_terms(spec.dim, terms)
-    A = SymTensor.from_entries(spec.order, spec.dim, tensor_entries)
-    return f, A
+    return PolyFunction.from_terms(spec.dim, terms)
 
 
 def opnorm_gradient_check(f, k, x, h=1e-5):

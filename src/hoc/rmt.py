@@ -26,8 +26,8 @@ built and solved on one thread per available CPU, which overlap because the
 solves and the random fills run without the GIL. The Jacobi sweep here is
 the independent oracle the LAPACK path is checked against.
 
-f is restricted to polynomials; the exponential-moment certificate further
-needs a finite uniform bound on f'', so it is only issued for degree <= 2.
+f is a quadratic, the triple (a0, a1, a2) of ``quadratic`` with a2 != 0: both
+certificates need the bound 2|a2| on |f''|, which no higher degree has.
 """
 
 from __future__ import annotations
@@ -39,9 +39,8 @@ from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
-from ._util import serial_blas, substream, worker_count
+from ._util import is_finite_number, serial_blas, substream, worker_count
 from .bounds import (EXP_MOMENT_COEFF, EXP_THRESHOLD, Certificate,
                      MissingHypothesisError)
 from .measures import (CoordinateDist, coordinate_moment, coordinate_sigma2,
@@ -199,42 +198,39 @@ def jacobi_eigenvalues(matrix, tol=1e-14, max_sweeps=60):
 
 # -- statistics ------------------------------------------------------------------
 
-def as_polynomial(coeffs):
-    """1-D polynomial from ascending coefficients."""
-    return Polynomial(np.asarray(coeffs, dtype=np.float64))
-
-
-def second_derivative_bound(poly):
-    """Uniform bound on |f''|; only degree <= 2 polynomials have one."""
-    p2 = poly.deriv(2)
-    if p2.degree() > 0 and np.any(p2.coef[1:] != 0.0):
+def quadratic(coeffs):
+    """(a0, a1, a2) of f = a0 + a1 x + a2 x^2 from ascending coefficients,
+    refusing a nonzero one beyond x^2 (f'' unbounded on R) and a2 = 0."""
+    if not isinstance(coeffs, list) or not coeffs or not all(map(is_finite_number, coeffs)):
+        raise ValueError("coeffs must be a non-empty list of finite numbers: %r" % (coeffs,))
+    if any(c != 0 for c in coeffs[3:]):
         raise MissingHypothesisError(
             "f'' is unbounded on R for polynomials of degree > 2; "
             "no exponential-moment certificate can be issued")
-    return abs(float(p2.coef[0])) if p2.coef.size else 0.0
+    f = tuple(float(c) for c in (coeffs + [0, 0])[:3])
+    certified_fpp(f)
+    return f
 
 
-def certified_fpp(poly):
-    """The positive uniform bound on |f''| that both wigner-lss certificates
-    need; it depends on f alone, so a runner can check it before sampling."""
-    fpp = second_derivative_bound(poly)
+def certified_fpp(f):
+    """|f''| = 2|a2| of f = (a0, a1, a2), the uniform bound both wigner-lss
+    certificates need; it must be positive."""
+    fpp = 2.0 * abs(f[2])
     if fpp <= 0:
         raise MissingHypothesisError("need a positive uniform bound on |f''|")
     return fpp
 
 
-def exact_sums(ens, poly):
+def exact_sums(ens, f):
     """(sum_j E f(lambda_j), (E sum_j f'(lambda_j)^2)^(1/2)) in closed form.
 
     For f = a0 + a1 x + a2 x^2, sum_j f(lambda_j) = N a0 + a1 tr M + a2 |M|_F^2
     and sum_j f'(lambda_j)^2 = N a1^2 + 4 a1 a2 tr M + 4 a2^2 |M|_F^2; the
     N(N+1)/2 entries on and above the diagonal are i.i.d. over sqrt(N), so
     E tr M = sqrt(N) mu and E |M|_F^2 = N m2 with mu, m2 the entry law's exact
-    first two moments. Degree > 2 is refused.
+    first two moments.
     """
-    second_derivative_bound(poly)  # raises for degree > 2
-    a0, a1, a2 = (float(c) for c in np.pad(poly.coef, (0, 3))[:3])
-    n = ens.size
+    (a0, a1, a2), n = f, ens.size
     trace = sqrt(n) * coordinate_moment(ens.entry, 1)
     frob2 = n * coordinate_moment(ens.entry, 2)
     grad2 = n * a1 * a1 + 4.0 * a1 * a2 * trace + 4.0 * a2 * a2 * frob2
@@ -252,7 +248,7 @@ class Calibration:
     se_shift: float       # SE of sum_j mean_lambda_j * mean_fprime_j
 
 
-def calibrate(ens, poly, draws, seed):
+def calibrate(ens, f, draws, seed):
     """Estimate E lambda_j and E f'(lambda_j) on a dedicated run.
 
     The seed must be independent of any evaluation seed (the certificates
@@ -262,7 +258,7 @@ def calibrate(ens, poly, draws, seed):
         raise ValueError("calibration needs at least %d draws" % MIN_CAL_DRAWS)
     eig = sample_ensemble(ens, draws, seed).eigenvalues
     m = eig.shape[0]
-    fprime = poly.deriv(1)(eig)
+    fprime = f[1] + (2.0 * f[2]) * eig
     mean_fprime = fprime.mean(axis=0)
     shift_per_draw = eig @ mean_fprime
     return Calibration(eig.mean(axis=0), mean_fprime,
@@ -270,16 +266,15 @@ def calibrate(ens, poly, draws, seed):
                        float(shift_per_draw.std(ddof=1)) / sqrt(m))
 
 
-def linear_stat(ens, sample, poly):
+def linear_stat(ens, sample, f):
     """Per-draw S_N = sum_j f(lambda_j) - sum_j E f(lambda_j), centered exactly."""
-    return poly(sample.eigenvalues).sum(axis=1) - exact_sums(ens, poly)[0]
+    (a0, a1, a2), eig = f, sample.eigenvalues
+    return (a0 + (a1 + a2 * eig) * eig).sum(axis=1) - exact_sums(ens, f)[0]
 
 
-def recentered_stat(ens, sample, poly, cal):
-    """Per-draw S~_N: S_N minus its first-order eigenvalue fluctuation."""
-    s_n = linear_stat(ens, sample, poly)
-    shift = (sample.eigenvalues - cal.mean_lambda) @ cal.mean_fprime
-    return s_n - shift
+def recentered_stat(sample, s_n, cal):
+    """Per-draw S~_N: the draws' S_N minus their first-order eigenvalue fluctuation."""
+    return s_n - (sample.eigenvalues - cal.mean_lambda) @ cal.mean_fprime
 
 
 def calibration_shift_bound(sample, cal):
@@ -302,14 +297,14 @@ def exp_calibration_se(rate, shift_bound, estimate):
     return (math.exp(rate * sqrt(max(shift_bound, 0.0))) - 1.0) * estimate
 
 
-def rmt_certificates(ens, poly):
+def rmt_certificates(ens, f):
     """(exp-moment certificate for S~_N, tail certificate for S_N), route wigner-lss.
 
     The exp-moment rate is c N^(1/4) / (sqrt(2) sigma ||f''||^(1/2)) with
     sigma the entry-law constant; the tail curve reads the closed-form
     (E sum_j f'(lambda_j)^2)^(1/2) of ``exact_sums``. No constant is estimated.
     """
-    fpp = certified_fpp(poly)
+    fpp = certified_fpp(f)
     sigma = sqrt(ens.sigma2)
     n = ens.size
     rate = EXP_MOMENT_COEFF * n**0.25 / (sqrt(2.0) * sigma * sqrt(fpp))
@@ -321,5 +316,5 @@ def rmt_certificates(ens, poly):
     tail_cert = Certificate(
         "tail", "wigner-lss",
         {"sigma": sigma, "d": 2, "matrix_size": n,
-         "grad_l2": exact_sums(ens, poly)[1], "fpp_inf": fpp})
+         "grad_l2": exact_sums(ens, f)[1], "fpp_inf": fpp})
     return exp_cert, tail_cert

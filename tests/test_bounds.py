@@ -17,7 +17,7 @@ from hoc import fixtures, measures
 from hoc.measures import MeasureSpec
 from hoc.polynomials import MultilinearSpec, PolyFunction, from_multilinear
 from hoc._util import jsonable
-from hoc.tensors import hs_norms, op_norms
+from hoc.tensors import SymTensor, hs_norms, op_norms
 
 
 def profile(d=2, sigma=1.0, norms2=(1.0,), top_inf=1.0, top_hs=1.0, **kw):
@@ -280,6 +280,19 @@ def test_multilinear_tails_need_unit_variance():
         B.multilinear_certificates(spec, 1.0, centered=False, unit_variance=True)
 
 
+def test_multilinear_norms_equal_the_coefficient_tensor():
+    # the constants read off the coefficient list, against the symmetrized
+    # tensor's own norms, on every shipped chaos spec
+    specs = [MultilinearSpec.from_dict(fx.payload["multilinear"])
+             for fx in fixtures.inventory() if "multilinear" in fx.payload]
+    assert len(specs) == 24
+    for spec in specs:
+        certs = B.multilinear_certificates(spec, 1.0, centered=True, unit_variance=False)
+        tensor = SymTensor.from_entries(spec.order, spec.dim, dict(spec.coeffs))
+        assert certs["exp_hs"].constants["hs_norm"] == tensor.hs_norm()
+        assert certs["exp_inf"].constants["max_entry"] == tensor.max_abs_entry()
+
+
 def test_multilinear_tail_frozen_value():
     # single coefficient 1/sqrt(2) makes hs_norm exactly 1
     spec = MultilinearSpec.from_coeffs(2, 2, {(0, 1): 1.0 / sqrt(2.0)})
@@ -425,7 +438,7 @@ def _chaos_tails():
     out = []
     for fx in fixtures.inventory():
         if fx.kind == "tails":
-            f, _ = from_multilinear(MultilinearSpec.from_dict(fx.payload["multilinear"]))
+            f = from_multilinear(MultilinearSpec.from_dict(fx.payload["multilinear"]))
             out.append((fx.name, f, MeasureSpec.from_dict(fx.payload["measure"]),
                         fx.payload["d"]))
     return out
@@ -507,7 +520,7 @@ def test_profile_constant_orders_are_one_origin_row(fixture, d):
     # (d = 3 on the bilinear form makes order 2 a constant rung below a zero top)
     payload = fixtures.by_name(fixture).payload
     if "multilinear" in payload:
-        f, _ = from_multilinear(MultilinearSpec.from_dict(payload["multilinear"]))
+        f = from_multilinear(MultilinearSpec.from_dict(payload["multilinear"]))
     else:
         f = PolyFunction.from_dict(payload["function"])
     prof = B.exact_profile(f, MeasureSpec.from_dict(payload["measure"]), d)

@@ -300,6 +300,23 @@ _UNCENTERED_TAILS = {
     # an order-d derivative that is not constant has no finite sup on R^n
     {"kind": "tails", "seed": 0, "measure": _GAUSS3, "function": _QUARTIC, "d": 2,
      "t_grid": [1, 2, 4, 8, 16]},
+    # spec numbers are checked, not truncated or parsed: int() would make
+    # these x1 x2, the pair (0, 1) and a 2-dim measure
+    {"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-opnorm",
+     "function": {"dim": 2, "terms": [{"exponents": [1.9, 1.2], "coeff": 1.0}]}},
+    {"kind": "multilinear", "seed": 0, "fixture": "gaussian-chaos-n2-d2-multilinear",
+     "multilinear": {"dim": 2, "order": 2, "coeffs": [{"index": [0.9, 1.2], "value": 1.0}]}},
+    {"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-opnorm",
+     "measure": dict(_GAUSS2, dim=2.7)},
+    {"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-opnorm",
+     "function": {"dim": 2, "terms": [{"exponents": [1, 1], "coeff": "1.0"}]}},
+    {"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-opnorm",
+     "function": {"dim": 2, "terms": [{"exponents": [1, 1], "coeff": True}]}},
+    {"kind": "multilinear", "seed": 0, "fixture": "gaussian-chaos-n2-d2-multilinear",
+     "multilinear": {"dim": 2, "order": 2, "coeffs": [{"index": [0, 1], "value": "1.0"}]}},
+    # a repeated p would overwrite its own moment check in report.json
+    {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d1",
+     "p_values": [4, 2, 4]},
 ], ids=["uncentered-tails", "rmt-degree-3", "samples-abc",
         "negative-seed", "tails-samples-500", "rmt-draws-50", "rmt-draws-1000",
         "multilinear-samples-5000",
@@ -313,7 +330,9 @@ _UNCENTERED_TAILS = {
         "profile-samples-1000", "gaussian-scale", "tails-rmt-fields", "rmt-d", "rmt-profile-fields", "multilinear-d",
         "weighted-p", "weighted-tail-p-values", "certify-t-grid", "student-beta-half",
         "student-beta-x", "student-beta-true", "oracle-scale-string", "student-beta-0.51",
-        "weighted-tail-p-16", "tails-quartic-d2"])
+        "weighted-tail-p-16", "tails-quartic-d2", "function-exponents-1.9",
+        "multilinear-index-0.9", "measure-dim-2.7", "function-coeff-string",
+        "function-coeff-true", "multilinear-value-string", "weighted-p-values-repeated"])
 def test_cli_missing_hypothesis_writes_nothing(tmp_path, capsys, cfg):
     path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
@@ -518,7 +537,8 @@ def test_cli_rejects_unknown_subcommand():
 
 # Runs in a fresh interpreter, because the rest of the suite imports scipy. It
 # imports hoc and its CLI, runs the numpy-only kinds, lists the scipy modules
-# loaded by then, and last runs the oracle, which does load scipy.
+# loaded by then and notes whether numpy.polynomial is, and last runs the
+# oracle, which does load scipy.
 _SCIPY_PROBE = """
 import json, os, sys
 import hoc, hoc.cli
@@ -530,10 +550,11 @@ def scipy_modules():
 codes = [experiments.run_config(cfg, os.path.join(out, cfg["kind"]))[0]
          for cfg in json.loads(sys.argv[2])]
 numpy_only = scipy_modules()
+polynomial = "numpy.polynomial" in sys.modules
 code = experiments.run_config({"kind": "catalog-oracle", "seed": 0, "dist": "uniform01"},
                               os.path.join(out, "oracle"))[0]
-print(json.dumps({"codes": codes, "numpy_only": numpy_only, "oracle": code,
-                  "oracle_loads": "scipy.linalg" in scipy_modules()}))
+print(json.dumps({"codes": codes, "numpy_only": numpy_only, "polynomial": polynomial,
+                  "oracle": code, "oracle_loads": "scipy.linalg" in scipy_modules()}))
 """
 
 
@@ -556,4 +577,5 @@ def test_scipy_loaded_only_by_the_kinds_that_use_it(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == [0, 0, 0, 0]
     assert result["numpy_only"] == []
+    assert not result["polynomial"]  # the rmt kind reads f as (a0, a1, a2)
     assert result["oracle"] == 0 and result["oracle_loads"]

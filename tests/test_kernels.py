@@ -104,14 +104,15 @@ def test_power_opnorm_reports_max_iter_stops():
 
 
 def test_shipped_tails_fixture_converges(monkeypatch):
-    # the constant order-3 derivative of the largest shipped chaos, which a
-    # sampled profile hands to the power iteration at the origin
+    # the constant order-3 derivative of the largest shipped chaos: its
+    # operator norm at the origin, as bounds.constant_top_op reads an
+    # order-3 top, comes from the power iteration
     from hoc import fixtures
     from hoc.polynomials import MultilinearSpec, from_multilinear
     from hoc.tensors import op_norms
 
     payload = fixtures.by_name("gaussian-chaos-n10-d3-tails").payload
-    f, _ = from_multilinear(MultilinearSpec.from_dict(payload["multilinear"]))
+    f = from_multilinear(MultilinearSpec.from_dict(payload["multilinear"]))
     calls = []
     original = kernels.power_opnorm
     monkeypatch.setattr(kernels, "power_opnorm",

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from hoc.polynomials import (EVAL_BLOCK, MultilinearSpec, PolyFunction,
                              from_multilinear, opnorm_gradient_check)
+from hoc.tensors import SymTensor
 
 
 def naive_eval(f, x):
@@ -245,7 +246,8 @@ def test_multilinear_rejects_repeats_and_disorder():
 def test_from_multilinear_identities():
     spec = MultilinearSpec.from_coeffs(4, 3, {(0, 1, 2): 1.5, (1, 2, 3): -0.5,
                                               (0, 1, 3): 2.0})
-    f, tensor = from_multilinear(spec)
+    f = from_multilinear(spec)
+    tensor = SymTensor.from_entries(3, 4, dict(spec.coeffs))
     rng = np.random.default_rng(17)
     for _ in range(5):
         x = rng.standard_normal(4)

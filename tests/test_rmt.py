@@ -19,6 +19,18 @@ def gaussian_ensemble(n):
     return rmt.WignerEnsemble(n, CoordinateDist.make("gaussian"))
 
 
+HALF_SQUARE = (0.0, 0.0, 0.5)  # f = x^2/2
+
+
+def value(f, x):
+    a0, a1, a2 = f
+    return a0 + a1 * x + a2 * x * x
+
+
+def slope(f, x):
+    return f[1] + 2.0 * f[2] * x
+
+
 def test_ensemble_validation():
     with pytest.raises(ValueError):
         rmt.WignerEnsemble(1, CoordinateDist.make("gaussian"))
@@ -66,8 +78,7 @@ def test_trace_identity():
     sample = rmt.sample_ensemble(ens, draws, seed)
     assert sample.discarded == 0
     mats = rmt._build_matrices(ens, seed, 0, draws)
-    f = rmt.as_polynomial([0.0, 0.0, 0.5])
-    per_draw_eig = f(sample.eigenvalues).sum(axis=1)
+    per_draw_eig = value(HALF_SQUARE, sample.eigenvalues).sum(axis=1)
     per_draw_mat = 0.5 * np.einsum("kij,kji->k", mats, mats)
     assert np.allclose(per_draw_eig, per_draw_mat, rtol=1e-10)
 
@@ -252,44 +263,70 @@ def test_exact_sums_match_monte_carlo(entry, coeffs, sum_f, grad2):
     """sum_j E f(lambda_j) and E sum_j f'(lambda_j)^2 in closed form against
     their Monte Carlo means over sampled spectra at N = 50, within 5 SE."""
     ens = rmt.WignerEnsemble(50, entry)
-    f = rmt.as_polynomial(coeffs)
+    f = rmt.quadratic(coeffs)
     got_f, got_grad = rmt.exact_sums(ens, f)
     assert got_f == pytest.approx(sum_f, rel=1e-14)
     assert got_grad == pytest.approx(math.sqrt(grad2), rel=1e-14)
     eig = rmt.sample_ensemble(ens, 2000, seed=53).eigenvalues
-    for per_draw, want in ((f(eig).sum(axis=1), got_f),
-                           ((f.deriv(1)(eig) ** 2).sum(axis=1), got_grad ** 2)):
+    for per_draw, want in ((value(f, eig).sum(axis=1), got_f),
+                           ((slope(f, eig) ** 2).sum(axis=1), got_grad ** 2)):
         se = float(per_draw.std(ddof=1)) / math.sqrt(per_draw.size)
         assert abs(float(per_draw.mean()) - want) <= 5.0 * se
 
 
 def test_exact_sums_need_degree_two():
+    # a triple holds degree <= 2 only; the parse refuses any higher term
     ens = gaussian_ensemble(10)
-    assert rmt.exact_sums(ens, rmt.as_polynomial([2.0, 1.0])) == (20.0, math.sqrt(10.0))
-    with pytest.raises(B.MissingHypothesisError):
-        rmt.exact_sums(ens, rmt.as_polynomial([0.0, 0.0, 0.0, 1.0]))
+    assert rmt.exact_sums(ens, (2.0, 1.0, 0.0)) == (20.0, math.sqrt(10.0))
+    with pytest.raises(B.MissingHypothesisError, match="degree > 2"):
+        rmt.quadratic([0.0, 0.0, 0.5, 1.0])
 
 
 def test_second_derivative_bound():
-    assert rmt.second_derivative_bound(rmt.as_polynomial([0.0, 0.0, 0.5])) == 1.0
-    assert rmt.second_derivative_bound(rmt.as_polynomial([3.0, 2.0])) == 0.0
-    with pytest.raises(B.MissingHypothesisError):
-        rmt.second_derivative_bound(rmt.as_polynomial([0.0, 0.0, 0.0, 1.0]))
+    # |f''| = 2 |a2|, and it must be positive
+    assert rmt.certified_fpp(HALF_SQUARE) == 1.0
+    assert rmt.certified_fpp((1.0, 2.0, -0.75)) == 1.5
+    with pytest.raises(B.MissingHypothesisError, match="positive"):
+        rmt.certified_fpp((3.0, 2.0, 0.0))
+    # the parse gives the triple, zero-padded, and applies both refusals
+    assert rmt.quadratic([1, -2, 0.25, 0.0, 0]) == (1.0, -2.0, 0.25)
+    with pytest.raises(B.MissingHypothesisError, match="positive"):
+        rmt.quadratic([3.0, 2.0])
+    with pytest.raises(B.MissingHypothesisError, match="degree > 2"):
+        rmt.quadratic([0.0, 0.0, 0.0, 1.0])
+    for bad in ([], [0.0, "1"], [0.0, True, 1.0], [float("nan"), 0.0, 1.0], (0.0, 0.0, 1.0)):
+        with pytest.raises(ValueError, match="finite numbers"):
+            rmt.quadratic(bad)
+
+
+@pytest.mark.parametrize("coeffs", [[0.0, 0.0, 0.5], [0.3, -1.0, 0.5, 0.0], [2.0, 1.0, 1e-3],
+                                    [0.7, 1.3, -0.4], [-1.1, -0.6, 2.5]])
+def test_quadratic_forms_equal_numpy_polynomial(coeffs):
+    """S_N and the calibrated E f'(lambda_j) read f and f' off the triple;
+    numpy's general polynomial evaluation gives the same bits."""
+    from numpy.polynomial import Polynomial
+
+    ens, f, poly = gaussian_ensemble(20), rmt.quadratic(coeffs), Polynomial(coeffs)
+    sample = rmt.sample_ensemble(ens, 100, seed=31)
+    want = poly(sample.eigenvalues).sum(axis=1) - rmt.exact_sums(ens, f)[0]
+    assert np.array_equal(rmt.linear_stat(ens, sample, f), want)
+    cal = rmt.calibrate(ens, f, rmt.MIN_CAL_DRAWS, seed=32)
+    eig = rmt.sample_ensemble(ens, rmt.MIN_CAL_DRAWS, seed=32).eigenvalues
+    assert np.array_equal(cal.mean_fprime, poly.deriv(1)(eig).mean(axis=0))
 
 
 def test_calibrate_guard():
     ens = gaussian_ensemble(10)
     with pytest.raises(ValueError):
-        rmt.calibrate(ens, rmt.as_polynomial([0, 0, 0.5]), 100, seed=1)
+        rmt.calibrate(ens, HALF_SQUARE, 100, seed=1)
 
 
 def test_recentering_reduces_variance():
     ens = gaussian_ensemble(20)
-    f = rmt.as_polynomial([0.0, 0.0, 0.5])
-    cal = rmt.calibrate(ens, f, 600, seed=101)
+    cal = rmt.calibrate(ens, HALF_SQUARE, 600, seed=101)
     sample = rmt.sample_ensemble(ens, 600, seed=202)
-    s = rmt.linear_stat(ens, sample, f)
-    s_tilde = rmt.recentered_stat(ens, sample, f, cal)
+    s = rmt.linear_stat(ens, sample, HALF_SQUARE)
+    s_tilde = rmt.recentered_stat(sample, s, cal)
     assert s.shape == (600,)
     # the first-order eigenvalue fluctuation carries most of the variance
     assert float(np.var(s_tilde)) < 0.5 * float(np.var(s))
@@ -299,9 +336,8 @@ def test_recentering_reduces_variance():
 
 def test_calibration_shift_bound_scales():
     ens = gaussian_ensemble(20)
-    f = rmt.as_polynomial([0.0, 0.0, 0.5])
-    small = rmt.calibrate(ens, f, 600, seed=7)
-    big = rmt.calibrate(ens, f, 2400, seed=7)
+    small = rmt.calibrate(ens, HALF_SQUARE, 600, seed=7)
+    big = rmt.calibrate(ens, HALF_SQUARE, 2400, seed=7)
     sample = rmt.sample_ensemble(ens, 400, seed=8)
     b_small = rmt.calibration_shift_bound(sample, small)
     b_big = rmt.calibration_shift_bound(sample, big)
@@ -320,7 +356,7 @@ def test_exp_calibration_se():
 
 def test_rmt_certificates():
     ens = gaussian_ensemble(100)
-    f = rmt.as_polynomial([0.0, 0.0, 0.5])
+    f = HALF_SQUARE
     exp_cert, tail_cert = rmt.rmt_certificates(ens, f)
     rate, power, threshold = exp_cert.exp_params()
     assert rate == pytest.approx(B.EXP_MOMENT_COEFF * math.sqrt(5.0), rel=1e-12)
@@ -330,9 +366,7 @@ def test_rmt_certificates():
     assert tail_cert.constants["grad_l2"] == rmt.exact_sums(ens, f)[1] == 10.0
     assert tail_cert.constants["matrix_size"] == 100
     with pytest.raises(B.MissingHypothesisError):
-        rmt.rmt_certificates(ens, rmt.as_polynomial([0, 0, 0, 1.0]))
-    with pytest.raises(B.MissingHypothesisError):
-        rmt.rmt_certificates(ens, rmt.as_polynomial([0, 1.0]))  # f'' = 0
+        rmt.rmt_certificates(ens, (0.0, 1.0, 0.0))  # f'' = 0
 
 
 def test_benchmark_wigner_check_passes(rmt_run, monkeypatch):
