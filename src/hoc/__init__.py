@@ -6,9 +6,8 @@ certificate against deterministic Monte Carlo ground truth. See the README
 for the route taxonomy and the experiment runner.
 """
 
-from .bounds import (Certificate, DerivativeProfile, MissingHypothesisError,
-                     exact_hs_rungs, exact_profile, exp_moment_certificate,
-                     iterated_moment_bound, multilinear_certificates,
+from .bounds import (Certificate, Ladder, MissingHypothesisError, exact_hs_rungs,
+                     exp_moment_certificate, multilinear_certificates,
                      tail_certificate, weighted_moment_bounds,
                      weighted_tail_certificate)
 from .measures import (CATALOG, CoordinateDist, GapResult, MeasureSpec,

@@ -1,37 +1,38 @@
 """Concentration bounds as explicit, checkable certificates.
 
-Everything here evaluates a closed-form right-hand side from a profile of
-derivative norms. For a polynomial under a product law those norms are
-exact moments (``exact_hs_rungs``, ``exact_profile``); no rung is sampled.
-The right-hand sides are iterated moment bounds, exponential-moment
-certificates (with automatic rescaling when the normalization hypotheses
-fail by a factor lambda), tail bounds built from the full ladder of
-derivative norms, and the weighted variants for measures that only satisfy
-a weighted spectral-gap inequality. Multilinear polynomials in independent
-centered coordinates get their own sharper certificates driven by the
-coefficient tensor.
+Everything here evaluates a closed-form right-hand side from one record,
+the derivative ``Ladder`` (sigma, d, rungs n_1..n_(d-1), top n_d) of a
+function under a measure with Poincare constant sigma. For a polynomial
+under a product law the rungs are exact moments (``exact_hs_rungs``) and
+the top's operator norm is read at the origin (``constant_top_op``); no
+rung is sampled. The right-hand sides are the ladder's iterated moment
+bound (``Ladder.moment``), exponential-moment certificates (with automatic
+rescaling when the normalization hypotheses fail by a factor lambda,
+``Ladder.rescale``), the ladder's tail curve (``Ladder.tail``), and the
+weighted variants for measures that only satisfy a weighted spectral-gap
+inequality. Multilinear polynomials in independent centered coordinates
+get their own sharper certificates driven by the coefficient tensor. The
+hypotheses a certificate assumes (E f = 0, centered derivatives on
+ladder-hs) are checked once, by ``experiments.resolve``.
 
 Certificates carry a ``route`` label naming the bound family (ladder-inf,
 ladder-hs, ladder-tail, weighted-tail, multilinear-hs, multilinear-inf,
 wigner-lss) plus every constant needed to re-evaluate them. The
 weighted-ladder moment bounds are plain numbers, not certificates.
 
-Every tail route but weighted-tail is one derivative ladder
-(sigma, d, norms2, top): P(|f| >= t) <= e^2 exp(-eta(t) / (d e)), where eta
-is the least of sqrt(2) t^(1/k) / (sigma n_k^(1/k)) over the nonzero rungs
-n_1..n_(d-1) = norms2 and n_d = top. The routes differ only in the ladder
-their constants give:
+Every tail route but weighted-tail is ``Ladder.tail`` of the ladder its
+constants give (``_ladder``):
 
-  ladder-tail      the exact HS rungs (sigma, d, hs2, top_hs)
-  multilinear-hs   (sigma, d, (hs_norm, 0, ..., 0), hs_norm)
+  ladder-tail      Ladder(sigma, d, hs2, top_hs), the exact HS rungs
+  multilinear-hs   Ladder(sigma, d, (hs_norm, 0, ..., 0), hs_norm)
   multilinear-inf  the same with dim_n^(d/2) * max_entry for hs_norm
-  wigner-lss       (sigma sqrt(2/N), 2, (grad_l2,), sqrt(N) * fpp_inf)
+  wigner-lss       Ladder(sigma sqrt(2/N), 2, (grad_l2,), sqrt(N) * fpp_inf)
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import e, sqrt
 
 import numpy as np
@@ -50,41 +51,68 @@ class MissingHypothesisError(ValueError):
     """A certificate was requested for a function violating its hypotheses."""
 
 
-# -- profiles -------------------------------------------------------------------
+# -- the derivative ladder ---------------------------------------------------------
 
 @dataclass(frozen=True)
-class DerivativeProfile:
-    """Derivative-norm summary of one function under one measure.
+class Ladder:
+    """The derivative ladder of one function under one measure.
 
-    norms2[k-1] bounds the L2 norm of the pointwise operator norm of the
-    order-k derivative, k = 1..order-1 (``exact_profile`` gives the exact
-    Hilbert-Schmidt rung, which bounds it). top_inf bounds the operator norm
-    of the order-d derivative uniformly; top_inf_exact is False when it is
-    only an estimate. top_hs is the L2 norm of the pointwise Hilbert-Schmidt
-    norm of the top derivative.
+    sigma is the measure's Poincare constant. rungs[k-1] = n_k bounds the L2
+    norm of the pointwise operator norm of the order-k derivative,
+    k = 1..d-1, and top = n_d bounds the operator norm of the order-d
+    derivative uniformly.
     """
 
-    order: int
     sigma: float
-    norms2: tuple
-    top_inf: float
-    top_hs: float
-    centered: bool = False
-    derivs_centered: bool = False
-    top_inf_exact: bool = True
+    d: int
+    rungs: tuple
+    top: float
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
+        if self.d < 1:
+            raise ValueError("d must be >= 1")
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
-        if len(self.norms2) != self.order - 1:
-            raise ValueError("need one Op-2 norm per order 1..d-1")
-        for v in self.norms2:
+        if len(self.rungs) != self.d - 1:
+            raise ValueError("need one rung per order 1..d-1")
+        for v in self.rungs:
             if not (math.isfinite(v) and v >= 0):
-                raise ValueError("norms must be finite and nonnegative")
-        if not self.top_inf >= 0:
-            raise ValueError("top_inf must be nonnegative")
+                raise ValueError("rungs must be finite and nonnegative")
+        if not self.top >= 0:
+            raise ValueError("top must be nonnegative")
+
+    def moment(self, p):
+        """Bound on ||f - E f||_p for p >= 2.
+
+        The Poincare moment inequality ||g - E g||_p <= (sigma p / sqrt 2)
+        ||grad g||_p bounds ||f - E f||_p by (sigma p / sqrt 2) || |f'|_op ||_p.
+        Applied to g = |f^(k)|_op, whose gradient is at most |f^(k+1)|_op and
+        whose mean is at most n_k, it gives || |f^(k)|_op ||_p <= n_k +
+        (sigma p / sqrt 2) || |f^(k+1)|_op ||_p, and at k = d the top bounds
+        the norm. So the bound is the sum over k < d of (sigma p / sqrt 2)^k
+        n_k plus (sigma p / sqrt 2)^d top.
+        """
+        if p < 2:
+            raise ValueError("the iterated moment bound needs p >= 2")
+        base = self.sigma * p / _SQRT2
+        total = sum(base**k * self.rungs[k - 1] for k in range(1, self.d))
+        return total + base**self.d * self.top
+
+    def tail(self, t):
+        """e^2 exp(-eta / (d e)) at t >= 0, uncapped, where eta is the least
+        of sqrt(2) t^(1/k) / (sigma n_k^(1/k)) over the nonzero rungs
+        n_1..n_d, n_d = top; with no nonzero rung eta is infinite."""
+        terms = [_SQRT2 * np.power(t, 1.0 / k) / (self.sigma * nk ** (1.0 / k))
+                 for k, nk in enumerate((*self.rungs, self.top), start=1) if nk > 0]
+        eta = np.minimum.reduce(terms) if terms else np.full_like(t, np.inf)
+        return TAIL_PREFACTOR * np.exp(-eta / (self.d * e))
+
+    def rescale(self):
+        """The least lambda >= 1 whose f / lambda has a normalized ladder:
+        top <= lambda and n_k <= lambda sigma^(d-k) for k < d."""
+        return max(1.0, self.top, max((nk / self.sigma ** (self.d - k)
+                                       for k, nk in enumerate(self.rungs, start=1)),
+                                      default=0.0))
 
 
 # -- certificates ----------------------------------------------------------------
@@ -152,93 +180,53 @@ def _tail_eval(route, c, t):
         with np.errstate(divide="ignore"):
             beyond = np.where(t > 0, ((scale * p) ** d / np.maximum(t, 1e-300)) ** p, np.inf)
         return c["prefactor"] * np.where(t <= c["window_end"], inside, beyond)
-    ladder = _ladder(route, c)
-    return TAIL_PREFACTOR * np.exp(-_eta(ladder, t) / (ladder[1] * e))
+    return _ladder(route, c).tail(t)
 
 
 def _ladder(route, c):
-    """(sigma, d, norms2, top) of the derivative ladder behind a tail route,
-    as tabled in the module docstring; wigner-lss constants carry no d."""
+    """The Ladder behind a tail route's constants, as tabled in the module
+    docstring; wigner-lss constants carry no d."""
     if route == "ladder-tail":
-        return c["sigma"], c["d"], c["hs2"], c["top_hs"]
+        return Ladder(c["sigma"], c["d"], tuple(c["hs2"]), c["top_hs"])
     if route in ("multilinear-hs", "multilinear-inf"):
         d = c["d"]
         a = (c["hs_norm"] if route == "multilinear-hs"
              else c["dim_n"] ** (d / 2.0) * c["max_entry"])
-        return c["sigma"], d, ((a,) + (0.0,) * d)[:d - 1], a
+        return Ladder(c["sigma"], d, ((a,) + (0.0,) * d)[:d - 1], a)
     if route == "wigner-lss":
         n = c["matrix_size"]
-        return c["sigma"] * sqrt(2.0 / n), 2, (c["grad_l2"],), sqrt(n) * c["fpp_inf"]
+        return Ladder(c["sigma"] * sqrt(2.0 / n), 2, (c["grad_l2"],), sqrt(n) * c["fpp_inf"])
     raise ValueError("no tail evaluator for route %r" % (route,))
-
-
-def _eta(ladder, t):
-    """Best decay exponent from a (sigma, d, norms2, top) ladder; zero norms
-    drop their term."""
-    sigma, d, norms2, top = ladder
-    terms = []
-    if top > 0:
-        terms.append(_SQRT2 * np.power(t, 1.0 / d) / (sigma * top ** (1.0 / d)))
-    for k, nk in enumerate(norms2, start=1):
-        if nk > 0:
-            terms.append(_SQRT2 * np.power(t, 1.0 / k) / (sigma * nk ** (1.0 / k)))
-    if not terms:
-        return np.full_like(t, np.inf)
-    return terms[0] if len(terms) == 1 else np.minimum.reduce(terms)
-
-
-# -- moment bounds ----------------------------------------------------------------
-
-def iterated_moment_bound(profile, p):
-    """Closed-form bound on the L^p norm from the derivative ladder.
-
-    Sum over k < d of (sigma*p/sqrt(2))^k * norms2[k-1], plus
-    (sigma*p/sqrt(2))^d * top_inf, the uniform operator-norm bound on the
-    top derivative.
-    """
-    if p < 2:
-        raise ValueError("the iterated moment bound needs p >= 2")
-    d, sigma = profile.order, profile.sigma
-    base = sigma * p / _SQRT2
-    total = sum(base**k * profile.norms2[k - 1] for k in range(1, d))
-    return total + base**d * profile.top_inf
 
 
 # -- exponential-moment certificates ------------------------------------------------
 
-def exp_moment_certificate(profile, route=None):
-    """Certificate that E exp(rate * |f|^(1/d)) <= 2.
+def exp_moment_certificate(ladder, top_inf, route, top_inf_exact):
+    """Certificate that E exp(rate * |f|^(1/d)) <= 2 for a centered f.
 
-    Route "ladder-inf" needs the Op-2 norm ladder below sigma^(d-k) and a
-    uniform operator-norm bound on the top derivative; route "ladder-hs" (the
-    default when every derivative of order < d is centered) trades the
-    ladder for centered derivatives plus an L2 Hilbert-Schmidt bound on the
-    top derivative. Hypotheses failing by a factor are absorbed by rescaling:
-    the certificate is issued for f / rescale_lambda, equivalently the rate
+    ``ladder`` holds the exact HS rungs and top (``exact_hs_rungs``), top_inf
+    the operator norm of the constant top derivative (``constant_top_op``),
+    and top_inf_exact whether that norm is exact. Route "ladder-inf" needs
+    the rungs below sigma^(d-k) and top_inf below 1; route "ladder-hs" needs
+    every derivative of order < d centered and reads the HS top. The caller
+    has checked E f = 0 and, on ladder-hs, the centered derivatives.
+    Hypotheses failing by a factor are absorbed by rescaling: the
+    certificate is issued for f / rescale_lambda, equivalently the rate
     already includes the lambda^(-1/d) factor so the claim holds for f itself.
     """
-    if route is None:
-        route = "ladder-hs" if profile.derivs_centered else "ladder-inf"
     if route not in EXP_MOMENT_ROUTES:
         raise ValueError("unknown exp-moment route %r" % (route,))
-    if not profile.centered:
-        raise MissingHypothesisError("exp-moment certificates need E f = 0; recenter first")
-    d, sigma = profile.order, profile.sigma
     if route == "ladder-inf":
-        lam = max(1.0, profile.top_inf,
-                  max((profile.norms2[k - 1] / sigma ** (d - k) for k in range(1, d)),
-                      default=0.0))
-        used = {"norms2": list(profile.norms2), "top_inf": profile.top_inf}
+        lam = replace(ladder, top=top_inf).rescale()
+        used = {"norms2": list(ladder.rungs), "top_inf": top_inf}
     else:
-        if not profile.derivs_centered:
-            raise MissingHypothesisError(
-                "route ladder-hs needs all derivatives of order < d centered")
-        lam = max(1.0, profile.top_inf, profile.top_hs)
-        used = {"top_hs": profile.top_hs, "top_inf": profile.top_inf}
+        lam = max(1.0, top_inf, ladder.top)
+        used = {"top_hs": ladder.top, "top_inf": top_inf}
+    sigma, d = ladder.sigma, ladder.d
     rate = EXP_MOMENT_COEFF / (sigma * lam ** (1.0 / d))
     constants = {"c": EXP_MOMENT_COEFF, "sigma": sigma, "d": d,
                  "rate": rate, "power": 1.0 / d, "threshold": EXP_THRESHOLD,
-                 "top_inf_exact": profile.top_inf_exact}
+                 "top_inf_exact": top_inf_exact}
     constants.update(used)
     return Certificate("expMoment", route, constants, rescale_lambda=lam)
 
@@ -263,13 +251,11 @@ def exact_hs_rungs(f, mspec, d):
     return tuple(rungs[:-1]), rungs[-1]
 
 
-def tail_certificate(sigma, d, hs2, top_hs):
+def tail_certificate(ladder):
     """P(|f| >= t) bound (route ladder-tail) for a centered f whose order-d
-    derivative is constant, from its ``exact_hs_rungs`` (hs2, top_hs)."""
-    if len(hs2) != d - 1:
-        raise ValueError("need one HS rung per order 1..d-1")
-    return Certificate("tail", "ladder-tail",
-                       {"sigma": sigma, "d": d, "hs2": list(hs2), "top_hs": top_hs})
+    derivative is constant, from the Ladder of its ``exact_hs_rungs``."""
+    return Certificate("tail", "ladder-tail", {"sigma": ladder.sigma, "d": ladder.d,
+                                               "hs2": list(ladder.rungs), "top_hs": ladder.top})
 
 
 # -- weighted route ------------------------------------------------------------------
@@ -325,16 +311,15 @@ def weighted_tail_certificate(C, p, d, rescale_lambda=1.0):
 
 # -- multilinear route -----------------------------------------------------------------
 
-def multilinear_certificates(spec, sigma, centered, unit_variance):
-    """Certificates for a multilinear polynomial in independent coordinates.
+def multilinear_certificates(spec, sigma, unit_variance):
+    """Certificates for a multilinear polynomial in independent centered
+    coordinates.
 
     Returns {"exp_hs", "exp_inf", "tail_hs", "tail_inf"}; the tails need unit
     second moments and are omitted without them. The coefficient tensor norms
     drive everything: hs_norm counts every permutation of each increasing
     index tuple, max_entry is the largest absolute coefficient.
     """
-    if not centered:
-        raise MissingHypothesisError("multilinear certificates need E X_i = 0 for all i")
     d, n = spec.order, spec.dim
     total = 0.0  # each of the d! permutations of an index tuple holds its coefficient
     for _, a in spec.coeffs:
@@ -361,26 +346,16 @@ def multilinear_certificates(spec, sigma, centered, unit_variance):
     return certs
 
 
-# -- exact profiles ---------------------------------------------------------------------
-
-def exact_profile(f, mspec, d):
-    """The DerivativeProfile of ``f`` under ``mspec`` for a constant order-d
-    derivative, from exact moments: the ``exact_hs_rungs``, top_inf its
-    ``constant_top_op`` (flagged when only a lower estimate) and the
-    ``centering`` flags. Nothing is sampled."""
-    top_inf = constant_top_op(f, d)
-    hs2, top_hs = exact_hs_rungs(f, mspec, d)
-    _, centered, derivs_centered = centering(f, mspec, d)
-    return DerivativeProfile(d, mspec.sigma(), hs2, top_inf, top_hs, centered,
-                             derivs_centered, d <= 2 or f.dim == 1)
-
+# -- exact constants --------------------------------------------------------------------
 
 def constant_top_op(f, d):
-    """|f^(d)|_op of a constant order-d derivative, at the origin: exact at
-    order <= 2 or in one dimension, else a power-iteration lower estimate."""
+    """(|f^(d)|_op, exact) of a constant order-d derivative, at the origin:
+    exact at order <= 2 or in one dimension, else a power-iteration lower
+    estimate."""
     if not f.top_is_constant(d):
         raise ValueError("need a constant order-d derivative")
-    return float(op_norms(f.derivative_dense(d, np.zeros((1, f.dim))))[0])
+    return (float(op_norms(f.derivative_dense(d, np.zeros((1, f.dim))))[0]),
+            d <= 2 or f.dim == 1)
 
 
 def centering(f, mspec, d):

@@ -223,15 +223,19 @@ def resolve(cfg):
             raise ConfigError("the %s checks read the weight norm ||w||_%g, infinite for "
                               "the student law with beta = %g (it needs 2 beta - 1 > %g)"
                               % (kind, q, beta, q))
-    # exact centering, as the runners test it (their checks stay as a backstop)
+    # exact centering: the certificates assume it and do not test it again
     if kind == "multilinear" and any(mspec.moment(i, 1) != 0.0 for i in range(mspec.dim)):
         raise ConfigError("multilinear certificates need E X_i = 0 for all i")
     if kind in ("certify", "tails"):
+        # only ladder-hs reads the partials, and certify without a route takes
+        # it when they are centered
         mean, centered, derivs_centered = bounds.centering(
-            f, mspec, d if route == "ladder-hs" else 1)  # only ladder-hs reads the partials
+            f, mspec, d if route in (None, "ladder-hs") else 1)
         if not centered:
             raise ConfigError("%s certificates need E f = 0, got E f = %r" % (kind, mean))
-        if route == "ladder-hs" and not derivs_centered:
+        if route is None:
+            route = "ladder-hs" if derivs_centered else "ladder-inf"
+        elif route == "ladder-hs" and not derivs_centered:
             raise ConfigError("route ladder-hs needs all derivatives of order < d centered")
     return Experiment(
         kind=kind, seed=cfg["seed"], fixture=cfg.get("fixture"), route=route,
@@ -428,10 +432,11 @@ def _eval_values(f, mspec, m, seed):
 # -- certify -------------------------------------------------------------------------
 
 def _run_certify(exp, out_dir):
-    profile = bounds.exact_profile(exp.function, exp.measure, exp.d)
-    cert = bounds.exp_moment_certificate(profile, route=exp.route)
-    values = _eval_values(exp.function, exp.measure, exp.samples,
-                          stage_seed(exp.seed, _STAGE_EVAL))
+    f, mspec, d = exp.function, exp.measure, exp.d
+    ladder = bounds.Ladder(mspec.sigma(), d, *bounds.exact_hs_rungs(f, mspec, d))
+    top_inf, top_inf_exact = bounds.constant_top_op(f, d)
+    cert = bounds.exp_moment_certificate(ladder, top_inf, exp.route, top_inf_exact)
+    values = _eval_values(f, mspec, exp.samples, stage_seed(exp.seed, _STAGE_EVAL))
     report = verify.check_exp_certificate(cert, values)
     rate, power, threshold = cert.exp_params()
     row = report.rows[0]
@@ -470,8 +475,9 @@ def _write_tail_artifacts(out_dir, header, rows, title, series):
 
 
 def _run_tails(exp, out_dir):
-    sigma, rungs = exp.measure.sigma(), bounds.exact_hs_rungs(exp.function, exp.measure, exp.d)
-    cert = bounds.tail_certificate(sigma, exp.d, *rungs)
+    ladder = bounds.Ladder(exp.measure.sigma(), exp.d,
+                           *bounds.exact_hs_rungs(exp.function, exp.measure, exp.d))
+    cert = bounds.tail_certificate(ladder)
     values = _eval_values(exp.function, exp.measure, exp.samples,
                           stage_seed(exp.seed, _STAGE_EVAL))
     report = verify.check_tail_certificate(cert, values, exp.t_grid)
@@ -481,7 +487,8 @@ def _run_tails(exp, out_dir):
            "samples": exp.samples, "passed": report.passed}
     if exp.negative_control:
         control = verify.check_tail_certificate(
-            bounds.tail_certificate(sigma / 10.0, exp.d, *rungs), values, exp.t_grid)
+            bounds.tail_certificate(dataclasses.replace(ladder, sigma=ladder.sigma / 10.0)),
+            values, exp.t_grid)
         control_failed = not control.passed
         out["negative_control"] = {"failed_somewhere": control_failed,
                                    "check": control.to_dict()}
@@ -493,9 +500,8 @@ def _run_tails(exp, out_dir):
 
 def _run_multilinear(exp, out_dir):
     mspec, mlspec, t_grid = exp.measure, exp.multilinear, exp.t_grid
-    centered = all(mspec.moment(i, 1) == 0.0 for i in range(mspec.dim))
     unit_var = all(abs(mspec.moment(i, 2) - 1.0) < 1e-12 for i in range(mspec.dim))
-    certs = bounds.multilinear_certificates(mlspec, mspec.sigma(), centered, unit_var)
+    certs = bounds.multilinear_certificates(mlspec, mspec.sigma(), unit_var)
     values = _eval_values(exp.function, mspec, exp.samples, stage_seed(exp.seed, _STAGE_EVAL))
     reps = {name: verify.check_exp_certificate(certs[name], values)
             for name in ("exp_hs", "exp_inf")}
@@ -524,7 +530,8 @@ def _run_multilinear(exp, out_dir):
                "stable", "passed"], exp_rows)
     return {"certificates": {k: c.to_dict() for k, c in certs.items()},
             "checks": checks, "hs_vs_inf_consistent": norm_consistent,
-            "centered": centered, "unit_variance": unit_var,
+            "centered": True,  # resolve refuses E X_i != 0
+            "unit_variance": unit_var,
             "samples": exp.samples, "passed": passed}
 
 
@@ -536,7 +543,7 @@ def _run_weighted(exp, out_dir):
     kappa, gap = measures.student_weight_kappa(beta)
     values = _eval_values(f, mspec, exp.samples, stage_seed(seed, _STAGE_EVAL))
     norms2, _ = bounds.exact_hs_rungs(f, mspec, d)  # the gradient's rung when d = 2
-    top_op = bounds.constant_top_op(f, d)
+    top_op, _ = bounds.constant_top_op(f, d)  # exact: resolve keeps d <= 2
     report = {"beta": beta, "kappa": kappa,
               "weighted_gap": gap.to_dict(), "samples": exp.samples,
               "route": exp.route}
@@ -573,7 +580,8 @@ def _run_weighted(exp, out_dir):
         passed = passed and report["weight_norm_check"]["passed"]
     else:  # weighted-tail route
         p = exp.p
-        lam = max([1.0, top_op] + [v for v in norms2])
+        # the normalized ladder of weighted_tail_certificate is the sigma = 1 one
+        lam = bounds.Ladder(1.0, d, norms2, top_op).rescale()
         w2dp = measures.student_weight_norm(beta, kappa, 2**d * p, mspec.dim)
         floor = 2.0 ** (-(d - 1) / 2.0)
         C = max(floor, w2dp)
@@ -636,7 +644,8 @@ _POLY = ("measure", "function", "multilinear", "d", "samples")  # f of order d o
 _KINDS = {  # runner, fields, required, route, samples field, its floor
     "tensor-norm": _Kind(_run_tensor_norm, ("count",)),
     "catalog-oracle": _Kind(_run_catalog_oracle, ("dist", "params")),
-    # the config's or the fixture's route, else the certificate picks one
+    # the config's or the fixture's route, else resolve picks ladder-hs when
+    # every partial of order < d is centered and ladder-inf otherwise
     "certify": _Kind(_run_certify, _POLY + ("route",), ("d",), None,
                      "samples", verify.MIN_EXP_SAMPLES),
     "tails": _Kind(_run_tails, _POLY + ("t_grid", "negative_control"),

@@ -280,7 +280,11 @@ class MultilinearSpec:
         require_all(is_integer, "dim, order and indices must be integers",
                     [data["dim"], data["order"]] + [i for idx, _ in coeffs for i in idx])
         require_all(is_finite_number, "coefficients must be finite numbers", [v for _, v in coeffs])
-        return cls.from_coeffs(data["dim"], data["order"], {tuple(i): v for i, v in coeffs})
+        mapping = {tuple(i): v for i, v in coeffs}
+        if len(mapping) < len(coeffs):  # the dict keeps one value per index
+            raise ValueError("coeffs must not repeat an index, got %r"
+                             % ([idx for idx, _ in coeffs],))
+        return cls.from_coeffs(data["dim"], data["order"], mapping)
 
 
 def from_multilinear(spec):

@@ -4,6 +4,7 @@ The frozen literals were computed by hand from the route formulas (see the
 docstrings in hoc.bounds); freezing them here keeps later refactors honest.
 """
 
+import dataclasses
 import json
 import math
 from math import e, sqrt
@@ -20,12 +21,16 @@ from hoc._util import jsonable
 from hoc.tensors import SymTensor, hs_norms, op_norms
 
 
-def profile(d=2, sigma=1.0, norms2=(1.0,), top_inf=1.0, top_hs=1.0, **kw):
-    return B.DerivativeProfile(d, sigma, norms2, top_inf, top_hs, **kw)
+def ladder(d=2, sigma=1.0, rungs=(1.0,), top=1.0):
+    return B.Ladder(sigma, d, rungs, top)
+
+
+def exp_cert(lad=None, top_inf=1.0, route="ladder-inf", top_inf_exact=True):
+    return B.exp_moment_certificate(lad or ladder(), top_inf, route, top_inf_exact)
 
 
 def ladder_tail(hs2=(1.0,), top_hs=1.0, sigma=1.0):
-    return B.tail_certificate(sigma, len(hs2) + 1, hs2, top_hs)
+    return B.tail_certificate(B.Ladder(sigma, len(hs2) + 1, hs2, top_hs))
 
 
 def to_json(cert):
@@ -42,32 +47,32 @@ def test_universal_constants():
     assert B.EXP_THRESHOLD == 2.0
 
 
-# -- profiles --------------------------------------------------------------------
+# -- the ladder --------------------------------------------------------------------
 
 
 def test_profile_validation():
     with pytest.raises(ValueError):
-        profile(d=0, norms2=())
+        ladder(d=0, rungs=())
     with pytest.raises(ValueError):
-        profile(sigma=0.0)
+        ladder(sigma=0.0)
     with pytest.raises(ValueError):
-        profile(d=3)  # needs two ladder slots
+        ladder(d=3)  # needs two ladder slots
     with pytest.raises(ValueError):
-        profile(norms2=(-1.0,))
+        ladder(rungs=(-1.0,))
     with pytest.raises(ValueError):
-        profile(top_inf=-1.0)
+        ladder(top=-1.0)
 
 
 # -- moment bounds ----------------------------------------------------------------
 
 
 def test_iterated_moment_bound_explicit():
-    p = profile(d=2, sigma=1.0, norms2=(3.0,), top_inf=2.0)
+    lad = ladder(d=2, sigma=1.0, rungs=(3.0,), top=2.0)
     # (p/sqrt2)*3 + (p/sqrt2)^2*2 at p = 2
     want = sqrt(2.0) * 3.0 + 2.0 * 2.0
-    assert B.iterated_moment_bound(p, 2) == pytest.approx(want, rel=1e-14)
+    assert lad.moment(2) == pytest.approx(want, rel=1e-14)
     with pytest.raises(ValueError):
-        B.iterated_moment_bound(p, 1.5)
+        lad.moment(1.5)
 
 
 @settings(max_examples=40, deadline=None)
@@ -75,8 +80,28 @@ def test_iterated_moment_bound_explicit():
 def test_normalized_ladder_respects_cap(d, sigma, p):
     """With norms at the normalized reference values the closed form stays
     below 4 (sigma p / sqrt 2)^d."""
-    prof = profile(d, sigma, tuple(sigma ** (d - k) for k in range(1, d)))
-    assert B.iterated_moment_bound(prof, p) <= 4.0 * (sigma * p / sqrt(2)) ** d * (1 + 1e-12)
+    lad = ladder(d, sigma, tuple(sigma ** (d - k) for k in range(1, d)))
+    assert lad.moment(p) <= 4.0 * (sigma * p / sqrt(2)) ** d * (1 + 1e-12)
+
+
+def _log_gaussian_abs_moment(p):
+    """log E|x|^p = log(2^(p/2) Gamma((p+1)/2) / sqrt(pi)) for x ~ N(0, 1)."""
+    return 0.5 * p * math.log(2.0) + math.lgamma((p + 1) / 2.0) - 0.5 * math.log(math.pi)
+
+
+def test_ladder_moment_dominates_gaussian_moments():
+    # the truth, in logs: ||x||_p for f = x, and ||x1 x2||_p = ||x||_p^2 for
+    # f = x1 x2, under the standard gaussian; each ladder is the exact HS one
+    # and the one with the top's operator norm
+    ps = np.unique(np.concatenate([np.arange(2, 101), np.geomspace(2.0, 4000.0, 400)]))
+    for f, d, power in ((PolyFunction.from_terms(1, {(1,): 1.0}), 1, 1),
+                        (PolyFunction.from_terms(2, {(1, 1): 1.0}), 2, 2)):
+        mspec = MeasureSpec.iid("gaussian", f.dim)
+        hs = B.Ladder(mspec.sigma(), d, *B.exact_hs_rungs(f, mspec, d))
+        for lad in (hs, dataclasses.replace(hs, top=B.constant_top_op(f, d)[0])):
+            for p in ps:
+                log_norm = power * _log_gaussian_abs_moment(p) / p
+                assert math.log(lad.moment(p)) >= log_norm, (d, lad, p)
 
 
 def test_gradient_bound_sigma_tenth_fails():
@@ -99,9 +124,7 @@ def test_gradient_bound_sigma_tenth_fails():
 
 
 def test_exp_certificate_route_11_rescale():
-    p = profile(d=3, sigma=0.8, norms2=(2.0, 0.5), top_inf=1.2,
-                centered=True)
-    cert = B.exp_moment_certificate(p)
+    cert = exp_cert(ladder(d=3, sigma=0.8, rungs=(2.0, 0.5)), top_inf=1.2)
     assert cert.route == "ladder-inf"
     # lambda = max(1, top_inf, norms2[k-1]/sigma^(d-k)) = 2.0 / 0.8^2
     assert cert.rescale_lambda == pytest.approx(3.125, rel=1e-12)
@@ -112,30 +135,25 @@ def test_exp_certificate_route_11_rescale():
 
 
 def test_exp_certificate_route_12():
-    p = profile(d=2, sigma=1.0, norms2=(0.9,), top_inf=0.3, top_hs=2.5,
-                centered=True, derivs_centered=True)
-    cert = B.exp_moment_certificate(p)
-    assert cert.route == "ladder-hs"  # auto-selected when the HS route applies
+    # resolve picks this route when the derivatives are centered
+    # (test_cli.py::test_resolve_picks_the_certify_route)
+    lad = ladder(d=2, sigma=1.0, rungs=(0.9,), top=2.5)
+    cert = exp_cert(lad, top_inf=0.3, route="ladder-hs")
+    assert cert.route == "ladder-hs"
     assert cert.rescale_lambda == pytest.approx(2.5)
     assert cert.exp_params()[0] == pytest.approx(0.01938894897419466, rel=1e-12)
     # explicit route override still works
-    assert B.exp_moment_certificate(p, route="ladder-inf").route == "ladder-inf"
+    assert exp_cert(lad, top_inf=0.3, route="ladder-inf").route == "ladder-inf"
 
 
-def test_exp_certificate_hypothesis_errors():
-    with pytest.raises(B.MissingHypothesisError):
-        B.exp_moment_certificate(profile(centered=False))
-    off_center = profile(top_hs=1.0, centered=True, derivs_centered=False)
-    with pytest.raises(B.MissingHypothesisError):
-        B.exp_moment_certificate(off_center, route="ladder-hs")
+def test_exp_certificate_unknown_route():
     with pytest.raises(ValueError):
-        B.exp_moment_certificate(profile(centered=True), route="2.7")
+        exp_cert(route="2.7")
 
 
 def test_exp_certificate_lambda_floor():
     # small norms do not push the rate above c / sigma
-    p = profile(d=2, sigma=1.0, norms2=(1e-3,), top_inf=1e-3, centered=True)
-    cert = B.exp_moment_certificate(p)
+    cert = exp_cert(ladder(d=2, sigma=1.0, rungs=(1e-3,)), top_inf=1e-3)
     assert cert.rescale_lambda == 1.0
     assert cert.exp_params()[0] == pytest.approx(B.EXP_MOMENT_COEFF)
 
@@ -153,7 +171,7 @@ def test_tail_13_frozen_value():
 
 def test_tail_needs_one_rung_per_order():
     with pytest.raises(ValueError, match="rung"):
-        B.tail_certificate(1.0, 3, (1.0,), 1.0)
+        B.tail_certificate(B.Ladder(1.0, 3, (1.0,), 1.0))
 
 
 def test_tail_caps_and_edges():
@@ -261,7 +279,7 @@ def test_weighted_tail_rescale():
 
 def test_multilinear_certificates_rates():
     spec = MultilinearSpec.from_coeffs(4, 2, {(0, 1): 1.0, (2, 3): -1.0})
-    certs = B.multilinear_certificates(spec, sigma=1.0, centered=True, unit_variance=True)
+    certs = B.multilinear_certificates(spec, sigma=1.0, unit_variance=True)
     # hs norm counts both permutations of each pair: sqrt(2*(1+1)) = 2
     assert certs["exp_hs"].constants["hs_norm"] == pytest.approx(2.0, rel=1e-14)
     assert certs["exp_hs"].exp_params()[0] == pytest.approx(
@@ -274,10 +292,8 @@ def test_multilinear_certificates_rates():
 
 def test_multilinear_tails_need_unit_variance():
     spec = MultilinearSpec.from_coeffs(3, 2, {(0, 1): 1.0})
-    certs = B.multilinear_certificates(spec, 1.0, centered=True, unit_variance=False)
+    certs = B.multilinear_certificates(spec, 1.0, unit_variance=False)
     assert set(certs) == {"exp_hs", "exp_inf"}
-    with pytest.raises(B.MissingHypothesisError):
-        B.multilinear_certificates(spec, 1.0, centered=False, unit_variance=True)
 
 
 def test_multilinear_norms_equal_the_coefficient_tensor():
@@ -287,7 +303,7 @@ def test_multilinear_norms_equal_the_coefficient_tensor():
              for fx in fixtures.inventory() if "multilinear" in fx.payload]
     assert len(specs) == 24
     for spec in specs:
-        certs = B.multilinear_certificates(spec, 1.0, centered=True, unit_variance=False)
+        certs = B.multilinear_certificates(spec, 1.0, unit_variance=False)
         tensor = SymTensor.from_entries(spec.order, spec.dim, dict(spec.coeffs))
         assert certs["exp_hs"].constants["hs_norm"] == tensor.hs_norm()
         assert certs["exp_inf"].constants["max_entry"] == tensor.max_abs_entry()
@@ -296,7 +312,7 @@ def test_multilinear_norms_equal_the_coefficient_tensor():
 def test_multilinear_tail_frozen_value():
     # single coefficient 1/sqrt(2) makes hs_norm exactly 1
     spec = MultilinearSpec.from_coeffs(2, 2, {(0, 1): 1.0 / sqrt(2.0)})
-    certs = B.multilinear_certificates(spec, 1.0, centered=True, unit_variance=True)
+    certs = B.multilinear_certificates(spec, 1.0, unit_variance=True)
     # arg = min(t/hs, sqrt(t)/sqrt(hs)) = 10 at t = 100
     assert certs["tail_hs"].tail_bound(100.0) == pytest.approx(0.548098384102524, rel=1e-12)
     inf_cert = certs["tail_inf"]
@@ -393,9 +409,8 @@ def test_certificate_kind_guards():
     tail = ladder_tail()
     with pytest.raises(ValueError):
         tail.exp_params()
-    exp_cert = B.exp_moment_certificate(profile(centered=True))
     with pytest.raises(ValueError):
-        exp_cert.tail_bound(1.0)
+        exp_cert().tail_bound(1.0)
     with pytest.raises(ValueError):
         B.Certificate("spectral", "ladder-inf", {})
 
@@ -403,7 +418,7 @@ def test_certificate_kind_guards():
 def test_certificate_json_round_trip():
     certs = [
         ladder_tail(),
-        B.exp_moment_certificate(profile(centered=True)),
+        exp_cert(),
         B.weighted_tail_certificate(1.0, 2.0, 2, rescale_lambda=1.5),
     ]
     for cert in certs:
@@ -492,23 +507,25 @@ def test_exact_hs_rungs_dominate_the_sampled_profile():
             assert hs2[k - 1] >= est - 5.0 * se, (name, k)
             if k == 1:
                 assert abs(hs2[0] - est) <= 5.0 * se, name
-        assert top_hs >= B.exact_profile(f, mspec, d).top_inf, name
+        assert top_hs >= B.constant_top_op(f, d)[0], name
 
 
-# -- exact profiles -----------------------------------------------------------------
+# -- exact ladders -----------------------------------------------------------------
 
 
-def test_exact_profile_bilinear():
+def test_exact_ladder_bilinear():
     # f = x1 x2 under the standard gaussian pair: E |grad f|^2 = E x1^2 + x2^2
     # = 2, the constant Hessian ((0, 1), (1, 0)) has operator norm 1 and HS
     # norm sqrt(2)
     f = PolyFunction.from_terms(2, [((1, 1), 1.0)])
-    prof = B.exact_profile(f, MeasureSpec.iid("gaussian", 2), 2)
-    assert prof.order == 2 and prof.sigma == 1.0
-    assert prof.norms2 == pytest.approx((sqrt(2.0),), rel=1e-15)
-    assert prof.top_inf == pytest.approx(1.0, rel=1e-15)
-    assert prof.top_hs == pytest.approx(sqrt(2.0), rel=1e-15)
-    assert prof.centered and prof.derivs_centered and prof.top_inf_exact
+    mspec = MeasureSpec.iid("gaussian", 2)
+    lad = B.Ladder(mspec.sigma(), 2, *B.exact_hs_rungs(f, mspec, 2))
+    top_inf, top_inf_exact = B.constant_top_op(f, 2)
+    assert lad.d == 2 and lad.sigma == 1.0
+    assert lad.rungs == pytest.approx((sqrt(2.0),), rel=1e-15)
+    assert top_inf == pytest.approx(1.0, rel=1e-15)
+    assert lad.top == pytest.approx(sqrt(2.0), rel=1e-15)
+    assert B.centering(f, mspec, 2)[1:] == (True, True) and top_inf_exact
 
 
 @pytest.mark.parametrize("fixture, d", [("gauss-bilinear-exp-hs", 2),
@@ -523,29 +540,28 @@ def test_profile_constant_orders_are_one_origin_row(fixture, d):
         f = from_multilinear(MultilinearSpec.from_dict(payload["multilinear"]))
     else:
         f = PolyFunction.from_dict(payload["function"])
-    prof = B.exact_profile(f, MeasureSpec.from_dict(payload["measure"]), d)
+    hs2, top_hs = B.exact_hs_rungs(f, MeasureSpec.from_dict(payload["measure"]), d)
+    top_inf, top_inf_exact = B.constant_top_op(f, d)
     origin = np.zeros((1, f.dim))
     constant = [k for k in range(1, d + 1) if f.top_is_constant(k)]
     assert d in constant
     for k in constant:
         want_hs = float(hs_norms(f.derivative_batch(k, origin)[1], k, f.dim)[0])
         if k < d:
-            assert prof.norms2[k - 1] == pytest.approx(want_hs, rel=1e-12, abs=1e-15)
+            assert hs2[k - 1] == pytest.approx(want_hs, rel=1e-12, abs=1e-15)
         else:
-            assert prof.top_hs == pytest.approx(want_hs, rel=1e-12, abs=1e-15)
-    assert prof.top_inf == float(op_norms(f.derivative_dense(d, origin))[0])
-    assert prof.top_inf_exact == (d <= 2 or f.dim == 1)
+            assert top_hs == pytest.approx(want_hs, rel=1e-12, abs=1e-15)
+    assert top_inf == float(op_norms(f.derivative_dense(d, origin))[0])
+    assert top_inf_exact == (d <= 2 or f.dim == 1)
 
 
-def test_exact_profile_flags_a_power_iteration_top():
+def test_constant_top_op_flags_a_power_iteration_top():
     # a constant order-3 top on R^3 gets its operator norm from power
-    # iteration, a lower estimate, so top_inf_exact is False; in one
+    # iteration, a lower estimate, so it is flagged inexact; in one
     # dimension the norm is exact, and a top that is not constant is refused
     f = PolyFunction.from_terms(3, {(1, 1, 1): 1.0})
-    spec = MeasureSpec.iid("gaussian", 3)
-    prof = B.exact_profile(f, spec, 3)
-    assert not prof.top_inf_exact and prof.top_inf > 0
-    assert B.exact_profile(PolyFunction.from_terms(1, {(3,): 1.0}),
-                           MeasureSpec.iid("gaussian", 1), 3).top_inf_exact
+    top_inf, top_inf_exact = B.constant_top_op(f, 3)
+    assert not top_inf_exact and top_inf > 0
+    assert B.constant_top_op(PolyFunction.from_terms(1, {(3,): 1.0}), 3)[1]
     with pytest.raises(ValueError):
-        B.exact_profile(f, spec, 2)
+        B.constant_top_op(f, 2)

@@ -132,6 +132,19 @@ def test_resolve_fills_omitted_counts_from_defaults():
     assert wigner.measure is None and wigner.poly is not None
 
 
+def test_resolve_picks_the_certify_route():
+    # with no route in the config, ladder-hs when every partial of order < d
+    # is centered (x1 x2), else ladder-inf (x1 x2 + x1, gradient mean (1, 0))
+    def route(terms):
+        return experiments.resolve(
+            {"kind": "certify", "seed": 0, "measure": _GAUSS2, "d": 2,
+             "function": {"dim": 2, "terms": terms}}).route
+
+    x1x2 = {"exponents": [1, 1], "coeff": 1.0}
+    assert route([x1x2]) == "ladder-hs"
+    assert route([x1x2, {"exponents": [1, 0], "coeff": 1.0}]) == "ladder-inf"
+
+
 def test_every_fixture_and_digest_config_resolves():
     # tools/output_digests.py runs these configs to compare artifact bytes
     # across a change; none may fall foul of validation
@@ -317,6 +330,18 @@ _UNCENTERED_TAILS = {
     # a repeated p would overwrite its own moment check in report.json
     {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d1",
      "p_values": [4, 2, 4]},
+    # a repeated index would keep only its last value
+    {"kind": "multilinear", "seed": 0, "fixture": "gaussian-chaos-n2-d2-multilinear",
+     "multilinear": {"dim": 2, "order": 2, "coeffs": [{"index": [0, 1], "value": 1.0},
+                                                      {"index": [0, 1], "value": 2.0}]}},
+    # the exp-moment certificate assumes E f = 0 and, on ladder-hs, a centered
+    # gradient: here E f = 1, and then the gradient (x2 + 1, x1) has mean (1, 0)
+    {"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-hs",
+     "function": {"dim": 2, "terms": [{"exponents": [1, 1], "coeff": 1.0},
+                                      {"exponents": [0, 0], "coeff": 1.0}]}},
+    {"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-hs",
+     "function": {"dim": 2, "terms": [{"exponents": [1, 1], "coeff": 1.0},
+                                      {"exponents": [1, 0], "coeff": 1.0}]}},
 ], ids=["uncentered-tails", "rmt-degree-3", "samples-abc",
         "negative-seed", "tails-samples-500", "rmt-draws-50", "rmt-draws-1000",
         "multilinear-samples-5000",
@@ -332,7 +357,8 @@ _UNCENTERED_TAILS = {
         "student-beta-x", "student-beta-true", "oracle-scale-string", "student-beta-0.51",
         "weighted-tail-p-16", "tails-quartic-d2", "function-exponents-1.9",
         "multilinear-index-0.9", "measure-dim-2.7", "function-coeff-string",
-        "function-coeff-true", "multilinear-value-string", "weighted-p-values-repeated"])
+        "function-coeff-true", "multilinear-value-string", "weighted-p-values-repeated",
+        "multilinear-index-repeated", "uncentered-certify", "ladder-hs-gradient-uncentered"])
 def test_cli_missing_hypothesis_writes_nothing(tmp_path, capsys, cfg):
     path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
@@ -445,8 +471,8 @@ def test_tails_certifies_from_exact_rungs_without_a_profile(tmp_path, monkeypatc
     assert set(constants) == {"sigma", "d", "hs2", "top_hs"}
     assert constants["hs2"] == pytest.approx([0.5 ** 0.5, 1.0], abs=1e-12)
     control = report["negative_control"]["check"]["rows"]
-    weak = experiments.bounds.tail_certificate(constants["sigma"] / 10.0, 3,
-                                               constants["hs2"], constants["top_hs"])
+    weak = experiments.bounds.tail_certificate(experiments.bounds.Ladder(
+        constants["sigma"] / 10.0, 3, tuple(constants["hs2"]), constants["top_hs"]))
     assert [r["bound"] for r in control] == [weak.tail_bound(r["t"]) for r in control]
 
 

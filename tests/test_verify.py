@@ -150,7 +150,7 @@ def test_relative_domination():
 
 
 def centered_tail_cert():
-    return B.tail_certificate(1.0, 2, (1.0,), 1.0)
+    return B.tail_certificate(B.Ladder(1.0, 2, (1.0,), 1.0))
 
 
 def test_check_tail_certificate_report():
@@ -174,8 +174,7 @@ def test_check_tail_certificate_report():
 
 
 def test_check_exp_certificate_report():
-    prof = B.DerivativeProfile(2, 1.0, (1.5,), 1.0, 1.0, centered=True)
-    cert = B.exp_moment_certificate(prof)
+    cert = B.exp_moment_certificate(B.Ladder(1.0, 2, (1.5,), 1.0), 1.0, "ladder-inf", True)
     rng = np.random.default_rng(7)
     x = rng.standard_normal((100_000, 2))
     values = x[:, 0] * x[:, 1]
