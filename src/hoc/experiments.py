@@ -15,7 +15,6 @@ their own integer seeds from it, so artifact bytes depend only on
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -24,11 +23,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import bounds, fixtures, measures, rmt, svgplot, verify
+from . import bounds, fixtures, kernels, measures, rmt, svgplot, verify
 from ._util import (SAMPLE_BLOCK, dump_json, is_finite_number, is_integer, stage_seed, substream,
                     write_csv)
 from .polynomials import MultilinearSpec, PolyFunction, from_multilinear
-from .tensors import SymTensor, op_norms
+from .tensors import canonical_layout, op_norms, power_norms
 
 SCHEMA_VERSION = 1
 
@@ -206,6 +205,11 @@ def resolve(cfg):
         # a top rung bounds sup |f^(d)|_op, finite under an unbounded law only if constant
         raise ConfigError("%s certificates need a constant order-d derivative, "
                           "got d = %d for degree %d" % (kind, d, f.degree))
+    if d is not None and d > max(f.degree, 1):
+        # every derivative above the degree is 0, and each order k <= d costs
+        # dim^k slots (canonical_layout) and the top a dense (dim,)*d array
+        raise ConfigError("%s certificates need d <= the degree of f, got d = %d for "
+                          "degree %d" % (kind, d, f.degree))
     if kind in ("weighted", "weighted-tail"):
         # the weighted runner has the ladder below the top derivative in closed
         # form for gradients only and certifies the Student-type law of one beta
@@ -336,13 +340,6 @@ def run_config(cfg, out_dir, seed_override=None, samples_override=None):
 
 # -- tensor-norm ------------------------------------------------------------------
 
-def _random_sym_tensor(rng, dim, order):
-    entries = {}
-    for idx in itertools.combinations_with_replacement(range(dim), order):
-        entries[idx] = float(rng.standard_normal())
-    return SymTensor.from_entries(order, dim, entries)
-
-
 def _run_tensor_norm(exp, out_dir):
     seed = exp.seed
     rows = []
@@ -352,15 +349,17 @@ def _run_tensor_norm(exp, out_dir):
         rng = substream(stage_seed(seed, _STAGE_TENSORS), i)
         dim = int(rng.integers(2, 5))
         order = int(rng.integers(2, 5))
-        tensor = _random_sym_tensor(rng, dim, order)
-        certified = tensor.op_norm("certified")
-        iterative = tensor.op_norm("iterative", seed=stage_seed(seed, _STAGE_TENSORS, i))
+        # one standard normal per canonical index, in canonical order
+        indices, slots = canonical_layout(order, dim)
+        tensor = rng.standard_normal(len(indices))[slots].reshape((dim,) * order)
+        certified = kernels.certified_opnorm(tensor)
+        iterative = float(power_norms(tensor[None], stage_seed(seed, _STAGE_TENSORS, i))[0])
         rel = abs(iterative - certified) / max(certified, 1e-12)
         max_rel = max(max_rel, rel)
         eig = ""
         rel_eig = ""
         if order == 2:
-            eig_val = float(op_norms(tensor.dense[None])[0])
+            eig_val = float(op_norms(tensor[None])[0])
             rel_eig = abs(iterative - eig_val) / max(eig_val, 1e-12)
             max_rel_eig = max(max_rel_eig, rel_eig)
             eig = eig_val

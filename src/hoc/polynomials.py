@@ -10,6 +10,7 @@ is a constant hypermatrix.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -167,7 +168,8 @@ class PolyFunction:
         table = self._partials_by_order.get(k)
         if table is None:
             table = {}
-            for idx in canonical_layout(k, self.dim)[0]:
+            # canonical_layout's order, without building its dim^k slot table
+            for idx in itertools.combinations_with_replacement(range(self.dim), k):
                 alpha = [0] * self.dim
                 for i in idx:
                     alpha[i] += 1

@@ -18,7 +18,7 @@ from hoc import fixtures, measures
 from hoc.measures import MeasureSpec
 from hoc.polynomials import MultilinearSpec, PolyFunction, from_multilinear
 from hoc._util import jsonable
-from hoc.tensors import SymTensor, hs_norms, op_norms
+from hoc.tensors import canonical_layout, hs_norms, op_norms
 
 
 def ladder(d=2, sigma=1.0, rungs=(1.0,), top=1.0):
@@ -297,16 +297,18 @@ def test_multilinear_tails_need_unit_variance():
 
 
 def test_multilinear_norms_equal_the_coefficient_tensor():
-    # the constants read off the coefficient list, against the symmetrized
-    # tensor's own norms, on every shipped chaos spec
+    # the constants read off the coefficient list, against the norms of the
+    # symmetrized tensor's canonical values, on every shipped chaos spec
     specs = [MultilinearSpec.from_dict(fx.payload["multilinear"])
              for fx in fixtures.inventory() if "multilinear" in fx.payload]
     assert len(specs) == 24
     for spec in specs:
         certs = B.multilinear_certificates(spec, 1.0, unit_variance=False)
-        tensor = SymTensor.from_entries(spec.order, spec.dim, dict(spec.coeffs))
-        assert certs["exp_hs"].constants["hs_norm"] == tensor.hs_norm()
-        assert certs["exp_inf"].constants["max_entry"] == tensor.max_abs_entry()
+        coeffs = dict(spec.coeffs)
+        values = np.array([coeffs.get(idx, 0.0)
+                           for idx in canonical_layout(spec.order, spec.dim)[0]])
+        assert certs["exp_hs"].constants["hs_norm"] == hs_norms(values, spec.order, spec.dim)
+        assert certs["exp_inf"].constants["max_entry"] == np.max(np.abs(values))
 
 
 def test_multilinear_tail_frozen_value():

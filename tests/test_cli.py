@@ -96,8 +96,14 @@ def test_validate_weighted_order_before_any_oracle(monkeypatch):
 
     monkeypatch.setattr(experiments.measures, "student_weight_kappa", oracle)
     base = {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d1"}
-    with pytest.raises(experiments.ConfigError, match="d <= 2"):
+    # d = 3 on the fixture's bilinear form is above its degree; on a cubic it
+    # reaches the weighted order check
+    with pytest.raises(experiments.ConfigError, match="degree of f"):
         experiments.validate_config(dict(base, fixture="student-weighted-moments-d2", d=3))
+    cubic = {"dim": 2, "terms": [{"exponents": [2, 1], "coeff": 1.0}]}
+    with pytest.raises(experiments.ConfigError, match="d <= 2"):
+        experiments.validate_config(dict(base, fixture="student-weighted-moments-d2", d=3,
+                                         function=cubic))
     # the top derivative must be constant: the runner reads it at one point
     square = {"dim": 1, "terms": [{"exponents": [2], "coeff": 1.0}]}
     with pytest.raises(experiments.ConfigError, match="constant"):
@@ -250,6 +256,8 @@ _UNCENTERED_TAILS = {
     {"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n2-d2-tails",
      "measure": {"dim": 2, "coords": [{"dist": "gaussian", "params": {}}]}},
     {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d2", "d": 3},
+    {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d2", "d": 3,
+     "function": {"dim": 2, "terms": [{"exponents": [2, 1], "coeff": 1.0}]}},
     # fields the runner would ignore or trip over: a function beside the
     # fixture's multilinear spec, a measure and function of different
     # dimensions, rmt coefficients that are not numbers, a weighted run on a
@@ -342,13 +350,17 @@ _UNCENTERED_TAILS = {
     {"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-hs",
      "function": {"dim": 2, "terms": [{"exponents": [1, 1], "coeff": 1.0},
                                       {"exponents": [1, 0], "coeff": 1.0}]}},
+    # above the degree of f every derivative is 0, and each order k <= d
+    # costs dim^k slots
+    {"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n2-d2-tails", "d": 3},
 ], ids=["uncentered-tails", "rmt-degree-3", "samples-abc",
         "negative-seed", "tails-samples-500", "rmt-draws-50", "rmt-draws-1000",
         "multilinear-samples-5000",
         "certify-samples-10", "matrix-size-1", "p-values-x", "p-1", "d-0",
         "certify-route-typo", "weighted-tail-route", "weighted-route-weighted-tail",
         "t-grid-nan", "t-grid-bool", "oracle-scale-x", "oracle-scale-negative",
-        "measure-coords-short", "weighted-d-3", "function-beside-multilinear",
+        "measure-coords-short", "weighted-d-3", "weighted-cubic-d-3",
+        "function-beside-multilinear",
         "measure-dim-2-function-dim-3", "multilinear-measure-dim-2", "rmt-coeffs-x",
         "rmt-student-entry", "weighted-gaussian-law", "negative-control-string",
         "measure-weight", "negative-controll", "sampels", "multilinear-negative-control",
@@ -358,7 +370,8 @@ _UNCENTERED_TAILS = {
         "weighted-tail-p-16", "tails-quartic-d2", "function-exponents-1.9",
         "multilinear-index-0.9", "measure-dim-2.7", "function-coeff-string",
         "function-coeff-true", "multilinear-value-string", "weighted-p-values-repeated",
-        "multilinear-index-repeated", "uncentered-certify", "ladder-hs-gradient-uncentered"])
+        "multilinear-index-repeated", "uncentered-certify", "ladder-hs-gradient-uncentered",
+        "tails-d-above-degree"])
 def test_cli_missing_hypothesis_writes_nothing(tmp_path, capsys, cfg):
     path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"

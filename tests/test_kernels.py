@@ -27,21 +27,22 @@ def einsum_diagonal(tensor, points):
                      *([points] * d))
 
 
-def test_diagonal_values_matches_einsum():
+def test_fold_matches_einsum():
+    # T[v, ..., v] for each row v, the value every search evaluates
     for order in (1, 2, 3, 4, 5):
         t = sym_dense(order, 4, order)
         pts = np.random.default_rng(50 + order).standard_normal((20, 4))
         want = einsum_diagonal(t, pts)
-        got = kernels.diagonal_values(t, pts)
+        got = kernels._fold(t[None], pts[None], 0)[0, :, 0]
         assert np.allclose(got, want, rtol=1e-10)
 
 
-def test_diagonal_apply_matches_fd_of_form():
+def test_apply_matches_fd_of_form():
     # T[v,..,v,.] is (1/d) * gradient of v -> T[v..v] for symmetric T
     order, dim = 3, 3
     t = sym_dense(order, dim, 9)
     pts = np.random.default_rng(1).standard_normal((5, dim))
-    grad = kernels.diagonal_apply(t, pts)
+    grad = kernels._apply(t[None], pts[None])[0]
     h = 1e-6
     for j in range(dim):
         e = np.zeros(dim)
@@ -126,8 +127,12 @@ def test_shipped_tails_fixture_converges(monkeypatch):
 def test_shape_validation():
     t = sym_dense(2, 3, 1)
     with pytest.raises(ValueError):
-        kernels.diagonal_values(t, np.zeros(3))          # 1-D points
+        kernels.power_opnorm(t[None], np.ones(3), [1.0])          # 1-D starts
     with pytest.raises(ValueError):
-        kernels.diagonal_values(t, np.zeros((4, 2)))     # dim mismatch
+        kernels.power_opnorm(t[None], np.ones((4, 2)), [1.0])     # dim mismatch
     with pytest.raises(ValueError):
         kernels.power_opnorm(t[None], np.ones((4, 3)), [1.0, 2.0])  # one shift per tensor
+    with pytest.raises(ValueError):
+        kernels.certified_opnorm(np.ones((3, 2)))                 # not (n, ..., n)
+    with pytest.raises(ValueError):
+        kernels.certified_opnorm(1.0)                             # no axis

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from hoc.polynomials import (EVAL_BLOCK, MultilinearSpec, PolyFunction,
                              from_multilinear, opnorm_gradient_check)
-from hoc.tensors import SymTensor
+from hoc.tensors import canonical_layout
 
 
 def naive_eval(f, x):
@@ -195,6 +195,9 @@ def test_derivative_batch_matches_tensor():
     f = random_poly(3, 3, 6, 8)
     pts = np.random.default_rng(9).standard_normal((4, 3))
     indices, vals = f.derivative_batch(2, pts)
+    # the columns come in canonical_layout order, which derivative_dense reads
+    for k in (1, 2, 3, 4):
+        assert tuple(f.derivative_batch(k, pts[:1])[0]) == canonical_layout(k, 3)[0]
     for r in range(4):
         dense = dense_oracle(f, 2, pts[r])
         for col, idx in enumerate(indices):
@@ -247,17 +250,19 @@ def test_from_multilinear_identities():
     spec = MultilinearSpec.from_coeffs(4, 3, {(0, 1, 2): 1.5, (1, 2, 3): -0.5,
                                               (0, 1, 3): 2.0})
     f = from_multilinear(spec)
-    tensor = SymTensor.from_entries(3, 4, dict(spec.coeffs))
+    indices, slots = canonical_layout(3, 4)
+    coeffs = dict(spec.coeffs)
+    tensor = np.array([coeffs.get(idx, 0.0) for idx in indices])[slots].reshape((4,) * 3)
     rng = np.random.default_rng(17)
     for _ in range(5):
         x = rng.standard_normal(4)
         # symmetrized tensor contracts to d! times the polynomial
-        assert tensor.contract([x, x, x]) == pytest.approx(
+        assert np.einsum("ijk,i,j,k->", tensor, x, x, x) == pytest.approx(
             math.factorial(3) * f.evaluate(x), rel=1e-12)
     # the top derivative is the tensor itself
-    assert np.array_equal(f.derivative_dense(3, np.zeros((1, 4)))[0], tensor.dense)
+    assert np.array_equal(f.derivative_dense(3, np.zeros((1, 4)))[0], tensor)
     # diagonal entries are zero by construction
-    assert tensor.dense[0, 0, 1] == 0.0
+    assert tensor[0, 0, 1] == 0.0
 
 
 def test_multilinear_json_round_trip():
