@@ -31,6 +31,7 @@ constants give (``_ladder``):
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from math import e, sqrt
@@ -233,6 +234,15 @@ def exp_moment_certificate(ladder, top_inf, route, top_inf_exact):
 
 # -- tail bounds -------------------------------------------------------------------
 
+# Term pairs that exact_hs_rungs squares in one numpy pass: each order's
+# canonical partials go through in runs of at most this many pairs (a partial
+# with more takes a run alone), so the pass's temporaries stay at a few
+# megabytes whatever the polynomial. The 120-term n=10, d=3 chaos needs
+# 12960 pairs at order 1, the most of its three orders, and peaks at 1.1 MB
+# of numpy temporaries; the 1140-term n=20 chaos peaks at 4.1 MB.
+_PAIR_BLOCK = 1 << 15
+
+
 def exact_hs_rungs(f, mspec, d):
     """(hs2, top_hs): the exact rungs n_k = (E |f^(k)|_HS^2)^(1/2) under
     ``mspec``, hs2 = (n_1, ..., n_(d-1)) and top_hs = n_d.
@@ -241,14 +251,120 @@ def exact_hs_rungs(f, mspec, d):
     times the squared partial, so n_k^2 is that sum of exact second moments.
     Pointwise |T|_op <= |T|_HS, so n_k bounds the L2 norm of |f^(k)|_op, and
     for a constant order-d derivative n_d bounds its sup operator norm.
+
+    Each order is one numpy pass over ``f.terms`` (``_hs_square``) that does
+    the sums of the ``PolyFunction`` algebra -- ``partial``, ``p * p`` and
+    ``expectation`` of every canonical partial -- in the same floating-point
+    order, so the rungs are the bits that algebra gives. A divergent moment
+    that a square needs makes its rung inf: E g^2 >= 0.
     """
-    rungs = []
-    for k in range(1, d + 1):
-        total = 0.0
-        for idx, partial in f._order_partials(k).items():
-            total += multinomial(idx) * partial.second_moment(mspec.moment)
-        rungs.append(sqrt(total))
+    exps = np.array([p for p, _ in f.terms], dtype=np.int64).reshape(len(f.terms), f.dim)
+    coeffs = np.array([c for _, c in f.terms], dtype=np.float64)
+    top = int(exps.max(initial=0))
+    # a square of a partial holds X_i to at most twice the largest power of
+    # X_i in an order-1 partial; no higher moment is asked for
+    rest = exps.sum(axis=1, keepdims=True) - exps
+    highs = np.where(rest > 0, exps, exps - 1).max(axis=0, initial=0)
+    moments = np.ones((f.dim, 2 * top + 1))  # moments[i, p] = E X_i^p; p = 0 reads 1.0
+    for i, high in enumerate(highs.tolist()):
+        moments[i, 1:2 * high + 1] = [mspec.moment(i, p) for p in range(1, 2 * high + 1)]
+    codes = _exponent_codes(exps, 2 * top + 1)
+    rungs = [sqrt(_hs_square(exps, coeffs, codes, moments, k)) for k in range(1, d + 1)]
     return tuple(rungs[:-1]), rungs[-1]
+
+
+def _exponent_codes(exps, radix):
+    """Mixed-radix codes of the exponent rows, for rows whose pairwise sums
+    have every exponent below ``radix``: the codes order like the rows
+    (lexicographically) and the code of a sum of two rows is the sum of
+    their codes. int64 while radix^dim fits, else Python ints in an object
+    array, which numpy adds and sorts the same way."""
+    dim = exps.shape[1]
+    if radix ** dim <= 2 ** 63:
+        return exps @ radix ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    weights = [radix ** (dim - 1 - i) for i in range(dim)]
+    return np.array([sum(p * w for p, w in zip(row, weights)) for row in exps.tolist()],
+                    dtype=object)
+
+
+def _hs_square(exps, coeffs, codes, moments, k):
+    """n_k^2 of the polynomial with terms (exps, coeffs), ``codes`` their
+    ``_exponent_codes`` and ``moments`` the table E X_i^p.
+
+    Goes through the canonical alpha of order k in
+    combinations_with_replacement order, as ``PolyFunction._order_partials``
+    does, and reproduces each step's floating-point order:
+
+    - partial: the terms with exponents >= alpha, each coefficient times the
+      falling factorial of each differentiated coordinate, ascending; each
+      factorial an exact integer first, rounded once (``PolyFunction.partial``);
+    - square: the product of every pair (t, s) of partial terms, summed from
+      0.0 per exponent key in t-major order (``np.add.at``), zero sums
+      dropped (``__mul__``, ``from_terms``);
+    - expectation: in sorted-key order, each sum times E X_i^p in coordinate
+      order (a factor 1.0 where p = 0), added left to right from 0.0;
+    - n_k^2: multinomial(alpha) times each second moment, added left to
+      right in canonical order.
+    """
+    dim = exps.shape[1]
+    index = np.array(list(itertools.combinations_with_replacement(range(dim), k)),
+                     dtype=np.intp).reshape(-1, k)
+    n_alpha = len(index)
+    alpha = np.zeros((n_alpha, dim), dtype=np.int64)
+    np.add.at(alpha, (np.arange(n_alpha)[:, None], index), 1)
+    counts = np.take_along_axis(alpha, index, axis=1)  # alpha's count of each position
+    at_least = exps.T[:, None, :] >= np.arange(k + 1)[:, None]  # [i, c, t]: exps[t, i] >= c
+    valid = at_least[index[:, 0], counts[:, 0]]  # [a, t]: term t survives alpha a
+    for j in range(1, k):
+        valid &= at_least[index[:, j], counts[:, j]]
+    # a coordinate's falling factorial sits at its first position in the
+    # sorted index; a repeat position takes falling(e, 0) = 1.0
+    steps = counts.copy()
+    steps[:, 1:][index[:, 1:] == index[:, :-1]] = 0
+    falling = np.array([[float(math.perm(p, c)) for c in range(k + 1)]
+                        for p in range(int(exps.max(initial=0)) + 1)])
+    a_of, t_of = np.nonzero(valid)  # partial terms, alpha-major, each in term order
+    c = coeffs[t_of]
+    for j in range(k):
+        c *= falling[exps[t_of, index[a_of, j]], steps[a_of, j]]
+    size = np.bincount(a_of, minlength=n_alpha)
+    row_start = np.concatenate(([0], np.cumsum(size)))
+    pair_start = np.concatenate(([0], np.cumsum(size * size)))
+    second = np.zeros(n_alpha)  # E partial^2 per alpha
+    lo = 0
+    while lo < n_alpha:
+        hi = max(lo + 1, int(np.searchsorted(pair_start, pair_start[lo] + _PAIR_BLOCK,
+                                             side="right")) - 1)
+        rows = np.arange(row_start[lo], row_start[hi])
+        partners = size[a_of[rows]]
+        left = np.repeat(rows, partners)  # t-major pairs within each alpha
+        right = (row_start[a_of[left]] + np.arange(len(left))
+                 - np.repeat(np.cumsum(partners) - partners, partners))
+        pair_alpha = a_of[left]
+        key = codes[t_of[left]] + codes[t_of[right]]
+        order = np.lexsort((key, pair_alpha))
+        key, sorted_alpha = key[order], pair_alpha[order]
+        starts = np.ones(len(order), dtype=bool)
+        starts[1:] = (key[1:] != key[:-1]) | (sorted_alpha[1:] != sorted_alpha[:-1])
+        group = np.empty(len(order), dtype=np.intp)
+        group[order] = np.cumsum(starts) - 1
+        sums = np.zeros(np.count_nonzero(starts))
+        np.add.at(sums, group, c[left] * c[right])
+        first = order[starts]  # one pair of each group, groups in (alpha, key) order
+        kept = sums != 0.0
+        first, sums = first[kept], sums[kept]
+        t, s, group_alpha = t_of[left[first]], t_of[right[first]], pair_alpha[first]
+        for i in range(dim):
+            factor = moments[i, exps[t, i] + exps[s, i] - 2 * alpha[group_alpha, i]]
+            if np.isinf(factor).any():
+                return math.inf
+            sums *= factor
+        np.add.at(second, group_alpha, sums)
+        lo = hi
+    total = 0.0
+    for idx, moment in zip(index.tolist(), second.tolist()):
+        total += multinomial(idx) * moment
+    return total
 
 
 def tail_certificate(ladder):

@@ -220,10 +220,6 @@ class PolyFunction:
             total += prod
         return total
 
-    def second_moment(self, moment):
-        """E f(X)^2 via exact squaring."""
-        return (self * self).expectation(moment)
-
     # -- serialization -----------------------------------------------------------
 
     def to_dict(self):

@@ -18,7 +18,7 @@ from hoc import fixtures, measures
 from hoc.measures import MeasureSpec
 from hoc.polynomials import MultilinearSpec, PolyFunction, from_multilinear
 from hoc._util import jsonable
-from hoc.tensors import canonical_layout, hs_norms, op_norms
+from hoc.tensors import canonical_layout, hs_norms, multinomial, op_norms
 
 
 def ladder(d=2, sigma=1.0, rungs=(1.0,), top=1.0):
@@ -482,6 +482,76 @@ def test_exact_hs_rungs_count_repeated_indices():
     hs2, top_hs = B.exact_hs_rungs(f, MeasureSpec.iid("gaussian", 2), 3)
     assert hs2 == pytest.approx((sqrt(7.0), sqrt(12.0)), rel=1e-15)
     assert top_hs == pytest.approx(sqrt(12.0), rel=1e-15)
+
+
+def _algebra_rungs(f, mspec, d):
+    """exact_hs_rungs by PolyFunction algebra, one canonical partial at a
+    time: the reference its numpy pass must match bit for bit."""
+    rungs = []
+    for k in range(1, d + 1):
+        total = 0.0
+        for idx, partial in f._order_partials(k).items():
+            total += multinomial(idx) * (partial * partial).expectation(mspec.moment)
+        rungs.append(sqrt(total))
+    return tuple(rungs[:-1]), rungs[-1]
+
+
+def _random_poly(rng, dim, degree, n_terms):
+    """Up to n_terms terms of degree <= ``degree``, with signed coefficients
+    spread over six decades; the exponents pile up on a coordinate often."""
+    terms = {}
+    for _ in range(n_terms):
+        exps = [0] * dim
+        for i in rng.integers(0, dim, int(rng.integers(0, degree + 1))):
+            exps[i] += 1
+        terms[tuple(exps)] = float(rng.uniform(-3.0, 3.0) * 10.0 ** rng.integers(-3, 4))
+    return PolyFunction.from_terms(dim, terms)
+
+
+@pytest.mark.parametrize("law, params", [("gaussian", {}), ("uniform01", {}),
+                                         ("exponential", {"scale": 0.7}),
+                                         ("laplace", {"scale": 1.3})])
+def test_exact_hs_rungs_match_the_algebra_bit_for_bit(law, params):
+    # uniform01 and exponential have nonzero odd moments; an exponent >= 2
+    # on one coordinate makes the falling factorial of a partial more than 1
+    rng = np.random.default_rng(sum(map(ord, law)))
+    polys = [_random_poly(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)),
+                          int(rng.integers(1, 13))) for _ in range(60)]
+    assert any(max(p) >= 3 for f in polys for p, _ in f.terms)
+    assert any(c < 0 for f in polys for _, c in f.terms)
+    for f in polys:
+        mspec = MeasureSpec.iid(law, f.dim, **params)
+        for d in range(1, max(f.degree, 1) + 1):
+            assert B.exact_hs_rungs(f, mspec, d) == _algebra_rungs(f, mspec, d), (f.terms, d)
+
+
+def test_exact_hs_rungs_match_the_algebra_past_int64_codes(monkeypatch):
+    # (2 deg + 1)^dim > 2^63 here, so the exponent codes are Python ints;
+    # a pair block of 5 makes each order several numpy runs
+    rng = np.random.default_rng(30)
+    dim, degree = 30, 3
+    assert (2 * degree + 1) ** dim > 2 ** 63
+    laws = [("gaussian", {}), ("uniform01", {}), ("exponential", {"scale": 0.7}),
+            ("laplace", {"scale": 1.3})]
+    mspec = MeasureSpec(dim, tuple(measures.CoordinateDist.make(law, **params)
+                                   for law, params in (laws[i % 4] for i in range(dim))))
+    f = _random_poly(rng, dim, degree, 40)
+    assert f.degree == degree
+    want = _algebra_rungs(f, mspec, degree)
+    assert B.exact_hs_rungs(f, mspec, degree) == want
+    monkeypatch.setattr(B, "_PAIR_BLOCK", 5)
+    assert B.exact_hs_rungs(f, mspec, degree) == want
+
+
+def test_exact_hs_rungs_read_a_divergent_moment_as_inf():
+    # student beta = 9: E X^p diverges from p = 2 beta - 1 = 17 on. The
+    # gradient 10 x^9 - 9 x^8 squares to x^18, so n_1 is inf (E g^2 >= 0);
+    # the second derivative squares to degree 16, so n_2 is finite
+    f = PolyFunction.from_terms(1, {(10,): 1.0, (9,): -1.0})
+    mspec = MeasureSpec.iid("student", 1, beta=9.0)
+    hs2, top_hs = B.exact_hs_rungs(f, mspec, 2)
+    assert hs2 == (math.inf,)
+    assert top_hs == _algebra_rungs(f.partial((1,)), mspec, 1)[1] > 0.0
 
 
 def _sampled_opnorm_rungs(f, mspec, d, m, seed):

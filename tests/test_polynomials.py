@@ -216,7 +216,7 @@ def test_expectation_gaussian_closed_form():
     assert f.expectation(gmoment) == pytest.approx(10.0)
     # second moment via exact squaring vs hand expansion for f = x + y
     g = PolyFunction.from_terms(2, [((1, 0), 1.0), ((0, 1), 1.0)])
-    assert g.second_moment(gmoment) == pytest.approx(2.0)
+    assert (g * g).expectation(gmoment) == pytest.approx(2.0)
 
 
 def test_expectation_infinite_moment():
