@@ -22,7 +22,7 @@ from .rmt import (Calibration, EigenSample, WignerEnsemble, calibrate,
                   jacobi_eigenvalues, linear_stat, recentered_stat,
                   rmt_certificates, sample_ensemble)
 from .verify import (EmpiricalReport, check_exp_certificate, check_moment_bound,
-                     check_tail_certificate, empirical_lp, empirical_tail,
+                     check_tail_certificate, empirical_lp, tail_counts,
                      wilson_interval)
 
 __version__ = "0.1.0"

@@ -358,7 +358,8 @@ def _hs_square(exps, coeffs, codes, moments, k):
             factor = moments[i, exps[t, i] + exps[s, i] - 2 * alpha[group_alpha, i]]
             if np.isinf(factor).any():
                 return math.inf
-            sums *= factor
+            with np.errstate(over="ignore"):  # a square past the float range is inf
+                sums *= factor
         np.add.at(second, group_alpha, sums)
         lo = hi
     total = 0.0

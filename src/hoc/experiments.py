@@ -398,18 +398,20 @@ def _run_catalog_oracle(exp, out_dir):
 
 # -- shared builders ----------------------------------------------------------------
 
-def _eval_values(f, mspec, m, seed):
-    """f at ``measures.sample(mspec, m, seed)``, evaluated block by block.
+def _eval_blocks(f, mspec, m, seed, consume):
+    """Call ``consume(start, values)`` with f at each SAMPLE_BLOCK of
+    ``measures.sample(mspec, m, seed)``, in order; ``start`` is the block's
+    first row.
 
     Two column-major SAMPLE_BLOCK-row buffers, owned by this call, take
     turns: one worker thread draws the next block into the idle buffer
     (``measures.fill_block``; numpy's generators fill without the GIL) while
-    this thread evaluates the other. So the (m, dim) point matrix never
-    exists, no block is allocated twice, and the values are those of one
-    serial pass. A filler's exception is raised here, and the thread is
-    joined before this returns.
+    this thread evaluates the other and hands the values on. So the (m, dim)
+    point matrix never exists, no block is allocated twice, and the values
+    are those of one serial pass. A filler's or the consumer's exception is
+    raised here: no block is asked for after it, and the thread is joined
+    before it propagates.
     """
-    out = np.empty(m)
     starts = range(0, m, SAMPLE_BLOCK)
     buffers = [np.empty((min(m, SAMPLE_BLOCK), mspec.dim), order="F")
                for _ in range(min(2, len(starts)))]
@@ -424,15 +426,46 @@ def _eval_values(f, mspec, m, seed):
             block = pending.result()
             if block_index + 1 < len(starts):
                 pending = pool.submit(fill, block_index + 1)
-            out[start:start + block.shape[0]] = f.evaluate(block)
+            consume(start, f.evaluate(block))
+
+
+def _eval_values(f, mspec, m, seed):
+    """The m values ``_eval_blocks`` hands on, in one array (for the checks
+    that read every value)."""
+    out = np.empty(m)
+
+    def store(start, values):
+        out[start:start + values.size] = values
+
+    _eval_blocks(f, mspec, m, seed, store)
     return out
+
+
+def _eval_tail_counts(f, mspec, m, seed, t_grid):
+    """``verify.tail_counts`` of the m values ``_eval_blocks`` hands on,
+    added up block by block, so no m-value array is held."""
+    per_block = []
+    _eval_blocks(f, mspec, m, seed,
+                 lambda start, values: per_block.append(verify.tail_counts(values, t_grid)))
+    return np.sum(per_block, axis=0)
+
+
+def _exact_ladder(exp):
+    """The Ladder of exp's f on its exact HS rungs, or ConfigError (nothing is
+    written yet) when a rung is past the float range."""
+    norms2, top = bounds.exact_hs_rungs(exp.function, exp.measure, exp.d)
+    past = [k for k, n in enumerate(norms2 + (top,), 1) if not math.isfinite(n)]
+    if past:
+        raise ConfigError("the exact derivative rungs of f at order(s) %s are past the "
+                          "float range" % ", ".join(map(str, past)))
+    return bounds.Ladder(exp.measure.sigma(), exp.d, norms2, top)
 
 
 # -- certify -------------------------------------------------------------------------
 
 def _run_certify(exp, out_dir):
     f, mspec, d = exp.function, exp.measure, exp.d
-    ladder = bounds.Ladder(mspec.sigma(), d, *bounds.exact_hs_rungs(f, mspec, d))
+    ladder = _exact_ladder(exp)
     top_inf, top_inf_exact = bounds.constant_top_op(f, d)
     cert = bounds.exp_moment_certificate(ladder, top_inf, exp.route, top_inf_exact)
     values = _eval_values(f, mspec, exp.samples, stage_seed(exp.seed, _STAGE_EVAL))
@@ -474,12 +507,11 @@ def _write_tail_artifacts(out_dir, header, rows, title, series):
 
 
 def _run_tails(exp, out_dir):
-    ladder = bounds.Ladder(exp.measure.sigma(), exp.d,
-                           *bounds.exact_hs_rungs(exp.function, exp.measure, exp.d))
+    ladder = _exact_ladder(exp)
     cert = bounds.tail_certificate(ladder)
-    values = _eval_values(exp.function, exp.measure, exp.samples,
-                          stage_seed(exp.seed, _STAGE_EVAL))
-    report = verify.check_tail_certificate(cert, values, exp.t_grid)
+    counts = _eval_tail_counts(exp.function, exp.measure, exp.samples,
+                               stage_seed(exp.seed, _STAGE_EVAL), exp.t_grid)
+    report = verify.check_tail_certificate(cert, exp.samples, counts, exp.t_grid)
     _write_tail_artifacts(out_dir, _TAIL_HEADER, _tail_rows(report),
                           "derivative-ladder tail bound", _TAIL_SERIES)
     out = {"certificate": cert.to_dict(), "check": report.to_dict(),
@@ -487,7 +519,7 @@ def _run_tails(exp, out_dir):
     if exp.negative_control:
         control = verify.check_tail_certificate(
             bounds.tail_certificate(dataclasses.replace(ladder, sigma=ladder.sigma / 10.0)),
-            values, exp.t_grid)
+            exp.samples, counts, exp.t_grid)
         control_failed = not control.passed
         out["negative_control"] = {"failed_somewhere": control_failed,
                                    "check": control.to_dict()}
@@ -507,8 +539,9 @@ def _run_multilinear(exp, out_dir):
     hs, amax = certs["exp_hs"].constants["hs_norm"], certs["exp_inf"].constants["max_entry"]
     norm_consistent = hs <= mspec.dim ** (mlspec.order / 2.0) * amax + 1e-12
     if unit_var:
+        counts = verify.tail_counts(values, t_grid)
         for name in ("tail_hs", "tail_inf"):
-            reps[name] = verify.check_tail_certificate(certs[name], values, t_grid)
+            reps[name] = verify.check_tail_certificate(certs[name], values.size, counts, t_grid)
         rows = [(rh.extra["t"], rh.bound, ri.bound, rh.empirical, rh.extra["ci_low"],
                  rh.extra["ci_high"], int(rh.passed), int(ri.passed))
                 for rh, ri in zip(reps["tail_hs"].rows, reps["tail_inf"].rows)]
@@ -540,7 +573,7 @@ def _run_weighted(exp, out_dir):
     f, d, seed, mspec = exp.function, exp.d, exp.seed, exp.measure
     beta = mspec.coords[0].beta  # resolve checked: one common Student beta
     kappa, gap = measures.student_weight_kappa(beta)
-    values = _eval_values(f, mspec, exp.samples, stage_seed(seed, _STAGE_EVAL))
+    eval_seed = stage_seed(seed, _STAGE_EVAL)
     norms2, _ = bounds.exact_hs_rungs(f, mspec, d)  # the gradient's rung when d = 2
     top_op, _ = bounds.constant_top_op(f, d)  # exact: resolve keeps d <= 2
     report = {"beta": beta, "kappa": kappa,
@@ -548,6 +581,7 @@ def _run_weighted(exp, out_dir):
               "route": exp.route}
     passed = True
     if exp.route == "weighted-ladder":
+        values = _eval_values(f, mspec, exp.samples, eval_seed)
         rows = []
         mom_checks = {}
         for p in exp.p_values:
@@ -585,7 +619,8 @@ def _run_weighted(exp, out_dir):
         floor = 2.0 ** (-(d - 1) / 2.0)
         C = max(floor, w2dp)
         cert = bounds.weighted_tail_certificate(C, p, d, rescale_lambda=lam)
-        check = verify.check_tail_certificate(cert, values, exp.t_grid)
+        counts = _eval_tail_counts(f, mspec, exp.samples, eval_seed, exp.t_grid)
+        check = verify.check_tail_certificate(cert, exp.samples, counts, exp.t_grid)
         passed = check.passed
         window = cert.constants["window_end"] * lam
         rows = [r + (int(r[0] <= window),) for r in _tail_rows(check)]
@@ -615,7 +650,8 @@ def _run_rmt(exp, out_dir):
     extra_se = rmt.exp_calibration_se(rate, shift, est.value)
     exp_check = verify.check_exp_certificate(exp_cert, s_t, extra_se=extra_se,
                                              min_samples=sample.draws)
-    tail_check = verify.check_tail_certificate(tail_cert, s_n, exp.t_grid)
+    tail_check = verify.check_tail_certificate(tail_cert, s_n.size,
+                                               verify.tail_counts(s_n, exp.t_grid), exp.t_grid)
     var_s = float(np.var(s_n, ddof=1))
     var_t = float(np.var(s_t, ddof=1))
     var_ok = var_t < var_s

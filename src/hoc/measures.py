@@ -17,7 +17,9 @@ Sampling is deterministic: a counter-based Philox stream per 65536-row block
 how work is split. ``fill_block`` draws one such block into an array the
 caller owns, so a caller can evaluate m draws without holding an (m, dim)
 array, and can draw the next block while it evaluates this one
-(``experiments._eval_values``). The block size is part of the stream layout:
+(``experiments._eval_blocks``, which hands each block's values either to a
+copy into one m-value array or to a per-block tail count that holds no
+m-value array). The block size is part of the stream layout:
 changing it changes every sample. It is not sized for the cache; polynomial
 evaluation works through each block in its own, smaller blocks
 (``polynomials.EVAL_BLOCK``).
@@ -183,11 +185,11 @@ def coordinate_moment(coord, k):
     if coord.dist == "uniform01":
         return 1.0 / (k + 1)
     if coord.dist == "exponential":
-        return math.factorial(k) * coord.scale**k
+        return _factorial_power(k, coord.scale)
     if coord.dist == "laplace":
         if k % 2:
             return 0.0
-        return math.factorial(k) * coord.scale**k
+        return _factorial_power(k, coord.scale)
     if coord.dist == "student":
         # scaled t with nu = 2*beta - 1 degrees of freedom
         if k % 2:
@@ -201,6 +203,23 @@ def coordinate_moment(coord, k):
             out *= (2 * j - 1) / (nu - 2 * j)
         return out
     raise ValueError("unknown distribution tag %r" % (coord.dist,))
+
+
+def _factorial_power(k, scale):
+    """k! scale^k: the float expression while k! is a float (k <= 170) and it
+    does not overflow, else the correctly rounded exact product (inf past the
+    float range)."""
+    if k <= 170:
+        try:
+            return math.factorial(k) * scale**k
+        except OverflowError:  # scale**k past the float range
+            pass
+    from fractions import Fraction  # here only: it imports decimal
+
+    try:
+        return float(math.factorial(k) * Fraction(scale) ** k)
+    except OverflowError:
+        return math.inf
 
 
 # -- sampling -----------------------------------------------------------------

@@ -2,8 +2,11 @@
 and domination reports against certificates.
 
 Conventions, used everywhere and documented in every report:
-  - tail fractions get Wilson 95% intervals; a tail certificate passes at t
-    when bound >= Wilson lower endpoint;
+  - a tail fraction is k/m with k the count of values not below t in
+    absolute value (``tail_counts``; ties, infinities and NaN count), taken
+    block by block where the values are streamed; it gets a Wilson 95%
+    interval, and a tail certificate passes at t when bound >= Wilson lower
+    endpoint;
   - L^p norms get delta-method standard errors; moment bounds pass when
     estimate <= bound + 5*SE (two-estimate comparisons combine relative SEs);
   - exponential moments pass when estimate <= threshold + 3*SE, where the SE
@@ -57,36 +60,24 @@ def empirical_lp(values, p):
         raise ValueError("need at least two samples")
     if p <= 0:
         raise ValueError("need p > 0")
-    powered = v**p
-    mean = _mean(powered)
+    v **= p  # v is this function's own array: power it in place
+    mean = _mean(v)
     est = mean ** (1.0 / p)
     if mean == 0.0:
         return 0.0, 0.0
-    se_mean = float(np.std(powered, ddof=1)) / sqrt(v.size)
+    se_mean = float(np.std(v, ddof=1)) / sqrt(v.size)
     return est, se_mean * est / (p * mean)
 
 
-@dataclass(frozen=True)
-class TailPoint:
-    t: float
-    fraction: float
-    ci_low: float
-    ci_high: float
+def tail_counts(values, t_grid):
+    """Per-t count of the values with not |v| < t, as an int64 array.
 
-
-def empirical_tail(values, t_grid):
-    """Per-t empirical P(|f| >= t) with Wilson intervals."""
+    A value equal to t, an infinite value and a NaN each count. Counts of the
+    blocks of an array add up to the counts of the whole, so a caller can
+    stream its values through here without holding them.
+    """
     v = np.abs(np.asarray(values, dtype=np.float64)).ravel()
-    if v.size < MIN_TAIL_SAMPLES:
-        raise ValueError("tail estimation needs at least %d samples" % MIN_TAIL_SAMPLES)
-    out = []
-    v.sort()  # v is this function's own array: sort it in place, not a copy
-    m = v.size
-    for t in t_grid:
-        k = m - int(np.searchsorted(v, t, side="left"))
-        low, high = wilson_interval(k, m)
-        out.append(TailPoint(float(t), k / m, low, high))
-    return out
+    return np.array([v.size - np.count_nonzero(v < t) for t in t_grid], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -106,7 +97,10 @@ def empirical_exp_moment(values, a, r, min_samples=MIN_EXP_SAMPLES):
     v = np.abs(np.asarray(values, dtype=np.float64)).ravel()
     if v.size < min_samples:
         raise ValueError("exp-moment estimation needs at least %d samples" % min_samples)
-    ev = np.exp(a * v**r)
+    # v is this function's own array: exp(a v^r) in place
+    v **= r
+    v *= a
+    ev = np.exp(v, out=v)
     est = _mean(ev)
     se = float(np.std(ev, ddof=1)) / sqrt(v.size)
     half = v.size // 2
@@ -159,19 +153,25 @@ class EmpiricalReport:
                 "passed": self.passed, "rows": [r.to_dict() for r in self.rows]}
 
 
-def check_tail_certificate(cert, values, t_grid):
-    """Domination report: certificate tail curve vs Wilson lower endpoints."""
+def check_tail_certificate(cert, m, counts, t_grid):
+    """Domination report: certificate tail curve vs Wilson lower endpoints.
+
+    ``counts[i]`` of ``m`` values reached ``t_grid[i]`` (``tail_counts``).
+    """
     if cert.kind != "tail":
         raise ValueError("certificate kind %r is not 'tail'" % (cert.kind,))
-    points = empirical_tail(values, t_grid)
+    if m < MIN_TAIL_SAMPLES:
+        raise ValueError("tail estimation needs at least %d samples" % MIN_TAIL_SAMPLES)
+    if len(counts) != len(t_grid):
+        raise ValueError("need one count per t, got %d for %d" % (len(counts), len(t_grid)))
     rows = []
-    for pt in points:
-        bound = cert.tail_bound(pt.t)
-        rows.append(CheckRow("t=%g" % pt.t, bound, pt.fraction,
-                             pt.fraction - pt.ci_low, bound >= pt.ci_low,
-                             {"t": pt.t, "ci_low": pt.ci_low, "ci_high": pt.ci_high}))
-    return EmpiricalReport(np.asarray(values).size, "tail", TAIL_SLACK_RULE,
-                           tuple(rows), all(r.passed for r in rows))
+    for t, k in zip(t_grid, counts):
+        t, k = float(t), int(k)
+        low, high = wilson_interval(k, m)
+        bound = cert.tail_bound(t)
+        rows.append(CheckRow("t=%g" % t, bound, k / m, k / m - low, bound >= low,
+                             {"t": t, "ci_low": low, "ci_high": high}))
+    return EmpiricalReport(m, "tail", TAIL_SLACK_RULE, tuple(rows), all(r.passed for r in rows))
 
 
 def check_exp_certificate(cert, values, extra_se=0.0, min_samples=MIN_EXP_SAMPLES):

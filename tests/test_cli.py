@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -444,7 +445,7 @@ def test_cli_crash_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
     def crash(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(experiments, "_eval_values", crash)
+    monkeypatch.setattr(experiments, "_eval_blocks", crash)
     cfg = write_cfg(tmp_path, {"kind": "tails", "seed": 0,
                                "fixture": "gaussian-chaos-n2-d2-tails"})
     out = tmp_path / "out"
@@ -502,6 +503,23 @@ def test_samples_override_on_a_malformed_kind_is_a_config_error(tmp_path):
     out = tmp_path / "out"
     with pytest.raises(experiments.ConfigError):
         experiments.run_config({"kind": ["tails"], "seed": 0}, str(out), samples_override=5)
+    assert not out.exists()
+
+
+def test_rungs_past_the_float_range_exit_2_and_write_nothing(tmp_path, capsys):
+    # E (d/dx1)^k (x1^86 x2) squared reads exponential moments up to 172, and
+    # 172! is past the float range, so the low rungs are inf
+    e = {"dist": "exponential", "params": {}}
+    cfg = write_cfg(tmp_path, {
+        "kind": "tails", "seed": 0, "d": 87, "samples": 1000, "t_grid": [1, 2],
+        "measure": {"dim": 2, "coords": [e, e]},
+        "function": {"dim": 2, "terms": [{"exponents": [86, 1], "coeff": 1.0},
+                                         {"exponents": [0, 0],
+                                          "coeff": -float(math.factorial(86))}]}})
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the exact derivative rungs of f at order(s) 1, ")
     assert not out.exists()
 
 

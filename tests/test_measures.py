@@ -4,6 +4,8 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -51,6 +53,20 @@ def test_student_moment_edge_cases():
     assert M.coordinate_moment(c, 21) == math.inf  # odd but past nu
     with pytest.raises(ValueError):
         M.coordinate_moment(c, -1)
+
+
+def test_factorial_moments_past_the_float_factorials():
+    # k! is past the float range from k = 171; the product is rounded once
+    lap = M.CoordinateDist.make("laplace", scale=1 / math.sqrt(2))
+    exact = Fraction(math.factorial(172)) * Fraction(1 / math.sqrt(2)) ** 172
+    assert math.isfinite(M.coordinate_moment(lap, 172))
+    assert M.coordinate_moment(lap, 172) == float(exact)
+    assert M.coordinate_moment(lap, 171) == 0.0
+    assert M.coordinate_moment(M.CoordinateDist.make("exponential"), 171) == math.inf
+    assert M.coordinate_moment(M.CoordinateDist.make("exponential"), 170) == \
+        math.factorial(170) * 1.0
+    # scale**k past the float range below k = 171 is inf too, not an error
+    assert M.coordinate_moment(M.CoordinateDist.make("exponential", scale=1e10), 40) == math.inf
 
 
 def test_coordinate_scale_must_be_finite_and_positive():
@@ -183,6 +199,46 @@ def test_eval_values_raises_a_filler_error_and_joins(monkeypatch):
     with pytest.raises(RuntimeError, match="block 2"):
         experiments._eval_values(f, spec, 3 * SAMPLE_BLOCK, seed=4)
     assert threading.active_count() == before
+
+
+def test_eval_blocks_stops_on_a_consumer_error_and_joins(monkeypatch):
+    spec = M.MeasureSpec.iid("gaussian", 2)
+    f = PolyFunction.from_terms(2, {(1, 1): 1.0})
+    drawn = []
+    fill = M.fill_block
+
+    def recording(mspec, seed, block_index, out):
+        drawn.append(block_index)
+        return fill(mspec, seed, block_index, out)
+
+    def consume(start, values):
+        if start == SAMPLE_BLOCK:
+            raise RuntimeError("consumer failed on block 1")
+
+    monkeypatch.setattr(M, "fill_block", recording)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="block 1"):
+        experiments._eval_blocks(f, spec, 5 * SAMPLE_BLOCK, 4, consume)
+    assert threading.active_count() == before
+    # block 2 was asked for while block 1 was evaluated; none after the error
+    assert drawn == [0, 1, 2]
+
+
+def test_tails_memory_does_not_grow_with_samples(tmp_path):
+    # tails counts each block as it comes, so no array of all the values
+    # (8 bytes per sample, and once 8 more for its sorted |v| copy) exists
+    peaks = {}
+    for blocks in (4, 16):
+        cfg = {"kind": "tails", "seed": 3, "fixture": "gaussian-chaos-n2-d2-tails",
+               "samples": blocks * SAMPLE_BLOCK}
+        tracemalloc.start()
+        try:
+            code, _ = experiments.run_config(cfg, str(tmp_path / str(blocks)))
+            peaks[blocks] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert peaks[16] <= peaks[4] + 1_000_000, peaks
 
 
 def test_sample_rejects_empty():

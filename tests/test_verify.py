@@ -100,16 +100,47 @@ def test_empirical_lp_order_insensitive():
 
 def test_empirical_tail_counts():
     v = np.arange(1.0, 1001.0)  # |v| >= t counts are exact
-    pts = V.empirical_tail(v, [0.5, 500.5, 1000.5])
-    assert [p.fraction for p in pts] == [1.0, 0.5, 0.0]
+    grid = [0.5, 500.5, 1000.5]
+    assert V.tail_counts(v, grid).tolist() == [1000, 500, 0]
+    rows = V.check_tail_certificate(centered_tail_cert(), 1000, V.tail_counts(v, grid), grid).rows
+    assert [r.empirical for r in rows] == [1.0, 0.5, 0.0]
     lo, hi = V.wilson_interval(500, 1000)
-    assert pts[1].ci_low == pytest.approx(lo, rel=1e-14)
-    assert pts[1].ci_high == pytest.approx(hi, rel=1e-14)
+    assert rows[1].extra["ci_low"] == pytest.approx(lo, rel=1e-14)
+    assert rows[1].extra["ci_high"] == pytest.approx(hi, rel=1e-14)
     # boundary convention: values equal to t count as exceedances
-    pts_eq = V.empirical_tail(v, [1000.0])
-    assert pts_eq[0].fraction == pytest.approx(0.001)
+    assert V.tail_counts(v, [1000.0]).tolist() == [1]
     with pytest.raises(ValueError):
-        V.empirical_tail(np.ones(999), [1.0])
+        V.check_tail_certificate(centered_tail_cert(), 999, V.tail_counts(np.ones(999), [1.0]),
+                                 [1.0])
+    with pytest.raises(ValueError, match="one count per t"):
+        V.check_tail_certificate(centered_tail_cert(), 1000, V.tail_counts(v, grid), grid[:2])
+
+
+def sorted_tail_counts(values, t_grid):
+    """The count of a sort and searchsorted(side="left"), as tails once took it."""
+    v = np.sort(np.abs(np.asarray(values, dtype=np.float64)).ravel())
+    return [v.size - int(np.searchsorted(v, t, side="left")) for t in t_grid]
+
+
+def test_tail_counts_match_a_sorted_count():
+    rng = np.random.default_rng(24)
+    v = rng.standard_normal(5000) * 2.0
+    v[:40] = 1.5  # ties exactly at a grid point, from both signs
+    v[40:80] = -1.5
+    v[80:90] = np.inf
+    v[90:95] = -np.inf
+    v[95:105] = np.nan  # NaN is not < t, so it counts as reaching every t
+    rng.shuffle(v)
+    grid = [2.0, 0.0, 1.5, -1.0, 1.5, 6.0, 1e300]  # unsorted, a repeated t, t <= 0
+    counts = V.tail_counts(v, grid)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == sorted_tail_counts(v, grid)
+    assert counts[2] == counts[4] >= 80 + 15 + 10
+    assert counts[-1] == 15 + 10  # only +-inf and NaN reach 1e300
+    assert V.tail_counts(v.reshape(50, 100), grid).tolist() == counts.tolist()
+    # the counts of a split array add up to the counts of the whole
+    parts = np.array_split(v, [1, 999, 999, 4096])
+    assert sum(V.tail_counts(part, grid) for part in parts).tolist() == counts.tolist()
 
 
 def test_empirical_exp_moment_constant():
@@ -118,6 +149,22 @@ def test_empirical_exp_moment_constant():
     assert est.value == pytest.approx(math.exp(1.0), rel=1e-14)
     assert est.se <= 1e-15  # ulp-level noise from np.std on a constant array
     assert est.stable
+
+
+def test_empirical_exp_moment_and_lp_leave_their_input():
+    # both work in place on their own |v| copy, with the bits of the fresh
+    # temporaries they once built
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal(100_000)
+    kept = v.copy()
+    for a, r in [(0.37, 0.5), (0.0307, 1.0 / 3.0), (0.2, 2)]:
+        est = V.empirical_exp_moment(v, a, r)
+        assert est.value == V._mean(np.exp(a * np.abs(kept) ** r))
+    for p in (2, 3.5):
+        powered = np.abs(kept) ** p
+        est, _ = V.empirical_lp(v, p)
+        assert est == V._mean(powered) ** (1.0 / p)
+    assert np.array_equal(v, kept)
 
 
 def test_empirical_exp_moment_min_samples():
@@ -158,7 +205,8 @@ def test_check_tail_certificate_report():
     x = rng.standard_normal((50_000, 2))
     values = x[:, 0] * x[:, 1]
     cert = centered_tail_cert()
-    report = V.check_tail_certificate(cert, values, [1.0, 2.0, 4.0])
+    report = V.check_tail_certificate(cert, values.size, V.tail_counts(values, [1.0, 2.0, 4.0]),
+                                      [1.0, 2.0, 4.0])
     assert report.kind == "tail"
     assert report.slack_rule == V.TAIL_SLACK_RULE
     assert report.m == 50_000
@@ -170,7 +218,7 @@ def test_check_tail_certificate_report():
     with pytest.raises(ValueError):
         V.check_tail_certificate(B.Certificate("expMoment", "ladder-inf", {"d": 2, "sigma": 1,
                                                                     "norms2": [1.0]}),
-                                 values, [1.0])
+                                 values.size, V.tail_counts(values, [1.0]), [1.0])
 
 
 def test_check_exp_certificate_report():

@@ -13,10 +13,17 @@ two checkouts can be compared with ``diff``:
     PYTHONPATH=/path/to/other/src python tools/output_digests.py > other.txt
     diff other.txt change.txt
 
+Each run's tracemalloc peak (the most memory Python and numpy held at once
+during its ``run_config``, counted from the run's start) goes to standard
+error as ``<peak MB>  <config>``, so standard output stays ``diff``-able and
+a per-run memory table of two checkouts can be compared the same way:
+
+    PYTHONPATH=src python tools/output_digests.py 2> peaks.txt > change.txt
+
 Only ``hoc.fixtures.inventory`` and ``hoc.experiments.run_config(cfg,
 out_dir)`` are used, so the script runs against older trees too. Artifacts
-go to a temporary directory that is removed afterwards. A full run takes a
-bit over half a minute on two CPUs.
+go to a temporary directory that is removed afterwards. A full run takes
+about a minute on two CPUs.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ import hashlib
 import os
 import sys
 import tempfile
+import tracemalloc
 
 from hoc import fixtures
 from hoc.experiments import run_config
@@ -67,7 +75,13 @@ def main():
     with tempfile.TemporaryDirectory(prefix="hoc-digests-") as root:
         for name, cfg in configs():
             out_dir = os.path.join(root, name)
-            run_config(cfg, out_dir)
+            tracemalloc.start()
+            try:
+                run_config(cfg, out_dir)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            print("%8.2f  %s" % (peak / 1e6, name), file=sys.stderr, flush=True)
             for fname in sorted(os.listdir(out_dir)):
                 with open(os.path.join(out_dir, fname), "rb") as fh:
                     digest = hashlib.sha256(fh.read()).hexdigest()
