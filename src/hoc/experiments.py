@@ -265,7 +265,10 @@ def _build(kind, payload):
     if kind == "rmt":
         entry = measures.CoordinateDist.from_dict(payload["entry"])
         measures.coordinate_sigma2(entry)  # an uncertified entry law has no certificate
-        return {"entry": entry, "poly": rmt.quadratic(payload["coeffs"])}
+        poly = rmt.quadratic(payload["coeffs"])  # refuses an |f''| past the float range
+        # and so do the closed-form sums, here rather than after the eigensolves
+        rmt.exact_sums(rmt.WignerEnsemble(payload["matrix_size"], entry), poly)
+        return {"entry": entry, "poly": poly}
     if "function" in payload and "multilinear" in payload:
         raise ValueError("give a function or a multilinear spec, not both")
     mspec = measures.MeasureSpec.from_dict(payload["measure"])

@@ -23,8 +23,10 @@ the verification slack.
 Each draw's ordered eigenvalues come from a batched LAPACK eigensolve
 (``numpy.linalg.eigvalsh``) on a single BLAS thread; chunks of draws are
 built and solved on one thread per available CPU, which overlap because the
-solves and the random fills run without the GIL. The Jacobi sweep here is
-the independent oracle the LAPACK path is checked against.
+solves and the random fills run without the GIL. Each chunk is built in one
+of the per-thread matrix buffers and solved into its rows of one eigenvalue
+array, all allocated once per sample on the calling thread. The Jacobi sweep
+here is the independent oracle the LAPACK path is checked against.
 
 f is a quadratic, the triple (a0, a1, a2) of ``quadratic`` with a2 != 0: both
 certificates need the bound 2|a2| on |f''|, which no higher degree has.
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import sqrt
@@ -46,10 +49,12 @@ from .bounds import (EXP_MOMENT_COEFF, EXP_THRESHOLD, Certificate,
 from .measures import (CoordinateDist, coordinate_moment, coordinate_sigma2,
                        draw_coordinate)
 
-# Draws per batched eigensolver call. Each thread in flight holds one chunk of
-# matrices and LAPACK workspace: at N = 100 on two threads, in-process
-# run_config peaked at 113.4 MB with 128 draws, 80.0 MB with 32 and 78.0 MB
-# with 16 (74.8 MB for 128 on one thread), at the same wall time.
+# Draws per batched eigensolver call, and so the rows of each pool thread's
+# matrix buffer (2.6 MB at N = 100). On wigner-gaussian-n100 at two threads,
+# in-process run_config peaked (VmHWM) at 45.1 MB with 8 draws, 44.9 MB with
+# 16 and 45.8 MB with 32, but a 2000-draw sample_ensemble took 0.802 s at 16
+# against 0.745 s at 32 (medians of 30 alternating pairs, 32 faster in 21),
+# so the chunk stays at 32.
 _EIG_CHUNK = 32
 MIN_CAL_DRAWS = 500
 MAX_DISCARD_FRACTION = 1e-3
@@ -101,36 +106,39 @@ def _triangle_slots(n):
     return upper, lower
 
 
-def _build_matrices(ens, seed, start, stop):
-    """Draws start..stop-1 as one (k, N, N) batch: each draw writes its
+def _build_matrices(ens, seed, start, stop, out):
+    """Draws start..stop-1 as one (k, N, N) batch in the first k rows of
+    ``out``, a C-contiguous (>= k, N*N) float array: each draw writes its
     upper-triangle values into its flat row of N*N entries, above and below
-    the diagonal, without 2-D fancy indexing."""
+    the diagonal, without 2-D fancy indexing. Every entry of those rows is
+    written, so ``out`` may hold anything before."""
     n = ens.size
     upper, lower = _triangle_slots(n)
-    flat = np.empty((stop - start, n * n))
+    flat = out[:stop - start]
+    vals = np.empty(upper.size)
     root_n = sqrt(n)
     for row, draw in zip(flat, range(start, stop)):
-        vals = draw_coordinate(substream(seed, draw), ens.entry, upper.size) / root_n
+        draw_coordinate(substream(seed, draw), ens.entry, upper.size, out=vals)
+        vals /= root_n
         row[upper] = vals
         row[lower] = vals
     return flat.reshape(-1, n, n)
 
 
-def _eig_chunk(ens, seed, start, stop):
-    mats = _build_matrices(ens, seed, start, stop)
+def _eig_chunk(ens, seed, start, stop, mats, eigs, kept):
+    """Build draws start..stop-1 in the buffer ``mats`` and write their
+    ordered eigenvalues to eigs[start:stop]; a draw the solver fails on is
+    cleared in ``kept`` and costs only itself."""
+    batch = _build_matrices(ens, seed, start, stop, mats)
     try:
-        return np.linalg.eigvalsh(mats), 0
+        eigs[start:stop] = np.linalg.eigvalsh(batch)
     except np.linalg.LinAlgError:
         # retry one matrix at a time so a single bad draw only costs itself
-        rows, discarded = [], 0
-        for m in mats:
+        for draw, m in enumerate(batch, start):
             try:
-                rows.append(np.linalg.eigvalsh(m))
+                eigs[draw] = np.linalg.eigvalsh(m)
             except np.linalg.LinAlgError:
-                discarded += 1
-        if rows:
-            return np.vstack(rows), discarded
-        return np.empty((0, ens.size)), discarded
+                kept[draw] = False
 
 
 def sample_ensemble(ens, draws, seed):
@@ -139,23 +147,42 @@ def sample_ensemble(ens, draws, seed):
     Deterministic in (seed, draws): each draw owns a counter-keyed substream
     and the batched solver treats each matrix on its own, so neither the
     chunking nor the thread count can change the numbers. Draws are built
-    and solved in ``_EIG_CHUNK``-draw chunks, which caps the memory of each
-    matrix batch, on ``worker_count()`` threads; chunks come back in draw
-    order. Every OpenBLAS runs at one thread meanwhile (``serial_blas``):
-    inside a 100x100 solve a second BLAS thread only spins, while across
-    chunks a second CPU builds and solves whole matrices. Solver failures
-    discard the draw; more than 0.1% of them is an error.
+    and solved in ``_EIG_CHUNK``-draw chunks on ``worker_count()`` threads;
+    each chunk takes a free matrix buffer from a queue, builds its draws
+    there and writes its eigenvalues into its rows of one (draws, N) array.
+    The buffers (one per thread) and that array are allocated here, on the
+    calling thread: memory a pool thread allocates likely stays in its own
+    malloc arena, and on wigner-gaussian-n100 in-process run_config peaked
+    (VmHWM) at 49.1-49.2 MB with the same buffers made inside the threads
+    against 45.5-46.0 MB from here. Every OpenBLAS runs at one thread
+    meanwhile (``serial_blas``): inside a 100x100 solve a second BLAS thread
+    only spins, while across chunks a second CPU builds and solves whole
+    matrices. Solver failures discard the draw; more than 0.1% of them is an
+    error.
     """
     if draws < 1:
         raise ValueError("need draws >= 1")
     spans = [(s, min(s + _EIG_CHUNK, draws)) for s in range(0, draws, _EIG_CHUNK)]
-    with serial_blas(), ThreadPoolExecutor(min(worker_count(), len(spans))) as pool:
-        parts = list(pool.map(lambda span: _eig_chunk(ens, seed, *span), spans))
-    eigs = np.vstack([p[0] for p in parts])
-    discarded = sum(p[1] for p in parts)
+    workers = min(worker_count(), len(spans))
+    free = queue.SimpleQueue()
+    for _ in range(workers):
+        free.put(np.empty((min(_EIG_CHUNK, draws), ens.size * ens.size)))
+    eigs = np.empty((draws, ens.size))
+    kept = np.ones(draws, dtype=bool)
+
+    def solve(span):
+        mats = free.get()  # never waits: at most ``workers`` chunks are in flight
+        try:
+            _eig_chunk(ens, seed, *span, mats, eigs, kept)
+        finally:
+            free.put(mats)
+
+    with serial_blas(), ThreadPoolExecutor(workers) as pool:
+        list(pool.map(solve, spans))
+    discarded = draws - int(np.count_nonzero(kept))
     if discarded > MAX_DISCARD_FRACTION * draws:
         raise RuntimeError("eigensolver discarded %d of %d draws" % (discarded, draws))
-    return EigenSample(eigs, discarded)
+    return EigenSample(eigs[kept] if discarded else eigs, discarded)
 
 
 def jacobi_eigenvalues(matrix, tol=1e-14, max_sweeps=60):
@@ -218,6 +245,8 @@ def certified_fpp(f):
     fpp = 2.0 * abs(f[2])
     if fpp <= 0:
         raise MissingHypothesisError("need a positive uniform bound on |f''|")
+    if math.isinf(fpp):
+        raise ValueError("|f''| = 2|a2| is past the float range for a2 = %r" % (f[2],))
     return fpp
 
 
@@ -228,13 +257,18 @@ def exact_sums(ens, f):
     and sum_j f'(lambda_j)^2 = N a1^2 + 4 a1 a2 tr M + 4 a2^2 |M|_F^2; the
     N(N+1)/2 entries on and above the diagonal are i.i.d. over sqrt(N), so
     E tr M = sqrt(N) mu and E |M|_F^2 = N m2 with mu, m2 the entry law's exact
-    first two moments.
+    first two moments. ValueError when either sum is past the float range:
+    the centering and the tail certificate would read an inf or a nan.
     """
     (a0, a1, a2), n = f, ens.size
     trace = sqrt(n) * coordinate_moment(ens.entry, 1)
     frob2 = n * coordinate_moment(ens.entry, 2)
     grad2 = n * a1 * a1 + 4.0 * a1 * a2 * trace + 4.0 * a2 * a2 * frob2
-    return n * a0 + a1 * trace + a2 * frob2, sqrt(grad2)
+    sums = (n * a0 + a1 * trace + a2 * frob2, sqrt(grad2))
+    if not all(map(math.isfinite, sums)):
+        raise ValueError("sum_j E f(lambda_j) = %r and grad_l2 = %r are not both "
+                         "within the float range" % sums)
+    return sums
 
 
 @dataclass(frozen=True)

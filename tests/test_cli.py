@@ -523,6 +523,24 @@ def test_rungs_past_the_float_range_exit_2_and_write_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("coeffs, past", [([0, 0, 1e300], "grad_l2 = inf"),
+                                           ([0, 1e300, 1e-300], "grad_l2 = inf"),
+                                           ([0, 0, 1e308], "|f''| = 2|a2|")])
+def test_rmt_constants_past_the_float_range_exit_2_before_any_eigensolve(
+        tmp_path, capsys, monkeypatch, coeffs, past):
+    # grad_l2^2 = 4 a2^2 |M|_F^2 (or N a1^2) overflows, where |f''| = 2|a2| need not
+    solves = []
+    monkeypatch.setattr(rmt.np.linalg, "eigvalsh", lambda *a, **k: solves.append(a))
+    cfg = write_cfg(tmp_path, {
+        "kind": "rmt", "seed": 0, "matrix_size": 3, "entry": {"dist": "gaussian", "params": {}},
+        "draws": 1001, "cal_draws": 500, "coeffs": coeffs})
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid rmt config: ") and past in err
+    assert not out.exists() and solves == []
+
+
 def test_cli_json_error_location(tmp_path, capsys):
     cfg = write_cfg(tmp_path, '{"kind": "tails"\n "seed": 0}')
     assert run_cli(["run", "--config", cfg, "--out", tmp_path / "o"]) == 2

@@ -5,6 +5,7 @@ import csv
 import importlib.util
 import math
 import pathlib
+import sys
 import threading
 
 import numpy as np
@@ -20,6 +21,11 @@ def gaussian_ensemble(n):
 
 
 HALF_SQUARE = (0.0, 0.0, 0.5)  # f = x^2/2
+
+
+def build(ens, seed, start, stop):
+    """Draws start..stop-1 as ``rmt._build_matrices`` builds them, in a fresh buffer."""
+    return rmt._build_matrices(ens, seed, start, stop, np.empty((stop - start, ens.size ** 2)))
 
 
 def value(f, x):
@@ -77,29 +83,34 @@ def test_trace_identity():
     seed, draws = 99, 30
     sample = rmt.sample_ensemble(ens, draws, seed)
     assert sample.discarded == 0
-    mats = rmt._build_matrices(ens, seed, 0, draws)
+    mats = build(ens, seed, 0, draws)
     per_draw_eig = value(HALF_SQUARE, sample.eigenvalues).sum(axis=1)
     per_draw_mat = 0.5 * np.einsum("kij,kji->k", mats, mats)
     assert np.allclose(per_draw_eig, per_draw_mat, rtol=1e-10)
 
 
-def test_build_matrices_symmetric_and_matches_reference():
+@pytest.mark.parametrize("dist", ["gaussian", "exponential", "laplace"])
+def test_build_matrices_symmetric_and_matches_reference(dist):
     from hoc._util import substream
     from hoc.measures import draw_coordinate
 
-    ens = gaussian_ensemble(5)
-    seed, start, stop = 41, 3, 10
-    mats = rmt._build_matrices(ens, seed, start, stop)
-    assert mats.shape == (7, 5, 5)
-    assert np.array_equal(mats, mats.transpose(0, 2, 1))
-    # the per-draw construction the chunked build replaced
+    # the three ways draw_coordinate fills its out= array
+    ens = rmt.WignerEnsemble(5, CoordinateDist.make(dist))
     iu = np.triu_indices(5)
-    for m, draw in zip(mats, range(start, stop)):
-        vals = draw_coordinate(substream(seed, draw), ens.entry, iu[0].size) / math.sqrt(5)
-        ref = np.zeros((5, 5))
-        ref[iu] = vals
-        ref.T[iu] = vals
-        assert np.array_equal(m, ref)
+    # one buffer, prefilled with NaN and longer than a chunk, reused for two
+    # spans: every entry of the rows a build uses is written
+    buf = np.full((9, 25), np.nan)
+    for seed, start, stop in ((41, 3, 10), (42, 0, 4)):
+        mats = rmt._build_matrices(ens, seed, start, stop, buf)
+        assert mats.shape == (stop - start, 5, 5) and np.shares_memory(mats, buf)
+        assert np.array_equal(mats, mats.transpose(0, 2, 1))
+        # the fresh-array, per-draw construction the chunked build replaced
+        for m, draw in zip(mats, range(start, stop)):
+            vals = draw_coordinate(substream(seed, draw), ens.entry, iu[0].size) / math.sqrt(5)
+            ref = np.zeros((5, 5))
+            ref[iu] = vals
+            ref.T[iu] = vals
+            assert np.array_equal(m, ref)
 
 
 def _failing_eigvalsh(monkeypatch, bad):
@@ -114,21 +125,31 @@ def _failing_eigvalsh(monkeypatch, bad):
     monkeypatch.setattr(rmt.np.linalg, "eigvalsh", eigvalsh)
 
 
-def test_discarded_draw_costs_only_itself(monkeypatch):
-    ens = gaussian_ensemble(5)
-    seed, draws, bad_draw = 8, 1000, 300
+# draws whose last chunk holds _EIG_CHUNK - 3 of them, one discard allowed
+_PARTIAL = rmt._EIG_CHUNK * (1000 // rmt._EIG_CHUNK + 1) - 3
+
+
+@pytest.mark.parametrize("draws, bad_draw, workers", [
+    (1000, 300, None),
+    # next to last draw of the last, partial chunk
+    (_PARTIAL, _PARTIAL - 2, 1),
+    (_PARTIAL, _PARTIAL - 2, 3),
+])
+def test_discarded_draw_costs_only_itself(monkeypatch, draws, bad_draw, workers):
+    ens, seed, unpatched = gaussian_ensemble(5), 8, np.linalg.eigvalsh
+    if workers is not None:
+        monkeypatch.setattr(rmt, "worker_count", lambda: workers)
     clean = rmt.sample_ensemble(ens, draws, seed)
-    bad = rmt._build_matrices(ens, seed, bad_draw, bad_draw + 1)
-    _failing_eigvalsh(monkeypatch, bad)
+    _failing_eigvalsh(monkeypatch, build(ens, seed, bad_draw, bad_draw + 1))
     got = rmt.sample_ensemble(ens, draws, seed)
     assert got.discarded == 1
     kept = np.delete(clean.eigenvalues, bad_draw, axis=0)
     assert np.array_equal(got.eigenvalues, kept)
-    # two failures in 1000 draws exceed MAX_DISCARD_FRACTION
+    # two failures exceed MAX_DISCARD_FRACTION
     assert 2 > rmt.MAX_DISCARD_FRACTION * draws
-    monkeypatch.undo()
-    _failing_eigvalsh(monkeypatch, list(rmt._build_matrices(ens, seed, 10, 12)))
-    with pytest.raises(RuntimeError, match="discarded 2 of 1000"):
+    monkeypatch.setattr(rmt.np.linalg, "eigvalsh", unpatched)
+    _failing_eigvalsh(monkeypatch, list(build(ens, seed, 10, 12)))
+    with pytest.raises(RuntimeError, match="discarded 2 of %d" % draws):
         rmt.sample_ensemble(ens, draws, seed)
 
 
@@ -141,7 +162,7 @@ def test_discarded_draw_does_not_crash_the_runner(tmp_path, monkeypatch):
            "cal_draws": rmt.MIN_CAL_DRAWS}
     ens = gaussian_ensemble(5)
     eval_seed = _util.stage_seed(seed, experiments._STAGE_EVAL)
-    _failing_eigvalsh(monkeypatch, rmt._build_matrices(ens, eval_seed, bad_draw, bad_draw + 1))
+    _failing_eigvalsh(monkeypatch, build(ens, eval_seed, bad_draw, bad_draw + 1))
     code, report = experiments.run_config(cfg, str(tmp_path / "out"))
     assert code in (0, 1)
     assert report["draws"] == draws and report["discarded"] == 1
@@ -155,22 +176,29 @@ def _blas_counts():
 
 def test_thread_count_cannot_change_a_number(monkeypatch):
     ens = gaussian_ensemble(10)
-    draws = 2 * rmt._EIG_CHUNK + 5
+    draws = 12 * rmt._EIG_CHUNK + 5
     original = np.linalg.eigvalsh
     samples = {}
-    for workers in (1, 3):
-        seen = {}
+    # more threads than CPUs, switching often: a matrix buffer taken by two
+    # chunks at once would change the numbers
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for workers in (1, 3):
+            seen = {}
 
-        def eigvalsh(a, *args, **kwargs):
-            seen.setdefault(threading.get_ident(), []).append(_blas_counts())
-            return original(a, *args, **kwargs)
+            def eigvalsh(a, *args, **kwargs):
+                seen.setdefault(threading.get_ident(), []).append(_blas_counts())
+                return original(a, *args, **kwargs)
 
-        monkeypatch.setattr(rmt, "worker_count", lambda: workers)
-        monkeypatch.setattr(rmt.np.linalg, "eigvalsh", eigvalsh)
-        samples[workers] = rmt.sample_ensemble(ens, draws, seed=12)
-        assert 1 <= len(seen) <= rmt.worker_count()
-        assert all(count == 1 for calls in seen.values() for counts in calls
-                   for count in counts)
+            monkeypatch.setattr(rmt, "worker_count", lambda: workers)
+            monkeypatch.setattr(rmt.np.linalg, "eigvalsh", eigvalsh)
+            samples[workers] = rmt.sample_ensemble(ens, draws, seed=12)
+            assert 1 <= len(seen) <= rmt.worker_count()
+            assert all(count == 1 for calls in seen.values() for counts in calls
+                       for count in counts)
+    finally:
+        sys.setswitchinterval(interval)
     assert np.array_equal(samples[1].eigenvalues, samples[3].eigenvalues)
     assert samples[1].discarded == samples[3].discarded == 0
 
@@ -178,7 +206,7 @@ def test_thread_count_cannot_change_a_number(monkeypatch):
 def test_worker_error_reaches_the_caller(monkeypatch):
     ens = gaussian_ensemble(6)
     seed, draws = 21, 2 * rmt._EIG_CHUNK + 5
-    bad = rmt._build_matrices(ens, seed, rmt._EIG_CHUNK + 3, rmt._EIG_CHUNK + 4)[0]
+    bad = build(ens, seed, rmt._EIG_CHUNK + 3, rmt._EIG_CHUNK + 4)[0]
     original = np.linalg.eigvalsh
 
     def eigvalsh(a, *args, **kwargs):
@@ -234,7 +262,7 @@ def test_jacobi_matches_eigvalsh():
 
 def test_jacobi_on_sampled_matrices():
     ens = rmt.WignerEnsemble(16, CoordinateDist.make("laplace", scale=1 / math.sqrt(2)))
-    mats = rmt._build_matrices(ens, 3, 0, 4)
+    mats = build(ens, 3, 0, 4)
     for m in mats:
         assert np.allclose(rmt.jacobi_eigenvalues(m), np.linalg.eigvalsh(m), atol=1e-11)
 

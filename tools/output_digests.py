@@ -20,6 +20,14 @@ a per-run memory table of two checkouts can be compared the same way:
 
     PYTHONPATH=src python tools/output_digests.py 2> peaks.txt > change.txt
 
+That peak counts only what tracemalloc traces, the blocks Python and numpy
+asked for. It cannot see memory the C allocator keeps resident after a free,
+such as the malloc arenas of the Wigner pool threads: when
+``rmt.sample_ensemble`` moved its matrix buffers to the calling thread,
+wigner-gaussian-n100's row here went from 7.00 to 7.04 MB while the peak
+RSS (VmHWM) of the same in-process run fell from 50.3-50.4 to 45.5-46.0 MB.
+Compare resident memory with perfbench's ``peak_rss_mb``.
+
 Only ``hoc.fixtures.inventory`` and ``hoc.experiments.run_config(cfg,
 out_dir)`` are used, so the script runs against older trees too. Artifacts
 go to a temporary directory that is removed afterwards. A full run takes
