@@ -10,7 +10,6 @@ from .bounds import (Certificate, Ladder, MissingHypothesisError, exact_hs_rungs
                      exp_moment_certificate, multilinear_certificates,
                      tail_certificate, weighted_moment_bounds,
                      weighted_tail_certificate)
-from .kernels import UnsupportedSizeError
 from .measures import (CATALOG, CoordinateDist, GapResult, MeasureSpec,
                        UncertifiedConstantError, catalog_oracle,
                        coordinate_moment, coordinate_sigma2, sample,
@@ -21,6 +20,7 @@ from .polynomials import (MultilinearSpec, PolyFunction, from_multilinear,
 from .rmt import (Calibration, EigenSample, WignerEnsemble, calibrate,
                   jacobi_eigenvalues, linear_stat, recentered_stat,
                   rmt_certificates, sample_ensemble)
+from .tensors import UnsupportedSizeError
 from .verify import (EmpiricalReport, check_exp_certificate, check_moment_bound,
                      check_tail_certificate, empirical_lp, tail_counts,
                      wilson_interval)

@@ -1,9 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 every check in the experiment passed, 1 at least one
-domination check failed, 2 the config was invalid (in which case nothing is
-written to the output directory), 3 the run crashed (one ``error:`` line;
-an output directory the run created is removed).
+domination check failed, 2 the config was invalid, 3 the run crashed (one
+``error:`` line). On 2 and 3 nothing is written to the output directory.
 """
 
 from __future__ import annotations

@@ -2,9 +2,11 @@
 
 Every experiment writes a ``report.json`` plus kind-specific CSVs into the
 output directory; tail-style experiments also write an SVG view of the CSV
-numbers. Exit codes: 0 all checks passed, 1 a domination/equivalence check
-failed, 2 invalid config (nothing is written in that case), 3 the run
-crashed (the CLI's code; an output directory the run created is removed).
+numbers. Each runner returns its report and its artifacts, the files it
+would write, and ``run_config`` creates the directory and writes them only
+after the runner returned. Exit codes: 0 all checks passed, 1 a
+domination/equivalence check failed, 2 invalid config, 3 the run crashed
+(the CLI's code); neither of the last two writes anything.
 
 Determinism: the master seed is the only entropy source. Stages
 (evaluation sampling, calibration, random tensors, weight norms) derive
@@ -18,16 +20,15 @@ import dataclasses
 import json
 import math
 import os
-import shutil
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import bounds, fixtures, kernels, measures, rmt, svgplot, verify
+from . import bounds, fixtures, measures, rmt, svgplot, verify
 from ._util import (SAMPLE_BLOCK, dump_json, is_finite_number, is_integer, stage_seed, substream,
                     write_csv)
 from .polynomials import MultilinearSpec, PolyFunction, from_multilinear
-from .tensors import canonical_layout, op_norms, power_norms
+from .tensors import canonical_layout, certified_opnorm, op_norms, power_norms
 
 SCHEMA_VERSION = 1
 
@@ -267,7 +268,14 @@ def _build(kind, payload):
         measures.coordinate_sigma2(entry)  # an uncertified entry law has no certificate
         poly = rmt.quadratic(payload["coeffs"])  # refuses an |f''| past the float range
         # and so do the closed-form sums, here rather than after the eigensolves
-        rmt.exact_sums(rmt.WignerEnsemble(payload["matrix_size"], entry), poly)
+        ens = rmt.WignerEnsemble(payload["matrix_size"], entry)
+        rmt.exact_sums(ens, poly)
+        # the variance check sums one square of S_N per draw
+        draws = payload.get("draws", DEFAULTS["draws"])
+        total = draws * rmt.stat_second_moment(ens, poly)
+        if not math.isfinite(total):
+            raise ValueError("E S_N^2 times %d draws is %r, past the float range"
+                             % (draws, total))
         return {"entry": entry, "poly": poly}
     if "function" in payload and "multilinear" in payload:
         raise ValueError("give a function or a multilinear spec, not both")
@@ -317,8 +325,9 @@ def run_config(cfg, out_dir, seed_override=None, samples_override=None):
     The overrides replace the config's ``seed`` and its evaluation-sample
     field (``draws`` for rmt; tensor-norm and catalog-oracle have none) and
     are validated with the rest of it. Raises ConfigError for an invalid
-    config, such as a law that misses its certificate's hypotheses. When the
-    run raises, an output directory this call created is removed again.
+    config, such as a law that misses its certificate's hypotheses. Nothing
+    touches ``out_dir`` before the runner returned, so a run that raises
+    writes nothing.
     """
     cfg = dict(cfg)
     if seed_override is not None:
@@ -326,24 +335,19 @@ def run_config(cfg, out_dir, seed_override=None, samples_override=None):
     if samples_override is not None:  # resolve refuses it on a kind without samples
         cfg[_kind(cfg).samples or "samples"] = samples_override
     exp = resolve(cfg)
-    created = not os.path.isdir(out_dir)
-    os.makedirs(out_dir, exist_ok=True)
-    try:
-        report = _KINDS[exp.kind].runner(exp, out_dir)
-    except Exception:
-        if created:
-            shutil.rmtree(out_dir)
-        raise
+    report, artifacts = _KINDS[exp.kind].runner(exp)
     report.update({"schema": SCHEMA_VERSION, "kind": exp.kind, "seed": exp.seed,
                    "fixture": exp.fixture})
     report["exit_code"] = 0 if report["passed"] else 1
-    dump_json(os.path.join(out_dir, "report.json"), report)
+    os.makedirs(out_dir, exist_ok=True)
+    for name, write, args in artifacts + [("report.json", dump_json, (report,))]:
+        write(os.path.join(out_dir, name), *args)
     return report["exit_code"], report
 
 
 # -- tensor-norm ------------------------------------------------------------------
 
-def _run_tensor_norm(exp, out_dir):
+def _run_tensor_norm(exp):
     seed = exp.seed
     rows = []
     max_rel = 0.0
@@ -355,7 +359,7 @@ def _run_tensor_norm(exp, out_dir):
         # one standard normal per canonical index, in canonical order
         indices, slots = canonical_layout(order, dim)
         tensor = rng.standard_normal(len(indices))[slots].reshape((dim,) * order)
-        certified = kernels.certified_opnorm(tensor)
+        certified = certified_opnorm(tensor)
         iterative = float(power_norms(tensor[None], stage_seed(seed, _STAGE_TENSORS, i))[0])
         rel = abs(iterative - certified) / max(certified, 1e-12)
         max_rel = max(max_rel, rel)
@@ -367,18 +371,18 @@ def _run_tensor_norm(exp, out_dir):
             max_rel_eig = max(max_rel_eig, rel_eig)
             eig = eig_val
         rows.append((i, order, dim, iterative, certified, rel, eig, rel_eig))
-    write_csv(os.path.join(out_dir, "tensor_norms.csv"),
-              ["index", "order", "dim", "iterative", "certified", "rel_diff",
-               "eigh", "rel_diff_eigh"], rows)
     passed = max_rel <= 1e-4 and max_rel_eig <= 1e-8
-    return {"count": exp.count, "max_rel_diff": max_rel,
-            "max_rel_diff_eigh": max_rel_eig,
-            "tolerances": {"certified": 1e-4, "eigh": 1e-8}, "passed": passed}
+    return ({"count": exp.count, "max_rel_diff": max_rel,
+             "max_rel_diff_eigh": max_rel_eig,
+             "tolerances": {"certified": 1e-4, "eigh": 1e-8}, "passed": passed},
+            [("tensor_norms.csv", write_csv,
+              (["index", "order", "dim", "iterative", "certified", "rel_diff",
+                "eigh", "rel_diff_eigh"], rows))])
 
 
 # -- catalog-oracle ----------------------------------------------------------------
 
-def _run_catalog_oracle(exp, out_dir):
+def _run_catalog_oracle(exp):
     rows = []
     results = {}
     passed = True
@@ -394,9 +398,9 @@ def _run_catalog_oracle(exp, out_dir):
                          "passed": ok}
         for grid, lam, s2 in res.ladder:
             rows.append((dist, grid, lam, s2, expected))
-    write_csv(os.path.join(out_dir, "oracle_ladder.csv"),
-              ["dist", "gridpoints", "lambda1", "sigma2", "expected_sigma2"], rows)
-    return {"results": results, "tolerance": 1e-3, "passed": passed}
+    return ({"results": results, "tolerance": 1e-3, "passed": passed},
+            [("oracle_ladder.csv", write_csv,
+              (["dist", "gridpoints", "lambda1", "sigma2", "expected_sigma2"], rows))])
 
 
 # -- shared builders ----------------------------------------------------------------
@@ -466,7 +470,7 @@ def _exact_ladder(exp):
 
 # -- certify -------------------------------------------------------------------------
 
-def _run_certify(exp, out_dir):
+def _run_certify(exp):
     f, mspec, d = exp.function, exp.measure, exp.d
     ladder = _exact_ladder(exp)
     top_inf, top_inf_exact = bounds.constant_top_op(f, d)
@@ -475,14 +479,14 @@ def _run_certify(exp, out_dir):
     report = verify.check_exp_certificate(cert, values)
     rate, power, threshold = cert.exp_params()
     row = report.rows[0]
-    write_csv(os.path.join(out_dir, "exp_check.csv"),
-              ["route", "rate", "power", "threshold", "estimate", "se",
-               "rescale_lambda", "stable", "passed"],
-              [(cert.route, rate, power, threshold, row.empirical,
-                row.extra["se"], cert.rescale_lambda,
-                int(row.extra["stable"]), int(row.passed))])
-    return {"certificate": cert.to_dict(), "check": report.to_dict(),
-            "samples": exp.samples, "passed": report.passed}
+    return ({"certificate": cert.to_dict(), "check": report.to_dict(),
+             "samples": exp.samples, "passed": report.passed},
+            [("exp_check.csv", write_csv,
+              (["route", "rate", "power", "threshold", "estimate", "se",
+                "rescale_lambda", "stable", "passed"],
+               [(cert.route, rate, power, threshold, row.empirical,
+                 row.extra["se"], cert.rescale_lambda,
+                 int(row.extra["stable"]), int(row.passed))]))])
 
 
 # -- tails ----------------------------------------------------------------------------
@@ -500,23 +504,22 @@ def _tail_rows(report):
     return rows
 
 
-def _write_tail_artifacts(out_dir, header, rows, title, series):
+def _tail_artifacts(header, rows, title, series):
     """tail_curve.csv with ``header`` over ``rows`` (t first), and
     tail_curve.svg plotting each (label, column) of ``series`` against t."""
-    write_csv(os.path.join(out_dir, "tail_curve.csv"), header, rows)
     ts = [r[0] for r in rows]
-    svgplot.write_plot(os.path.join(out_dir, "tail_curve.svg"), title, "t", "P(|f| >= t)",
-                       [(label, ts, [r[col] for r in rows]) for label, col in series])
+    return [("tail_curve.csv", write_csv, (header, rows)),
+            ("tail_curve.svg", svgplot.write_plot,
+             (title, "t", "P(|f| >= t)",
+              [(label, ts, [r[col] for r in rows]) for label, col in series]))]
 
 
-def _run_tails(exp, out_dir):
+def _run_tails(exp):
     ladder = _exact_ladder(exp)
     cert = bounds.tail_certificate(ladder)
     counts = _eval_tail_counts(exp.function, exp.measure, exp.samples,
                                stage_seed(exp.seed, _STAGE_EVAL), exp.t_grid)
     report = verify.check_tail_certificate(cert, exp.samples, counts, exp.t_grid)
-    _write_tail_artifacts(out_dir, _TAIL_HEADER, _tail_rows(report),
-                          "derivative-ladder tail bound", _TAIL_SERIES)
     out = {"certificate": cert.to_dict(), "check": report.to_dict(),
            "samples": exp.samples, "passed": report.passed}
     if exp.negative_control:
@@ -527,12 +530,13 @@ def _run_tails(exp, out_dir):
         out["negative_control"] = {"failed_somewhere": control_failed,
                                    "check": control.to_dict()}
         out["passed"] = out["passed"] and control_failed
-    return out
+    return out, _tail_artifacts(_TAIL_HEADER, _tail_rows(report),
+                                "derivative-ladder tail bound", _TAIL_SERIES)
 
 
 # -- multilinear ---------------------------------------------------------------------
 
-def _run_multilinear(exp, out_dir):
+def _run_multilinear(exp):
     mspec, mlspec, t_grid = exp.measure, exp.multilinear, exp.t_grid
     unit_var = all(abs(mspec.moment(i, 2) - 1.0) < 1e-12 for i in range(mspec.dim))
     certs = bounds.multilinear_certificates(mlspec, mspec.sigma(), unit_var)
@@ -541,6 +545,7 @@ def _run_multilinear(exp, out_dir):
             for name in ("exp_hs", "exp_inf")}
     hs, amax = certs["exp_hs"].constants["hs_norm"], certs["exp_inf"].constants["max_entry"]
     norm_consistent = hs <= mspec.dim ** (mlspec.order / 2.0) * amax + 1e-12
+    artifacts = []
     if unit_var:
         counts = verify.tail_counts(values, t_grid)
         for name in ("tail_hs", "tail_inf"):
@@ -548,9 +553,9 @@ def _run_multilinear(exp, out_dir):
         rows = [(rh.extra["t"], rh.bound, ri.bound, rh.empirical, rh.extra["ci_low"],
                  rh.extra["ci_high"], int(rh.passed), int(ri.passed))
                 for rh, ri in zip(reps["tail_hs"].rows, reps["tail_inf"].rows)]
-        _write_tail_artifacts(
-            out_dir, ["t", "bound_hs", "bound_inf", "empirical", "ci_low",
-                      "ci_high", "passed_hs", "passed_inf"], rows,
+        artifacts = _tail_artifacts(
+            ["t", "bound_hs", "bound_inf", "empirical", "ci_low",
+             "ci_high", "passed_hs", "passed_inf"], rows,
             "multilinear chaos tail bounds",
             (("hs-form bound", 1), ("inf-form bound", 2), ("empirical", 3)))
     checks = {name: rep.to_dict() for name, rep in reps.items()}
@@ -560,19 +565,19 @@ def _run_multilinear(exp, out_dir):
         row = reps[name].rows[0]
         exp_rows.append((name, *certs[name].exp_params(), row.empirical, row.extra["se"],
                          int(row.extra["stable"]), int(row.passed)))
-    write_csv(os.path.join(out_dir, "exp_check.csv"),
-              ["form", "rate", "power", "threshold", "estimate", "se",
-               "stable", "passed"], exp_rows)
-    return {"certificates": {k: c.to_dict() for k, c in certs.items()},
-            "checks": checks, "hs_vs_inf_consistent": norm_consistent,
-            "centered": True,  # resolve refuses E X_i != 0
-            "unit_variance": unit_var,
-            "samples": exp.samples, "passed": passed}
+    artifacts.append(("exp_check.csv", write_csv,
+                      (["form", "rate", "power", "threshold", "estimate", "se",
+                        "stable", "passed"], exp_rows)))
+    return ({"certificates": {k: c.to_dict() for k, c in certs.items()},
+             "checks": checks, "hs_vs_inf_consistent": norm_consistent,
+             "centered": True,  # resolve refuses E X_i != 0
+             "unit_variance": unit_var,
+             "samples": exp.samples, "passed": passed}, artifacts)
 
 
 # -- weighted ------------------------------------------------------------------------
 
-def _run_weighted(exp, out_dir):
+def _run_weighted(exp):
     f, d, seed, mspec = exp.function, exp.d, exp.seed, exp.measure
     beta = mspec.coords[0].beta  # resolve checked: one common Student beta
     kappa, gap = measures.student_weight_kappa(beta)
@@ -600,9 +605,9 @@ def _run_weighted(exp, out_dir):
             rows.append((p, bm, bp, est, se, int(ok)))
             mom_checks["p=%g" % p] = {"bound_mixed": bm, "bound_plain": bp,
                                       "empirical": est, "se": se, "passed": ok}
-        write_csv(os.path.join(out_dir, "moments.csv"),
-                  ["p", "bound_mixed", "bound_plain", "empirical", "se",
-                   "passed"], rows)
+        artifacts = [("moments.csv", write_csv,
+                      (["p", "bound_mixed", "bound_plain", "empirical", "se",
+                        "passed"], rows))]
         report["moment_checks"] = mom_checks
         # MC cross-check that the closed-form weight norms are upper bounds
         q = 2.0 ** d * 2.0
@@ -627,19 +632,19 @@ def _run_weighted(exp, out_dir):
         passed = check.passed
         window = cert.constants["window_end"] * lam
         rows = [r + (int(r[0] <= window),) for r in _tail_rows(check)]
-        _write_tail_artifacts(out_dir, _TAIL_HEADER + ["in_window"], rows,
-                              "weighted tail bound (heavy-tailed demo)", _TAIL_SERIES)
+        artifacts = _tail_artifacts(_TAIL_HEADER + ["in_window"], rows,
+                                    "weighted tail bound (heavy-tailed demo)", _TAIL_SERIES)
         report["certificate"] = cert.to_dict()
         report["check"] = check.to_dict()
         report["window_end"] = window
         report["C"] = C
     report["passed"] = passed
-    return report
+    return report, artifacts
 
 
 # -- rmt -----------------------------------------------------------------------------
 
-def _run_rmt(exp, out_dir):
+def _run_rmt(exp):
     ens, f = rmt.WignerEnsemble(exp.matrix_size, exp.entry), exp.poly
     cal = rmt.calibrate(ens, f, exp.cal_draws, stage_seed(exp.seed, _STAGE_CAL))
     sample = rmt.sample_ensemble(ens, exp.draws, stage_seed(exp.seed, _STAGE_EVAL))
@@ -649,30 +654,30 @@ def _run_rmt(exp, out_dir):
     rate, _, _ = exp_cert.exp_params()
     shift = rmt.calibration_shift_bound(sample, cal)
     # the kept draws: up to 0.1% of the requested ones may have been discarded
-    est = verify.empirical_exp_moment(np.abs(s_t), rate, 0.5, min_samples=sample.draws)
-    extra_se = rmt.exp_calibration_se(rate, shift, est.value)
-    exp_check = verify.check_exp_certificate(exp_cert, s_t, extra_se=extra_se,
-                                             min_samples=sample.draws)
+    exp_check = verify.check_exp_certificate(
+        exp_cert, s_t, extra_rel_se=rmt.exp_calibration_slack(rate, shift),
+        min_samples=sample.draws)
     tail_check = verify.check_tail_certificate(tail_cert, s_n.size,
                                                verify.tail_counts(s_n, exp.t_grid), exp.t_grid)
     var_s = float(np.var(s_n, ddof=1))
     var_t = float(np.var(s_t, ddof=1))
     var_ok = var_t < var_s
-    write_csv(os.path.join(out_dir, "draws.csv"),
-              ["draw", "s_n", "s_tilde_n"],
-              [(i, s_n[i], s_t[i]) for i in range(s_n.size)])
-    _write_tail_artifacts(out_dir, _TAIL_HEADER, _tail_rows(tail_check),
-                          "linear eigenvalue statistic tail", _TAIL_SERIES)
     passed = exp_check.passed and tail_check.passed and var_ok
+    artifacts = [("draws.csv", write_csv,
+                  (["draw", "s_n", "s_tilde_n"],
+                   [(i, s_n[i], s_t[i]) for i in range(s_n.size)]))]
+    artifacts += _tail_artifacts(_TAIL_HEADER, _tail_rows(tail_check),
+                                 "linear eigenvalue statistic tail", _TAIL_SERIES)
     return {"matrix_size": exp.matrix_size, "draws": exp.draws, "cal_draws": exp.cal_draws,
             "sigma_n2": ens.sigma_n2, "discarded": sample.discarded,
             "certificates": {"exp": exp_cert.to_dict(), "tail": tail_cert.to_dict()},
             # both keys stay for readers of this layout; an exact grad_l2 has SE 0
             "calibration": {"grad_l2": tail_cert.constants["grad_l2"], "grad_l2_se": 0.0,
-                            "shift_bound": shift, "extra_se": extra_se},
+                            "shift_bound": shift,
+                            "extra_se": exp_check.rows[0].extra["extra_se"]},
             "exp_check": exp_check.to_dict(), "tail_check": tail_check.to_dict(),
             "var_s_n": var_s, "var_s_tilde": var_t, "variance_reduced": var_ok,
-            "passed": passed}
+            "passed": passed}, artifacts
 
 
 # -- the kinds -----------------------------------------------------------------------

@@ -155,15 +155,23 @@ def coordinate_sigma2(coord):
     """Certified spectral-gap constant of one coordinate law.
 
     Classical values: gaussian 1, uniform01 1/pi^2, exponential(b) 4b^2,
-    laplace(b) 4b^2. The Student-type demo law has polynomial tails and no
-    unweighted constant; ask the weighted route (student_weight_kappa).
+    laplace(b) 4b^2; ValueError when 4b^2 is past the float range. The
+    Student-type demo law has polynomial tails and no unweighted constant;
+    ask the weighted route (student_weight_kappa).
     """
     if coord.dist == "gaussian":
         return 1.0
     if coord.dist == "uniform01":
         return 1.0 / pi**2
     if coord.dist in ("exponential", "laplace"):
-        return 4.0 * coord.scale**2
+        try:
+            sigma2 = 4.0 * coord.scale**2
+        except OverflowError:  # scale**2 past the float range
+            sigma2 = math.inf
+        if math.isinf(sigma2):
+            raise ValueError("the spectral-gap constant 4 b^2 of %s(b = %r) is past the "
+                             "float range" % (coord.dist, coord.scale))
+        return sigma2
     raise UncertifiedConstantError(
         "no unweighted spectral-gap constant for %r; use the weighted route" % (coord.dist,))
 

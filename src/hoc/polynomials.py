@@ -28,13 +28,6 @@ from .tensors import canonical_layout, op_norms
 EVAL_BLOCK = 16384
 
 
-def _falling(e, k):
-    out = 1
-    for j in range(k):
-        out *= e - j
-    return out
-
-
 @dataclass(frozen=True)
 class PolyFunction:
     """Polynomial R^dim -> R as a tuple of (exponent tuple, coefficient)."""
@@ -144,7 +137,7 @@ class PolyFunction:
                 continue
             c, new = coeff, list(exps)
             for i, a in steps:
-                c *= _falling(exps[i], a)
+                c *= math.perm(exps[i], a)
                 new[i] -= a
             key = tuple(new)
             out[key] = out.get(key, 0.0) + c

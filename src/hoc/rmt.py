@@ -271,6 +271,17 @@ def exact_sums(ens, f):
     return sums
 
 
+def stat_second_moment(ens, f):
+    """E S_N^2 in closed form, the variance of a1 tr M + a2 |M|_F^2: with m_k
+    the entry law's raw moments, a1^2 (m2 - m1^2) + 2 a1 a2 (m3 - m1 m2)/sqrt(N)
+    + a2^2 (2N - 1)/N (m4 - m2^2). Not finite when a moment is past the
+    float range."""
+    (_, a1, a2), n = f, ens.size
+    m1, m2, m3, m4 = (coordinate_moment(ens.entry, k) for k in range(1, 5))
+    return (a1 * a1 * (m2 - m1 * m1) + 2.0 * a1 * a2 * (m3 - m1 * m2) / sqrt(n)
+            + a2 * a2 * (2 * n - 1) / n * (m4 - m2 * m2))
+
+
 @dataclass(frozen=True)
 class Calibration:
     """Independent-run estimates of the per-index E lambda_j and E f'(lambda_j),
@@ -323,12 +334,13 @@ def calibration_shift_bound(sample, cal):
     return cal.se_shift + fluct * sqrt(float(np.sum(cal.se_fprime**2)))
 
 
-def exp_calibration_se(rate, shift_bound, estimate):
-    """SE-style slack on an exp-moment estimate from a uniform statistic shift.
+def exp_calibration_slack(rate, shift_bound):
+    """Relative SE-style slack on an exp-moment estimate from a uniform
+    statistic shift, to be multiplied by the estimate:
 
     |exp(a|s+eps|^(1/2)) - exp(a|s|^(1/2))| <= (exp(a*sqrt(|eps|)) - 1) * exp(a|s|^(1/2)).
     """
-    return (math.exp(rate * sqrt(max(shift_bound, 0.0))) - 1.0) * estimate
+    return math.exp(rate * sqrt(max(shift_bound, 0.0))) - 1.0
 
 
 def rmt_certificates(ens, f):

@@ -174,12 +174,14 @@ def check_tail_certificate(cert, m, counts, t_grid):
     return EmpiricalReport(m, "tail", TAIL_SLACK_RULE, tuple(rows), all(r.passed for r in rows))
 
 
-def check_exp_certificate(cert, values, extra_se=0.0, min_samples=MIN_EXP_SAMPLES):
-    """Exp-moment report; extra_se (calibration and the like) adds in quadrature."""
+def check_exp_certificate(cert, values, extra_rel_se=0.0, min_samples=MIN_EXP_SAMPLES):
+    """Exp-moment report; extra_se = extra_rel_se * estimate (calibration and
+    the like) adds in quadrature."""
     if cert.kind != "expMoment":
         raise ValueError("certificate kind %r is not 'expMoment'" % (cert.kind,))
     rate, power, threshold = cert.exp_params()
     est = empirical_exp_moment(values, rate, power, min_samples=min_samples)
+    extra_se = extra_rel_se * est.value
     se = sqrt(est.se**2 + extra_se**2)
     passed = est.value <= threshold + 3.0 * se
     row = CheckRow("exp_moment", threshold, est.value, 3.0 * se, passed,

@@ -455,6 +455,33 @@ def test_cli_crash_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_a_crash_leaves_an_earlier_run_untouched(tmp_path, capsys, monkeypatch):
+    # a run that raises into another run's directory changes none of its
+    # files, and one interrupted before it wrote does not create its directory
+    cfg = write_cfg(tmp_path, {"kind": "weighted", "seed": 1,
+                               "fixture": "student-weighted-moments-d1"})
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert set(before) == {"moments.csv", "report.json"}
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(experiments.measures, "weighted_norm", crash)
+    assert run_cli(["run", "--config", cfg, "--out", out, "--seed", 2]) == 3
+    assert capsys.readouterr().err == "error: RuntimeError: boom\n"
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(experiments.measures, "weighted_norm", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        experiments.run_config(experiments.load_config(cfg), str(tmp_path / "new"))
+    assert not (tmp_path / "new").exists()
+
+
 def _refuse_profile_draws(monkeypatch):
     # the evaluation blocks are the only draws a runner makes
     def profile(*args, **kwargs):
@@ -538,6 +565,44 @@ def test_rmt_constants_past_the_float_range_exit_2_before_any_eigensolve(
     assert run_cli(["run", "--config", cfg, "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: invalid rmt config: ") and past in err
+    assert not out.exists() and solves == []
+
+
+_HUGE_LAPLACE = {"dist": "laplace", "params": {"scale": 1e200}}
+
+
+@pytest.mark.parametrize("cfg", [
+    {"kind": "tails", "d": 1, "samples": 1000, "t_grid": [1, 2],
+     "measure": {"dim": 1, "coords": [_HUGE_LAPLACE]},
+     "function": {"dim": 1, "terms": [{"exponents": [1], "coeff": 1.0}]}},
+    {"kind": "rmt", "matrix_size": 3, "entry": _HUGE_LAPLACE, "draws": 1001,
+     "cal_draws": 500, "coeffs": [0, 0, 1]}])
+def test_a_gap_constant_past_the_float_range_exits_2_and_writes_nothing(tmp_path, capsys, cfg):
+    # sigma^2 = 4 b^2 overflows for b = 1e200
+    path = write_cfg(tmp_path, dict(cfg, seed=0))
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid %s config: " % cfg["kind"])
+    assert "4 b^2 of laplace(b = 1e+200) is past the float range" in err
+    assert not out.exists()
+
+
+def test_an_rmt_statistic_past_the_float_range_exits_2_before_any_eigensolve(
+        tmp_path, capsys, monkeypatch):
+    # E S_N^2 reads the fourth entry moment 24 b^4, past the float range at
+    # b = 1e153 where sigma^2 = 4 b^2 and the closed-form sums are not; the
+    # run would report var_s_n = var_s_tilde = inf
+    solves = []
+    monkeypatch.setattr(rmt.np.linalg, "eigvalsh", lambda *a, **k: solves.append(a))
+    cfg = write_cfg(tmp_path, {
+        "kind": "rmt", "seed": 0, "matrix_size": 3,
+        "entry": {"dist": "exponential", "params": {"scale": 1e153}},
+        "draws": 1001, "cal_draws": 500, "coeffs": [0, 0, 1]})
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid rmt config: E S_N^2 times 1001 draws is ")
     assert not out.exists() and solves == []
 
 

@@ -302,6 +302,19 @@ def test_exact_sums_match_monte_carlo(entry, coeffs, sum_f, grad2):
         assert abs(float(per_draw.mean()) - want) <= 5.0 * se
 
 
+def test_stat_second_moment_matches_monte_carlo():
+    # x^2/2 on gaussian entries gives 1 - 1/(2N); a linear term on
+    # exponential entries reads the third moment too: 1 - 2 + 8.75 at N = 4
+    assert rmt.stat_second_moment(gaussian_ensemble(10), HALF_SQUARE) == pytest.approx(
+        0.95, rel=1e-15)
+    ens = rmt.WignerEnsemble(4, CoordinateDist.make("exponential", scale=1.0))
+    f = (0.3, -1.0, 0.5)
+    assert rmt.stat_second_moment(ens, f) == pytest.approx(7.75, rel=1e-15)
+    s2 = rmt.linear_stat(ens, rmt.sample_ensemble(ens, 4000, seed=59), f) ** 2
+    se = float(s2.std(ddof=1)) / math.sqrt(s2.size)
+    assert abs(float(s2.mean()) - 7.75) <= 5.0 * se
+
+
 def test_exact_sums_need_degree_two():
     # a triple holds degree <= 2 only; the parse refuses any higher term
     ens = gaussian_ensemble(10)
@@ -373,13 +386,13 @@ def test_calibration_shift_bound_scales():
     assert b_big < b_small  # more calibration draws, tighter bound
 
 
-def test_exp_calibration_se():
-    assert rmt.exp_calibration_se(1.0, 0.0, 5.0) == 0.0
-    lo = rmt.exp_calibration_se(0.5, 0.01, 2.0)
-    hi = rmt.exp_calibration_se(0.5, 0.04, 2.0)
+def test_exp_calibration_slack():
+    assert rmt.exp_calibration_slack(1.0, 0.0) == 0.0
+    lo = rmt.exp_calibration_slack(0.5, 0.01)
+    hi = rmt.exp_calibration_slack(0.5, 0.04)
     assert 0 < lo < hi
-    # closed form: (exp(a sqrt(eps)) - 1) * est
-    assert hi == pytest.approx((math.exp(0.5 * 0.2) - 1.0) * 2.0, rel=1e-12)
+    # closed form: exp(a sqrt(eps)) - 1, relative to the estimate
+    assert hi == pytest.approx(math.exp(0.5 * 0.2) - 1.0, rel=1e-12)
 
 
 def test_rmt_certificates():

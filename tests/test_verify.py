@@ -231,10 +231,11 @@ def test_check_exp_certificate_report():
     row = report.rows[0]
     assert row.bound == 2.0
     assert row.extra["rate"] == cert.exp_params()[0]
-    # extra_se propagates in quadrature
-    report2 = V.check_exp_certificate(cert, values, extra_se=1.0)
+    # extra_se = extra_rel_se * estimate propagates in quadrature
+    report2 = V.check_exp_certificate(cert, values, extra_rel_se=0.5)
+    assert report2.rows[0].extra["extra_se"] == 0.5 * row.empirical
     assert report2.rows[0].extra["se"] == pytest.approx(
-        math.sqrt(row.extra["mc_se"] ** 2 + 1.0), rel=1e-12)
+        math.sqrt(row.extra["mc_se"] ** 2 + (0.5 * row.empirical) ** 2), rel=1e-12)
 
 
 def test_check_moment_bound_report():
