@@ -13,7 +13,9 @@ weighted variants for measures that only satisfy a weighted spectral-gap
 inequality. Multilinear polynomials in independent centered coordinates
 get their own sharper certificates driven by the coefficient tensor. The
 hypotheses a certificate assumes (E f = 0, centered derivatives on
-ladder-hs) are checked once, by ``experiments.resolve``.
+ladder-hs, finite rungs) are checked once, by ``experiments.resolve``,
+which also computes the rungs there. The centering test and the rungs
+read one numpy table of the partials of each order (``_partial_table``).
 
 Certificates carry a ``route`` label naming the bound family (ladder-inf,
 ladder-hs, ladder-tail, weighted-tail, multilinear-hs, multilinear-inf,
@@ -258,19 +260,42 @@ def exact_hs_rungs(f, mspec, d):
     order, so the rungs are the bits that algebra gives. A divergent moment
     that a square needs makes its rung inf: E g^2 >= 0.
     """
-    exps = np.array([p for p, _ in f.terms], dtype=np.int64).reshape(len(f.terms), f.dim)
-    coeffs = np.array([c for _, c in f.terms], dtype=np.float64)
-    top = int(exps.max(initial=0))
-    # a square of a partial holds X_i to at most twice the largest power of
-    # X_i in an order-1 partial; no higher moment is asked for
-    rest = exps.sum(axis=1, keepdims=True) - exps
-    highs = np.where(rest > 0, exps, exps - 1).max(axis=0, initial=0)
-    moments = np.ones((f.dim, 2 * top + 1))  # moments[i, p] = E X_i^p; p = 0 reads 1.0
-    for i, high in enumerate(highs.tolist()):
-        moments[i, 1:2 * high + 1] = [mspec.moment(i, p) for p in range(1, 2 * high + 1)]
-    codes = _exponent_codes(exps, 2 * top + 1)
+    exps, coeffs, moments = _term_moments(f, mspec)
+    codes = _exponent_codes(exps, moments.shape[1])
     rungs = [sqrt(_hs_square(exps, coeffs, codes, moments, k)) for k in range(1, d + 1)]
     return tuple(rungs[:-1]), rungs[-1]
+
+
+def centering(f, mspec, d):
+    """(E f, whether E f = 0, whether every partial of order 1..d-1 has
+    mean 0) under ``mspec``, from exact expectations to within 1e-12: each
+    partial's ``_partial_table`` rows times E X_i^p, in the floating-point
+    order of ``PolyFunction.expectation``. A divergent moment makes a mean
+    inf or NaN, never 0; a divergent E f reads inf."""
+    exps, coeffs, moments = _term_moments(f, mspec)
+    zero = []
+    for k in range(d):
+        _, alpha, a_of, t_of, c = _partial_table(exps, coeffs, k)
+        mean = np.zeros(len(alpha))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(f.dim):
+                c *= moments[i, exps[t_of, i] - alpha[a_of, i]]
+            np.add.at(mean, a_of, c)
+        if k == 0:
+            mean_f = float(mean[0])
+        zero.append(bool((np.isfinite(mean) & (np.abs(mean) <= 1e-12)).all()))
+    return mean_f if math.isfinite(mean_f) else math.inf, zero[0], all(zero[1:])
+
+
+def _term_moments(f, mspec):
+    """(exps, coeffs, moments): the exponent rows and coefficients of f, and
+    moments[i, p] = E X_i^p up to twice f's largest power, the most a
+    square of a partial reads."""
+    exps = np.array([p for p, _ in f.terms], dtype=np.int64).reshape(len(f.terms), f.dim)
+    coeffs = np.array([c for _, c in f.terms], dtype=np.float64)
+    top = 2 * int(exps.max(initial=0))
+    moments = np.array([[mspec.moment(i, p) for p in range(top + 1)] for i in range(f.dim)])
+    return exps, coeffs, moments
 
 
 def _exponent_codes(exps, radix):
@@ -287,17 +312,58 @@ def _exponent_codes(exps, radix):
                     dtype=object)
 
 
+def _partial_table(exps, coeffs, k):
+    """(index, alpha, a_of, t_of, c): the order-k partials of the terms
+    (exps, coeffs) as ``PolyFunction._order_partials`` forms them.
+
+    index and alpha hold the canonical alpha in combinations_with_replacement
+    order, as sorted index tuples and as exponent rows. Row r, alpha-major
+    and in term order, is the term exps[t] - alpha[a] of partial a = a_of[r]
+    for each term t = t_of[r] with exponents >= alpha. Its coefficient c[r]
+    is the term's times the falling factorial of each differentiated
+    coordinate, ascending, each an exact integer rounded once (as in
+    ``PolyFunction.partial``, but inf past the float range).
+    """
+    dim = exps.shape[1]
+    index = np.array(list(itertools.combinations_with_replacement(range(dim), k)),
+                     dtype=np.intp)
+    n_alpha = len(index)
+    alpha = np.zeros((n_alpha, dim), dtype=np.int64)
+    np.add.at(alpha, (np.arange(n_alpha)[:, None], index), 1)
+    counts = np.take_along_axis(alpha, index, axis=1)  # alpha's count of each position
+    at_least = exps.T[:, None, :] >= np.arange(k + 1)[:, None]  # [i, c, t]: exps[t, i] >= c
+    valid = np.ones((n_alpha, len(exps)), dtype=bool)  # [a, t]: term t survives alpha a
+    for j in range(k):
+        valid &= at_least[index[:, j], counts[:, j]]
+    # a coordinate's falling factorial sits at its first position in the
+    # sorted index; a repeat position takes falling(e, 0) = 1.0
+    steps = counts.copy()
+    steps[:, 1:][index[:, 1:] == index[:, :-1]] = 0
+    falling = np.array([[_rounded(math.perm(p, c)) for c in range(k + 1)]
+                        for p in range(int(exps.max(initial=0)) + 1)])
+    a_of, t_of = np.nonzero(valid)
+    c = coeffs[t_of]
+    with np.errstate(over="ignore"):
+        for j in range(k):
+            c *= falling[exps[t_of, index[a_of, j]], steps[a_of, j]]
+    return index, alpha, a_of, t_of, c
+
+
+def _rounded(n):
+    """The integer n as a float, inf past the float range."""
+    try:
+        return float(n)
+    except OverflowError:
+        return math.inf
+
+
 def _hs_square(exps, coeffs, codes, moments, k):
     """n_k^2 of the polynomial with terms (exps, coeffs), ``codes`` their
     ``_exponent_codes`` and ``moments`` the table E X_i^p.
 
-    Goes through the canonical alpha of order k in
-    combinations_with_replacement order, as ``PolyFunction._order_partials``
-    does, and reproduces each step's floating-point order:
+    Goes through the partials of ``_partial_table`` and reproduces each
+    step's floating-point order of the ``PolyFunction`` algebra:
 
-    - partial: the terms with exponents >= alpha, each coefficient times the
-      falling factorial of each differentiated coordinate, ascending; each
-      factorial an exact integer first, rounded once (``PolyFunction.partial``);
     - square: the product of every pair (t, s) of partial terms, summed from
       0.0 per exponent key in t-major order (``np.add.at``), zero sums
       dropped (``__mul__``, ``from_terms``);
@@ -307,26 +373,8 @@ def _hs_square(exps, coeffs, codes, moments, k):
       right in canonical order.
     """
     dim = exps.shape[1]
-    index = np.array(list(itertools.combinations_with_replacement(range(dim), k)),
-                     dtype=np.intp).reshape(-1, k)
+    index, alpha, a_of, t_of, c = _partial_table(exps, coeffs, k)
     n_alpha = len(index)
-    alpha = np.zeros((n_alpha, dim), dtype=np.int64)
-    np.add.at(alpha, (np.arange(n_alpha)[:, None], index), 1)
-    counts = np.take_along_axis(alpha, index, axis=1)  # alpha's count of each position
-    at_least = exps.T[:, None, :] >= np.arange(k + 1)[:, None]  # [i, c, t]: exps[t, i] >= c
-    valid = at_least[index[:, 0], counts[:, 0]]  # [a, t]: term t survives alpha a
-    for j in range(1, k):
-        valid &= at_least[index[:, j], counts[:, j]]
-    # a coordinate's falling factorial sits at its first position in the
-    # sorted index; a repeat position takes falling(e, 0) = 1.0
-    steps = counts.copy()
-    steps[:, 1:][index[:, 1:] == index[:, :-1]] = 0
-    falling = np.array([[float(math.perm(p, c)) for c in range(k + 1)]
-                        for p in range(int(exps.max(initial=0)) + 1)])
-    a_of, t_of = np.nonzero(valid)  # partial terms, alpha-major, each in term order
-    c = coeffs[t_of]
-    for j in range(k):
-        c *= falling[exps[t_of, index[a_of, j]], steps[a_of, j]]
     size = np.bincount(a_of, minlength=n_alpha)
     row_start = np.concatenate(([0], np.cumsum(size)))
     pair_start = np.concatenate(([0], np.cumsum(size * size)))
@@ -349,18 +397,18 @@ def _hs_square(exps, coeffs, codes, moments, k):
         group = np.empty(len(order), dtype=np.intp)
         group[order] = np.cumsum(starts) - 1
         sums = np.zeros(np.count_nonzero(starts))
-        np.add.at(sums, group, c[left] * c[right])
-        first = order[starts]  # one pair of each group, groups in (alpha, key) order
-        kept = sums != 0.0
-        first, sums = first[kept], sums[kept]
-        t, s, group_alpha = t_of[left[first]], t_of[right[first]], pair_alpha[first]
-        for i in range(dim):
-            factor = moments[i, exps[t, i] + exps[s, i] - 2 * alpha[group_alpha, i]]
-            if np.isinf(factor).any():
-                return math.inf
-            with np.errstate(over="ignore"):  # a square past the float range is inf
+        with np.errstate(over="ignore", invalid="ignore"):  # a square past the float range is inf
+            np.add.at(sums, group, c[left] * c[right])
+            first = order[starts]  # one pair of each group, groups in (alpha, key) order
+            kept = sums != 0.0
+            first, sums = first[kept], sums[kept]
+            t, s, group_alpha = t_of[left[first]], t_of[right[first]], pair_alpha[first]
+            for i in range(dim):
+                factor = moments[i, exps[t, i] + exps[s, i] - 2 * alpha[group_alpha, i]]
+                if np.isinf(factor).any():
+                    return math.inf
                 sums *= factor
-        np.add.at(second, group_alpha, sums)
+            np.add.at(second, group_alpha, sums)
         lo = hi
     total = 0.0
     for idx, moment in zip(index.tolist(), second.tolist()):
@@ -474,12 +522,3 @@ def constant_top_op(f, d):
     return (float(op_norms(f.derivative_dense(d, np.zeros((1, f.dim))))[0]),
             d <= 2 or f.dim == 1)
 
-
-def centering(f, mspec, d):
-    """(E f, whether E f = 0, whether every partial of order 1..d-1 has
-    mean 0) under ``mspec``, from exact expectations to within 1e-12; a
-    divergent E f reads inf."""
-    partials = [poly for k in range(1, d) for poly in f._order_partials(k).values()]
-    means = [poly.expectation(mspec.moment) for poly in [f] + partials]
-    zero = [math.isfinite(v) and abs(v) <= 1e-12 for v in means]
-    return means[0] if math.isfinite(means[0]) else math.inf, zero[0], all(zero[1:])

@@ -107,10 +107,10 @@ class Experiment:
     """A validated config: every field its runner reads, defaults filled in.
 
     Kind-specific objects are None (or empty) on kinds that do not use them:
-    the measure and function on rmt, tensor-norm and catalog-oracle; d there
-    and on multilinear; matrix_size, the entry law and polynomial unless rmt;
-    the multilinear spec unless the payload holds one; the oracle laws unless
-    catalog-oracle.
+    the measure and function on rmt, tensor-norm and catalog-oracle; d and
+    the exact rungs (``bounds.exact_hs_rungs``) there and on multilinear;
+    matrix_size, the entry law and polynomial unless rmt; the multilinear
+    spec unless the payload holds one; the oracle laws unless catalog-oracle.
     """
 
     kind: str
@@ -133,6 +133,8 @@ class Experiment:
     entry: measures.CoordinateDist | None = None
     poly: tuple | None = None  # (a0, a1, a2) of f = a0 + a1 x + a2 x^2
     oracle_laws: tuple = ()
+    hs2: tuple = ()  # the exact rungs n_1..n_(d-1)
+    top_hs: float | None = None  # and n_d
 
 
 def validate_config(cfg):
@@ -144,9 +146,10 @@ def validate_config(cfg):
 def resolve(cfg):
     """The Experiment ``cfg`` describes, or ConfigError with nothing written.
 
-    Only cheap objects are built and checked here (specs, laws, the
-    function, the rmt polynomial); oracles, sampling and eigensolves are
-    the runner's.
+    Every hypothesis a runner assumes is checked here, and so every exact
+    constant it reads is computed here: the centering and the exact rungs
+    of f (``bounds.centering``, ``bounds.exact_hs_rungs``), the closed-form
+    rmt sums. Oracles, sampling and eigensolves are the runner's.
     """
     if cfg.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ConfigError("unsupported schema version %r" % (cfg.get("schema"),))
@@ -242,6 +245,13 @@ def resolve(cfg):
             route = "ladder-hs" if derivs_centered else "ladder-inf"
         elif route == "ladder-hs" and not derivs_centered:
             raise ConfigError("route ladder-hs needs all derivatives of order < d centered")
+    if d is not None:
+        vals["hs2"], vals["top_hs"] = bounds.exact_hs_rungs(f, mspec, d)
+        past = [k for k, n in enumerate(vals["hs2"] + (vals["top_hs"],), 1)
+                if not math.isfinite(n)]
+        if past:
+            raise ConfigError("the exact derivative rungs of f at order(s) %s are past the "
+                              "float range" % ", ".join(map(str, past)))
     return Experiment(
         kind=kind, seed=cfg["seed"], fixture=cfg.get("fixture"), route=route,
         negative_control=payload.get("negative_control", False), d=d,
@@ -295,12 +305,16 @@ def _build(kind, payload):
 
 
 def _oracle_laws(payload):
-    """(tag, CoordinateDist) for each law a catalog-oracle config names."""
+    """(tag, CoordinateDist) for each law a catalog-oracle config names; each
+    law's constant must be a positive float, for the runner compares with it."""
     which = payload.get("dist", "all")
     if which != "all" and which not in measures.ORACLE_DOMAINS:
         raise ValueError("no oracle domain for distribution %r" % (which,))
-    return tuple((dist, measures.CoordinateDist.make(dist, **payload.get("params", {})))
+    laws = tuple((dist, measures.CoordinateDist.make(dist, **payload.get("params", {})))
                  for dist in (measures.ORACLE_DOMAINS if which == "all" else [which]))
+    for _, coord in laws:
+        measures.coordinate_sigma2(coord)
+    return laws
 
 
 def _check_count(field, value, floor):
@@ -457,22 +471,11 @@ def _eval_tail_counts(f, mspec, m, seed, t_grid):
     return np.sum(per_block, axis=0)
 
 
-def _exact_ladder(exp):
-    """The Ladder of exp's f on its exact HS rungs, or ConfigError (nothing is
-    written yet) when a rung is past the float range."""
-    norms2, top = bounds.exact_hs_rungs(exp.function, exp.measure, exp.d)
-    past = [k for k, n in enumerate(norms2 + (top,), 1) if not math.isfinite(n)]
-    if past:
-        raise ConfigError("the exact derivative rungs of f at order(s) %s are past the "
-                          "float range" % ", ".join(map(str, past)))
-    return bounds.Ladder(exp.measure.sigma(), exp.d, norms2, top)
-
-
 # -- certify -------------------------------------------------------------------------
 
 def _run_certify(exp):
     f, mspec, d = exp.function, exp.measure, exp.d
-    ladder = _exact_ladder(exp)
+    ladder = bounds.Ladder(mspec.sigma(), d, exp.hs2, exp.top_hs)
     top_inf, top_inf_exact = bounds.constant_top_op(f, d)
     cert = bounds.exp_moment_certificate(ladder, top_inf, exp.route, top_inf_exact)
     values = _eval_values(f, mspec, exp.samples, stage_seed(exp.seed, _STAGE_EVAL))
@@ -515,7 +518,7 @@ def _tail_artifacts(header, rows, title, series):
 
 
 def _run_tails(exp):
-    ladder = _exact_ladder(exp)
+    ladder = bounds.Ladder(exp.measure.sigma(), exp.d, exp.hs2, exp.top_hs)
     cert = bounds.tail_certificate(ladder)
     counts = _eval_tail_counts(exp.function, exp.measure, exp.samples,
                                stage_seed(exp.seed, _STAGE_EVAL), exp.t_grid)
@@ -582,7 +585,6 @@ def _run_weighted(exp):
     beta = mspec.coords[0].beta  # resolve checked: one common Student beta
     kappa, gap = measures.student_weight_kappa(beta)
     eval_seed = stage_seed(seed, _STAGE_EVAL)
-    norms2, _ = bounds.exact_hs_rungs(f, mspec, d)  # the gradient's rung when d = 2
     top_op, _ = bounds.constant_top_op(f, d)  # exact: resolve keeps d <= 2
     report = {"beta": beta, "kappa": kappa,
               "weighted_gap": gap.to_dict(), "samples": exp.samples,
@@ -598,7 +600,7 @@ def _run_weighted(exp):
                 for k in range(1, d + 1))
             top_mixed = top_op * (wnorms[d - 2] if d > 1 else
                                   measures.student_weight_norm(beta, kappa, p, mspec.dim))
-            bm, bp = bounds.weighted_moment_bounds(float(p), wnorms, norms2, top_mixed, top_op)
+            bm, bp = bounds.weighted_moment_bounds(float(p), wnorms, exp.hs2, top_mixed, top_op)
             row = verify.check_moment_bound(min(bm, bp), values, p).rows[0]
             est, se, ok = row.empirical, row.extra["se"], row.passed
             passed = passed and ok
@@ -622,7 +624,7 @@ def _run_weighted(exp):
     else:  # weighted-tail route
         p = exp.p
         # the normalized ladder of weighted_tail_certificate is the sigma = 1 one
-        lam = bounds.Ladder(1.0, d, norms2, top_op).rescale()
+        lam = bounds.Ladder(1.0, d, exp.hs2, top_op).rescale()
         w2dp = measures.student_weight_norm(beta, kappa, 2**d * p, mspec.dim)
         floor = 2.0 ** (-(d - 1) / 2.0)
         C = max(floor, w2dp)

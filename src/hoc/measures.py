@@ -155,9 +155,9 @@ def coordinate_sigma2(coord):
     """Certified spectral-gap constant of one coordinate law.
 
     Classical values: gaussian 1, uniform01 1/pi^2, exponential(b) 4b^2,
-    laplace(b) 4b^2; ValueError when 4b^2 is past the float range. The
-    Student-type demo law has polynomial tails and no unweighted constant;
-    ask the weighted route (student_weight_kappa).
+    laplace(b) 4b^2; ValueError when 4b^2 is past the float range or rounds
+    to 0. The Student-type demo law has polynomial tails and no unweighted
+    constant; ask the weighted route (student_weight_kappa).
     """
     if coord.dist == "gaussian":
         return 1.0
@@ -168,9 +168,10 @@ def coordinate_sigma2(coord):
             sigma2 = 4.0 * coord.scale**2
         except OverflowError:  # scale**2 past the float range
             sigma2 = math.inf
-        if math.isinf(sigma2):
-            raise ValueError("the spectral-gap constant 4 b^2 of %s(b = %r) is past the "
-                             "float range" % (coord.dist, coord.scale))
+        if math.isinf(sigma2) or sigma2 == 0.0:
+            raise ValueError("the spectral-gap constant 4 b^2 of %s(b = %r) is %s"
+                             % (coord.dist, coord.scale,
+                                "past the float range" if sigma2 else "0 in floating point"))
         return sigma2
     raise UncertifiedConstantError(
         "no unweighted spectral-gap constant for %r; use the weighted route" % (coord.dist,))
@@ -379,14 +380,22 @@ def density_function(coord):
 
 
 def catalog_oracle(coord):
-    """Run the oracle on a catalog law at its pinned certification interval."""
+    """Run the oracle on a catalog law at its pinned certification interval.
+
+    A law of scale b is the unit law dilated by b, whose lambda1 is
+    lambda1(1) / b^2: the oracle solves the unit law, whose grid no b can
+    overflow, and dilates the result (exactly the unit one at b = 1).
+    """
     if coord.dist == "student":
         raise UncertifiedConstantError(
             "the Student-type law has no unweighted constant; "
             "use student_weight_kappa for the weighted route")
     lo, hi, grid = ORACLE_DOMAINS[coord.dist]
-    lo, hi = lo * coord.scale, hi * coord.scale
-    return spectral_gap_oracle(density_function(coord), lo, hi, grid)
+    unit = spectral_gap_oracle(density_function(CoordinateDist(coord.dist)), lo, hi, grid)
+    b, b2 = coord.scale, coord.scale**2
+    return GapResult(unit.lambda1 / b2, unit.sigma2 * b2, unit.stable,
+                     tuple((g, lam / b2, s2 * b2) for g, lam, s2 in unit.ladder),
+                     (lo * b, hi * b))
 
 
 # -- Student-type weighted demo ------------------------------------------------

@@ -543,6 +543,47 @@ def test_exact_hs_rungs_match_the_algebra_past_int64_codes(monkeypatch):
     assert B.exact_hs_rungs(f, mspec, degree) == want
 
 
+def _algebra_centering(f, mspec, d):
+    """bounds.centering by PolyFunction algebra: the expectation of f and of
+    each canonical partial of order 1..d-1."""
+    partials = [poly for k in range(1, d) for poly in f._order_partials(k).values()]
+    means = [poly.expectation(mspec.moment) for poly in [f] + partials]
+    zero = [math.isfinite(v) and abs(v) <= 1e-12 for v in means]
+    return means[0] if math.isfinite(means[0]) else math.inf, zero[0], all(zero[1:])
+
+
+@pytest.mark.parametrize("law, params", [("gaussian", {}), ("uniform01", {}),
+                                         ("exponential", {"scale": 0.7}),
+                                         ("laplace", {"scale": 1.3})])
+def test_centering_matches_the_algebra_bit_for_bit(law, params):
+    # each random f and f - E f: the centered copies pass the E f test, and
+    # under the symmetric laws some of their partials are centered too
+    rng = np.random.default_rng(sum(map(ord, law)) + 1)
+    polys = [_random_poly(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)),
+                          int(rng.integers(1, 13))) for _ in range(60)]
+    seen = set()
+    for f in polys:
+        mspec = MeasureSpec.iid(law, f.dim, **params)
+        for g in (f, f.shifted(-f.expectation(mspec.moment))):
+            for d in range(1, max(g.degree, 1) + 1):
+                got = B.centering(g, mspec, d)
+                assert got == _algebra_centering(g, mspec, d), (g.terms, d)
+                seen.add(got[1:])
+    assert seen >= {(False, False), (True, False), (True, True)}
+
+
+def test_centering_reads_a_divergent_moment_as_inf():
+    # student beta = 9: E |X|^p diverges from p = 17 on, so none of these f
+    # is integrable; x1^18 - x2^18 would give inf - inf = NaN, and x1 x2^17
+    # 0 * inf = NaN, where the algebra's expectation stops at the zero E x1
+    # and reads 0
+    mspec = MeasureSpec.iid("student", 2, beta=9.0)
+    for terms in ({(18, 0): 1.0}, {(18, 0): 1.0, (0, 18): -1.0}, {(17, 1): 1.0},
+                  {(1, 17): 1.0}):
+        f = PolyFunction.from_terms(2, terms)
+        assert B.centering(f, mspec, 2) == (math.inf, False, False), terms
+
+
 def test_exact_hs_rungs_read_a_divergent_moment_as_inf():
     # student beta = 9: E X^p diverges from p = 2 beta - 1 = 17 on. The
     # gradient 10 x^9 - 9 x^8 squares to x^18, so n_1 is inf (E g^2 >= 0);

@@ -7,10 +7,11 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
-from hoc import cli, experiments, fixtures, rmt
+from hoc import cli, experiments, fixtures, measures, rmt
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -219,6 +220,13 @@ _UNCENTERED_TAILS = {
     "function": {"dim": 2, "terms": [{"exponents": [2, 0], "coeff": 1.0}]},
     "samples": 1000}
 
+# f = 1e200 x1 x2: its rungs n_1 and n_2 are sums of squares of 1e200, past
+# the float range, while E f and the Hessian's operator norm stay finite
+_HUGE_BILINEAR = {"dim": 2, "terms": [{"exponents": [1, 1], "coeff": 1e200}]}
+_HUGE_RUNG_CFGS = [dict(_UNCENTERED_TAILS, function=_HUGE_BILINEAR),
+                   {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d2",
+                    "function": _HUGE_BILINEAR}]
+
 
 @pytest.mark.parametrize("cfg", [
     _UNCENTERED_TAILS,
@@ -406,9 +414,12 @@ _STUDENT2 = {"dim": 2, "coords": [_STUDENT, _STUDENT]}
     ({"kind": "multilinear", "seed": 0, "fixture": "gaussian-chaos-n2-d2-multilinear",
       "measure": {"dim": 2, "coords": [{"dist": "exponential", "params": {}}] * 2}},
      "E X_i = 0"),
+    # the exact rungs every certificate of these kinds reads are finite
+    (_HUGE_RUNG_CFGS[0], r"order\(s\) 1, 2 are past the float range"),
+    (_HUGE_RUNG_CFGS[1], r"order\(s\) 1, 2 are past the float range"),
 ], ids=["tails-uncentered", "tails-student", "certify-student", "multilinear-student",
         "certify-shifted", "certify-hs-gradient-mean", "certify-cubic-d2",
-        "multilinear-exponential"])
+        "multilinear-exponential", "tails-huge-rung", "weighted-huge-rung"])
 def test_hypotheses_checked_before_any_sampling(monkeypatch, cfg, match):
     def draw(*args, **kwargs):
         raise AssertionError("sampling before the hypothesis check")
@@ -417,6 +428,46 @@ def test_hypotheses_checked_before_any_sampling(monkeypatch, cfg, match):
     monkeypatch.setattr(experiments.measures, "fill_block", draw)
     with pytest.raises(experiments.ConfigError, match=match):
         experiments.validate_config(cfg)
+
+
+def test_resolve_reads_no_polynomial_algebra(monkeypatch):
+    # the centering test and the exact rungs of every shipped certify, tails
+    # and weighted fixture come from bounds' partial table alone
+    def algebra(*args, **kwargs):
+        raise AssertionError("PolyFunction algebra in resolve")
+
+    monkeypatch.setattr(experiments.PolyFunction, "_order_partials", algebra)
+    monkeypatch.setattr(experiments.PolyFunction, "expectation", algebra)
+    names = [fx.name for fx in fixtures.inventory()
+             if fx.kind in ("certify", "tails", "weighted", "weighted-tail")]
+    assert len(names) == 18
+    for name in names:
+        exp = experiments.resolve({"kind": fixtures.by_name(name).kind, "seed": 0,
+                                   "fixture": name})
+        assert len(exp.hs2) == exp.d - 1 and exp.top_hs > 0.0, name
+
+
+@pytest.mark.parametrize("cfg, top", [
+    (_HUGE_RUNG_CFGS[0], 2), (_HUGE_RUNG_CFGS[1], 2),
+    # every partial of x^171 holds a falling factorial 171!/(171 - k)!, and
+    # the order-171 one is the constant 171!, itself past the float range
+    ({"kind": "tails", "seed": 0, "d": 171, "samples": 1000, "t_grid": [1, 2],
+      "measure": {"dim": 1, "coords": [{"dist": "gaussian", "params": {}}]},
+      "function": {"dim": 1, "terms": [{"exponents": [171], "coeff": 1.0}]}}, 171),
+], ids=["tails", "weighted", "falling-factorial"])
+def test_a_rung_past_the_float_range_exits_2_without_a_warning(tmp_path, capsys, cfg, top):
+    # validate_config refuses what run_config refuses, and before any numpy
+    # overflow warning reaches the user
+    path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(["run", "--config", path, "--out", out]) == 2
+    assert caught == []
+    assert capsys.readouterr().err == (
+        "config error: the exact derivative rungs of f at order(s) %s are past the float "
+        "range\n" % ", ".join(map(str, range(1, top + 1))))
+    assert not out.exists()
 
 
 def test_rmt_degree_checked_before_any_eigensolve(tmp_path, monkeypatch):
@@ -568,24 +619,53 @@ def test_rmt_constants_past_the_float_range_exit_2_before_any_eigensolve(
     assert not out.exists() and solves == []
 
 
-_HUGE_LAPLACE = {"dist": "laplace", "params": {"scale": 1e200}}
+def _laplace_cfg(kind, scale):
+    law = {"dist": "laplace", "params": {"scale": scale}}
+    if kind == "tails":
+        return {"kind": "tails", "d": 1, "samples": 1000, "t_grid": [1, 2],
+                "measure": {"dim": 1, "coords": [law]},
+                "function": {"dim": 1, "terms": [{"exponents": [1], "coeff": 1.0}]}}
+    return {"kind": "rmt", "matrix_size": 3, "entry": law, "draws": 1001, "cal_draws": 500,
+            "coeffs": [0, 0, 1]}
 
 
-@pytest.mark.parametrize("cfg", [
-    {"kind": "tails", "d": 1, "samples": 1000, "t_grid": [1, 2],
-     "measure": {"dim": 1, "coords": [_HUGE_LAPLACE]},
-     "function": {"dim": 1, "terms": [{"exponents": [1], "coeff": 1.0}]}},
-    {"kind": "rmt", "matrix_size": 3, "entry": _HUGE_LAPLACE, "draws": 1001,
-     "cal_draws": 500, "coeffs": [0, 0, 1]}])
-def test_a_gap_constant_past_the_float_range_exits_2_and_writes_nothing(tmp_path, capsys, cfg):
-    # sigma^2 = 4 b^2 overflows for b = 1e200
-    path = write_cfg(tmp_path, dict(cfg, seed=0))
+@pytest.mark.parametrize("scale, what", [(1e200, "1e+200) is past the float range"),
+                                         (1e-200, "1e-200) is 0 in floating point")],
+                         ids=["1e200", "1e-200"])
+@pytest.mark.parametrize("kind", ["tails", "rmt"])
+def test_a_gap_constant_past_the_float_range_exits_2_and_writes_nothing(tmp_path, capsys, kind,
+                                                                        scale, what):
+    # sigma^2 = 4 b^2 overflows for b = 1e200 and underflows to 0 for b = 1e-200
+    path = write_cfg(tmp_path, dict(_laplace_cfg(kind, scale), seed=0))
     out = tmp_path / "out"
     assert run_cli(["run", "--config", path, "--out", out]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: invalid %s config: " % cfg["kind"])
-    assert "4 b^2 of laplace(b = 1e+200) is past the float range" in err
+    assert err.startswith("config error: invalid %s config: " % kind)
+    assert "4 b^2 of laplace(b = " + what in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("dist", ["laplace", "exponential"])
+@pytest.mark.parametrize("scale", [1e-200, 1e-150, 1e-100, 1e50, 1e100, 1e150, 1e200])
+def test_catalog_oracle_runs_or_refuses_every_scale(tmp_path, capsys, dist, scale):
+    # lambda1(b) = lambda1(1) / b^2: the oracle dilates the unit law's
+    # solution, so each scale whose 4 b^2 is a positive float runs and
+    # passes, and the others are config errors with nothing written
+    cfg = write_cfg(tmp_path, {"kind": "catalog-oracle", "seed": 0, "dist": dist,
+                               "params": {"scale": scale}})
+    out = tmp_path / "out"
+    code = run_cli(["run", "--config", cfg, "--out", out])
+    if scale in (1e-200, 1e200):
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err.startswith(
+            "config error: invalid catalog-oracle config: the spectral-gap constant 4 b^2 ")
+        return
+    assert code == 0
+    res = json.loads((out / "report.json").read_text())["results"][dist]
+    unit = measures.catalog_oracle(measures.CoordinateDist.make(dist))
+    assert res["lambda1"] == unit.lambda1 / scale**2
+    assert res["sigma2"] == unit.sigma2 * scale**2
+    assert res["interval"] == [unit.interval[0] * scale, unit.interval[1] * scale]
 
 
 def test_an_rmt_statistic_past_the_float_range_exits_2_before_any_eigensolve(
