@@ -34,6 +34,7 @@ constants (``density_function``, ``student_weight_moment``). Only the
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from math import pi, sqrt
 
@@ -155,9 +156,10 @@ def coordinate_sigma2(coord):
     """Certified spectral-gap constant of one coordinate law.
 
     Classical values: gaussian 1, uniform01 1/pi^2, exponential(b) 4b^2,
-    laplace(b) 4b^2; ValueError when 4b^2 is past the float range or rounds
-    to 0. The Student-type demo law has polynomial tails and no unweighted
-    constant; ask the weighted route (student_weight_kappa).
+    laplace(b) 4b^2; ValueError when 4b^2 is past the float range or below
+    the smallest normal float (a subnormal keeps only a few significant
+    bits, and 0 none). The Student-type demo law has polynomial tails and
+    no unweighted constant; ask the weighted route (student_weight_kappa).
     """
     if coord.dist == "gaussian":
         return 1.0
@@ -168,10 +170,12 @@ def coordinate_sigma2(coord):
             sigma2 = 4.0 * coord.scale**2
         except OverflowError:  # scale**2 past the float range
             sigma2 = math.inf
-        if math.isinf(sigma2) or sigma2 == 0.0:
+        if math.isinf(sigma2) or sigma2 < sys.float_info.min:
             raise ValueError("the spectral-gap constant 4 b^2 of %s(b = %r) is %s"
                              % (coord.dist, coord.scale,
-                                "past the float range" if sigma2 else "0 in floating point"))
+                                "past the float range" if math.isinf(sigma2) else
+                                "%r, below the smallest normal float" % sigma2 if sigma2 else
+                                "0 in floating point"))
         return sigma2
     raise UncertifiedConstantError(
         "no unweighted spectral-gap constant for %r; use the weighted route" % (coord.dist,))

@@ -50,12 +50,15 @@ from .measures import (CoordinateDist, coordinate_moment, coordinate_sigma2,
                        draw_coordinate)
 
 # Draws per batched eigensolver call, and so the rows of each pool thread's
-# matrix buffer (2.6 MB at N = 100). On wigner-gaussian-n100 at two threads,
-# in-process run_config peaked (VmHWM) at 45.1 MB with 8 draws, 44.9 MB with
-# 16 and 45.8 MB with 32, but a 2000-draw sample_ensemble took 0.802 s at 16
-# against 0.745 s at 32 (medians of 30 alternating pairs, 32 faster in 21),
-# so the chunk stays at 32.
-_EIG_CHUNK = 32
+# matrix buffer (1.3 MB at N = 100). Two threads overlap only on batches of
+# 8 or more matrices: numpy's eigvalsh at N = 100 scaled 0.98-1.09x on two
+# threads with batches of 1, 2 or 4, as if it held the GIL, and 1.64-1.72x
+# with 8, 16 or 32, so the chunk may not go below 8. On wigner-gaussian-n100
+# at two threads, three in-process run_config calls peaked (VmHWM) at
+# 43.9-44.0 MB with 8 draws, 43.5-43.7 with 16, 44.8 with 24 and 46.0-46.1
+# with 32, while a 2000-draw sample_ensemble took 0.636-0.641 s at each
+# (medians of 30 rotating rounds), so the chunk is 16.
+_EIG_CHUNK = 16
 MIN_CAL_DRAWS = 500
 MAX_DISCARD_FRACTION = 1e-3
 JACOBI_MAX_SIZE = 64
@@ -147,13 +150,15 @@ def sample_ensemble(ens, draws, seed):
     Deterministic in (seed, draws): each draw owns a counter-keyed substream
     and the batched solver treats each matrix on its own, so neither the
     chunking nor the thread count can change the numbers. Draws are built
-    and solved in ``_EIG_CHUNK``-draw chunks on ``worker_count()`` threads;
-    each chunk takes a free matrix buffer from a queue, builds its draws
-    there and writes its eigenvalues into its rows of one (draws, N) array.
+    and solved in ``_EIG_CHUNK``-draw chunks on ``worker_count()`` threads,
+    which overlap only because eigvalsh lets go of the GIL on batches of 8
+    or more matrices (see ``_EIG_CHUNK``); each chunk takes a free matrix
+    buffer from a queue, builds its draws there and writes its eigenvalues
+    into its rows of one (draws, N) array.
     The buffers (one per thread) and that array are allocated here, on the
     calling thread: memory a pool thread allocates likely stays in its own
     malloc arena, and on wigner-gaussian-n100 in-process run_config peaked
-    (VmHWM) at 49.1-49.2 MB with the same buffers made inside the threads
+    (VmHWM) at 49.1-49.2 MB with 32-draw buffers made inside the threads
     against 45.5-46.0 MB from here. Every OpenBLAS runs at one thread
     meanwhile (``serial_blas``): inside a 100x100 solve a second BLAS thread
     only spins, while across chunks a second CPU builds and solves whole
@@ -304,9 +309,11 @@ def calibrate(ens, f, draws, seed):
     eig = sample_ensemble(ens, draws, seed).eigenvalues
     m = eig.shape[0]
     fprime = f[1] + (2.0 * f[2]) * eig
-    mean_fprime = fprime.mean(axis=0)
+    mean_lambda, mean_fprime = eig.mean(axis=0), fprime.mean(axis=0)
     shift_per_draw = eig @ mean_fprime
-    return Calibration(eig.mean(axis=0), mean_fprime,
+    # fprime.std allocates an (m, N) array of its own: let it take eig's place
+    del eig
+    return Calibration(mean_lambda, mean_fprime,
                        fprime.std(axis=0, ddof=1) / sqrt(m),
                        float(shift_per_draw.std(ddof=1)) / sqrt(m))
 
@@ -330,7 +337,8 @@ def calibration_shift_bound(sample, cal):
     per-draw fluctuations) the per-index errors of E f'(lambda_j).
     """
     centered = sample.eigenvalues - cal.mean_lambda
-    fluct = sqrt(float(np.mean(np.sum(centered * centered, axis=1))))
+    centered *= centered  # squared in place: one (M, N) temporary, not two
+    fluct = sqrt(float(np.mean(np.sum(centered, axis=1))))
     return cal.se_shift + fluct * sqrt(float(np.sum(cal.se_fprime**2)))
 
 

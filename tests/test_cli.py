@@ -630,12 +630,15 @@ def _laplace_cfg(kind, scale):
 
 
 @pytest.mark.parametrize("scale, what", [(1e200, "1e+200) is past the float range"),
-                                         (1e-200, "1e-200) is 0 in floating point")],
-                         ids=["1e200", "1e-200"])
+                                         (1e-200, "1e-200) is 0 in floating point"),
+                                         (1e-160, "1e-160) is 4e-320, below the smallest "
+                                                  "normal float")],
+                         ids=["1e200", "1e-200", "1e-160"])
 @pytest.mark.parametrize("kind", ["tails", "rmt"])
 def test_a_gap_constant_past_the_float_range_exits_2_and_writes_nothing(tmp_path, capsys, kind,
                                                                         scale, what):
-    # sigma^2 = 4 b^2 overflows for b = 1e200 and underflows to 0 for b = 1e-200
+    # sigma^2 = 4 b^2 overflows for b = 1e200, underflows to 0 for b = 1e-200
+    # and to a subnormal float, of a few significant bits, for b = 1e-160
     path = write_cfg(tmp_path, dict(_laplace_cfg(kind, scale), seed=0))
     out = tmp_path / "out"
     assert run_cli(["run", "--config", path, "--out", out]) == 2
@@ -646,16 +649,17 @@ def test_a_gap_constant_past_the_float_range_exits_2_and_writes_nothing(tmp_path
 
 
 @pytest.mark.parametrize("dist", ["laplace", "exponential"])
-@pytest.mark.parametrize("scale", [1e-200, 1e-150, 1e-100, 1e50, 1e100, 1e150, 1e200])
+@pytest.mark.parametrize("scale", [1e-200, 1e-161, 1e-150, 1e-100, 1e50, 1e100, 1e150, 1e200])
 def test_catalog_oracle_runs_or_refuses_every_scale(tmp_path, capsys, dist, scale):
     # lambda1(b) = lambda1(1) / b^2: the oracle dilates the unit law's
-    # solution, so each scale whose 4 b^2 is a positive float runs and
-    # passes, and the others are config errors with nothing written
+    # solution, so each scale whose 4 b^2 is a normal float runs and passes,
+    # and the others are config errors with nothing written (at b = 1e-161,
+    # 4 b^2 = 3.95e-322 is subnormal and lambda1 read inf)
     cfg = write_cfg(tmp_path, {"kind": "catalog-oracle", "seed": 0, "dist": dist,
                                "params": {"scale": scale}})
     out = tmp_path / "out"
     code = run_cli(["run", "--config", cfg, "--out", out])
-    if scale in (1e-200, 1e200):
+    if scale in (1e-200, 1e-161, 1e200):
         assert code == 2 and not out.exists()
         assert capsys.readouterr().err.startswith(
             "config error: invalid catalog-oracle config: the spectral-gap constant 4 b^2 ")

@@ -86,6 +86,16 @@ def test_sigma2_catalog_values():
         M.coordinate_sigma2(M.CoordinateDist.make("student", beta=10.0))
 
 
+@pytest.mark.parametrize("dist", ["exponential", "laplace"])
+def test_sigma2_refuses_a_subnormal_constant(dist):
+    # 4 b^2 crosses the smallest normal float between b = 7.4e-155 and 7.5e-155
+    normal = M.coordinate_sigma2(M.CoordinateDist.make(dist, scale=7.5e-155))
+    assert normal >= sys.float_info.min
+    for scale in (7.4e-155, 1e-160, 1e-161):
+        with pytest.raises(ValueError, match="below the smallest normal float"):
+            M.coordinate_sigma2(M.CoordinateDist.make(dist, scale=scale))
+
+
 def test_unit_variance_conventions():
     # the laplace scale 1/sqrt(2) and student beta=10 coordinates are the
     # catalog's comparable-variance picks

@@ -52,9 +52,10 @@ def test_sample_deterministic_and_chunk_independent():
     a = rmt.sample_ensemble(ens, 40, seed=5)
     b = rmt.sample_ensemble(ens, 40, seed=5)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
-    # chunking cannot change the numbers: one 40-draw chunk equals the
-    # first 40 rows of a sample that spans three chunks
-    c = rmt.sample_ensemble(ens, 2 * rmt._EIG_CHUNK + 5, seed=5)
+    # chunking cannot change the numbers: a 40-draw sample equals the first
+    # 40 rows of a longer one that spans three chunks or more, its last
+    # chunk of a different size
+    c = rmt.sample_ensemble(ens, max(40, 2 * rmt._EIG_CHUNK) + 5, seed=5)
     assert np.array_equal(c.eigenvalues[:40], a.eigenvalues)
     d = rmt.sample_ensemble(ens, 40, seed=6)
     assert not np.array_equal(a.eigenvalues, d.eigenvalues)
@@ -354,6 +355,35 @@ def test_quadratic_forms_equal_numpy_polynomial(coeffs):
     cal = rmt.calibrate(ens, f, rmt.MIN_CAL_DRAWS, seed=32)
     eig = rmt.sample_ensemble(ens, rmt.MIN_CAL_DRAWS, seed=32).eigenvalues
     assert np.array_equal(cal.mean_fprime, poly.deriv(1)(eig).mean(axis=0))
+
+
+@pytest.mark.parametrize("dist, n, f, draws", [("gaussian", 10, HALF_SQUARE, 500),
+                                               ("exponential", 5, (0.3, -1.5, 0.25), 517),
+                                               ("uniform01", 20, (0.0, 2.0, -1.0), 640)])
+def test_calibration_keeps_the_bits_of_the_out_of_place_expressions(dist, n, f, draws):
+    # the reference is calibrate and calibration_shift_bound as they read
+    # before calibrate freed eig early and the shift bound squared in place
+    ens = rmt.WignerEnsemble(n, CoordinateDist.make(dist))
+    cal = rmt.calibrate(ens, f, draws, seed=41)
+    eig = rmt.sample_ensemble(ens, draws, seed=41).eigenvalues
+    m = eig.shape[0]
+    fprime = f[1] + (2.0 * f[2]) * eig
+    mean_fprime = fprime.mean(axis=0)
+    shift_per_draw = eig @ mean_fprime
+    ref = rmt.Calibration(eig.mean(axis=0), mean_fprime,
+                          fprime.std(axis=0, ddof=1) / math.sqrt(m),
+                          float(shift_per_draw.std(ddof=1)) / math.sqrt(m))
+    for field in ("mean_lambda", "mean_fprime", "se_fprime"):
+        assert np.array_equal(getattr(cal, field), getattr(ref, field)), field
+    assert cal.se_shift == ref.se_shift
+
+    sample = rmt.sample_ensemble(ens, 300, seed=42)
+    before = sample.eigenvalues.copy()
+    centered = sample.eigenvalues - ref.mean_lambda
+    fluct = math.sqrt(float(np.mean(np.sum(centered * centered, axis=1))))
+    expected = ref.se_shift + fluct * math.sqrt(float(np.sum(ref.se_fprime**2)))
+    assert rmt.calibration_shift_bound(sample, cal) == expected
+    assert np.array_equal(sample.eigenvalues, before)  # squares its own copy
 
 
 def test_calibrate_guard():

@@ -254,3 +254,29 @@ def test_report_serialization():
     assert d["slack_rule"] == V.MOMENT_SLACK_RULE
     assert d["rows"][0]["p"] == 2
     assert d["passed"] is True
+
+
+# -- an exact-tail oracle for the sampled side ------------------------------------------
+
+
+def test_n2_chaos_tail_run_matches_the_exact_law(chaos_tail_runs):
+    # f = a x1 x2 under the standard gaussian: x1 x2 has density K0(|s|)/pi,
+    # so P(|f| >= t) = 1 - (2/pi) int_0^(t/|a|) K0, which iti0k0 gives in
+    # closed form. This checks sampling, evaluation and tail_counts of the
+    # criterion-5 run against the truth, not against its own Wilson band.
+    from scipy.special import iti0k0
+
+    from hoc.experiments import resolve
+
+    (cfg, (_, _, report, _)), = [run for run in chaos_tail_runs
+                                 if run[0]["fixture"] == "gaussian-chaos-n2-d2-tails"]
+    (exponents, a), = resolve(cfg).function.terms
+    assert exponents == (1, 1)
+    m = report["samples"]
+    rows = report["check"]["rows"]
+    assert len(rows) == 12
+    for row in rows:
+        exact = 1.0 - 2.0 / math.pi * float(iti0k0(row["t"] / abs(a))[1])
+        assert 0.0 < exact < 1.0
+        z = (row["empirical"] - exact) / math.sqrt(exact * (1.0 - exact) / m)
+        assert abs(z) <= 5.0, (row["t"], row["empirical"], exact, z)
