@@ -268,22 +268,27 @@ def exact_hs_rungs(f, mspec, d):
 
 def centering(f, mspec, d):
     """(E f, whether E f = 0, whether every partial of order 1..d-1 has
-    mean 0) under ``mspec``, from exact expectations to within 1e-12: each
-    partial's ``_partial_table`` rows times E X_i^p, in the floating-point
-    order of ``PolyFunction.expectation``. A divergent moment makes a mean
-    inf or NaN, never 0; a divergent E f reads inf."""
+    mean 0) under ``mspec``, from exact expectations: each partial's
+    ``_partial_table`` rows times E X_i^p, in the floating-point order of
+    ``PolyFunction.expectation``. A mean counts as 0 when it is within
+    1e-12 * max(1, sum of its terms' |coefficient * E X^alpha|), since a
+    moment such as E X^38 = 37!! is rounded at every step of its product
+    and a coefficient that cancels it is rounded once. A divergent moment
+    makes a mean inf or NaN, never 0; a divergent E f reads inf."""
     exps, coeffs, moments = _term_moments(f, mspec)
     zero = []
     for k in range(d):
         _, alpha, a_of, t_of, c = _partial_table(exps, coeffs, k)
-        mean = np.zeros(len(alpha))
+        mean, scale = np.zeros(len(alpha)), np.zeros(len(alpha))
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(f.dim):
                 c *= moments[i, exps[t_of, i] - alpha[a_of, i]]
             np.add.at(mean, a_of, c)
+            np.add.at(scale, a_of, np.abs(c))
         if k == 0:
             mean_f = float(mean[0])
-        zero.append(bool((np.isfinite(mean) & (np.abs(mean) <= 1e-12)).all()))
+        bound = 1e-12 * np.maximum(scale, 1.0)
+        zero.append(bool((np.isfinite(mean) & (np.abs(mean) <= bound)).all()))
     return mean_f if math.isfinite(mean_f) else math.inf, zero[0], all(zero[1:])
 
 

@@ -20,6 +20,8 @@ import dataclasses
 import json
 import math
 import os
+import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -27,7 +29,7 @@ import numpy as np
 from . import bounds, fixtures, measures, rmt, svgplot, verify
 from ._util import (SAMPLE_BLOCK, dump_json, is_finite_number, is_integer, stage_seed, substream,
                     write_csv)
-from .polynomials import MultilinearSpec, PolyFunction, from_multilinear
+from .polynomials import EVAL_BLOCK, MultilinearSpec, PolyFunction, from_multilinear
 from .tensors import canonical_layout, certified_opnorm, op_norms, power_norms
 
 SCHEMA_VERSION = 1
@@ -420,34 +422,67 @@ def _run_catalog_oracle(exp):
 # -- shared builders ----------------------------------------------------------------
 
 def _eval_blocks(f, mspec, m, seed, consume):
-    """Call ``consume(start, values)`` with f at each SAMPLE_BLOCK of
-    ``measures.sample(mspec, m, seed)``, in order; ``start`` is the block's
+    """Call ``consume(start, values)`` with f at each EVAL_BLOCK-row chunk of
+    ``measures.sample(mspec, m, seed)``, in order; ``start`` is the chunk's
     first row.
 
-    Two column-major SAMPLE_BLOCK-row buffers, owned by this call, take
-    turns: one worker thread draws the next block into the idle buffer
-    (``measures.fill_block``; numpy's generators fill without the GIL) while
-    this thread evaluates the other and hands the values on. So the (m, dim)
-    point matrix never exists, no block is allocated twice, and the values
-    are those of one serial pass. A filler's or the consumer's exception is
-    raised here: no block is asked for after it, and the thread is joined
-    before it propagates.
+    One worker thread draws the sample as ``measures.sample`` does, block b
+    from substream (seed, b) column by column, but each column in
+    EVAL_BLOCK-row pieces: consecutive draws from one generator continue its
+    stream, so the values are the same. Each piece goes into a free slot of
+    a pool allocated here once, and as soon as the last column's piece of a
+    row chunk is drawn, this thread evaluates the chunk from its dim slots
+    (``PolyFunction._add_terms``), hands the values on and frees the slots.
+    The draws are column-major and the evaluation row-major, so any free
+    slot takes any piece. The pool holds one block of pieces plus one chunk
+    row, dim * (SAMPLE_BLOCK // EVAL_BLOCK + 1) slots, or the pieces the run
+    draws if fewer: the worker can finish a block while the first chunk of
+    the one before is evaluated, and numpy's generators fill without the
+    GIL, so the draws overlap the evaluation. A filler's exception is raised
+    here; a consumer's exception stops the filler after the piece in flight;
+    the thread is joined before either propagates.
     """
-    starts = range(0, m, SAMPLE_BLOCK)
-    buffers = [np.empty((min(m, SAMPLE_BLOCK), mspec.dim), order="F")
-               for _ in range(min(2, len(starts)))]
+    per_block = SAMPLE_BLOCK // EVAL_BLOCK
+    chunks = [(start, min(EVAL_BLOCK, m - start)) for start in range(0, m, EVAL_BLOCK)]
+    slots = np.empty((mspec.dim * min(per_block + 1, len(chunks)), min(m, EVAL_BLOCK)))
+    free, ready, stop = queue.SimpleQueue(), queue.SimpleQueue(), threading.Event()
+    for slot in range(len(slots)):
+        free.put(slot)
 
-    def fill(block_index):
-        block = buffers[block_index % 2][:m - starts[block_index]]
-        return measures.fill_block(mspec, seed, block_index, block)
+    def fill():
+        try:
+            for first in range(0, len(chunks), per_block):
+                rng = substream(seed, first // per_block)
+                block = chunks[first:first + per_block]
+                held = [[] for _ in block]
+                for coord in mspec.coords:
+                    for pieces, (_, rows) in zip(held, block):
+                        slot = free.get()
+                        if stop.is_set():
+                            return
+                        pieces.append(slot)
+                        measures.draw_coordinate(rng, coord, rows, out=slots[slot, :rows])
+                        if len(pieces) == mspec.dim:
+                            ready.put(pieces)
+        except BaseException:
+            ready.put(None)
+            raise
 
     with ThreadPoolExecutor(1) as pool:
-        pending = pool.submit(fill, 0)
-        for block_index, start in enumerate(starts):
-            block = pending.result()
-            if block_index + 1 < len(starts):
-                pending = pool.submit(fill, block_index + 1)
-            consume(start, f.evaluate(block))
+        filler = pool.submit(fill)
+        try:
+            for start, rows in chunks:
+                pieces = ready.get()
+                if pieces is None:
+                    filler.result()
+                values = np.zeros(rows)
+                f._add_terms([slots[slot, :rows] for slot in pieces], values)
+                consume(start, values)
+                for slot in pieces:
+                    free.put(slot)
+        finally:
+            stop.set()
+            free.put(0)  # wakes a filler waiting for a slot, which then sees stop
 
 
 def _eval_values(f, mspec, m, seed):
@@ -464,11 +499,11 @@ def _eval_values(f, mspec, m, seed):
 
 def _eval_tail_counts(f, mspec, m, seed, t_grid):
     """``verify.tail_counts`` of the m values ``_eval_blocks`` hands on,
-    added up block by block, so no m-value array is held."""
-    per_block = []
+    added up chunk by chunk, so no m-value array is held."""
+    per_chunk = []
     _eval_blocks(f, mspec, m, seed,
-                 lambda start, values: per_block.append(verify.tail_counts(values, t_grid)))
-    return np.sum(per_block, axis=0)
+                 lambda start, values: per_chunk.append(verify.tail_counts(values, t_grid)))
+    return np.sum(per_chunk, axis=0)
 
 
 # -- certify -------------------------------------------------------------------------

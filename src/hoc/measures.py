@@ -14,15 +14,15 @@ nonzero eigenvalue with a grid-doubling stability flag.
 
 Sampling is deterministic: a counter-based Philox stream per 65536-row block
 (``SAMPLE_BLOCK``), keyed by (seed, block index), so results do not depend on
-how work is split. ``fill_block`` draws one such block into an array the
-caller owns, so a caller can evaluate m draws without holding an (m, dim)
-array, and can draw the next block while it evaluates this one
-(``experiments._eval_blocks``, which hands each block's values either to a
-copy into one m-value array or to a per-block tail count that holds no
-m-value array). The block size is part of the stream layout:
-changing it changes every sample. It is not sized for the cache; polynomial
-evaluation works through each block in its own, smaller blocks
-(``polynomials.EVAL_BLOCK``).
+how work is split. Each block is drawn one coordinate column at a time
+(``fill_block``, the reference behind ``sample``). A column may also be
+drawn in consecutive pieces from the same generator, which continue its
+stream and give the same values: ``experiments._eval_blocks`` draws each
+column in ``polynomials.EVAL_BLOCK``-row pieces (``draw_coordinate``) into
+a small pool of slots and evaluates each row chunk as soon as its pieces
+are in, so it holds neither an (m, dim) array nor a whole block. The block
+size is part of the stream layout: changing it changes every sample. It
+is not sized for the cache; EVAL_BLOCK is, and divides it.
 
 scipy is imported on first use, inside the three functions that need it: the
 oracle's tridiagonal eigensolve (``_gap_once``) and the Student-law gamma

@@ -24,7 +24,10 @@ from .tensors import canonical_layout, op_norms
 # rows) stay in cache. Evaluating the 120-term n=10, d=3 chaos on 16
 # column-major 65536-row sample blocks took 0.19 s with blocks of 16384 or
 # 32768 rows, 0.27-0.28 s with 8192 and 0.26 s with 65536 (best of 5,
-# 2-vCPU Xeon with 2 MB of L2 per core, numpy 2.4).
+# 2-vCPU Xeon with 2 MB of L2 per core, numpy 2.4). It is also the piece
+# size in which ``experiments._eval_blocks`` draws each sample column, so it
+# must divide the sampler's SAMPLE_BLOCK: a row chunk never straddles two
+# blocks, which come from different substreams.
 EVAL_BLOCK = 16384
 
 
@@ -79,27 +82,29 @@ class PolyFunction:
         m = pts.shape[0]
         out = np.zeros(m)
         if m <= EVAL_BLOCK:
-            self._add_terms(pts, out)
+            self._add_terms(pts.T, out)
         else:
             for start in range(0, m, EVAL_BLOCK):
                 stop = start + EVAL_BLOCK
-                self._add_terms(pts[start:stop], out[start:stop])
+                self._add_terms(pts[start:stop].T, out[start:stop])
         return float(out[0]) if single else out
 
-    def _add_terms(self, pts, out):
-        """out += every term evaluated at the rows of ``pts``.
+    def _add_terms(self, cols, out):
+        """out += every term evaluated at the rows whose coordinate i is
+        ``cols[i]``: a batch's ``pts.T``, or the separate column pieces of
+        one chunk of ``experiments._eval_blocks``.
 
         One ``term`` buffer serves every term. Its first factor goes in as
         coeff * column, the same product as filling with coeff and then
         multiplying by the column; a constant term is coeff itself.
         """
-        term = np.empty(pts.shape[0])
+        term = np.empty(out.shape[0])
         for exps, coeff in self.terms:
             started = False
             for i, e in enumerate(exps):
                 if e == 0:
                     continue
-                col = pts[:, i] if e == 1 else pts[:, i] ** e
+                col = cols[i] if e == 1 else cols[i] ** e
                 if started:
                     term *= col
                 else:

@@ -545,10 +545,15 @@ def test_exact_hs_rungs_match_the_algebra_past_int64_codes(monkeypatch):
 
 def _algebra_centering(f, mspec, d):
     """bounds.centering by PolyFunction algebra: the expectation of f and of
-    each canonical partial of order 1..d-1."""
+    each canonical partial of order 1..d-1, each 0 within 1e-12 times
+    max(1, the expectation of the same terms with |coefficient| and
+    |E X^p|)."""
     partials = [poly for k in range(1, d) for poly in f._order_partials(k).values()]
-    means = [poly.expectation(mspec.moment) for poly in [f] + partials]
-    zero = [math.isfinite(v) and abs(v) <= 1e-12 for v in means]
+    polys = [f] + partials
+    means = [poly.expectation(mspec.moment) for poly in polys]
+    scales = [PolyFunction(p.dim, tuple((e, abs(c)) for e, c in p.terms))
+              .expectation(lambda i, k: abs(mspec.moment(i, k))) for p in polys]
+    zero = [math.isfinite(v) and abs(v) <= 1e-12 * max(1.0, s) for v, s in zip(means, scales)]
     return means[0] if math.isfinite(means[0]) else math.inf, zero[0], all(zero[1:])
 
 
@@ -570,6 +575,24 @@ def test_centering_matches_the_algebra_bit_for_bit(law, params):
                 assert got == _algebra_centering(g, mspec, d), (g.terms, d)
                 seen.add(got[1:])
     assert seen >= {(False, False), (True, False), (True, True)}
+
+
+def test_centering_is_relative_to_the_size_of_the_terms_means():
+    # E X^38 = 37!! is rounded at every step of its product and float(37!!)
+    # once, so x^38 - float(37!!) reads E f = -2^20, 1.3e-16 of either term;
+    # an error of 1e-11 of the terms is not rounding
+    big = float(math.prod(range(1, 38, 2)))
+    mspec = MeasureSpec.iid("gaussian", 1)
+    f = PolyFunction.from_terms(1, {(38,): 1.0, (0,): -big})
+    assert B.centering(f, mspec, 1) == (-1048576.0, True, True)
+    assert not B.centering(f.shifted(-1e-11 * big), mspec, 1)[1]
+    # below a scale of 1 the test stays absolute
+    assert B.centering(PolyFunction.from_terms(1, {(0,): 1e-12}), mspec, 1)[1]
+    assert not B.centering(PolyFunction.from_terms(1, {(0,): 2e-12}), mspec, 1)[1]
+    # a partial's mean is scaled by its own terms: the gradient of
+    # x^39 / 39 - float(37!!) x is x^38 - float(37!!)
+    g = PolyFunction.from_terms(1, {(39,): 1.0 / 39, (1,): -big})
+    assert B.centering(g, mspec, 2) == (0.0, True, True)
 
 
 def test_centering_reads_a_divergent_moment_as_inf():

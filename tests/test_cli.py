@@ -426,8 +426,20 @@ def test_hypotheses_checked_before_any_sampling(monkeypatch, cfg, match):
 
     monkeypatch.setattr(experiments.measures, "sample", draw)
     monkeypatch.setattr(experiments.measures, "fill_block", draw)
+    monkeypatch.setattr(experiments.measures, "draw_coordinate", draw)
     with pytest.raises(experiments.ConfigError, match=match):
         experiments.validate_config(cfg)
+
+
+def test_tails_accepts_a_mean_zero_to_within_the_rounding_of_its_moments(tmp_path):
+    # E x^38 = 37!! is rounded at every step of its product and float(37!!)
+    # once: E f reads -2^20, which an absolute 1e-12 test refused (exit 2)
+    big = float(math.prod(range(1, 38, 2)))
+    cfg = {"kind": "tails", "seed": 0, "d": 38, "t_grid": [1.0, 2.0], "samples": 1000,
+           "measure": {"dim": 1, "coords": [{"dist": "gaussian", "params": {}}]},
+           "function": {"dim": 1, "terms": [{"exponents": [38], "coeff": 1.0},
+                                            {"exponents": [0], "coeff": -big}]}}
+    assert run_cli(["run", "--config", write_cfg(tmp_path, cfg), "--out", tmp_path / "out"]) == 0
 
 
 def test_resolve_reads_no_polynomial_algebra(monkeypatch):

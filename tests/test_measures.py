@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from scipy.integrate import quad
 
 from hoc import experiments, measures as M
 from hoc._util import SAMPLE_BLOCK
-from hoc.polynomials import PolyFunction
+from hoc.polynomials import EVAL_BLOCK, PolyFunction
 
 
 def quad_moment(coord, k):
@@ -173,20 +174,33 @@ def test_sample_deterministic():
     assert np.array_equal(np.concatenate(blocks), a)
 
 
+def test_eval_block_divides_the_sample_block():
+    # the stream draws each column in EVAL_BLOCK-row pieces, and a row chunk
+    # must not straddle two blocks, which come from different substreams
+    assert SAMPLE_BLOCK % EVAL_BLOCK == 0
+
+
 def test_eval_values_streams_the_sample():
-    # evaluated block by block while the next block is drawn, bit-identical
-    # to one whole-sample call: 3 blocks reuse the two buffers, and one short
-    # block uses one; gaussian draws with out=, laplace without
-    f = PolyFunction.from_terms(3, {(1, 1, 1): 0.5, (3, 0, 0): -1.25, (0, 2, 1): 2.0,
-                                    (0, 0, 0): 0.1})
+    # drawn in EVAL_BLOCK-row column pieces into a pool of slots while the
+    # chunks are evaluated, bit-identical to one whole-sample call: two
+    # blocks and a remainder reuse the pool, and shorter runs need fewer
+    # slots; gaussian, uniform01 and exponential draw with out=, laplace and
+    # student through a temporary
+    polys = {1: PolyFunction.from_terms(1, {(3,): -1.25, (1,): 0.5, (0,): 0.1}),
+             3: PolyFunction.from_terms(3, {(1, 1, 1): 0.5, (3, 0, 0): -1.25,
+                                            (0, 2, 1): 2.0, (0, 0, 0): 0.1})}
+    params = {"laplace": {"scale": 0.7}, "exponential": {"scale": 1.3},
+              "student": {"beta": 10.0}}
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # switch threads often, so a buffer race would show
+    sys.setswitchinterval(1e-5)  # switch threads often, so a slot race would show
     try:
-        for dist in ("gaussian", "laplace"):
-            spec = M.MeasureSpec.iid(dist, 3)
-            for m in (2 * SAMPLE_BLOCK + 17, 1000):
-                streamed = experiments._eval_values(f, spec, m, seed=4)
-                assert np.array_equal(streamed, f.evaluate(M.sample(spec, m, seed=4)))
+        for dist in M.CATALOG:
+            for dim, f in polys.items():
+                spec = M.MeasureSpec.iid(dist, dim, **params.get(dist, {}))
+                for m in (1000, 3 * EVAL_BLOCK + 5, 2 * SAMPLE_BLOCK + 17):
+                    streamed = experiments._eval_values(f, spec, m, seed=4)
+                    assert np.array_equal(streamed, f.evaluate(M.sample(spec, m, seed=4))), \
+                        (dist, dim, m)
     finally:
         sys.setswitchinterval(interval)
 
@@ -212,30 +226,57 @@ def test_eval_values_raises_a_filler_error_and_joins(monkeypatch):
 
 
 def test_eval_blocks_stops_on_a_consumer_error_and_joins(monkeypatch):
+    # dim 2: a pool of 2 * 5 slots, 8 pieces per block. The filler reaches
+    # piece 8 (block 1, column 0) without waiting for a slot; the consumer
+    # fails on chunk 1 while that piece is in flight, which waits for the
+    # stop flag. The piece completes, and nothing is drawn after it
     spec = M.MeasureSpec.iid("gaussian", 2)
     f = PolyFunction.from_terms(2, {(1, 1): 1.0})
-    drawn = []
-    fill = M.fill_block
+    in_flight, stop = threading.Event(), threading.Event()
+    monkeypatch.setattr(experiments, "threading", types.SimpleNamespace(Event=lambda: stop))
+    drawn, consumed = [], []
+    draw = M.draw_coordinate
 
-    def recording(mspec, seed, block_index, out):
-        drawn.append(block_index)
-        return fill(mspec, seed, block_index, out)
+    def recording(rng, coord, size, out=None):
+        drawn.append(size)
+        if len(drawn) == 9:
+            in_flight.set()
+            assert stop.wait(30)
+        return draw(rng, coord, size, out=out)
 
     def consume(start, values):
-        if start == SAMPLE_BLOCK:
-            raise RuntimeError("consumer failed on block 1")
+        consumed.append(start)
+        if start == EVAL_BLOCK:
+            assert in_flight.wait(30)
+            raise RuntimeError("consumer failed on chunk 1")
 
-    monkeypatch.setattr(M, "fill_block", recording)
+    monkeypatch.setattr(M, "draw_coordinate", recording)
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match="block 1"):
+    with pytest.raises(RuntimeError, match="chunk 1"):
         experiments._eval_blocks(f, spec, 5 * SAMPLE_BLOCK, 4, consume)
     assert threading.active_count() == before
-    # block 2 was asked for while block 1 was evaluated; none after the error
-    assert drawn == [0, 1, 2]
+    assert consumed == [0, EVAL_BLOCK]
+    assert drawn == [EVAL_BLOCK] * 9
+
+
+def test_tails_memory_is_one_block_of_slots_plus_a_chunk_row(tmp_path):
+    # the evaluation sample's pool holds dim * (P + 1) EVAL_BLOCK-row slots;
+    # two whole SAMPLE_BLOCK buffers (10.5 MB at dim 10) would not fit
+    dim, per_block = 10, SAMPLE_BLOCK // EVAL_BLOCK
+    cfg = {"kind": "tails", "seed": 3, "fixture": "gaussian-chaos-n10-d3-tails",
+           "samples": 4 * SAMPLE_BLOCK}
+    tracemalloc.start()
+    try:
+        code, _ = experiments.run_config(cfg, str(tmp_path / "out"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < dim * (per_block + 1) * EVAL_BLOCK * 8 + 2_000_000, peak
 
 
 def test_tails_memory_does_not_grow_with_samples(tmp_path):
-    # tails counts each block as it comes, so no array of all the values
+    # tails counts each chunk as it comes, so no array of all the values
     # (8 bytes per sample, and once 8 more for its sorted |v| copy) exists
     peaks = {}
     for blocks in (4, 16):

@@ -97,9 +97,13 @@ def test_add_terms_matches_the_full_then_multiply_loop():
     for start in range(0, pts.shape[0], EVAL_BLOCK):
         old_add_terms(f, pts[start:start + EVAL_BLOCK], expected[start:start + EVAL_BLOCK])
     assert np.array_equal(f.evaluate(pts), expected)
-    for block in (np.asfortranarray(pts), pts[:7]):  # column-major, and a short block
+    # column-major, a short block, and separate column arrays (the slot
+    # pieces the sample stream hands over)
+    fortran, chunk = np.asfortranarray(pts), pts[:EVAL_BLOCK]
+    for block, cols in ((fortran, fortran.T), (pts[:7], pts[:7].T),
+                        (chunk, [np.ascontiguousarray(c) for c in chunk.T])):
         out, ref = np.zeros(block.shape[0]), np.zeros(block.shape[0])
-        f._add_terms(block, out)
+        f._add_terms(cols, out)
         old_add_terms(f, block, ref)
         assert np.array_equal(out, ref)
 
