@@ -25,8 +25,10 @@ Each draw's ordered eigenvalues come from a batched LAPACK eigensolve
 built and solved on one thread per available CPU, which overlap because the
 solves and the random fills run without the GIL. Each chunk is built in one
 of the per-thread matrix buffers and solved into its rows of one eigenvalue
-array, all allocated once per sample on the calling thread. The Jacobi sweep
-here is the independent oracle the LAPACK path is checked against.
+array, all allocated once per sample on the calling thread. The statistics
+read an eigenvalue array a row block at a time, so none of them allocates a
+second (draws, N) array. The Jacobi sweep here is the independent oracle the
+LAPACK path is checked against.
 
 f is a quadratic, the triple (a0, a1, a2) of ``quadratic`` with a2 != 0: both
 certificates need the bound 2|a2| on |f''|, which no higher degree has.
@@ -50,15 +52,18 @@ from .measures import (CoordinateDist, coordinate_moment, coordinate_sigma2,
                        draw_coordinate)
 
 # Draws per batched eigensolver call, and so the rows of each pool thread's
-# matrix buffer (1.3 MB at N = 100). Two threads overlap only on batches of
+# matrix buffer (0.64 MB at N = 100). Two threads overlap only on batches of
 # 8 or more matrices: numpy's eigvalsh at N = 100 scaled 0.98-1.09x on two
 # threads with batches of 1, 2 or 4, as if it held the GIL, and 1.64-1.72x
-# with 8, 16 or 32, so the chunk may not go below 8. On wigner-gaussian-n100
-# at two threads, three in-process run_config calls peaked (VmHWM) at
-# 43.9-44.0 MB with 8 draws, 43.5-43.7 with 16, 44.8 with 24 and 46.0-46.1
-# with 32, while a 2000-draw sample_ensemble took 0.636-0.641 s at each
-# (medians of 30 rotating rounds), so the chunk is 16.
-_EIG_CHUNK = 16
+# with 8, 16 or 32, so the chunk may not go below 8. Above 8 it buys no time
+# (a 2000-draw sample_ensemble took 0.636-0.641 s at 8, 16, 24 and 32) and
+# costs buffer memory, which shows once the statistics hold no (draws, N)
+# temporary: on wigner-gaussian-n100 at two threads, four in-process
+# run_config calls peaked (VmHWM) at 41.8-42.0 MB with 8 draws against
+# 42.9-43.0 MB with 16, so the chunk is 8.
+_EIG_CHUNK = 8
+# Bytes of eigenvalues per row block of the statistics (see ``_row_blocks``)
+_BLOCK_BYTES = 1 << 16
 MIN_CAL_DRAWS = 500
 MAX_DISCARD_FRACTION = 1e-3
 JACOBI_MAX_SIZE = 64
@@ -152,9 +157,12 @@ def sample_ensemble(ens, draws, seed):
     chunking nor the thread count can change the numbers. Draws are built
     and solved in ``_EIG_CHUNK``-draw chunks on ``worker_count()`` threads,
     which overlap only because eigvalsh lets go of the GIL on batches of 8
-    or more matrices (see ``_EIG_CHUNK``); each chunk takes a free matrix
-    buffer from a queue, builds its draws there and writes its eigenvalues
-    into its rows of one (draws, N) array.
+    or more matrices (see ``_EIG_CHUNK``). Each thread runs one task: it owns
+    one matrix buffer and takes chunk starts from a queue until none is
+    left, building each chunk's draws in its buffer and writing their
+    eigenvalues into the chunk's rows of one (draws, N) array. One task per
+    thread, not one future per chunk: a future holds about 1.7 kB of Python
+    objects until the sample is done, 0.4 MB at 2000 draws in 8-draw chunks.
     The buffers (one per thread) and that array are allocated here, on the
     calling thread: memory a pool thread allocates likely stays in its own
     malloc arena, and on wigner-gaussian-n100 in-process run_config peaked
@@ -167,23 +175,25 @@ def sample_ensemble(ens, draws, seed):
     """
     if draws < 1:
         raise ValueError("need draws >= 1")
-    spans = [(s, min(s + _EIG_CHUNK, draws)) for s in range(0, draws, _EIG_CHUNK)]
-    workers = min(worker_count(), len(spans))
-    free = queue.SimpleQueue()
-    for _ in range(workers):
-        free.put(np.empty((min(_EIG_CHUNK, draws), ens.size * ens.size)))
+    todo = queue.SimpleQueue()
+    for start in range(0, draws, _EIG_CHUNK):
+        todo.put(start)
+    workers = min(worker_count(), todo.qsize())
+    buffers = [np.empty((min(_EIG_CHUNK, draws), ens.size * ens.size))
+               for _ in range(workers)]
     eigs = np.empty((draws, ens.size))
     kept = np.ones(draws, dtype=bool)
 
-    def solve(span):
-        mats = free.get()  # never waits: at most ``workers`` chunks are in flight
-        try:
-            _eig_chunk(ens, seed, *span, mats, eigs, kept)
-        finally:
-            free.put(mats)
+    def solve(mats):
+        while True:
+            try:
+                start = todo.get_nowait()
+            except queue.Empty:
+                return
+            _eig_chunk(ens, seed, start, min(start + _EIG_CHUNK, draws), mats, eigs, kept)
 
     with serial_blas(), ThreadPoolExecutor(workers) as pool:
-        list(pool.map(solve, spans))
+        list(pool.map(solve, buffers))
     discarded = draws - int(np.count_nonzero(kept))
     if discarded > MAX_DISCARD_FRACTION * draws:
         raise RuntimeError("eigensolver discarded %d of %d draws" % (discarded, draws))
@@ -298,35 +308,87 @@ class Calibration:
     se_shift: float       # SE of sum_j mean_lambda_j * mean_fprime_j
 
 
+def _row_blocks(eig):
+    """(rows, block, scratch) over the rows of an (M, N) eigenvalue array, in
+    order: ``block`` is eig[rows] and ``scratch`` a reused array of its shape.
+    Blocks are about 64 KiB and a multiple of 32 rows, but for the last, and
+    a lone last row joins the block before it. OpenBLAS's matrix-vector
+    kernel (Haswell) takes rows in groups of four and numpy takes a one-row
+    product another way, so each block product gives every row the bits of
+    a whole-array product on one BLAS thread; on two, a whole-array product
+    of an odd row count at N >= 300 gave the row where the threads split
+    other last bits, while the block products kept them at every size tried."""
+    m, n = eig.shape
+    step = max(32, _BLOCK_BYTES // (8 * n) // 32 * 32)
+    scratch = np.empty((min(step + 1, m), n))
+    start = 0
+    while start < m:
+        stop = m if m - start <= step + 1 else start + step
+        yield slice(start, stop), eig[start:stop], scratch[:stop - start]
+        start = stop
+
+
 def calibrate(ens, f, draws, seed):
     """Estimate E lambda_j and E f'(lambda_j) on a dedicated run.
 
     The seed must be independent of any evaluation seed (the certificates
     treat these as constants, so reusing draws would correlate the errors).
+    Beside the eigenvalues it allocates one row block and per-index vectors,
+    and keeps the bits of the whole-array fprime = f[1] + (2 f[2]) lambda,
+    its mean and its std(axis=0, ddof=1): each block's fprime rows are added
+    to one accumulator in draw order, as numpy's axis-0 sum adds them, the
+    per-draw shift eig @ mean_fprime is taken a block at a time, and then
+    the eigenvalues become fprime and its squared deviations in place, in
+    the steps numpy's std takes.
     """
     if draws < MIN_CAL_DRAWS:
         raise ValueError("calibration needs at least %d draws" % MIN_CAL_DRAWS)
     eig = sample_ensemble(ens, draws, seed).eigenvalues
     m = eig.shape[0]
-    fprime = f[1] + (2.0 * f[2]) * eig
-    mean_lambda, mean_fprime = eig.mean(axis=0), fprime.mean(axis=0)
-    shift_per_draw = eig @ mean_fprime
-    # fprime.std allocates an (m, N) array of its own: let it take eig's place
-    del eig
-    return Calibration(mean_lambda, mean_fprime,
-                       fprime.std(axis=0, ddof=1) / sqrt(m),
+    a1, two_a2 = f[1], 2.0 * f[2]
+    total = np.full(eig.shape[1], -0.0)  # -0.0 + x is x for every x
+    for _, block, fprime in _row_blocks(eig):
+        np.multiply(block, two_a2, out=fprime)
+        fprime += a1
+        for row in fprime:
+            total += row
+    mean_lambda, mean_fprime = eig.mean(axis=0), total / m
+    shift_per_draw = np.empty(m)
+    for rows, block, _ in _row_blocks(eig):
+        np.matmul(block, mean_fprime, out=shift_per_draw[rows])
+    eig *= two_a2
+    eig += a1
+    eig -= mean_fprime
+    np.square(eig, out=eig)
+    se_fprime = eig.sum(axis=0) / (m - 1)
+    np.sqrt(se_fprime, out=se_fprime)
+    return Calibration(mean_lambda, mean_fprime, se_fprime / sqrt(m),
                        float(shift_per_draw.std(ddof=1)) / sqrt(m))
 
 
 def linear_stat(ens, sample, f):
-    """Per-draw S_N = sum_j f(lambda_j) - sum_j E f(lambda_j), centered exactly."""
+    """Per-draw S_N = sum_j f(lambda_j) - sum_j E f(lambda_j), centered exactly;
+    f is evaluated a row block at a time, as a0 + (a1 + a2 lambda) lambda."""
     (a0, a1, a2), eig = f, sample.eigenvalues
-    return (a0 + (a1 + a2 * eig) * eig).sum(axis=1) - exact_sums(ens, f)[0]
+    s_n = np.empty(eig.shape[0])
+    for rows, block, fx in _row_blocks(eig):
+        np.multiply(block, a2, out=fx)
+        fx += a1
+        fx *= block
+        fx += a0
+        fx.sum(axis=1, out=s_n[rows])
+    s_n -= exact_sums(ens, f)[0]
+    return s_n
 
 
 def recentered_stat(sample, s_n, cal):
-    """Per-draw S~_N: the draws' S_N minus their first-order eigenvalue fluctuation."""
-    return s_n - (sample.eigenvalues - cal.mean_lambda) @ cal.mean_fprime
+    """Per-draw S~_N: the draws' S_N minus their first-order eigenvalue
+    fluctuation (lambda - E lambda) . E f'(lambda), a row block at a time."""
+    shift = np.empty(s_n.shape)
+    for rows, block, centered in _row_blocks(sample.eigenvalues):
+        np.subtract(block, cal.mean_lambda, out=centered)
+        np.matmul(centered, cal.mean_fprime, out=shift[rows])
+    return np.subtract(s_n, shift, out=shift)
 
 
 def calibration_shift_bound(sample, cal):
@@ -334,11 +396,15 @@ def calibration_shift_bound(sample, cal):
 
     Two first-order contributions: the error of the fixed shift
     sum_j E lambda_j * E f'(lambda_j), and (by Cauchy-Schwarz over the
-    per-draw fluctuations) the per-index errors of E f'(lambda_j).
+    per-draw fluctuations) the per-index errors of E f'(lambda_j). The
+    per-draw |lambda - E lambda|^2 are summed a row block at a time.
     """
-    centered = sample.eigenvalues - cal.mean_lambda
-    centered *= centered  # squared in place: one (M, N) temporary, not two
-    fluct = sqrt(float(np.mean(np.sum(centered, axis=1))))
+    fluct2 = np.empty(sample.draws)
+    for rows, block, centered in _row_blocks(sample.eigenvalues):
+        np.subtract(block, cal.mean_lambda, out=centered)
+        centered *= centered
+        centered.sum(axis=1, out=fluct2[rows])
+    fluct = sqrt(float(np.mean(fluct2)))
     return cal.se_shift + fluct * sqrt(float(np.sum(cal.se_fprime**2)))
 
 

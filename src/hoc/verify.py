@@ -40,6 +40,14 @@ def _mean(values):
     return math.fsum(values.ravel()) / values.size
 
 
+def _sample_std(v):
+    """np.std(v, ddof=1) of a 1-D float array, in the steps numpy's std takes
+    and so with its bits, but overwriting v instead of allocating a copy."""
+    v -= np.add.reduce(v, keepdims=True) / v.size
+    np.square(v, out=v)
+    return float(np.sqrt(np.add.reduce(v) / (v.size - 1)))
+
+
 def wilson_interval(k, m, z=Z95):
     """Wilson 95% score interval for k successes out of m."""
     if m < 1 or k < 0 or k > m:
@@ -65,7 +73,7 @@ def empirical_lp(values, p):
     est = mean ** (1.0 / p)
     if mean == 0.0:
         return 0.0, 0.0
-    se_mean = float(np.std(v, ddof=1)) / sqrt(v.size)
+    se_mean = _sample_std(v) / sqrt(v.size)
     return est, se_mean * est / (p * mean)
 
 
@@ -102,11 +110,11 @@ def empirical_exp_moment(values, a, r, min_samples=MIN_EXP_SAMPLES):
     v *= a
     ev = np.exp(v, out=v)
     est = _mean(ev)
-    se = float(np.std(ev, ddof=1)) / sqrt(v.size)
     half = v.size // 2
     h1, h2 = _mean(ev[:half]), _mean(ev[half:])
     ref = 0.5 * (h1 + h2)
     stable = ref == 0.0 or abs(h1 - h2) <= 0.1 * ref
+    se = _sample_std(ev) / sqrt(v.size)  # last: it overwrites ev
     return ExpMomentEstimate(est, se, stable)
 
 

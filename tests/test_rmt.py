@@ -359,10 +359,11 @@ def test_quadratic_forms_equal_numpy_polynomial(coeffs):
 
 @pytest.mark.parametrize("dist, n, f, draws", [("gaussian", 10, HALF_SQUARE, 500),
                                                ("exponential", 5, (0.3, -1.5, 0.25), 517),
-                                               ("uniform01", 20, (0.0, 2.0, -1.0), 640)])
+                                               ("uniform01", 20, (0.0, 2.0, -1.0), 640),
+                                               ("gaussian", 3, (0.2, 0.9, 1.7), 1001)])
 def test_calibration_keeps_the_bits_of_the_out_of_place_expressions(dist, n, f, draws):
-    # the reference is calibrate and calibration_shift_bound as they read
-    # before calibrate freed eig early and the shift bound squared in place
+    # the reference is each statistic as a whole-array expression, as they
+    # read before they went a row block at a time with no (draws, N) temporary
     ens = rmt.WignerEnsemble(n, CoordinateDist.make(dist))
     cal = rmt.calibrate(ens, f, draws, seed=41)
     eig = rmt.sample_ensemble(ens, draws, seed=41).eigenvalues
@@ -377,13 +378,69 @@ def test_calibration_keeps_the_bits_of_the_out_of_place_expressions(dist, n, f, 
         assert np.array_equal(getattr(cal, field), getattr(ref, field)), field
     assert cal.se_shift == ref.se_shift
 
-    sample = rmt.sample_ensemble(ens, 300, seed=42)
-    before = sample.eigenvalues.copy()
-    centered = sample.eigenvalues - ref.mean_lambda
-    fluct = math.sqrt(float(np.mean(np.sum(centered * centered, axis=1))))
-    expected = ref.se_shift + fluct * math.sqrt(float(np.sum(ref.se_fprime**2)))
-    assert rmt.calibration_shift_bound(sample, cal) == expected
-    assert np.array_equal(sample.eigenvalues, before)  # squares its own copy
+    a0, a1, a2 = f
+    step = len(next(rmt._row_blocks(np.empty((8193, n))))[1])  # rows of a whole block
+    for draws in (2 * step + 1, 3 * step + 7):  # a lone last row, a short last block
+        sample = rmt.sample_ensemble(ens, draws, seed=42)
+        before = sample.eigenvalues.copy()
+        s_n = (a0 + (a1 + a2 * before) * before).sum(axis=1) - rmt.exact_sums(ens, f)[0]
+        got_s_n = rmt.linear_stat(ens, sample, f)
+        assert np.array_equal(got_s_n, s_n)
+        s_t = s_n - (before - ref.mean_lambda) @ ref.mean_fprime
+        assert np.array_equal(rmt.recentered_stat(sample, got_s_n, cal), s_t)
+        assert np.array_equal(got_s_n, s_n)  # S_N is read, not overwritten
+        centered = before - ref.mean_lambda
+        fluct = math.sqrt(float(np.mean(np.sum(centered * centered, axis=1))))
+        expected = ref.se_shift + fluct * math.sqrt(float(np.sum(ref.se_fprime**2)))
+        assert rmt.calibration_shift_bound(sample, cal) == expected
+        assert np.array_equal(sample.eigenvalues, before)  # no statistic writes the sample
+
+
+def test_sample_and_statistics_hold_no_draws_by_n_temporary(monkeypatch):
+    """Calibration, an evaluation sample and its three statistics peak, under
+    tracemalloc, below the (draws, N) eigenvalues, the pool's matrix buffers
+    and a margin of a fifth of the eigenvalues: one more (draws, N) array,
+    as each statistic made before it went a row block at a time, breaks it."""
+    import tracemalloc
+
+    workers, n, draws = 2, 40, 4000
+    monkeypatch.setattr(rmt, "worker_count", lambda: workers)
+    ens, f = gaussian_ensemble(n), (0.3, -1.0, 0.5)
+    eig_bytes = draws * n * 8
+    bound = eig_bytes + workers * rmt._EIG_CHUNK * n * n * 8 + eig_bytes // 5
+    tracemalloc.start()
+    try:
+        cal = rmt.calibrate(ens, f, draws, seed=61)
+        sample = rmt.sample_ensemble(ens, draws, seed=62)
+        s_n = rmt.linear_stat(ens, sample, f)
+        rmt.recentered_stat(sample, s_n, cal)
+        rmt.calibration_shift_bound(sample, cal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak, bound)
+
+
+def test_wigner_statistics_do_not_depend_on_the_blas_thread_count(monkeypatch):
+    # on two OpenBLAS threads a whole-array matrix-vector product of 2001
+    # rows at N = 400 splits the rows at an odd row and gives it other last
+    # bits than on one; the block products give the same bits on either
+    rng = np.random.default_rng(14)
+    eig = rng.standard_normal((2001, 400))
+    monkeypatch.setattr(rmt, "sample_ensemble", lambda *args: rmt.EigenSample(eig.copy()))
+    ens, s_n = gaussian_ensemble(400), rng.standard_normal(2001)
+    libs, counts, got = _util._openblas_threads(), _blas_counts(), {}
+    try:
+        for threads in (1, 2):
+            for _, put in libs:
+                put(threads)
+            cal = rmt.calibrate(ens, HALF_SQUARE, 2001, seed=0)
+            got[threads] = (cal.se_shift, rmt.recentered_stat(rmt.EigenSample(eig), s_n, cal))
+    finally:
+        for (_, put), count in zip(libs, counts):
+            put(count)
+    assert got[1][0] == got[2][0]
+    assert np.array_equal(got[1][1], got[2][1])
 
 
 def test_calibrate_guard():

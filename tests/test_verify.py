@@ -167,6 +167,19 @@ def test_empirical_exp_moment_and_lp_leave_their_input():
     assert np.array_equal(v, kept)
 
 
+@pytest.mark.parametrize("values", [
+    np.random.default_rng(8).standard_normal(1001),
+    np.exp(3.0 * np.random.default_rng(9).standard_normal(70_001)),
+    np.full(129, 2.0), np.array([1.0, 1.0 + 2.0**-52]), np.array([0.0, 5e-324, 1e308]),
+    np.array([1.0, np.inf, 2.0]), np.array([np.nan, 1.0, 3.0])])
+def test_sample_std_keeps_the_bits_of_numpy_std(values):
+    # in place, in the steps numpy's std takes: the same float, nan included
+    with np.errstate(over="ignore", invalid="ignore"):  # 1e308 squared; inf - inf
+        want = float(np.std(values, ddof=1))
+        got = V._sample_std(values.copy())
+    assert got == want or (math.isnan(got) and math.isnan(want)), (got, want)
+
+
 def test_empirical_exp_moment_min_samples():
     v = np.ones(5000)
     with pytest.raises(ValueError):
@@ -278,5 +291,53 @@ def test_n2_chaos_tail_run_matches_the_exact_law(chaos_tail_runs):
     for row in rows:
         exact = 1.0 - 2.0 / math.pi * float(iti0k0(row["t"] / abs(a))[1])
         assert 0.0 < exact < 1.0
+        z = (row["empirical"] - exact) / math.sqrt(exact * (1.0 - exact) / m)
+        assert abs(z) <= 5.0, (row["t"], row["empirical"], exact, z)
+
+
+def _imhof_tail(lams, t):
+    """P(|sum_i lam_i (g_i^2 - 1)| >= t) for independent standard gaussians
+    g_i, by Imhof's inversion of the characteristic function (Biometrika
+    1961): P(sum_i lam_i g_i^2 > x) = 1/2 + (1/pi) int_0^inf
+    sin(theta(u)) / (u rho(u)) du, theta(u) = sum_i arctan(lam_i u)/2 - x u/2,
+    rho(u) = prod_i (1 + lam_i^2 u^2)^(1/4). Returns the tail and the summed
+    quadrature error estimate."""
+    from scipy.integrate import quad
+
+    def upper(x):
+        def integrand(u):
+            theta = 0.5 * np.sum(np.arctan(lams * u)) - 0.5 * x * u
+            rho = np.prod((1.0 + (lams * u) ** 2) ** 0.25)
+            return math.sin(theta) / (u * rho)
+
+        val, err = quad(integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-10, limit=500)
+        return 0.5 + val / math.pi, err / math.pi
+
+    shift = float(np.sum(lams))
+    above, err_above = upper(shift + t)
+    below, err_below = upper(shift - t)
+    return above + 1.0 - below, err_above + err_below
+
+
+def test_n10_chaos_tail_run_matches_the_exact_law(chaos_tail_runs):
+    # f = x^T A x - tr A with A = f''/2 is sum_i lam_i (g_i^2 - 1) over the
+    # eigenvalues lam of A, whose tail Imhof's integral gives; the run is
+    # checked against it as the n = 2 run is against its closed form
+    from hoc.experiments import resolve
+
+    (cfg, (_, _, report, _)), = [run for run in chaos_tail_runs
+                                 if run[0]["fixture"] == "gaussian-chaos-n10-d2-tails"]
+    poly = resolve(cfg).function
+    hessian = poly.derivative_dense(2, np.zeros((1, poly.dim)))[0]
+    lams = np.linalg.eigvalsh(hessian / 2.0)
+    x = np.random.default_rng(10).standard_normal((3, poly.dim))
+    quad_form = np.einsum("mi,ij,mj->m", x, hessian / 2.0, x) - np.trace(hessian) / 2.0
+    assert np.allclose(poly.evaluate(x), quad_form, rtol=1e-12, atol=1e-12)
+    m = report["samples"]
+    rows = report["check"]["rows"]
+    assert len(rows) == 12
+    for row in rows:
+        exact, err = _imhof_tail(lams, row["t"])
+        assert 0.0 < exact < 1.0 and err < 1e-3 * exact, (row["t"], exact, err)
         z = (row["empirical"] - exact) / math.sqrt(exact * (1.0 - exact) / m)
         assert abs(z) <= 5.0, (row["t"], row["empirical"], exact, z)
