@@ -8,14 +8,14 @@ the top's operator norm is read at the origin (``constant_top_op``); no
 rung is sampled. The right-hand sides are the ladder's iterated moment
 bound (``Ladder.moment``), exponential-moment certificates (with automatic
 rescaling when the normalization hypotheses fail by a factor lambda,
-``Ladder.rescale``), the ladder's tail curve (``Ladder.tail``), and the
-weighted variants for measures that only satisfy a weighted spectral-gap
-inequality. Multilinear polynomials in independent centered coordinates
-get their own sharper certificates driven by the coefficient tensor. The
-hypotheses a certificate assumes (E f = 0, centered derivatives on
-ladder-hs, finite rungs) are checked once, by ``experiments.resolve``,
-which also computes the rungs there. The centering test and the rungs
-read one numpy table of the partials of each order (``_partial_table``).
+``Ladder.rescale``), the ladder's tail curve (``Ladder.tail``, Markov on
+``moment``), and the weighted variants for measures that only satisfy a
+weighted spectral-gap inequality. Multilinear forms in independent centered
+coordinates read their ladder off the coefficient tensor. The hypotheses
+a certificate assumes (E f = 0, centered derivatives on ladder-hs, finite
+rungs) are checked once, by ``experiments.resolve``, which also computes
+the rungs there. The centering test and the rungs read one numpy table of
+the partials of each order (``_partial_table``).
 
 Certificates carry a ``route`` label naming the bound family (ladder-inf,
 ladder-hs, ladder-tail, weighted-tail, multilinear-hs, multilinear-inf,
@@ -26,8 +26,8 @@ Every tail route but weighted-tail is ``Ladder.tail`` of the ladder its
 constants give (``_ladder``):
 
   ladder-tail      Ladder(sigma, d, hs2, top_hs), the exact HS rungs
-  multilinear-hs   Ladder(sigma, d, (hs_norm, 0, ..., 0), hs_norm)
-  multilinear-inf  the same with dim_n^(d/2) * max_entry for hs_norm
+  multilinear-hs   Ladder(sigma, d, (a / sqrt((d-k)!))_(k<d), a), a = hs_norm
+  multilinear-inf  the same with a = dim_n^(d/2) * max_entry >= hs_norm
   wigner-lss       Ladder(sigma sqrt(2/N), 2, (grad_l2,), sqrt(N) * fpp_inf)
 """
 
@@ -44,8 +44,8 @@ from .tensors import multinomial, op_norms
 
 EXP_MOMENT_COEFF = 1.0 / (12.0 * e)  # universal constant in the exp-moment certificates
 EXP_THRESHOLD = 2.0
-TAIL_PREFACTOR = e**2
 EXP_MOMENT_ROUTES = ("ladder-inf", "ladder-hs")  # the routes exp_moment_certificate takes
+MARKOV_P = np.geomspace(2.0, 4000.0, 4000)  # the p at which Ladder.tail tries Markov
 
 _SQRT2 = sqrt(2.0)
 
@@ -85,7 +85,7 @@ class Ladder:
             raise ValueError("top must be nonnegative")
 
     def moment(self, p):
-        """Bound on ||f - E f||_p for p >= 2.
+        """Bound on ||f - E f||_p for p >= 2, a number or an array of them.
 
         The Poincare moment inequality ||g - E g||_p <= (sigma p / sqrt 2)
         ||grad g||_p bounds ||f - E f||_p by (sigma p / sqrt 2) || |f'|_op ||_p.
@@ -95,20 +95,18 @@ class Ladder:
         the norm. So the bound is the sum over k < d of (sigma p / sqrt 2)^k
         n_k plus (sigma p / sqrt 2)^d top.
         """
-        if p < 2:
+        if np.any(np.less(p, 2)):
             raise ValueError("the iterated moment bound needs p >= 2")
         base = self.sigma * p / _SQRT2
         total = sum(base**k * self.rungs[k - 1] for k in range(1, self.d))
         return total + base**self.d * self.top
 
     def tail(self, t):
-        """e^2 exp(-eta / (d e)) at t >= 0, uncapped, where eta is the least
-        of sqrt(2) t^(1/k) / (sigma n_k^(1/k)) over the nonzero rungs
-        n_1..n_d, n_d = top; with no nonzero rung eta is infinite."""
-        terms = [_SQRT2 * np.power(t, 1.0 / k) / (self.sigma * nk ** (1.0 / k))
-                 for k, nk in enumerate((*self.rungs, self.top), start=1) if nk > 0]
-        eta = np.minimum.reduce(terms) if terms else np.full_like(t, np.inf)
-        return TAIL_PREFACTOR * np.exp(-eta / (self.d * e))
+        """Markov on ``moment``, P(|f - E f| >= t) <= (M(p) / t)^p, at t >= 0,
+        uncapped, at the best p of the fixed grid MARKOV_P: it never rises in t."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            log_ratio = np.log(self.moment(MARKOV_P)) - np.log(np.expand_dims(t, -1))
+            return np.exp(np.min(MARKOV_P * log_ratio, axis=-1))
 
     def rescale(self):
         """The least lambda >= 1 whose f / lambda has a normalized ladder:
@@ -188,14 +186,16 @@ def _tail_eval(route, c, t):
 
 def _ladder(route, c):
     """The Ladder behind a tail route's constants, as tabled in the module
-    docstring; wigner-lss constants carry no d."""
+    docstring (wigner-lss reads no d). A multilinear d-form in independent,
+    centered, unit-variance coordinates has E |f^(k)|_HS^2 = hs^2 / (d-k)!."""
     if route == "ladder-tail":
         return Ladder(c["sigma"], c["d"], tuple(c["hs2"]), c["top_hs"])
     if route in ("multilinear-hs", "multilinear-inf"):
         d = c["d"]
         a = (c["hs_norm"] if route == "multilinear-hs"
              else c["dim_n"] ** (d / 2.0) * c["max_entry"])
-        return Ladder(c["sigma"], d, ((a,) + (0.0,) * d)[:d - 1], a)
+        return Ladder(c["sigma"], d, tuple(a / sqrt(math.factorial(d - k))
+                                           for k in range(1, d)), a)
     if route == "wigner-lss":
         n = c["matrix_size"]
         return Ladder(c["sigma"] * sqrt(2.0 / n), 2, (c["grad_l2"],), sqrt(n) * c["fpp_inf"])

@@ -43,7 +43,7 @@ def to_json(cert):
 def test_universal_constants():
     assert B.EXP_MOMENT_COEFF == pytest.approx(0.030656620097620192, rel=1e-15)
     assert B.EXP_MOMENT_COEFF == 1.0 / (12.0 * e)
-    assert B.TAIL_PREFACTOR == e**2
+    np.testing.assert_array_equal(B.MARKOV_P, np.geomspace(2.0, 4000.0, 4000))
     assert B.EXP_THRESHOLD == 2.0
 
 
@@ -161,10 +161,25 @@ def test_exp_certificate_lambda_floor():
 # -- tail bounds -----------------------------------------------------------------
 
 
+def _markov(sigma, rungs, top, ts):
+    """min over p of (M(p) / t)^p on 4000 log-spaced p in [2, 4000], capped
+    at 1, with M(p) = sum_k (sigma p / sqrt 2)^k n_k written out in plain
+    powers: the reference the log-space Ladder.tail is held to."""
+    p = np.geomspace(2.0, 4000.0, 4000)
+    base = sigma * p / sqrt(2.0)
+    m = sum(base**k * nk for k, nk in enumerate((*rungs, top), start=1))
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        return np.minimum(1.0, np.min((m / np.asarray(ts, dtype=float)[..., None]) ** p,
+                                      axis=-1))
+
+
 def test_tail_13_frozen_value():
     cert = ladder_tail()
-    # d=2, sigma=1, norms=(1,), top=1 at t=100: eta = sqrt(2)*10
-    assert cert.tail_bound(100.0) == pytest.approx(0.548098384102524, rel=1e-12)
+    # d=2, sigma=1, norms=(1,), top=1 at t=100: M(p) = p/sqrt2 + p^2/2 and
+    # (M(p)/100)^p is least near p = 5.13, at 1.06e-4
+    assert cert.tail_bound(100.0) == pytest.approx(1.056737360120448e-4, rel=1e-12)
+    assert cert.tail_bound(100.0) == pytest.approx(_markov(1.0, (1.0,), 1.0, 100.0),
+                                                   rel=1e-12)
     assert ladder_tail().tail_bound(100.0) == cert.tail_bound(100.0)
     assert set(cert.constants) == {"sigma", "d", "hs2", "top_hs"}
 
@@ -195,17 +210,68 @@ def test_tail_rescale_shifts_argument():
 
 
 def test_tail_zero_norm_terms_drop():
-    # a zero ladder entry contributes no eta term instead of a zero division
+    # a zero ladder entry adds nothing to M(p): M(p) = p^2 / 2
     cert = ladder_tail(hs2=(0.0,))
-    t = 123.0
-    want = min(1.0, e**2 * math.exp(-sqrt(2.0) * sqrt(t) / (2.0 * e)))
-    assert cert.tail_bound(t) == pytest.approx(want, rel=1e-12)
+    assert cert.tail_bound(123.0) == pytest.approx(_markov(1.0, (0.0,), 1.0, 123.0), rel=1e-12)
 
 
 def test_tail_zero_function():
     cert = ladder_tail(hs2=(0.0,), top_hs=0.0)
     assert cert.tail_bound(0.5) == 0.0
     assert cert.tail_bound(0.0) == 1.0
+
+
+# -- the Markov tail ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lad", [ladder(), ladder(d=1, rungs=(), top=1.0),
+                                 ladder(d=3, sigma=2.0, rungs=(0.5, 3.0), top=0.1),
+                                 ladder(sigma=0.2, rungs=(1.0,), top=10.0),
+                                 ladder(rungs=(0.0,), top=0.0)])
+def test_markov_tail_never_rises_with_t(lad):
+    # exactly, uncapped, on a log grid and on 300 consecutive floats
+    for ts in (np.geomspace(1e-4, 1e8, 500),
+               np.cumsum(np.full(300, np.spacing(37.0))) + 37.0):
+        assert np.all(np.diff(lad.tail(ts)) <= 0.0)
+
+
+def test_markov_tail_dominates_exact_gaussian_tails():
+    # P(|x| >= t) = erfc(t / sqrt 2), and x1 x2 has density K0(|s|) / pi, so
+    # P(|x1 x2| >= t) = 1 - (2/pi) int_0^t K0 (as in tests/test_verify.py);
+    # each ladder is the exact HS one and the one with the top's operator norm
+    from scipy.special import iti0k0
+
+    ts = np.geomspace(0.05, 40.0, 200)
+    for f, d, exact in ((PolyFunction.from_terms(1, {(1,): 1.0}), 1,
+                         lambda t: math.erfc(t / sqrt(2.0))),
+                        (PolyFunction.from_terms(2, {(1, 1): 1.0}), 2,
+                         lambda t: 1.0 - 2.0 / math.pi * float(iti0k0(t)[1]))):
+        mspec = MeasureSpec.iid("gaussian", f.dim)
+        hs = B.Ladder(mspec.sigma(), d, *B.exact_hs_rungs(f, mspec, d))
+        for lad in (hs, dataclasses.replace(hs, top=B.constant_top_op(f, d)[0])):
+            bounds = lad.tail(ts)
+            assert bounds[-1] < 0.05  # the grid reaches well under the cap
+            for t, bound in zip(ts, bounds):
+                assert bound >= exact(t), (d, lad, t)
+
+
+def test_markov_tail_is_never_above_the_e2_curve():
+    # the curve Markov replaced, e^2 exp(-eta / (d e)) with eta the least of
+    # sqrt 2 t^(1/k) / (sigma n_k^(1/k)) over the nonzero rungs n_1..n_d,
+    # capped at 1, on the 12 tails ladders at their shipped grids and on 400
+    # log-spaced t in [0.05, 2000]
+    below_one = 0
+    for name, f, mspec, d in _chaos_tails():
+        ts = np.concatenate([fixtures.by_name(name).payload["t_grid"],
+                             np.geomspace(0.05, 2000.0, 400)])
+        sigma, (hs2, top_hs) = mspec.sigma(), B.exact_hs_rungs(f, mspec, d)
+        eta = np.min([sqrt(2.0) * ts ** (1.0 / k) / (sigma * nk ** (1.0 / k))
+                      for k, nk in enumerate((*hs2, top_hs), start=1) if nk > 0], axis=0)
+        old = np.minimum(1.0, e**2 * np.exp(-eta / (d * e)))
+        new = B.tail_certificate(B.Ladder(sigma, d, hs2, top_hs)).tail_bound(ts)
+        assert np.all(new <= old), name
+        below_one += np.count_nonzero(old < 1.0)
+    assert below_one > 0
 
 
 # -- weighted route ---------------------------------------------------------------
@@ -312,62 +378,47 @@ def test_multilinear_norms_equal_the_coefficient_tensor():
 
 
 def test_multilinear_tail_frozen_value():
-    # single coefficient 1/sqrt(2) makes hs_norm exactly 1
+    # single coefficient 1/sqrt(2) makes hs_norm exactly 1, so the rungs of
+    # f = x1 x2 / sqrt 2 are n_1 = 1/sqrt(1!) and n_2 = 1
     spec = MultilinearSpec.from_coeffs(2, 2, {(0, 1): 1.0 / sqrt(2.0)})
     certs = B.multilinear_certificates(spec, 1.0, unit_variance=True)
-    # arg = min(t/hs, sqrt(t)/sqrt(hs)) = 10 at t = 100
-    assert certs["tail_hs"].tail_bound(100.0) == pytest.approx(0.548098384102524, rel=1e-12)
-    inf_cert = certs["tail_inf"]
-    amax = 1.0 / sqrt(2.0)
-    arg = min(200.0 / (2.0 * amax), sqrt(200.0) / (sqrt(2.0) * sqrt(amax)))
-    want = min(1.0, e**2 * math.exp(-sqrt(2.0) * arg / (2.0 * e)))
-    assert inf_cert.tail_bound(200.0) == pytest.approx(want, rel=1e-12)
+    assert certs["tail_hs"].tail_bound(100.0) == pytest.approx(1.056737360120448e-4, rel=1e-12)
+    # inf form: a = n^(d/2) max_entry = 2 / sqrt 2 = sqrt 2 for both rungs
+    want = _markov(1.0, (sqrt(2.0),), sqrt(2.0), 200.0)
+    assert certs["tail_inf"].tail_bound(200.0) == pytest.approx(want, rel=1e-12)
 
 
 def test_rmt_tail_evaluator():
     cert = B.Certificate("tail", "wigner-lss", {"matrix_size": 100, "grad_l2": 1.0,
                                          "fpp_inf": 1.0, "sigma": sqrt(2.0)})
-    # arg = min(t sqrt(N), sqrt(t) N^(1/4)) = sqrt(30)*100^0.25 at t=30
-    want = min(1.0, e**2 * math.exp(-sqrt(30.0) * 100 ** 0.25 / (sqrt(2.0) * 2 * e)))
-    assert cert.tail_bound(30.0) == pytest.approx(want, rel=1e-12)
+    # sigma_N = sqrt 2 sqrt(2/100) = 0.2, n_1 = grad_l2 = 1, top = sqrt(100) fpp_inf
+    assert cert.tail_bound(3.0) == pytest.approx(_markov(0.2, (1.0,), 10.0, 3.0), rel=1e-12)
+    assert 0.0 < cert.tail_bound(3.0) < 1.0
     only_grad = B.Certificate("tail", "wigner-lss", {"matrix_size": 100, "grad_l2": 1.0,
                                               "fpp_inf": 0.0, "sigma": sqrt(2.0)})
-    want2 = min(1.0, e**2 * math.exp(-2.0 * 10.0 / (sqrt(2.0) * 2 * e)))
-    assert only_grad.tail_bound(2.0) == pytest.approx(want2, rel=1e-12)
+    assert only_grad.tail_bound(2.0) == pytest.approx(_markov(0.2, (1.0,), 0.0, 2.0),
+                                                      rel=1e-12)
 
 
-# -- the one ladder evaluator against the former closed forms ------------------------
-# Each route once had its own tail formula; these references keep those forms
-# so the ladder mapping in hoc.bounds._ladder is checked, not just re-derived.
+# -- the one ladder evaluator against Markov written out per route ----------------
+# Each route's rungs are derived by hand here, so the ladder mapping in
+# hoc.bounds._ladder is checked, not just re-derived.
 
 
-def _capped(t, arg_terms, denom):
-    if t <= 0:
-        return 1.0
-    if not arg_terms:
-        return 0.0
-    return min(1.0, e**2 * math.exp(-min(arg_terms) / denom))
+def _ref_multilinear_hs(c, ts):
+    a, d = c["hs_norm"], c["d"]
+    return _markov(c["sigma"], [a / sqrt(math.factorial(d - k)) for k in range(1, d)], a, ts)
 
 
-def _ref_multilinear_hs(c, t):
-    hs, d = c["hs_norm"], c["d"]
-    terms = [t / hs, t ** (1.0 / d) / hs ** (1.0 / d)] if hs != 0.0 else []
-    return _capped(t, [sqrt(2.0) * a for a in terms], c["sigma"] * d * e)
+def _ref_multilinear_inf(c, ts):
+    n, d = c["dim_n"], c["d"]
+    return _ref_multilinear_hs({"sigma": c["sigma"], "d": d,
+                                "hs_norm": n ** (d / 2.0) * c["max_entry"]}, ts)
 
 
-def _ref_multilinear_inf(c, t):
-    amax, n, d = c["max_entry"], c["dim_n"], c["d"]
-    terms = [t / (n ** (d / 2.0) * amax),
-             t ** (1.0 / d) / (sqrt(n) * amax ** (1.0 / d))] if amax != 0.0 else []
-    return _capped(t, [sqrt(2.0) * a for a in terms], c["sigma"] * d * e)
-
-
-def _ref_wigner_lss(c, t):
-    n, g2, fpp = c["matrix_size"], c["grad_l2"], c["fpp_inf"]
-    terms = [t * sqrt(n) / g2] if g2 > 0 else []
-    if fpp > 0:
-        terms.append(sqrt(t) * n ** 0.25 / sqrt(fpp))
-    return _capped(t, terms, c["sigma"] * 2.0 * e)
+def _ref_wigner_lss(c, ts):
+    n = c["matrix_size"]
+    return _markov(c["sigma"] * sqrt(2.0 / n), (c["grad_l2"],), sqrt(n) * c["fpp_inf"], ts)
 
 
 def _ladder_cases():
@@ -397,10 +448,11 @@ _LADDER_REFS = {"multilinear-hs": _ref_multilinear_hs,
                          "-".join("%s=%g" % kv for kv in sorted(v.items())))
 def test_route_ladder_matches_closed_form(route, consts):
     ts = np.geomspace(1e-3, 1e12, 61)
-    want = np.array([_LADDER_REFS[route](consts, t) for t in ts])
+    want = _LADDER_REFS[route](consts, ts)
     got = B.Certificate("tail", route, consts).tail_bound(ts)
-    # atol only forgives subnormal results, where relative precision is lost
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+    # the log-space exponent p log(M/t) carries about p |log(M/t)| ulp, so
+    # plain powers agree to 1e-10; atol only forgives results near underflow
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-300)
     assert want.min() < 1e-3  # the grid reaches well past the cap at 1
 
 
@@ -472,6 +524,22 @@ def test_exact_hs_rungs_of_unit_hs_chaos():
         want = [1.0 / sqrt(math.factorial(d - k)) for k in range(1, d + 1)]
         assert len(hs2) == d - 1, name
         assert list(hs2) + [top_hs] == pytest.approx(want, rel=0, abs=1e-12), name
+
+
+def test_multilinear_ladders_are_the_exact_hs_rungs():
+    # the closed-form rungs a / sqrt((d-k)!) of the multilinear-hs route, on
+    # the 12 shipped chaos (spec, measure) pairs, against the exact rungs of
+    # the same polynomial: the multilinear tails read a real derivative ladder
+    pairs = [(fx.name, MultilinearSpec.from_dict(fx.payload["multilinear"]),
+              MeasureSpec.from_dict(fx.payload["measure"]))
+             for fx in fixtures.inventory() if fx.kind == "multilinear"]
+    assert len(pairs) == 12
+    for name, spec, mspec in pairs:
+        cert = B.multilinear_certificates(spec, mspec.sigma(), unit_variance=True)["tail_hs"]
+        lad = B._ladder(cert.route, cert.constants)
+        hs2, top_hs = B.exact_hs_rungs(from_multilinear(spec), mspec, spec.order)
+        np.testing.assert_allclose((*lad.rungs, lad.top), (*hs2, top_hs),
+                                   rtol=1e-15, atol=0, err_msg=name)
 
 
 def test_exact_hs_rungs_count_repeated_indices():

@@ -341,3 +341,35 @@ def test_n10_chaos_tail_run_matches_the_exact_law(chaos_tail_runs):
         assert 0.0 < exact < 1.0 and err < 1e-3 * exact, (row["t"], exact, err)
         z = (row["empirical"] - exact) / math.sqrt(exact * (1.0 - exact) / m)
         assert abs(z) <= 5.0, (row["t"], row["empirical"], exact, z)
+
+
+# -- sigma/10 controls on the ladder routes whose runners build none ----------------
+
+
+def _sigma_tenth_passes(cert_dict, check):
+    """Whether the tail certificate ``cert_dict`` with sigma/10 still passes
+    against the counts of the tail ``check`` it was checked with."""
+    cert = B.Certificate.from_dict(cert_dict)
+    shrunk = B.Certificate("tail", cert.route, dict(cert.constants,
+                                                    sigma=cert.constants["sigma"] / 10.0))
+    m, rows = check["m"], check["rows"]
+    counts = [round(r["empirical"] * m) for r in rows]
+    return V.check_tail_certificate(shrunk, m, counts, [r["t"] for r in rows]).passed
+
+
+def test_multilinear_sigma_tenth_control_fails(chaos_multilinear_runs):
+    (_, (_, code, report, _)), = [run for run in chaos_multilinear_runs
+                                  if run[0]["fixture"] == "gaussian-chaos-n2-d2-multilinear"]
+    assert code == 0
+    for form in ("tail_hs", "tail_inf"):
+        assert report["checks"][form]["passed"]
+        assert not _sigma_tenth_passes(report["certificates"][form], report["checks"][form])
+
+
+def test_wigner_sigma_tenth_control_fails(tmp_path):
+    from hoc.experiments import run_config
+
+    code, report = run_config({"kind": "rmt", "fixture": "wigner-gaussian-n50", "seed": 7},
+                              str(tmp_path))
+    assert code == 0 and report["tail_check"]["passed"]
+    assert not _sigma_tenth_passes(report["certificates"]["tail"], report["tail_check"])

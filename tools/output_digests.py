@@ -14,9 +14,10 @@ two checkouts can be compared with ``diff``:
     diff other.txt change.txt
 
 Each run's tracemalloc peak (the most memory Python and numpy held at once
-during its ``run_config``, counted from the run's start) goes to standard
-error as ``<peak MB>  <config>``, so standard output stays ``diff``-able and
-a per-run memory table of two checkouts can be compared the same way:
+during its ``run_config``, counted from the run's start) and its exit code
+go to standard error as ``<peak MB>  <exit code>  <config>``, so standard
+output stays ``diff``-able and a per-run table of memory and exit codes of
+two checkouts can be compared the same way:
 
     PYTHONPATH=src python tools/output_digests.py 2> peaks.txt > change.txt
 
@@ -85,11 +86,11 @@ def main():
             out_dir = os.path.join(root, name)
             tracemalloc.start()
             try:
-                run_config(cfg, out_dir)
+                code, _ = run_config(cfg, out_dir)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            print("%8.2f  %s" % (peak / 1e6, name), file=sys.stderr, flush=True)
+            print("%8.2f  %d  %s" % (peak / 1e6, code, name), file=sys.stderr, flush=True)
             for fname in sorted(os.listdir(out_dir)):
                 with open(os.path.join(out_dir, fname), "rb") as fh:
                     digest = hashlib.sha256(fh.read()).hexdigest()
