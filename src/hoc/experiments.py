@@ -225,10 +225,13 @@ def resolve(cfg):
                 len({c.beta for c in mspec.coords}) > 1:
             raise ConfigError("weighted experiments need student coordinates of one "
                               "common beta, got %s" % (mspec.to_dict()["coords"],))
+        beta = mspec.coords[0].beta
+        if beta > measures.STUDENT_BETA_MAX:  # the weight norms would lose digits
+            raise ConfigError("weighted experiments need beta <= %g, got beta = %g"
+                              % (measures.STUDENT_BETA_MAX, beta))
         # ||w||_q is finite just when q < 2 beta - 1, so the largest q the runner
         # reads (2^d p; every p >= 2) decides; kappa scales it and can wait
         q = 2 ** d * (vals["p"] if kind == "weighted-tail" else max(vals["p_values"]))
-        beta = mspec.coords[0].beta
         if math.isinf(measures.student_weight_norm(beta, 1.0, q, mspec.dim)):
             raise ConfigError("the %s checks read the weight norm ||w||_%g, infinite for "
                               "the student law with beta = %g (it needs 2 beta - 1 > %g)"
@@ -236,7 +239,7 @@ def resolve(cfg):
     # exact centering: the certificates assume it and do not test it again
     if kind == "multilinear" and any(mspec.moment(i, 1) != 0.0 for i in range(mspec.dim)):
         raise ConfigError("multilinear certificates need E X_i = 0 for all i")
-    if kind in ("certify", "tails"):
+    if kind in ("certify", "tails", "weighted", "weighted-tail"):
         # only ladder-hs reads the partials, and certify without a route takes
         # it when they are centered
         mean, centered, derivs_centered = bounds.centering(
@@ -618,12 +621,10 @@ def _run_multilinear(exp):
 def _run_weighted(exp):
     f, d, seed, mspec = exp.function, exp.d, exp.seed, exp.measure
     beta = mspec.coords[0].beta  # resolve checked: one common Student beta
-    kappa, gap = measures.student_weight_kappa(beta)
+    kappa = measures.student_weight_kappa(beta)
     eval_seed = stage_seed(seed, _STAGE_EVAL)
     top_op, _ = bounds.constant_top_op(f, d)  # exact: resolve keeps d <= 2
-    report = {"beta": beta, "kappa": kappa,
-              "weighted_gap": gap.to_dict(), "samples": exp.samples,
-              "route": exp.route}
+    report = {"beta": beta, "kappa": kappa, "samples": exp.samples, "route": exp.route}
     passed = True
     if exp.route == "weighted-ladder":
         values = _eval_values(f, mspec, exp.samples, eval_seed)

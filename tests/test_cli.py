@@ -223,6 +223,17 @@ _UNCENTERED_TAILS = {
 # f = 1e200 x1 x2: its rungs n_1 and n_2 are sums of squares of 1e200, past
 # the float range, while E f and the Hessian's operator norm stay finite
 _HUGE_BILINEAR = {"dim": 2, "terms": [{"exponents": [1, 1], "coeff": 1e200}]}
+# x + 5 has E f = 5 under every law the weighted kinds take
+_SHIFTED_X = {"dim": 1, "terms": [{"exponents": [1], "coeff": 1.0},
+                                  {"exponents": [0], "coeff": 5.0}]}
+
+
+def _student_beta(beta):
+    """A student-weighted-moments-d1 config on the Student-type law of ``beta``."""
+    return {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d1",
+            "measure": {"dim": 1, "coords": [{"dist": "student", "params": {"beta": beta}}]}}
+
+
 _HUGE_RUNG_CFGS = [dict(_UNCENTERED_TAILS, function=_HUGE_BILINEAR),
                    {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d2",
                     "function": _HUGE_BILINEAR}]
@@ -287,7 +298,7 @@ _HUGE_RUNG_CFGS = [dict(_UNCENTERED_TAILS, function=_HUGE_BILINEAR),
     {"kind": "tails", "fixture": "gaussian-chaos-n2-d2-tails", "seed": 7, "samples": 2000,
      "negative_control": "false"},
     # fields no runner reads: the weighted kinds take their weight from the
-    # oracle, a misspelt field would fall back to its default, only tails
+    # closed form, a misspelt field would fall back to its default, only tails
     # runs a negative control, no runner samples a derivative profile, and
     # the gaussian law has no scale
     {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d1",
@@ -362,6 +373,15 @@ _HUGE_RUNG_CFGS = [dict(_UNCENTERED_TAILS, function=_HUGE_BILINEAR),
     # above the degree of f every derivative is 0, and each order k <= d
     # costs dim^k slots
     {"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n2-d2-tails", "d": 3},
+    # the weighted bounds assume E f = 0 too: x + 5 would fail a check on
+    # weighted and pass on weighted-tail only because every bound reads 1
+    {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d1",
+     "function": _SHIFTED_X},
+    {"kind": "weighted-tail", "seed": 0, "fixture": "student-weighted-tail-d1",
+     "function": _SHIFTED_X},
+    # above beta = 1000 the gamma-difference weight norms lose digits: at 1e15
+    # a run's two moment bounds read 7x apart, and at 1e308 lgamma overflows
+    _student_beta(1000.5), _student_beta(1e15), _student_beta(1e308),
 ], ids=["uncentered-tails", "rmt-degree-3", "samples-abc",
         "negative-seed", "tails-samples-500", "rmt-draws-50", "rmt-draws-1000",
         "multilinear-samples-5000",
@@ -380,7 +400,8 @@ _HUGE_RUNG_CFGS = [dict(_UNCENTERED_TAILS, function=_HUGE_BILINEAR),
         "multilinear-index-0.9", "measure-dim-2.7", "function-coeff-string",
         "function-coeff-true", "multilinear-value-string", "weighted-p-values-repeated",
         "multilinear-index-repeated", "uncentered-certify", "ladder-hs-gradient-uncentered",
-        "tails-d-above-degree"])
+        "tails-d-above-degree", "weighted-uncentered", "weighted-tail-uncentered",
+        "student-beta-1000.5", "student-beta-1e15", "student-beta-1e308"])
 def test_cli_missing_hypothesis_writes_nothing(tmp_path, capsys, cfg):
     path = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
@@ -417,9 +438,13 @@ _STUDENT2 = {"dim": 2, "coords": [_STUDENT, _STUDENT]}
     # the exact rungs every certificate of these kinds reads are finite
     (_HUGE_RUNG_CFGS[0], r"order\(s\) 1, 2 are past the float range"),
     (_HUGE_RUNG_CFGS[1], r"order\(s\) 1, 2 are past the float range"),
+    ({"kind": "weighted-tail", "seed": 0, "fixture": "student-weighted-tail-d1",
+      "function": _SHIFTED_X}, "E f = 0"),
+    (_student_beta(1000.5), "beta <= 1000"),
 ], ids=["tails-uncentered", "tails-student", "certify-student", "multilinear-student",
         "certify-shifted", "certify-hs-gradient-mean", "certify-cubic-d2",
-        "multilinear-exponential", "tails-huge-rung", "weighted-huge-rung"])
+        "multilinear-exponential", "tails-huge-rung", "weighted-huge-rung",
+        "weighted-tail-uncentered", "weighted-beta-1000.5"])
 def test_hypotheses_checked_before_any_sampling(monkeypatch, cfg, match):
     def draw(*args, **kwargs):
         raise AssertionError("sampling before the hypothesis check")
@@ -578,6 +603,21 @@ def test_tails_certifies_from_exact_rungs_without_a_profile(tmp_path, monkeypatc
     weak = experiments.bounds.tail_certificate(experiments.bounds.Ladder(
         constants["sigma"] / 10.0, 3, tuple(constants["hs2"]), constants["top_hs"]))
     assert [r["bound"] for r in control] == [weak.tail_bound(r["t"]) for r in control]
+
+
+@pytest.mark.parametrize("beta, kappa", [(3.0, 0.5), (500.0, 998 ** -0.5)],
+                         ids=["beta-3", "beta-500"])
+def test_weighted_reads_the_closed_form_kappa(tmp_path, beta, kappa):
+    # the weighted oracle reads kappa 0.4999911832316861 at beta = 3, below
+    # the true constant, and cannot run at beta = 500
+    measure = {"dim": 1, "coords": [{"dist": "student", "params": {"beta": beta}}]}
+    identity = {"dim": 1, "terms": [{"exponents": [1], "coeff": 1.0}]}
+    code, report = experiments.run_config(
+        {"kind": "weighted", "seed": 0, "measure": measure, "function": identity, "d": 1,
+         "p_values": [2], "samples": 100_000}, tmp_path / "out")
+    assert code == 0
+    assert report["kappa"] == kappa
+    assert "weighted_gap" not in report
 
 
 def test_cli_samples_on_a_kind_without_samples_writes_nothing(tmp_path, capsys):
@@ -772,9 +812,9 @@ def test_cli_rejects_unknown_subcommand():
 
 
 # Runs in a fresh interpreter, because the rest of the suite imports scipy. It
-# imports hoc and its CLI, runs the numpy-only kinds, lists the scipy modules
-# loaded by then and notes whether numpy.polynomial is, and last runs the
-# oracle, which does load scipy.
+# imports hoc and its CLI, runs every kind but the oracle, the weighted ones
+# included, lists the scipy modules loaded by then and notes whether
+# numpy.polynomial is, and last runs the oracle, which does load scipy.
 _SCIPY_PROBE = """
 import json, os, sys
 import hoc, hoc.cli
@@ -804,6 +844,10 @@ def test_scipy_loaded_only_by_the_kinds_that_use_it(tmp_path):
          "samples": 100_000},
         {"kind": "multilinear", "seed": 0, "fixture": "gaussian-chaos-n2-d2-multilinear",
          "samples": 100_000},
+        {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d2",
+         "samples": 20_000},
+        {"kind": "weighted-tail", "seed": 0, "fixture": "student-weighted-tail-d2",
+         "samples": 2000},
     ]
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path), json.dumps(cfgs)],
@@ -811,7 +855,7 @@ def test_scipy_loaded_only_by_the_kinds_that_use_it(tmp_path):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0, 0, 0]
+    assert result["codes"] == [0] * len(cfgs)
     assert result["numpy_only"] == []
     assert not result["polynomial"]  # the rmt kind reads f as (a0, a1, a2)
     assert result["oracle"] == 0 and result["oracle_loads"]

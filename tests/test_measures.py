@@ -348,12 +348,29 @@ def test_catalog_oracle_refuses_student():
 
 
 def test_student_weight_kappa_analytic():
-    # f(x) = x is an exact eigenfunction of the weighted problem:
-    # -(p (1+x^2) f')' = 2(beta-1) p f, so lambda_1 = 18 at beta = 10
-    kappa, result = M.student_weight_kappa(10.0)
+    # f(x) = x is the first eigenfunction of the weighted problem:
+    # -(p (1+x^2) f')' = 2(beta-1) p f, so lambda_1 = 4 at beta = 3, 18 at 10
+    assert M.student_weight_kappa(3.0) == 0.5
+    assert M.student_weight_kappa(10.0) == 18 ** -0.5
+    assert M.student_weight_kappa(10.0) == 0.23570226039551584  # pinned
+
+
+@pytest.mark.parametrize("beta", [3.0, 5.0, 10.0])
+def test_student_weight_kappa_matches_the_weighted_oracle(beta):
+    # the finite-difference solve on [-30, 30] estimates the same lambda_1;
+    # it reads 3.5e-5 relative high at beta = 3, where the tails are heaviest,
+    # which puts its kappa below the true one
+    result = M.spectral_gap_oracle(
+        M.density_function(M.CoordinateDist.make("student", beta=beta)), -30.0, 30.0, 8001,
+        weight=lambda x: np.sqrt(1.0 + np.asarray(x) ** 2))
     assert result.stable
-    assert kappa == pytest.approx(1.0 / math.sqrt(18.0), rel=1e-6)
-    assert kappa == pytest.approx(0.23570226048985526, rel=1e-12)  # pinned
+    assert M.student_weight_kappa(beta) == pytest.approx(math.sqrt(result.sigma2), rel=1e-4)
+
+
+def test_student_weight_kappa_needs_beta_above_three_halves():
+    # at beta <= 3/2, x has no finite variance and 2(beta - 1) is no gap
+    with pytest.raises(ValueError, match="beta > 3/2"):
+        M.student_weight_kappa(1.5)
 
 
 def test_student_weight_moment_vs_quadrature():
@@ -375,7 +392,7 @@ def test_student_weight_norm_union_bound():
 
 
 def test_weighted_norm_monte_carlo():
-    kappa, _ = M.student_weight_kappa(10.0)
+    kappa = M.student_weight_kappa(10.0)
     spec = M.MeasureSpec.iid("student", 2, beta=10.0)
     est = M.weighted_norm(spec, kappa, 4, 20_000, 3)
     assert not est.diverged
