@@ -12,14 +12,12 @@ from .bounds import (Certificate, Ladder, MissingHypothesisError, exact_hs_rungs
                      weighted_tail_certificate)
 from .measures import (CATALOG, CoordinateDist, GapResult, MeasureSpec,
                        UncertifiedConstantError, catalog_oracle,
-                       coordinate_moment, coordinate_sigma2, sample,
-                       spectral_gap_oracle, student_weight_kappa,
-                       student_weight_norm, weighted_norm)
+                       coordinate_moment, coordinate_sigma2, spectral_gap_oracle,
+                       student_weight_kappa, student_weight_norm, weighted_norm)
 from .polynomials import (MultilinearSpec, PolyFunction, from_multilinear,
                           opnorm_gradient_check)
-from .rmt import (Calibration, EigenSample, WignerEnsemble, calibrate,
-                  jacobi_eigenvalues, linear_stat, recentered_stat,
-                  rmt_certificates, sample_ensemble)
+from .rmt import (Calibration, EigenSample, WignerEnsemble, calibrate, linear_stat,
+                  recentered_stat, rmt_certificates, sample_ensemble)
 from .tensors import UnsupportedSizeError
 from .verify import (EmpiricalReport, check_exp_certificate, check_moment_bound,
                      check_tail_certificate, empirical_lp, tail_counts,
@@ -27,4 +25,15 @@ from .verify import (EmpiricalReport, check_exp_certificate, check_moment_bound,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Certificate", "Ladder", "MissingHypothesisError", "exact_hs_rungs", "exp_moment_certificate",
+    "multilinear_certificates", "tail_certificate", "weighted_moment_bounds",
+    "weighted_tail_certificate", "CATALOG", "CoordinateDist", "GapResult", "MeasureSpec",
+    "UncertifiedConstantError", "catalog_oracle", "coordinate_moment", "coordinate_sigma2",
+    "spectral_gap_oracle", "student_weight_kappa", "student_weight_norm", "weighted_norm",
+    "MultilinearSpec", "PolyFunction", "from_multilinear", "opnorm_gradient_check", "Calibration",
+    "EigenSample", "WignerEnsemble", "calibrate", "linear_stat", "recentered_stat",
+    "rmt_certificates", "sample_ensemble", "UnsupportedSizeError", "EmpiricalReport",
+    "check_exp_certificate", "check_moment_bound", "check_tail_certificate", "empirical_lp",
+    "tail_counts", "wilson_interval",
+]

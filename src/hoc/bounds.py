@@ -15,7 +15,8 @@ coordinates read their ladder off the coefficient tensor. The hypotheses
 a certificate assumes (E f = 0, centered derivatives on ladder-hs, finite
 rungs) are checked once, by ``experiments.resolve``, which also computes
 the rungs there. The centering test and the rungs read one numpy table of
-the partials of each order (``_partial_table``).
+the partials of each order (``polynomials.partial_table``), the table whose
+rows ``PolyFunction.derivative_dense`` evaluates for the top.
 
 Certificates carry a ``route`` label naming the bound family (ladder-inf,
 ladder-hs, ladder-tail, weighted-tail, multilinear-hs, multilinear-inf,
@@ -33,13 +34,13 @@ constants give (``_ladder``):
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from math import e, sqrt
 
 import numpy as np
 
+from .polynomials import partial_table
 from .tensors import multinomial, op_norms
 
 EXP_MOMENT_COEFF = 1.0 / (12.0 * e)  # universal constant in the exp-moment certificates
@@ -167,11 +168,6 @@ class Certificate:
         return {"kind": self.kind, "route": self.route,
                 "constants": dict(self.constants), "rescale_lambda": self.rescale_lambda}
 
-    @classmethod
-    def from_dict(cls, data):
-        return cls(data["kind"], data["route"], dict(data["constants"]),
-                   float(data.get("rescale_lambda", 1.0)))
-
 
 def _tail_eval(route, c, t):
     if route == "weighted-tail":
@@ -255,10 +251,11 @@ def exact_hs_rungs(f, mspec, d):
     for a constant order-d derivative n_d bounds its sup operator norm.
 
     Each order is one numpy pass over ``f.terms`` (``_hs_square``) that does
-    the sums of the ``PolyFunction`` algebra -- ``partial``, ``p * p`` and
-    ``expectation`` of every canonical partial -- in the same floating-point
-    order, so the rungs are the bits that algebra gives. A divergent moment
-    that a square needs makes its rung inf: E g^2 >= 0.
+    the sums of the term-by-term polynomial algebra -- each canonical
+    partial, its square and that square's expectation, the reference the
+    tests keep -- in the same floating-point order, so the rungs are the bits
+    that algebra gives. A divergent moment that a square needs makes its
+    rung inf: E g^2 >= 0.
     """
     exps, coeffs, moments = _term_moments(f, mspec)
     codes = _exponent_codes(exps, moments.shape[1])
@@ -269,8 +266,9 @@ def exact_hs_rungs(f, mspec, d):
 def centering(f, mspec, d):
     """(E f, whether E f = 0, whether every partial of order 1..d-1 has
     mean 0) under ``mspec``, from exact expectations: each partial's
-    ``_partial_table`` rows times E X_i^p, in the floating-point order of
-    ``PolyFunction.expectation``. A mean counts as 0 when it is within
+    ``partial_table`` rows times E X_i^p, in the floating-point order of a
+    term-by-term expectation (coordinates ascending, each term's product
+    stopped at its first 0). A mean counts as 0 when it is within
     1e-12 * max(1, sum of its terms' |coefficient * E X^alpha|), since a
     moment such as E X^38 = 37!! is rounded at every step of its product
     and a coefficient that cancels it is rounded once. A divergent moment
@@ -278,7 +276,7 @@ def centering(f, mspec, d):
     exps, coeffs, moments = _term_moments(f, mspec)
     zero = []
     for k in range(d):
-        _, alpha, a_of, t_of, c = _partial_table(exps, coeffs, k)
+        _, alpha, a_of, t_of, c = partial_table(exps, coeffs, k)
         mean, scale = np.zeros(len(alpha)), np.zeros(len(alpha))
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(f.dim):
@@ -296,8 +294,7 @@ def _term_moments(f, mspec):
     """(exps, coeffs, moments): the exponent rows and coefficients of f, and
     moments[i, p] = E X_i^p up to twice f's largest power, the most a
     square of a partial reads."""
-    exps = np.array([p for p, _ in f.terms], dtype=np.int64).reshape(len(f.terms), f.dim)
-    coeffs = np.array([c for _, c in f.terms], dtype=np.float64)
+    exps, coeffs = f.term_arrays()
     top = 2 * int(exps.max(initial=0))
     moments = np.array([[mspec.moment(i, p) for p in range(top + 1)] for i in range(f.dim)])
     return exps, coeffs, moments
@@ -317,68 +314,23 @@ def _exponent_codes(exps, radix):
                     dtype=object)
 
 
-def _partial_table(exps, coeffs, k):
-    """(index, alpha, a_of, t_of, c): the order-k partials of the terms
-    (exps, coeffs) as ``PolyFunction._order_partials`` forms them.
-
-    index and alpha hold the canonical alpha in combinations_with_replacement
-    order, as sorted index tuples and as exponent rows. Row r, alpha-major
-    and in term order, is the term exps[t] - alpha[a] of partial a = a_of[r]
-    for each term t = t_of[r] with exponents >= alpha. Its coefficient c[r]
-    is the term's times the falling factorial of each differentiated
-    coordinate, ascending, each an exact integer rounded once (as in
-    ``PolyFunction.partial``, but inf past the float range).
-    """
-    dim = exps.shape[1]
-    index = np.array(list(itertools.combinations_with_replacement(range(dim), k)),
-                     dtype=np.intp)
-    n_alpha = len(index)
-    alpha = np.zeros((n_alpha, dim), dtype=np.int64)
-    np.add.at(alpha, (np.arange(n_alpha)[:, None], index), 1)
-    counts = np.take_along_axis(alpha, index, axis=1)  # alpha's count of each position
-    at_least = exps.T[:, None, :] >= np.arange(k + 1)[:, None]  # [i, c, t]: exps[t, i] >= c
-    valid = np.ones((n_alpha, len(exps)), dtype=bool)  # [a, t]: term t survives alpha a
-    for j in range(k):
-        valid &= at_least[index[:, j], counts[:, j]]
-    # a coordinate's falling factorial sits at its first position in the
-    # sorted index; a repeat position takes falling(e, 0) = 1.0
-    steps = counts.copy()
-    steps[:, 1:][index[:, 1:] == index[:, :-1]] = 0
-    falling = np.array([[_rounded(math.perm(p, c)) for c in range(k + 1)]
-                        for p in range(int(exps.max(initial=0)) + 1)])
-    a_of, t_of = np.nonzero(valid)
-    c = coeffs[t_of]
-    with np.errstate(over="ignore"):
-        for j in range(k):
-            c *= falling[exps[t_of, index[a_of, j]], steps[a_of, j]]
-    return index, alpha, a_of, t_of, c
-
-
-def _rounded(n):
-    """The integer n as a float, inf past the float range."""
-    try:
-        return float(n)
-    except OverflowError:
-        return math.inf
-
-
 def _hs_square(exps, coeffs, codes, moments, k):
     """n_k^2 of the polynomial with terms (exps, coeffs), ``codes`` their
     ``_exponent_codes`` and ``moments`` the table E X_i^p.
 
-    Goes through the partials of ``_partial_table`` and reproduces each
-    step's floating-point order of the ``PolyFunction`` algebra:
+    Goes through the partials of ``partial_table`` and reproduces each
+    step's floating-point order of the term-by-term polynomial algebra:
 
     - square: the product of every pair (t, s) of partial terms, summed from
       0.0 per exponent key in t-major order (``np.add.at``), zero sums
-      dropped (``__mul__``, ``from_terms``);
+      dropped (as ``PolyFunction.from_terms`` drops them);
     - expectation: in sorted-key order, each sum times E X_i^p in coordinate
       order (a factor 1.0 where p = 0), added left to right from 0.0;
     - n_k^2: multinomial(alpha) times each second moment, added left to
       right in canonical order.
     """
     dim = exps.shape[1]
-    index, alpha, a_of, t_of, c = _partial_table(exps, coeffs, k)
+    index, alpha, a_of, t_of, c = partial_table(exps, coeffs, k)
     n_alpha = len(index)
     size = np.bincount(a_of, minlength=n_alpha)
     row_start = np.concatenate(([0], np.cumsum(size)))

@@ -20,17 +20,13 @@ import dataclasses
 import json
 import math
 import os
-import queue
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import bounds, fixtures, measures, rmt, svgplot, verify
-from ._util import (SAMPLE_BLOCK, dump_json, is_finite_number, is_integer, stage_seed, substream,
-                    write_csv)
-from .polynomials import EVAL_BLOCK, MultilinearSpec, PolyFunction, from_multilinear
-from .tensors import canonical_layout, certified_opnorm, op_norms, power_norms
+from ._util import dump_json, is_finite_number, is_integer, stage_seed, write_csv
+from .polynomials import MultilinearSpec, PolyFunction, from_multilinear
+from .tensors import certified_opnorm, op_norms, power_norms, random_symmetric
 
 SCHEMA_VERSION = 1
 
@@ -372,12 +368,8 @@ def _run_tensor_norm(exp):
     max_rel = 0.0
     max_rel_eig = 0.0
     for i in range(exp.count):
-        rng = substream(stage_seed(seed, _STAGE_TENSORS), i)
-        dim = int(rng.integers(2, 5))
-        order = int(rng.integers(2, 5))
-        # one standard normal per canonical index, in canonical order
-        indices, slots = canonical_layout(order, dim)
-        tensor = rng.standard_normal(len(indices))[slots].reshape((dim,) * order)
+        tensor = random_symmetric(stage_seed(seed, _STAGE_TENSORS), i)
+        order, dim = tensor.ndim, tensor.shape[0]
         certified = certified_opnorm(tensor)
         iterative = float(power_norms(tensor[None], stage_seed(seed, _STAGE_TENSORS, i))[0])
         rel = abs(iterative - certified) / max(certified, 1e-12)
@@ -424,88 +416,13 @@ def _run_catalog_oracle(exp):
 
 # -- shared builders ----------------------------------------------------------------
 
-def _eval_blocks(f, mspec, m, seed, consume):
-    """Call ``consume(start, values)`` with f at each EVAL_BLOCK-row chunk of
-    ``measures.sample(mspec, m, seed)``, in order; ``start`` is the chunk's
-    first row.
-
-    One worker thread draws the sample as ``measures.sample`` does, block b
-    from substream (seed, b) column by column, but each column in
-    EVAL_BLOCK-row pieces: consecutive draws from one generator continue its
-    stream, so the values are the same. Each piece goes into a free slot of
-    a pool allocated here once, and as soon as the last column's piece of a
-    row chunk is drawn, this thread evaluates the chunk from its dim slots
-    (``PolyFunction._add_terms``), hands the values on and frees the slots.
-    The draws are column-major and the evaluation row-major, so any free
-    slot takes any piece. The pool holds one block of pieces plus one chunk
-    row, dim * (SAMPLE_BLOCK // EVAL_BLOCK + 1) slots, or the pieces the run
-    draws if fewer: the worker can finish a block while the first chunk of
-    the one before is evaluated, and numpy's generators fill without the
-    GIL, so the draws overlap the evaluation. A filler's exception is raised
-    here; a consumer's exception stops the filler after the piece in flight;
-    the thread is joined before either propagates.
-    """
-    per_block = SAMPLE_BLOCK // EVAL_BLOCK
-    chunks = [(start, min(EVAL_BLOCK, m - start)) for start in range(0, m, EVAL_BLOCK)]
-    slots = np.empty((mspec.dim * min(per_block + 1, len(chunks)), min(m, EVAL_BLOCK)))
-    free, ready, stop = queue.SimpleQueue(), queue.SimpleQueue(), threading.Event()
-    for slot in range(len(slots)):
-        free.put(slot)
-
-    def fill():
-        try:
-            for first in range(0, len(chunks), per_block):
-                rng = substream(seed, first // per_block)
-                block = chunks[first:first + per_block]
-                held = [[] for _ in block]
-                for coord in mspec.coords:
-                    for pieces, (_, rows) in zip(held, block):
-                        slot = free.get()
-                        if stop.is_set():
-                            return
-                        pieces.append(slot)
-                        measures.draw_coordinate(rng, coord, rows, out=slots[slot, :rows])
-                        if len(pieces) == mspec.dim:
-                            ready.put(pieces)
-        except BaseException:
-            ready.put(None)
-            raise
-
-    with ThreadPoolExecutor(1) as pool:
-        filler = pool.submit(fill)
-        try:
-            for start, rows in chunks:
-                pieces = ready.get()
-                if pieces is None:
-                    filler.result()
-                values = np.zeros(rows)
-                f._add_terms([slots[slot, :rows] for slot in pieces], values)
-                consume(start, values)
-                for slot in pieces:
-                    free.put(slot)
-        finally:
-            stop.set()
-            free.put(0)  # wakes a filler waiting for a slot, which then sees stop
-
-
-def _eval_values(f, mspec, m, seed):
-    """The m values ``_eval_blocks`` hands on, in one array (for the checks
-    that read every value)."""
-    out = np.empty(m)
-
-    def store(start, values):
-        out[start:start + values.size] = values
-
-    _eval_blocks(f, mspec, m, seed, store)
-    return out
-
-
 def _eval_tail_counts(f, mspec, m, seed, t_grid):
-    """``verify.tail_counts`` of the m values ``_eval_blocks`` hands on,
-    added up chunk by chunk, so no m-value array is held."""
+    """``verify.tail_counts`` of f at the m rows of sample (mspec, seed),
+    added up chunk by chunk (``measures.stream``), so no m-value array is
+    held."""
     per_chunk = []
-    _eval_blocks(f, mspec, m, seed,
-                 lambda start, values: per_chunk.append(verify.tail_counts(values, t_grid)))
+    measures.stream(mspec, m, seed, f._add_terms,
+                    lambda start, values: per_chunk.append(verify.tail_counts(values, t_grid)))
     return np.sum(per_chunk, axis=0)
 
 
@@ -516,7 +433,8 @@ def _run_certify(exp):
     ladder = bounds.Ladder(mspec.sigma(), d, exp.hs2, exp.top_hs)
     top_inf, top_inf_exact = bounds.constant_top_op(f, d)
     cert = bounds.exp_moment_certificate(ladder, top_inf, exp.route, top_inf_exact)
-    values = _eval_values(f, mspec, exp.samples, stage_seed(exp.seed, _STAGE_EVAL))
+    values = measures.stream_values(mspec, exp.samples, stage_seed(exp.seed, _STAGE_EVAL),
+                                    f._add_terms)
     report = verify.check_exp_certificate(cert, values)
     rate, power, threshold = cert.exp_params()
     row = report.rows[0]
@@ -581,7 +499,8 @@ def _run_multilinear(exp):
     mspec, mlspec, t_grid = exp.measure, exp.multilinear, exp.t_grid
     unit_var = all(abs(mspec.moment(i, 2) - 1.0) < 1e-12 for i in range(mspec.dim))
     certs = bounds.multilinear_certificates(mlspec, mspec.sigma(), unit_var)
-    values = _eval_values(exp.function, mspec, exp.samples, stage_seed(exp.seed, _STAGE_EVAL))
+    values = measures.stream_values(mspec, exp.samples, stage_seed(exp.seed, _STAGE_EVAL),
+                                    exp.function._add_terms)
     reps = {name: verify.check_exp_certificate(certs[name], values)
             for name in ("exp_hs", "exp_inf")}
     hs, amax = certs["exp_hs"].constants["hs_norm"], certs["exp_inf"].constants["max_entry"]
@@ -627,7 +546,7 @@ def _run_weighted(exp):
     report = {"beta": beta, "kappa": kappa, "samples": exp.samples, "route": exp.route}
     passed = True
     if exp.route == "weighted-ladder":
-        values = _eval_values(f, mspec, exp.samples, eval_seed)
+        values = measures.stream_values(mspec, exp.samples, eval_seed, f._add_terms)
         rows = []
         mom_checks = {}
         for p in exp.p_values:

@@ -16,15 +16,15 @@ the tests' reference for the closed-form kappa.
 
 Sampling is deterministic: a counter-based Philox stream per 65536-row block
 (``SAMPLE_BLOCK``), keyed by (seed, block index), so results do not depend on
-how work is split. Each block is drawn one coordinate column at a time
-(``fill_block``, the reference behind ``sample``). A column may also be
-drawn in consecutive pieces from the same generator, which continue its
-stream and give the same values: ``experiments._eval_blocks`` draws each
-column in ``polynomials.EVAL_BLOCK``-row pieces (``draw_coordinate``) into
-a small pool of slots and evaluates each row chunk as soon as its pieces
-are in, so it holds neither an (m, dim) array nor a whole block. The block
-size is part of the stream layout: changing it changes every sample. It
-is not sized for the cache; EVAL_BLOCK is, and divides it.
+how work is split. Each block is drawn one coordinate column at a time. A
+column may be drawn in consecutive pieces from the same generator, which
+continue its stream and give the same values: ``stream``, the one function
+that draws an evaluation sample, draws each column in ``EVAL_BLOCK``-row
+pieces (``draw_coordinate``) into a small pool of slots and hands each row
+chunk to a caller's ``evaluate`` as soon as its pieces are in, so it holds
+neither an (m, dim) array nor a whole block. The block size is part of the
+stream layout: changing it changes every sample. It is not sized for the
+cache; EVAL_BLOCK is, and divides it.
 
 scipy is imported on first use, by the oracle's tridiagonal eigensolve
 (``_gap_once``) alone. Only the ``catalog-oracle`` kind reaches it, so
@@ -34,13 +34,17 @@ scipy is imported on first use, by the oracle's tridiagonal eigensolve
 from __future__ import annotations
 
 import math
+import queue
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import pi, sqrt
 
 import numpy as np
 
-from ._util import SAMPLE_BLOCK, is_finite_number, is_integer, require_all, substream
+from ._util import (EVAL_BLOCK, SAMPLE_BLOCK, is_finite_number, is_integer, require_all,
+                    substream)
 
 # each catalog law and the parameters it reads (draw_coordinate,
 # coordinate_sigma2, coordinate_moment); a law given any other is refused
@@ -121,11 +125,6 @@ class MeasureSpec:
     def __post_init__(self):
         if self.dim < 1 or len(self.coords) != self.dim:
             raise ValueError("need one coordinate law per dimension")
-
-    @classmethod
-    def iid(cls, dist, dim, **params):
-        coord = CoordinateDist.make(dist, **params)
-        return cls(dim, (coord,) * dim)
 
     def sigma2(self):
         """Product spectral-gap constant: max over coordinates."""
@@ -262,31 +261,82 @@ def draw_coordinate(rng, coord, size, out=None):
     return out
 
 
-def fill_block(spec, seed, block_index, out):
-    """Draw block ``block_index`` of ``sample(spec, m, seed)`` into ``out``.
+def stream(spec, m, seed, evaluate, consume):
+    """Call ``consume(start, values)`` at each EVAL_BLOCK-row chunk of the m
+    rows of sample (spec, seed), in order: ``start`` is the chunk's first
+    row, and ``values`` is zeros to which ``evaluate(cols, values)`` added
+    the chunk's values, coordinate i of its rows in ``cols[i]``.
 
-    The block's rows come from substream (seed, block_index), one coordinate
-    column at a time, so every column of ``out`` (shape (rows, dim)) must be
-    contiguous: a column-major array or a row slice of one. ``rows`` is
-    SAMPLE_BLOCK for every block but the last, which holds the remainder.
-    """
-    rng = substream(seed, block_index)
-    for j, coord in enumerate(spec.coords):
-        draw_coordinate(rng, coord, out.shape[0], out=out[:, j])
-    return out
-
-
-def sample(spec, m, seed):
-    """(m, dim) draws from the product measure; deterministic in (seed, m).
-
-    The array is column-major, so ``fill_block`` writes each block into it
-    in place.
+    Block b of SAMPLE_BLOCK rows comes from substream (seed, b), drawn column
+    by column, each column in EVAL_BLOCK-row pieces: consecutive draws from
+    one generator continue its stream, so the values do not depend on the
+    piece size. One worker thread draws each piece into a free slot of a
+    pool allocated here once, and as soon as the last column's piece of a
+    row chunk is drawn, this thread evaluates the chunk from its dim slots,
+    hands the values on and frees the slots. The draws are column-major and
+    the evaluation row-major, so any free slot takes any piece. The pool
+    holds one block of pieces plus one chunk row, dim * (SAMPLE_BLOCK //
+    EVAL_BLOCK + 1) slots, or the pieces the run draws if fewer: the worker
+    can finish a block while the first chunk of the one before is evaluated,
+    and numpy's generators fill without the GIL, so the draws overlap the
+    evaluation. A filler's exception is raised here; a consumer's exception
+    stops the filler after the piece in flight; the thread is joined before
+    either propagates.
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    out = np.empty((m, spec.dim), order="F")
-    for block_index, start in enumerate(range(0, m, SAMPLE_BLOCK)):
-        fill_block(spec, seed, block_index, out[start:start + SAMPLE_BLOCK])
+    per_block = SAMPLE_BLOCK // EVAL_BLOCK
+    chunks = [(start, min(EVAL_BLOCK, m - start)) for start in range(0, m, EVAL_BLOCK)]
+    slots = np.empty((spec.dim * min(per_block + 1, len(chunks)), min(m, EVAL_BLOCK)))
+    free, ready, stop = queue.SimpleQueue(), queue.SimpleQueue(), threading.Event()
+    for slot in range(len(slots)):
+        free.put(slot)
+
+    def fill():
+        try:
+            for first in range(0, len(chunks), per_block):
+                rng = substream(seed, first // per_block)
+                block = chunks[first:first + per_block]
+                held = [[] for _ in block]
+                for coord in spec.coords:
+                    for pieces, (_, rows) in zip(held, block):
+                        slot = free.get()
+                        if stop.is_set():
+                            return
+                        pieces.append(slot)
+                        draw_coordinate(rng, coord, rows, out=slots[slot, :rows])
+                        if len(pieces) == spec.dim:
+                            ready.put(pieces)
+        except BaseException:
+            ready.put(None)
+            raise
+
+    with ThreadPoolExecutor(1) as pool:
+        filler = pool.submit(fill)
+        try:
+            for start, rows in chunks:
+                pieces = ready.get()
+                if pieces is None:
+                    filler.result()
+                values = np.zeros(rows)
+                evaluate([slots[slot, :rows] for slot in pieces], values)
+                consume(start, values)
+                for slot in pieces:
+                    free.put(slot)
+        finally:
+            stop.set()
+            free.put(0)  # wakes a filler waiting for a slot, which then sees stop
+
+
+def stream_values(spec, m, seed, evaluate):
+    """The m values ``stream`` hands on, in one array (for the checks that
+    read every value)."""
+    out = np.empty(m)
+
+    def store(start, values):
+        out[start:start + values.size] = values
+
+    stream(spec, m, seed, evaluate, store)
     return out
 
 
@@ -301,12 +351,6 @@ class GapResult:
     stable: bool
     ladder: tuple  # rows (gridpoints, lambda1, sigma2)
     interval: tuple
-
-    def to_dict(self):
-        return {"lambda1": self.lambda1, "sigma2": self.sigma2, "stable": self.stable,
-                "interval": list(self.interval),
-                "ladder": [{"gridpoints": g, "lambda1": l, "sigma2": s}
-                           for g, l, s in self.ladder]}
 
 
 def _gap_once(density, lo, hi, gridpoints, weight):
@@ -440,9 +484,14 @@ def student_weight_norm(beta, kappa, p, dim=1):
 
 # -- Monte Carlo weight norms (spec'd estimator with divergence flag) -----------
 
-def student_weight(pts, kappa):
-    """The demo weight kappa*sqrt(1 + max_i x_i^2) at each row of ``pts``."""
-    return kappa * np.sqrt(1.0 + np.max(pts * pts, axis=1))
+def student_weight(cols, kappa):
+    """The demo weight kappa*sqrt(1 + max_i x_i^2) at each row, coordinate i
+    of the rows in ``cols[i]`` (a batch's ``pts.T``, or a chunk of
+    ``stream``)."""
+    top = np.square(cols[0])
+    for col in cols[1:]:
+        np.maximum(top, np.square(col), out=top)
+    return kappa * np.sqrt(1.0 + top)
 
 
 @dataclass(frozen=True)
@@ -455,12 +504,18 @@ class WeightedNormEstimate:
 def weighted_norm(spec, kappa, p, m, seed):
     """Monte Carlo ||w||_p of the demo weight on 4m draws of ``spec``.
 
-    Flags ``diverged`` when the last 2m draws still move the estimate by more
+    The draws are the first 4m rows of sample (spec, seed), streamed
+    (``stream_values``), so only the 4m values of w^p are held. Flags
+    ``diverged`` when the last 2m draws still move the estimate by more
     than 10% relative; divergent weight moments keep drifting upward.
     """
     if p < 1:
         raise ValueError("need p >= 1")
-    w = student_weight(sample(spec, 4 * m, seed), kappa) ** p
+
+    def add_weight_power(cols, out):
+        out += student_weight(cols, kappa) ** p
+
+    w = stream_values(spec, 4 * m, seed, add_weight_power)
     mean = float(np.mean(w))
     est = mean ** (1.0 / p)
     half = float(np.mean(w[:2 * m])) ** (1.0 / p)

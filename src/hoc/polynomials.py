@@ -1,11 +1,14 @@
 """Multivariate polynomial test functions with exact derivatives.
 
 Polynomials are stored as sparse exponent-vector terms, so every mixed
-partial derivative is available in closed form: as a constant symmetric
-tensor once the requested order reaches the total degree, or evaluated at a
-point otherwise. The homogeneous multilinear family (coefficients on strictly
-increasing index tuples) gets a dedicated spec type whose order-d derivative
-is a constant hypermatrix.
+partial derivative is available in closed form. The order-k partials of all
+terms form one numpy table (``partial_table``): ``derivative_dense``
+evaluates its rows, as a constant symmetric tensor once the requested order
+reaches the total degree or at each point otherwise, and ``hoc.bounds``
+reads the same table for the exact rungs and the centering test. The
+homogeneous multilinear family (coefficients on strictly increasing index
+tuples) gets a dedicated spec type whose order-d derivative is a constant
+hypermatrix.
 """
 
 from __future__ import annotations
@@ -13,22 +16,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from ._util import is_finite_number, is_integer, require_all
+from ._util import EVAL_BLOCK, is_finite_number, is_integer, require_all
 from .tensors import canonical_layout, op_norms
-
-# Rows per evaluation block, so each term's temporaries (128 kB at 16384
-# rows) stay in cache. Evaluating the 120-term n=10, d=3 chaos on 16
-# column-major 65536-row sample blocks took 0.19 s with blocks of 16384 or
-# 32768 rows, 0.27-0.28 s with 8192 and 0.26 s with 65536 (best of 5,
-# 2-vCPU Xeon with 2 MB of L2 per core, numpy 2.4). It is also the piece
-# size in which ``experiments._eval_blocks`` draws each sample column, so it
-# must divide the sampler's SAMPLE_BLOCK: a row chunk never straddles two
-# blocks, which come from different substreams.
-EVAL_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -92,7 +84,7 @@ class PolyFunction:
     def _add_terms(self, cols, out):
         """out += every term evaluated at the rows whose coordinate i is
         ``cols[i]``: a batch's ``pts.T``, or the separate column pieces of
-        one chunk of ``experiments._eval_blocks``.
+        one chunk of ``measures.stream``.
 
         One ``term`` buffer serves every term. Its first factor goes in as
         coeff * column, the same product as filling with coeff and then
@@ -114,109 +106,38 @@ class PolyFunction:
                 term.fill(coeff)
             out += term
 
-    # -- algebra --------------------------------------------------------------
-
-    def __mul__(self, other):
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        prod = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                key = tuple(a + b for a, b in zip(e1, e2))
-                prod[key] = prod.get(key, 0.0) + c1 * c2
-        return PolyFunction.from_terms(self.dim, prod)
-
-    def shifted(self, constant):
-        """f + constant."""
-        zero_key = (0,) * self.dim
-        return PolyFunction.from_terms(self.dim, list(self.terms) + [(zero_key, constant)])
+    def term_arrays(self):
+        """(exps, coeffs): the exponent rows of the terms as an
+        (n_terms, dim) int64 array and their coefficients, in term order."""
+        exps = np.array([p for p, _ in self.terms], dtype=np.int64)
+        return (exps.reshape(len(self.terms), self.dim),
+                np.array([c for _, c in self.terms], dtype=np.float64))
 
     # -- differentiation ------------------------------------------------------
-
-    def partial(self, alpha):
-        """Mixed partial derivative for a multi-exponent alpha (length dim)."""
-        steps = [(i, a) for i, a in enumerate(alpha) if a]  # at most k of dim
-        out = {}
-        for exps, coeff in self.terms:
-            if any(exps[i] < a for i, a in steps):
-                continue
-            c, new = coeff, list(exps)
-            for i, a in steps:
-                c *= math.perm(exps[i], a)
-                new[i] -= a
-            key = tuple(new)
-            out[key] = out.get(key, 0.0) + c
-        return PolyFunction.from_terms(self.dim, out)
-
-    @cached_property
-    def gradient(self):
-        """Tuple of the dim first partials."""
-        return tuple(self._order_partials(1).values())
-
-    @cached_property
-    def _partials_by_order(self):
-        return {}
-
-    def _order_partials(self, k):
-        """{canonical index tuple: partial PolyFunction} for order k.
-
-        Worked out once per order and kept on the (immutable) polynomial;
-        callers must not modify the returned table.
-        """
-        table = self._partials_by_order.get(k)
-        if table is None:
-            table = {}
-            # canonical_layout's order, without building its dim^k slot table
-            for idx in itertools.combinations_with_replacement(range(self.dim), k):
-                alpha = [0] * self.dim
-                for i in idx:
-                    alpha[i] += 1
-                table[idx] = self.partial(tuple(alpha))
-            self._partials_by_order[k] = table
-        return table
 
     def top_is_constant(self, k):
         """True when every order-k partial is constant (k >= total degree)."""
         return k >= self.degree
 
-    def derivative_batch(self, k, points):
-        """Canonical order-k derivative values per point.
-
-        Returns (canonical index list, (m, n_canonical) value array), the
-        columns in ``tensors.canonical_layout`` order.
-        """
-        pts = np.asarray(points, dtype=np.float64)
-        partials = self._order_partials(k)
-        indices = list(partials)
-        vals = np.empty((pts.shape[0], len(indices)))
-        for col, idx in enumerate(indices):
-            vals[:, col] = partials[idx].evaluate(pts)
-        return indices, vals
-
     def derivative_dense(self, k, points):
         """Order-k derivatives at each row of ``points`` as a dense
-        (m,) + (dim,)*k stack, for ``tensors.op_norms``."""
-        _, vals = self.derivative_batch(k, points)
+        (m,) + (dim,)*k stack, for ``tensors.op_norms``.
+
+        Each canonical partial is the polynomial of its ``partial_table``
+        rows, merged and sorted by ``from_terms``, evaluated at every row;
+        ``tensors.canonical_layout`` spreads the partials over the slots.
+        """
+        pts = np.asarray(points, dtype=np.float64)
+        exps, coeffs = self.term_arrays()
+        _, alpha, a_of, t_of, c = partial_table(exps, coeffs, k)
+        rows, c = (exps[t_of] - alpha[a_of]).tolist(), c.tolist()
+        ends = np.searchsorted(a_of, np.arange(len(alpha) + 1)).tolist()
+        vals = np.empty((pts.shape[0], len(alpha)))
+        for a, (lo, hi) in enumerate(zip(ends, ends[1:])):
+            partial = PolyFunction.from_terms(self.dim, zip(rows[lo:hi], c[lo:hi]))
+            vals[:, a] = partial.evaluate(pts)
         _, slots = canonical_layout(k, self.dim)
         return vals[:, slots].reshape((vals.shape[0],) + (self.dim,) * k)
-
-    # -- exact expectations ----------------------------------------------------
-
-    def expectation(self, moment):
-        """E f(X) for independent coordinates; ``moment(i, k)`` = E X_i^k."""
-        total = 0.0
-        for exps, coeff in self.terms:
-            prod = coeff
-            for i, e in enumerate(exps):
-                if e > 0:
-                    m = moment(i, e)
-                    if math.isinf(m):
-                        return math.inf if prod > 0 else -math.inf
-                    prod *= m
-                if prod == 0.0:
-                    break
-            total += prod
-        return total
 
     # -- serialization -----------------------------------------------------------
 
@@ -231,6 +152,51 @@ class PolyFunction:
                     [data["dim"]] + [e for exps, _ in terms for e in exps])
         require_all(is_finite_number, "coefficients must be finite numbers", [c for _, c in terms])
         return cls.from_terms(data["dim"], terms)
+
+
+def partial_table(exps, coeffs, k):
+    """(index, alpha, a_of, t_of, c): the order-k partials of the terms
+    (exps, coeffs), as one table of rows.
+
+    index and alpha hold the canonical alpha in combinations_with_replacement
+    order, as sorted index tuples and as exponent rows. Row r, alpha-major
+    and in term order, is the term exps[t] - alpha[a] of partial a = a_of[r]
+    for each term t = t_of[r] with exponents >= alpha. Its coefficient c[r]
+    is the term's times the falling factorial of each differentiated
+    coordinate, ascending, each an exact integer rounded once (inf past the
+    float range).
+    """
+    dim = exps.shape[1]
+    index = np.array(list(itertools.combinations_with_replacement(range(dim), k)),
+                     dtype=np.intp)
+    n_alpha = len(index)
+    alpha = np.zeros((n_alpha, dim), dtype=np.int64)
+    np.add.at(alpha, (np.arange(n_alpha)[:, None], index), 1)
+    counts = np.take_along_axis(alpha, index, axis=1)  # alpha's count of each position
+    at_least = exps.T[:, None, :] >= np.arange(k + 1)[:, None]  # [i, c, t]: exps[t, i] >= c
+    valid = np.ones((n_alpha, len(exps)), dtype=bool)  # [a, t]: term t survives alpha a
+    for j in range(k):
+        valid &= at_least[index[:, j], counts[:, j]]
+    # a coordinate's falling factorial sits at its first position in the
+    # sorted index; a repeat position takes falling(e, 0) = 1.0
+    steps = counts.copy()
+    steps[:, 1:][index[:, 1:] == index[:, :-1]] = 0
+    falling = np.array([[_rounded(math.perm(p, c)) for c in range(k + 1)]
+                        for p in range(int(exps.max(initial=0)) + 1)])
+    a_of, t_of = np.nonzero(valid)
+    c = coeffs[t_of]
+    with np.errstate(over="ignore"):
+        for j in range(k):
+            c *= falling[exps[t_of, index[a_of, j]], steps[a_of, j]]
+    return index, alpha, a_of, t_of, c
+
+
+def _rounded(n):
+    """The integer n as a float, inf past the float range."""
+    try:
+        return float(n)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

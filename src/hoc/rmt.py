@@ -27,8 +27,7 @@ solves and the random fills run without the GIL. Each chunk is built in one
 of the per-thread matrix buffers and solved into its rows of one eigenvalue
 array, all allocated once per sample on the calling thread. The statistics
 read an eigenvalue array a row block at a time, so none of them allocates a
-second (draws, N) array. The Jacobi sweep here is the independent oracle the
-LAPACK path is checked against.
+second (draws, N) array.
 
 f is a quadratic, the triple (a0, a1, a2) of ``quadratic`` with a2 != 0: both
 certificates need the bound 2|a2| on |f''|, which no higher degree has.
@@ -66,7 +65,6 @@ _EIG_CHUNK = 8
 _BLOCK_BYTES = 1 << 16
 MIN_CAL_DRAWS = 500
 MAX_DISCARD_FRACTION = 1e-3
-JACOBI_MAX_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -198,44 +196,6 @@ def sample_ensemble(ens, draws, seed):
     if discarded > MAX_DISCARD_FRACTION * draws:
         raise RuntimeError("eigensolver discarded %d of %d draws" % (discarded, draws))
     return EigenSample(eigs[kept] if discarded else eigs, discarded)
-
-
-def jacobi_eigenvalues(matrix, tol=1e-14, max_sweeps=60):
-    """Cyclic Jacobi eigenvalues of a small symmetric matrix, ascending.
-
-    Independent of the LAPACK path on purpose: this is the oracle the
-    production solver is checked against. Limited to N <= 64.
-    """
-    a = np.array(matrix, dtype=np.float64)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if n > JACOBI_MAX_SIZE:
-        raise ValueError("the Jacobi oracle is limited to N <= %d" % JACOBI_MAX_SIZE)
-    if not np.allclose(a, a.T, atol=1e-12):
-        raise ValueError("matrix must be symmetric")
-    scale = np.max(np.abs(a)) or 1.0
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                off = max(off, abs(apq))
-                if abs(apq) <= tol * scale:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = math.copysign(1.0, theta) / (abs(theta) + sqrt(theta * theta + 1.0))
-                c = 1.0 / sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-        if off <= tol * scale:
-            break
-    return np.sort(np.diag(a))
 
 
 # -- statistics ------------------------------------------------------------------

@@ -65,6 +65,17 @@ def canonical_layout(order, dim):
     return indices, slots
 
 
+def random_symmetric(seed, i):
+    """Random symmetric tensor i of ``seed``: from substream (seed, i), a
+    dim and then an order, each in 2..4, and one standard normal per
+    canonical index, in canonical order."""
+    rng = substream(seed, i)
+    dim = int(rng.integers(2, 5))
+    order = int(rng.integers(2, 5))
+    indices, slots = canonical_layout(order, dim)
+    return rng.standard_normal(len(indices))[slots].reshape((dim,) * order)
+
+
 def hs_norms(values, order, dim):
     """Hilbert-Schmidt norms from canonical values (..., n_canonical), each
     square weighted by its multiplicity and summed in canonical order."""

@@ -118,17 +118,6 @@ def empirical_exp_moment(values, a, r, min_samples=MIN_EXP_SAMPLES):
     return ExpMomentEstimate(est, se, stable)
 
 
-def relative_domination(lhs, lhs_se, rhs, rhs_se, slack=5.0):
-    """lhs <= rhs * (1 + slack * combined relative SE); both sides estimated."""
-    if rhs <= 0:
-        return lhs <= 0
-    rel = 0.0
-    if lhs > 0:
-        rel += (lhs_se / lhs) ** 2
-    rel += (rhs_se / rhs) ** 2
-    return lhs <= rhs * (1.0 + slack * sqrt(rel))
-
-
 # -- domination reports ---------------------------------------------------------
 
 @dataclass(frozen=True)

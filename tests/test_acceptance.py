@@ -22,7 +22,8 @@ import numpy as np
 import pytest
 
 from conftest import MASTER_SEED
-from hoc import measures, polynomials, verify
+from hoc import polynomials, verify
+from oracles import expectation, iid, relative_domination, sample, shifted
 from hoc._util import stage_seed, substream
 from hoc.experiments import run_config
 
@@ -93,9 +94,9 @@ def test_criterion_3_gradient_moment_domination():
             terms.append((tuple(expo), float(rng.standard_normal())))
         base = polynomials.PolyFunction.from_terms(dim, terms)
         for mi, dist in enumerate(dists):
-            mspec = measures.MeasureSpec.iid(dist, dim)
-            g = base.shifted(-base.expectation(mspec.moment))
-            pts = measures.sample(mspec, m, stage_seed(MASTER_SEED, 3, qi, mi))
+            mspec = iid(dist, dim)
+            g = shifted(base, -expectation(base, mspec.moment))
+            pts = sample(mspec, m, stage_seed(MASTER_SEED, 3, qi, mi))
             vals = g.evaluate(pts)
             grad_norms = np.linalg.norm(g.derivative_dense(1, pts), axis=1)
             sigma = mspec.sigma()
@@ -103,8 +104,7 @@ def test_criterion_3_gradient_moment_domination():
                 lhs, lhs_se = verify.empirical_lp(vals, p)
                 gl, gl_se = verify.empirical_lp(grad_norms, p)
                 scale = sigma * p / math.sqrt(2.0)
-                ok = verify.relative_domination(lhs, lhs_se, scale * gl,
-                                                scale * gl_se, slack=5.0)
+                ok = relative_domination(lhs, lhs_se, scale * gl, scale * gl_se, slack=5.0)
                 checks += 1
                 fails += not ok
                 worst_ratio = max(worst_ratio, lhs / (scale * gl))

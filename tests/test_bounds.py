@@ -19,6 +19,8 @@ from hoc.measures import MeasureSpec
 from hoc.polynomials import MultilinearSpec, PolyFunction, from_multilinear
 from hoc._util import jsonable
 from hoc.tensors import canonical_layout, hs_norms, multinomial, op_norms
+from oracles import (certificate_from_dict, expectation, iid, mul, order_partials, partial,
+                     sample, shifted)
 
 
 def ladder(d=2, sigma=1.0, rungs=(1.0,), top=1.0):
@@ -96,7 +98,7 @@ def test_ladder_moment_dominates_gaussian_moments():
     ps = np.unique(np.concatenate([np.arange(2, 101), np.geomspace(2.0, 4000.0, 400)]))
     for f, d, power in ((PolyFunction.from_terms(1, {(1,): 1.0}), 1, 1),
                         (PolyFunction.from_terms(2, {(1, 1): 1.0}), 2, 2)):
-        mspec = MeasureSpec.iid("gaussian", f.dim)
+        mspec = iid("gaussian", f.dim)
         hs = B.Ladder(mspec.sigma(), d, *B.exact_hs_rungs(f, mspec, d))
         for lad in (hs, dataclasses.replace(hs, top=B.constant_top_op(f, d)[0])):
             for p in ps:
@@ -246,7 +248,7 @@ def test_markov_tail_dominates_exact_gaussian_tails():
                          lambda t: math.erfc(t / sqrt(2.0))),
                         (PolyFunction.from_terms(2, {(1, 1): 1.0}), 2,
                          lambda t: 1.0 - 2.0 / math.pi * float(iti0k0(t)[1]))):
-        mspec = MeasureSpec.iid("gaussian", f.dim)
+        mspec = iid("gaussian", f.dim)
         hs = B.Ladder(mspec.sigma(), d, *B.exact_hs_rungs(f, mspec, d))
         for lad in (hs, dataclasses.replace(hs, top=B.constant_top_op(f, d)[0])):
             bounds = lad.tail(ts)
@@ -477,7 +479,7 @@ def test_certificate_json_round_trip():
     ]
     for cert in certs:
         # the way report.json stores a certificate, and the way back
-        again = B.Certificate.from_dict(json.loads(to_json(cert)))
+        again = certificate_from_dict(json.loads(to_json(cert)))
         assert again.kind == cert.kind and again.route == cert.route
         assert again.rescale_lambda == cert.rescale_lambda
         if cert.kind == "tail":
@@ -489,7 +491,7 @@ def test_certificate_json_round_trip():
                         {"norms2": np.array([1.0, 2.0]), "gap": np.float64("nan")})
     text = to_json(odd)
     assert "NaN" not in text
-    assert B.Certificate.from_dict(json.loads(text)).constants == {"norms2": [1.0, 2.0],
+    assert certificate_from_dict(json.loads(text)).constants == {"norms2": [1.0, 2.0],
                                                                    "gap": None}
 
 
@@ -547,7 +549,7 @@ def test_exact_hs_rungs_count_repeated_indices():
     # (2 x2, 2 x1; 2 x1, 0) gives 4 + 2 * 4 = 12; the constant third
     # derivative has entry 2 at the 3 permutations of (0, 0, 1): 12
     f = PolyFunction.from_terms(2, {(2, 1): 1.0})
-    hs2, top_hs = B.exact_hs_rungs(f, MeasureSpec.iid("gaussian", 2), 3)
+    hs2, top_hs = B.exact_hs_rungs(f, iid("gaussian", 2), 3)
     assert hs2 == pytest.approx((sqrt(7.0), sqrt(12.0)), rel=1e-15)
     assert top_hs == pytest.approx(sqrt(12.0), rel=1e-15)
 
@@ -558,8 +560,8 @@ def _algebra_rungs(f, mspec, d):
     rungs = []
     for k in range(1, d + 1):
         total = 0.0
-        for idx, partial in f._order_partials(k).items():
-            total += multinomial(idx) * (partial * partial).expectation(mspec.moment)
+        for idx, poly in order_partials(f, k).items():
+            total += multinomial(idx) * expectation(mul(poly, poly), mspec.moment)
         rungs.append(sqrt(total))
     return tuple(rungs[:-1]), rungs[-1]
 
@@ -588,7 +590,7 @@ def test_exact_hs_rungs_match_the_algebra_bit_for_bit(law, params):
     assert any(max(p) >= 3 for f in polys for p, _ in f.terms)
     assert any(c < 0 for f in polys for _, c in f.terms)
     for f in polys:
-        mspec = MeasureSpec.iid(law, f.dim, **params)
+        mspec = iid(law, f.dim, **params)
         for d in range(1, max(f.degree, 1) + 1):
             assert B.exact_hs_rungs(f, mspec, d) == _algebra_rungs(f, mspec, d), (f.terms, d)
 
@@ -616,11 +618,11 @@ def _algebra_centering(f, mspec, d):
     each canonical partial of order 1..d-1, each 0 within 1e-12 times
     max(1, the expectation of the same terms with |coefficient| and
     |E X^p|)."""
-    partials = [poly for k in range(1, d) for poly in f._order_partials(k).values()]
+    partials = [poly for k in range(1, d) for poly in order_partials(f, k).values()]
     polys = [f] + partials
-    means = [poly.expectation(mspec.moment) for poly in polys]
-    scales = [PolyFunction(p.dim, tuple((e, abs(c)) for e, c in p.terms))
-              .expectation(lambda i, k: abs(mspec.moment(i, k))) for p in polys]
+    means = [expectation(poly, mspec.moment) for poly in polys]
+    scales = [expectation(PolyFunction(p.dim, tuple((e, abs(c)) for e, c in p.terms)),
+                          lambda i, k: abs(mspec.moment(i, k))) for p in polys]
     zero = [math.isfinite(v) and abs(v) <= 1e-12 * max(1.0, s) for v, s in zip(means, scales)]
     return means[0] if math.isfinite(means[0]) else math.inf, zero[0], all(zero[1:])
 
@@ -636,8 +638,8 @@ def test_centering_matches_the_algebra_bit_for_bit(law, params):
                           int(rng.integers(1, 13))) for _ in range(60)]
     seen = set()
     for f in polys:
-        mspec = MeasureSpec.iid(law, f.dim, **params)
-        for g in (f, f.shifted(-f.expectation(mspec.moment))):
+        mspec = iid(law, f.dim, **params)
+        for g in (f, shifted(f, -expectation(f, mspec.moment))):
             for d in range(1, max(g.degree, 1) + 1):
                 got = B.centering(g, mspec, d)
                 assert got == _algebra_centering(g, mspec, d), (g.terms, d)
@@ -650,10 +652,10 @@ def test_centering_is_relative_to_the_size_of_the_terms_means():
     # once, so x^38 - float(37!!) reads E f = -2^20, 1.3e-16 of either term;
     # an error of 1e-11 of the terms is not rounding
     big = float(math.prod(range(1, 38, 2)))
-    mspec = MeasureSpec.iid("gaussian", 1)
+    mspec = iid("gaussian", 1)
     f = PolyFunction.from_terms(1, {(38,): 1.0, (0,): -big})
     assert B.centering(f, mspec, 1) == (-1048576.0, True, True)
-    assert not B.centering(f.shifted(-1e-11 * big), mspec, 1)[1]
+    assert not B.centering(shifted(f, -1e-11 * big), mspec, 1)[1]
     # below a scale of 1 the test stays absolute
     assert B.centering(PolyFunction.from_terms(1, {(0,): 1e-12}), mspec, 1)[1]
     assert not B.centering(PolyFunction.from_terms(1, {(0,): 2e-12}), mspec, 1)[1]
@@ -668,7 +670,7 @@ def test_centering_reads_a_divergent_moment_as_inf():
     # is integrable; x1^18 - x2^18 would give inf - inf = NaN, and x1 x2^17
     # 0 * inf = NaN, where the algebra's expectation stops at the zero E x1
     # and reads 0
-    mspec = MeasureSpec.iid("student", 2, beta=9.0)
+    mspec = iid("student", 2, beta=9.0)
     for terms in ({(18, 0): 1.0}, {(18, 0): 1.0, (0, 18): -1.0}, {(17, 1): 1.0},
                   {(1, 17): 1.0}):
         f = PolyFunction.from_terms(2, terms)
@@ -680,16 +682,16 @@ def test_exact_hs_rungs_read_a_divergent_moment_as_inf():
     # gradient 10 x^9 - 9 x^8 squares to x^18, so n_1 is inf (E g^2 >= 0);
     # the second derivative squares to degree 16, so n_2 is finite
     f = PolyFunction.from_terms(1, {(10,): 1.0, (9,): -1.0})
-    mspec = MeasureSpec.iid("student", 1, beta=9.0)
+    mspec = iid("student", 1, beta=9.0)
     hs2, top_hs = B.exact_hs_rungs(f, mspec, 2)
     assert hs2 == (math.inf,)
-    assert top_hs == _algebra_rungs(f.partial((1,)), mspec, 1)[1] > 0.0
+    assert top_hs == _algebra_rungs(partial(f, (1,)), mspec, 1)[1] > 0.0
 
 
 def _sampled_opnorm_rungs(f, mspec, d, m, seed):
     """(L2 norm, SE) of the pointwise operator norm of f^(k), k = 1..d-1, at
-    m ``measures.sample`` points: the Monte Carlo oracle for the exact rungs."""
-    pts = measures.sample(mspec, m, seed)
+    m ``sample`` points: the Monte Carlo oracle for the exact rungs."""
+    pts = sample(mspec, m, seed)
     out = []
     for k in range(1, d):
         sq = op_norms(f.derivative_dense(k, pts)) ** 2
@@ -722,7 +724,7 @@ def test_exact_ladder_bilinear():
     # = 2, the constant Hessian ((0, 1), (1, 0)) has operator norm 1 and HS
     # norm sqrt(2)
     f = PolyFunction.from_terms(2, [((1, 1), 1.0)])
-    mspec = MeasureSpec.iid("gaussian", 2)
+    mspec = iid("gaussian", 2)
     lad = B.Ladder(mspec.sigma(), 2, *B.exact_hs_rungs(f, mspec, 2))
     top_inf, top_inf_exact = B.constant_top_op(f, 2)
     assert lad.d == 2 and lad.sigma == 1.0
@@ -750,7 +752,9 @@ def test_profile_constant_orders_are_one_origin_row(fixture, d):
     constant = [k for k in range(1, d + 1) if f.top_is_constant(k)]
     assert d in constant
     for k in constant:
-        want_hs = float(hs_norms(f.derivative_batch(k, origin)[1], k, f.dim)[0])
+        canonical = tuple(np.array(canonical_layout(k, f.dim)[0]).T)
+        row = f.derivative_dense(k, origin)[(slice(None),) + canonical]
+        want_hs = float(hs_norms(row, k, f.dim)[0])
         if k < d:
             assert hs2[k - 1] == pytest.approx(want_hs, rel=1e-12, abs=1e-15)
         else:

@@ -94,9 +94,10 @@ def test_validate_inline_requirements():
 
 def test_validate_weighted_order_before_any_oracle(monkeypatch):
     def oracle(*args, **kwargs):
-        raise AssertionError("weight oracle before the order check")
+        raise AssertionError("weight norm before the order check")
 
-    monkeypatch.setattr(experiments.measures, "student_weight_kappa", oracle)
+    # resolve's first weight computation, right after its d <= 2 check
+    monkeypatch.setattr(experiments.measures, "student_weight_norm", oracle)
     base = {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d1"}
     # d = 3 on the fixture's bilinear form is above its degree; on a cubic it
     # reaches the weighted order check
@@ -449,8 +450,7 @@ def test_hypotheses_checked_before_any_sampling(monkeypatch, cfg, match):
     def draw(*args, **kwargs):
         raise AssertionError("sampling before the hypothesis check")
 
-    monkeypatch.setattr(experiments.measures, "sample", draw)
-    monkeypatch.setattr(experiments.measures, "fill_block", draw)
+    monkeypatch.setattr(experiments.measures, "stream", draw)
     monkeypatch.setattr(experiments.measures, "draw_coordinate", draw)
     with pytest.raises(experiments.ConfigError, match=match):
         experiments.validate_config(cfg)
@@ -469,12 +469,13 @@ def test_tails_accepts_a_mean_zero_to_within_the_rounding_of_its_moments(tmp_pat
 
 def test_resolve_reads_no_polynomial_algebra(monkeypatch):
     # the centering test and the exact rungs of every shipped certify, tails
-    # and weighted fixture come from bounds' partial table alone
+    # and weighted fixture come from the partial table alone: no partial is
+    # built as a polynomial and evaluated
     def algebra(*args, **kwargs):
-        raise AssertionError("PolyFunction algebra in resolve")
+        raise AssertionError("PolyFunction evaluation in resolve")
 
-    monkeypatch.setattr(experiments.PolyFunction, "_order_partials", algebra)
-    monkeypatch.setattr(experiments.PolyFunction, "expectation", algebra)
+    for name in ("derivative_dense", "evaluate", "_add_terms"):
+        monkeypatch.setattr(experiments.PolyFunction, name, algebra)
     names = [fx.name for fx in fixtures.inventory()
              if fx.kind in ("certify", "tails", "weighted", "weighted-tail")]
     assert len(names) == 18
@@ -533,7 +534,7 @@ def test_cli_crash_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
     def crash(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(experiments, "_eval_blocks", crash)
+    monkeypatch.setattr(experiments.measures, "stream", crash)
     cfg = write_cfg(tmp_path, {"kind": "tails", "seed": 0,
                                "fixture": "gaussian-chaos-n2-d2-tails"})
     out = tmp_path / "out"
@@ -571,11 +572,17 @@ def test_a_crash_leaves_an_earlier_run_untouched(tmp_path, capsys, monkeypatch):
 
 
 def _refuse_profile_draws(monkeypatch):
-    # the evaluation blocks are the only draws a runner makes
-    def profile(*args, **kwargs):
-        raise AssertionError("a runner sampled a derivative profile")
+    # the evaluation sample is the only draw a runner makes: one call of the
+    # sample stream
+    stream, calls = experiments.measures.stream, []
 
-    monkeypatch.setattr(experiments.measures, "sample", profile)
+    def profile(*args, **kwargs):
+        calls.append(args)
+        if len(calls) > 1:
+            raise AssertionError("a runner sampled a derivative profile")
+        return stream(*args, **kwargs)
+
+    monkeypatch.setattr(experiments.measures, "stream", profile)
 
 
 def test_certify_reads_exact_rungs_without_a_profile(tmp_path, monkeypatch):

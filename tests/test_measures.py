@@ -15,6 +15,7 @@ from scipy.integrate import quad
 from hoc import experiments, measures as M
 from hoc._util import SAMPLE_BLOCK
 from hoc.polynomials import EVAL_BLOCK, PolyFunction
+from oracles import fill_block, iid, sample
 
 
 def quad_moment(coord, k):
@@ -105,13 +106,13 @@ def test_unit_variance_conventions():
 
 
 def test_measure_spec_product():
-    spec = M.MeasureSpec.iid("exponential", 3, scale=0.5)
+    spec = iid("exponential", 3, scale=0.5)
     assert spec.sigma2() == pytest.approx(1.0)
     assert spec.moment(1, 3) == pytest.approx(6.0 * 0.125)
 
 
 def test_measure_spec_round_trip():
-    spec = M.MeasureSpec.iid("student", 4, beta=10.0)
+    spec = iid("student", 4, beta=10.0)
     # through JSON text, the way a config's measure arrives
     again = M.MeasureSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
     assert again == spec
@@ -138,7 +139,7 @@ def test_law_reads_its_parameters(dist, params):
 
 def test_student_weight():
     pts = np.array([[0.0, 3.0], [1.0, -1.0]])
-    got = M.student_weight(pts, 2.0)
+    got = M.student_weight(pts.T, 2.0)
     assert np.allclose(got, [2 * math.sqrt(10.0), 2 * math.sqrt(2.0)])
 
 
@@ -148,7 +149,7 @@ def test_student_weight():
 @pytest.mark.parametrize("coord", COORDS, ids=lambda c: c.dist + str(dict(c.params)))
 def test_sampler_moments(coord):
     spec = M.MeasureSpec(2, (coord, coord))
-    pts = M.sample(spec, 200_000, seed=91)
+    pts = sample(spec, 200_000, seed=91)
     flat = pts.ravel()
     for k in (1, 2, 3, 4):
         exact = M.coordinate_moment(coord, k)
@@ -160,15 +161,15 @@ def test_sampler_moments(coord):
 
 
 def test_sample_deterministic():
-    spec = M.MeasureSpec.iid("laplace", 3, scale=0.5)
-    a = M.sample(spec, 70_000, seed=11)
-    b = M.sample(spec, 70_000, seed=11)
+    spec = iid("laplace", 3, scale=0.5)
+    a = sample(spec, 70_000, seed=11)
+    b = sample(spec, 70_000, seed=11)
     assert np.array_equal(a, b)
-    c = M.sample(spec, 70_000, seed=12)
+    c = sample(spec, 70_000, seed=12)
     assert not np.array_equal(a, c)
     assert a.shape == (70_000, 3)
     sizes = [SAMPLE_BLOCK, 70_000 - SAMPLE_BLOCK]
-    blocks = [M.fill_block(spec, 11, i, np.empty((rows, 3), order="F"))
+    blocks = [fill_block(spec, 11, i, np.empty((rows, 3), order="F"))
               for i, rows in enumerate(sizes)]
     assert [blk.shape[0] for blk in blocks] == sizes
     assert np.array_equal(np.concatenate(blocks), a)
@@ -180,7 +181,7 @@ def test_eval_block_divides_the_sample_block():
     assert SAMPLE_BLOCK % EVAL_BLOCK == 0
 
 
-def test_eval_values_streams_the_sample():
+def test_stream_values_match_the_whole_sample():
     # drawn in EVAL_BLOCK-row column pieces into a pool of slots while the
     # chunks are evaluated, bit-identical to one whole-sample call: two
     # blocks and a remainder reuse the pool, and shorter runs need fewer
@@ -196,17 +197,17 @@ def test_eval_values_streams_the_sample():
     try:
         for dist in M.CATALOG:
             for dim, f in polys.items():
-                spec = M.MeasureSpec.iid(dist, dim, **params.get(dist, {}))
+                spec = iid(dist, dim, **params.get(dist, {}))
                 for m in (1000, 3 * EVAL_BLOCK + 5, 2 * SAMPLE_BLOCK + 17):
-                    streamed = experiments._eval_values(f, spec, m, seed=4)
-                    assert np.array_equal(streamed, f.evaluate(M.sample(spec, m, seed=4))), \
+                    streamed = M.stream_values(spec, m, 4, f._add_terms)
+                    assert np.array_equal(streamed, f.evaluate(sample(spec, m, seed=4))), \
                         (dist, dim, m)
     finally:
         sys.setswitchinterval(interval)
 
 
-def test_eval_values_raises_a_filler_error_and_joins(monkeypatch):
-    spec = M.MeasureSpec.iid("gaussian", 2)
+def test_stream_raises_a_filler_error_and_joins(monkeypatch):
+    spec = iid("gaussian", 2)
     f = PolyFunction.from_terms(2, {(1, 1): 1.0})
     rngs = []
     draw = M.draw_coordinate
@@ -221,19 +222,19 @@ def test_eval_values_raises_a_filler_error_and_joins(monkeypatch):
     monkeypatch.setattr(M, "draw_coordinate", failing)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="block 2"):
-        experiments._eval_values(f, spec, 3 * SAMPLE_BLOCK, seed=4)
+        M.stream_values(spec, 3 * SAMPLE_BLOCK, 4, f._add_terms)
     assert threading.active_count() == before
 
 
-def test_eval_blocks_stops_on_a_consumer_error_and_joins(monkeypatch):
+def test_stream_stops_on_a_consumer_error_and_joins(monkeypatch):
     # dim 2: a pool of 2 * 5 slots, 8 pieces per block. The filler reaches
     # piece 8 (block 1, column 0) without waiting for a slot; the consumer
     # fails on chunk 1 while that piece is in flight, which waits for the
     # stop flag. The piece completes, and nothing is drawn after it
-    spec = M.MeasureSpec.iid("gaussian", 2)
+    spec = iid("gaussian", 2)
     f = PolyFunction.from_terms(2, {(1, 1): 1.0})
     in_flight, stop = threading.Event(), threading.Event()
-    monkeypatch.setattr(experiments, "threading", types.SimpleNamespace(Event=lambda: stop))
+    monkeypatch.setattr(M, "threading", types.SimpleNamespace(Event=lambda: stop))
     drawn, consumed = [], []
     draw = M.draw_coordinate
 
@@ -253,7 +254,7 @@ def test_eval_blocks_stops_on_a_consumer_error_and_joins(monkeypatch):
     monkeypatch.setattr(M, "draw_coordinate", recording)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="chunk 1"):
-        experiments._eval_blocks(f, spec, 5 * SAMPLE_BLOCK, 4, consume)
+        M.stream(spec, 5 * SAMPLE_BLOCK, 4, f._add_terms, consume)
     assert threading.active_count() == before
     assert consumed == [0, EVAL_BLOCK]
     assert drawn == [EVAL_BLOCK] * 9
@@ -293,9 +294,11 @@ def test_tails_memory_does_not_grow_with_samples(tmp_path):
 
 
 def test_sample_rejects_empty():
-    spec = M.MeasureSpec.iid("gaussian", 1)
+    spec = iid("gaussian", 1)
     with pytest.raises(ValueError):
-        M.sample(spec, 0, seed=0)
+        sample(spec, 0, seed=0)
+    with pytest.raises(ValueError, match="m >= 1"):
+        M.stream_values(spec, 0, 0, PolyFunction.from_terms(1, {(1,): 1.0})._add_terms)
 
 
 # -- spectral-gap oracle ---------------------------------------------------------
@@ -393,7 +396,7 @@ def test_student_weight_norm_union_bound():
 
 def test_weighted_norm_monte_carlo():
     kappa = M.student_weight_kappa(10.0)
-    spec = M.MeasureSpec.iid("student", 2, beta=10.0)
+    spec = iid("student", 2, beta=10.0)
     est = M.weighted_norm(spec, kappa, 4, 20_000, 3)
     assert not est.diverged
     # sandwiched between the single-coordinate value and the union bound
@@ -401,19 +404,34 @@ def test_weighted_norm_monte_carlo():
     assert est.value <= M.student_weight_norm(10.0, kappa, 4, dim=2) + 5 * est.se
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_weighted_norm_is_the_whole_sample_formula(dim):
+    # the weight streamed through measures.stream gives the bits of the
+    # formula on the whole (4m, dim) sample: m = 10^5 spans seven blocks
+    kappa, p, m, seed = M.student_weight_kappa(10.0), 8.0, 100_000, 5
+    spec = iid("student", dim, beta=10.0)
+    pts = sample(spec, 4 * m, seed)
+    w = (kappa * np.sqrt(1.0 + np.max(pts * pts, axis=1))) ** p
+    mean = float(np.mean(w))
+    value = mean ** (1.0 / p)
+    se = float(np.std(w, ddof=1)) / math.sqrt(w.size) * value / (p * mean)
+    est = M.weighted_norm(spec, kappa, p, m, seed)
+    assert (est.value, est.se) == (value, se)
+
+
 def test_weighted_norm_divergence_flag():
     # E (1 + max_i X_i^2)^15 is infinite at beta = 10; the doubling ladder
     # keeps drifting and the flag goes up (seed pinned: the flag is a noisy
     # detector at finite m, which is exactly why completed runs re-check norms)
     kappa = 1.0 / math.sqrt(18.0)
-    spec = M.MeasureSpec.iid("student", 2, beta=10.0)
+    spec = iid("student", 2, beta=10.0)
     est = M.weighted_norm(spec, kappa, 30, 20_000, 0)
     assert est.diverged
 
 
 def test_weighted_norm_matches_exact_dim1():
     kappa = 1.0 / math.sqrt(18.0)
-    spec = M.MeasureSpec.iid("student", 1, beta=10.0)
+    spec = iid("student", 1, beta=10.0)
     est = M.weighted_norm(spec, kappa, 6, 50_000, 7)
     exact = M.student_weight_norm(10.0, kappa, 6, dim=1)
     assert est.value == pytest.approx(exact, abs=6 * est.se)

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from hoc import bounds as B
 from hoc import verify as V
+from oracles import certificate_from_dict, relative_domination
 
 
 def test_wilson_frozen_values():
@@ -197,13 +198,13 @@ def test_empirical_exp_moment_instability_flag():
 
 
 def test_relative_domination():
-    assert V.relative_domination(1.0, 0.0, 1.0, 0.0)
-    assert not V.relative_domination(1.01, 0.0, 1.0, 0.0)
+    assert relative_domination(1.0, 0.0, 1.0, 0.0)
+    assert not relative_domination(1.01, 0.0, 1.0, 0.0)
     # 5 * combined 1% relative SE buys about 5% headroom
-    assert V.relative_domination(1.04, 0.01, 1.0, 0.0)
-    assert not V.relative_domination(1.2, 0.01, 1.0, 0.01)
-    assert V.relative_domination(-0.5, 0.0, 0.0, 0.0)  # degenerate rhs
-    assert not V.relative_domination(0.5, 0.0, 0.0, 0.0)
+    assert relative_domination(1.04, 0.01, 1.0, 0.0)
+    assert not relative_domination(1.2, 0.01, 1.0, 0.01)
+    assert relative_domination(-0.5, 0.0, 0.0, 0.0)  # degenerate rhs
+    assert not relative_domination(0.5, 0.0, 0.0, 0.0)
 
 
 # -- report objects ------------------------------------------------------------------
@@ -349,7 +350,7 @@ def test_n10_chaos_tail_run_matches_the_exact_law(chaos_tail_runs):
 def _sigma_tenth_passes(cert_dict, check):
     """Whether the tail certificate ``cert_dict`` with sigma/10 still passes
     against the counts of the tail ``check`` it was checked with."""
-    cert = B.Certificate.from_dict(cert_dict)
+    cert = certificate_from_dict(cert_dict)
     shrunk = B.Certificate("tail", cert.route, dict(cert.constants,
                                                     sigma=cert.constants["sigma"] / 10.0))
     m, rows = check["m"], check["rows"]

@@ -21,6 +21,11 @@ two checkouts can be compared the same way:
 
     PYTHONPATH=src python tools/output_digests.py 2> peaks.txt > change.txt
 
+The modules hoc imports on first use (``scipy.linalg`` for the catalog
+oracle, ``fractions`` for a huge exact moment, ``ctypes`` for the rmt
+runs' serial BLAS) are imported before the first traced run, so no run's peak holds an import that an earlier run would
+have paid for.
+
 That peak counts only what tracemalloc traces, the blocks Python and numpy
 asked for. It cannot see memory the C allocator keeps resident after a free,
 such as the malloc arenas of the Wigner pool threads: when
@@ -37,11 +42,15 @@ about a minute on two CPUs.
 
 from __future__ import annotations
 
+import ctypes  # hoc imports it on first use; here, before any traced run
+import fractions  # likewise
 import hashlib
 import os
 import sys
 import tempfile
 import tracemalloc
+
+import scipy.linalg  # likewise
 
 from hoc import fixtures
 from hoc.experiments import run_config
