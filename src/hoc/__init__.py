@@ -16,8 +16,8 @@ from .measures import (CATALOG, CoordinateDist, GapResult, MeasureSpec,
                        student_weight_kappa, student_weight_norm, weighted_norm)
 from .polynomials import (MultilinearSpec, PolyFunction, from_multilinear,
                           opnorm_gradient_check)
-from .rmt import (Calibration, EigenSample, WignerEnsemble, calibrate, linear_stat,
-                  recentered_stat, rmt_certificates, sample_ensemble)
+from .rmt import (Calibration, EigenSample, WignerEnsemble, calibrate, draw_statistics,
+                  rmt_certificates, sample_ensemble)
 from .tensors import UnsupportedSizeError
 from .verify import (EmpiricalReport, check_exp_certificate, check_moment_bound,
                      check_tail_certificate, empirical_lp, tail_counts,
@@ -32,8 +32,8 @@ __all__ = [
     "UncertifiedConstantError", "catalog_oracle", "coordinate_moment", "coordinate_sigma2",
     "spectral_gap_oracle", "student_weight_kappa", "student_weight_norm", "weighted_norm",
     "MultilinearSpec", "PolyFunction", "from_multilinear", "opnorm_gradient_check", "Calibration",
-    "EigenSample", "WignerEnsemble", "calibrate", "linear_stat", "recentered_stat",
-    "rmt_certificates", "sample_ensemble", "UnsupportedSizeError", "EmpiricalReport",
-    "check_exp_certificate", "check_moment_bound", "check_tail_certificate", "empirical_lp",
-    "tail_counts", "wilson_interval",
+    "EigenSample", "WignerEnsemble", "calibrate", "draw_statistics", "rmt_certificates",
+    "sample_ensemble", "UnsupportedSizeError", "EmpiricalReport", "check_exp_certificate",
+    "check_moment_bound", "check_tail_certificate", "empirical_lp", "tail_counts",
+    "wilson_interval",
 ]

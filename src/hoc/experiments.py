@@ -605,11 +605,9 @@ def _run_rmt(exp):
     ens, f = rmt.WignerEnsemble(exp.matrix_size, exp.entry), exp.poly
     cal = rmt.calibrate(ens, f, exp.cal_draws, stage_seed(exp.seed, _STAGE_CAL))
     sample = rmt.sample_ensemble(ens, exp.draws, stage_seed(exp.seed, _STAGE_EVAL))
-    s_n = rmt.linear_stat(ens, sample, f)
-    s_t = rmt.recentered_stat(sample, s_n, cal)
+    s_n, s_t, shift = rmt.draw_statistics(ens, sample, f, cal)
     exp_cert, tail_cert = rmt.rmt_certificates(ens, f)
     rate, _, _ = exp_cert.exp_params()
-    shift = rmt.calibration_shift_bound(sample, cal)
     # the kept draws: up to 0.1% of the requested ones may have been discarded
     exp_check = verify.check_exp_certificate(
         exp_cert, s_t, extra_rel_se=rmt.exp_calibration_slack(rate, shift),

@@ -8,11 +8,11 @@ it is served by the weighted route with weight w(x) = kappa*sqrt(1+x^2) and
 the closed form kappa = (2(beta-1))^(-1/2) (Bobkov & Ledoux 2009; the README
 derives it).
 
-The oracle discretizes -(p u')' = lambda p u (weighted form: -(p w^2 u')' =
-lambda p u) with a symmetric finite-difference scheme on a truncated
-interval, symmetrizes to a tridiagonal eigenproblem, and reports the smallest
-nonzero eigenvalue with a grid-doubling stability flag. Its weighted form is
-the tests' reference for the closed-form kappa.
+The oracle discretizes -(p u')' = lambda p u with a symmetric
+finite-difference scheme on a truncated interval, symmetrizes to a
+tridiagonal eigenproblem, and reports the smallest nonzero eigenvalue with a
+grid-doubling stability flag. It has no weighted form: the tests keep their
+own weighted solve as the reference for the closed-form kappa.
 
 Sampling is deterministic: a counter-based Philox stream per 65536-row block
 (``SAMPLE_BLOCK``), keyed by (seed, block index), so results do not depend on
@@ -353,16 +353,13 @@ class GapResult:
     interval: tuple
 
 
-def _gap_once(density, lo, hi, gridpoints, weight):
+def _gap_once(density, lo, hi, gridpoints):
     from scipy.linalg import eigh_tridiagonal
 
     x = np.linspace(lo, hi, gridpoints)
     h = x[1] - x[0]
     mid = 0.5 * (x[:-1] + x[1:])
     p_mid = np.asarray(density(mid), dtype=np.float64)
-    if weight is not None:
-        w_mid = np.asarray(weight(mid), dtype=np.float64)
-        p_mid = p_mid * w_mid * w_mid
     p_node = np.asarray(density(x), dtype=np.float64)
     if np.any(p_node <= 0.0) or np.any(p_mid < 0.0):
         raise ValueError("density must be positive on the interval")
@@ -382,24 +379,22 @@ def _gap_once(density, lo, hi, gridpoints, weight):
     return float(vals[1])
 
 
-def spectral_gap_oracle(density, lo, hi, gridpoints, weight=None):
+def spectral_gap_oracle(density, lo, hi, gridpoints):
     """Certify the spectral-gap constant of a 1-D density on [lo, hi].
 
     Solves the discretized Neumann problem at ``gridpoints`` and at double
     resolution; flags the result unreliable when the two disagree by more
-    than 1e-3 relative. ``weight`` switches to the weighted problem
-    -(p w^2 u')' = lambda p u, whose 1/lambda1 certifies the weighted
-    inequality with weight w/sqrt(lambda1).
+    than 1e-3 relative.
     """
     if gridpoints < 200:
         raise ValueError("need at least 200 gridpoints")
     if not hi > lo:
         raise ValueError("empty interval")
     ladder = []
-    lam_coarse = _gap_once(density, lo, hi, gridpoints, weight)
+    lam_coarse = _gap_once(density, lo, hi, gridpoints)
     ladder.append((gridpoints, lam_coarse, 1.0 / lam_coarse))
     fine = 2 * gridpoints - 1
-    lam_fine = _gap_once(density, lo, hi, fine, weight)
+    lam_fine = _gap_once(density, lo, hi, fine)
     ladder.append((fine, lam_fine, 1.0 / lam_fine))
     stable = abs(lam_fine - lam_coarse) <= 1e-3 * abs(lam_fine)
     return GapResult(lam_fine, 1.0 / lam_fine, stable, tuple(ladder), (lo, hi))

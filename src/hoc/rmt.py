@@ -25,9 +25,12 @@ Each draw's ordered eigenvalues come from a batched LAPACK eigensolve
 built and solved on one thread per available CPU, which overlap because the
 solves and the random fills run without the GIL. Each chunk is built in one
 of the per-thread matrix buffers and solved into its rows of one eigenvalue
-array, all allocated once per sample on the calling thread. The statistics
-read an eigenvalue array a row block at a time, so none of them allocates a
-second (draws, N) array.
+array, all allocated once per sample on the calling thread. A draw writes
+only the lower triangle of its matrix, the single triangle eigvalsh
+(UPLO='L') reads. ``calibrate`` and ``draw_statistics`` read an eigenvalue
+array a row block at a time, so neither allocates a second (draws, N)
+array; ``draw_statistics`` makes S_N, S~_N and the calibration shift bound
+in one pass over the evaluation eigenvalues.
 
 f is a quadratic, the triple (a0, a1, a2) of ``quadratic`` with a2 != 0: both
 certificates need the bound 2|a2| on |f''|, which no higher degree has.
@@ -103,31 +106,33 @@ class EigenSample:
 
 @functools.cache
 def _triangle_slots(n):
-    """Flat indices of the upper triangle of an n x n matrix, row by row, and
-    of their mirror images; read-only, and made once per n rather than in
-    each thread's chunk (per-chunk copies raised wigner-lss peak RSS)."""
-    upper = np.ravel_multi_index(np.triu_indices(n), (n, n))
-    lower = upper % n * n + upper // n  # (j, i) for each (i, j)
-    upper.flags.writeable = lower.flags.writeable = False
-    return upper, lower
+    """Flat indices j*n + i of the lower triangle of an n x n matrix, one for
+    each (i, j) of ``triu_indices``: the triangle ``numpy.linalg.eigvalsh``
+    (UPLO='L') reads. Read-only, and made once per n rather than in each
+    thread's chunk (per-chunk copies raised wigner-lss peak RSS)."""
+    i, slots = np.triu_indices(n)
+    slots *= n
+    slots += i
+    slots.flags.writeable = False
+    return slots
 
 
 def _build_matrices(ens, seed, start, stop, out):
     """Draws start..stop-1 as one (k, N, N) batch in the first k rows of
     ``out``, a C-contiguous (>= k, N*N) float array: each draw writes its
-    upper-triangle values into its flat row of N*N entries, above and below
-    the diagonal, without 2-D fancy indexing. Every entry of those rows is
-    written, so ``out`` may hold anything before."""
+    upper-triangle values, mirrored, into the lower triangle of its flat row
+    of N*N entries, without 2-D fancy indexing. The strict upper triangle is
+    not written, so it holds whatever ``out`` held: only eigvalsh may read
+    the batch."""
     n = ens.size
-    upper, lower = _triangle_slots(n)
+    slots = _triangle_slots(n)
     flat = out[:stop - start]
-    vals = np.empty(upper.size)
+    vals = np.empty(slots.size)
     root_n = sqrt(n)
     for row, draw in zip(flat, range(start, stop)):
-        draw_coordinate(substream(seed, draw), ens.entry, upper.size, out=vals)
+        draw_coordinate(substream(seed, draw), ens.entry, slots.size, out=vals)
         vals /= root_n
-        row[upper] = vals
-        row[lower] = vals
+        row[slots] = vals
     return flat.reshape(-1, n, n)
 
 
@@ -177,6 +182,7 @@ def sample_ensemble(ens, draws, seed):
     for start in range(0, draws, _EIG_CHUNK):
         todo.put(start)
     workers = min(worker_count(), todo.qsize())
+    _triangle_slots(ens.size)  # made here once, not by each pool thread at once
     buffers = [np.empty((min(_EIG_CHUNK, draws), ens.size * ens.size))
                for _ in range(workers)]
     eigs = np.empty((draws, ens.size))
@@ -326,46 +332,36 @@ def calibrate(ens, f, draws, seed):
                        float(shift_per_draw.std(ddof=1)) / sqrt(m))
 
 
-def linear_stat(ens, sample, f):
-    """Per-draw S_N = sum_j f(lambda_j) - sum_j E f(lambda_j), centered exactly;
-    f is evaluated a row block at a time, as a0 + (a1 + a2 lambda) lambda."""
-    (a0, a1, a2), eig = f, sample.eigenvalues
-    s_n = np.empty(eig.shape[0])
-    for rows, block, fx in _row_blocks(eig):
-        np.multiply(block, a2, out=fx)
-        fx += a1
-        fx *= block
-        fx += a0
-        fx.sum(axis=1, out=s_n[rows])
-    s_n -= exact_sums(ens, f)[0]
-    return s_n
+def draw_statistics(ens, sample, f, cal):
+    """(S_N, S~_N, shift bound) of an evaluation sample, in one pass over it.
 
+    Each row block is read once, into the one scratch, in three steps:
+    S_N = sum_j f(lambda_j) - sum_j E f(lambda_j), centered exactly, with f
+    evaluated as a0 + (a1 + a2 lambda) lambda; then lambda - E lambda and its
+    product with E f'(lambda), the first-order fluctuation S~_N subtracts
+    from S_N; then that difference squared and summed per draw.
 
-def recentered_stat(sample, s_n, cal):
-    """Per-draw S~_N: the draws' S_N minus their first-order eigenvalue
-    fluctuation (lambda - E lambda) . E f'(lambda), a row block at a time."""
-    shift = np.empty(s_n.shape)
-    for rows, block, centered in _row_blocks(sample.eigenvalues):
-        np.subtract(block, cal.mean_lambda, out=centered)
-        np.matmul(centered, cal.mean_fprime, out=shift[rows])
-    return np.subtract(s_n, shift, out=shift)
-
-
-def calibration_shift_bound(sample, cal):
-    """Conservative bound on how far calibration error can shift any S~_N.
-
-    Two first-order contributions: the error of the fixed shift
-    sum_j E lambda_j * E f'(lambda_j), and (by Cauchy-Schwarz over the
-    per-draw fluctuations) the per-index errors of E f'(lambda_j). The
-    per-draw |lambda - E lambda|^2 are summed a row block at a time.
+    The shift bound is a conservative bound on how far calibration error can
+    shift any S~_N. Two first-order contributions: the error of the fixed
+    shift sum_j E lambda_j * E f'(lambda_j), and (by Cauchy-Schwarz over the
+    per-draw fluctuations) the per-index errors of E f'(lambda_j).
     """
-    fluct2 = np.empty(sample.draws)
-    for rows, block, centered in _row_blocks(sample.eigenvalues):
-        np.subtract(block, cal.mean_lambda, out=centered)
-        centered *= centered
-        centered.sum(axis=1, out=fluct2[rows])
+    (a0, a1, a2), eig = f, sample.eigenvalues
+    s_n, shift, fluct2 = (np.empty(eig.shape[0]) for _ in range(3))
+    for rows, block, x in _row_blocks(eig):
+        np.multiply(block, a2, out=x)
+        x += a1
+        x *= block
+        x += a0
+        x.sum(axis=1, out=s_n[rows])
+        np.subtract(block, cal.mean_lambda, out=x)
+        np.matmul(x, cal.mean_fprime, out=shift[rows])
+        x *= x
+        x.sum(axis=1, out=fluct2[rows])
+    s_n -= exact_sums(ens, f)[0]
     fluct = sqrt(float(np.mean(fluct2)))
-    return cal.se_shift + fluct * sqrt(float(np.sum(cal.se_fprime**2)))
+    bound = cal.se_shift + fluct * sqrt(float(np.sum(cal.se_fprime**2)))
+    return s_n, np.subtract(s_n, shift, out=shift), bound
 
 
 def exp_calibration_slack(rate, shift_bound):

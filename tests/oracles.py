@@ -6,10 +6,10 @@ The whole-sample draw (``sample``, ``fill_block``) is what
 algebra (``partial``, ``mul``, ``expectation``, ``shifted`` and
 ``order_partials``) is what the partial table, ``derivative_dense`` and
 the exact rungs must give bit for bit. The cyclic Jacobi solver checks
-LAPACK's ``eigvalsh``, and ``relative_domination`` compares two estimated
-norms. ``iid`` builds a product of one law and ``certificate_from_dict``
-reads a report's certificate back. Nothing in ``src/hoc`` imports this
-module.
+LAPACK's ``eigvalsh``, ``weighted_spectral_gap`` the closed-form weighted
+kappa, and ``relative_domination`` compares two estimated norms. ``iid``
+builds a product of one law and ``certificate_from_dict`` reads a report's
+certificate back. Nothing in ``src/hoc`` imports this module.
 """
 
 from __future__ import annotations
@@ -161,6 +161,39 @@ def jacobi_eigenvalues(matrix, tol=1e-14, max_sweeps=60):
         if off <= tol * scale:
             break
     return np.sort(np.diag(a))
+
+
+# -- the weighted spectral gap --------------------------------------------------
+
+def _weighted_gap_once(density, weight, lo, hi, gridpoints):
+    from scipy.linalg import eigh_tridiagonal
+
+    x = np.linspace(lo, hi, gridpoints)
+    h = x[1] - x[0]
+    mid = 0.5 * (x[:-1] + x[1:])
+    w_mid = np.asarray(weight(mid), dtype=np.float64)
+    flux = np.asarray(density(mid), dtype=np.float64) * w_mid * w_mid / h**2
+    mass = np.array(density(x), dtype=np.float64)
+    if np.any(mass <= 0.0):
+        raise ValueError("density must be positive on the interval")
+    mass[[0, -1]] *= 0.5
+    diag = np.zeros(gridpoints)
+    diag[:-1] += flux
+    diag[1:] += flux
+    vals = eigh_tridiagonal(diag / mass, -flux / np.sqrt(mass[:-1] * mass[1:]),
+                            select="i", select_range=(0, 1), eigvals_only=True)
+    return float(vals[1])
+
+
+def weighted_spectral_gap(density, weight, lo, hi, gridpoints):
+    """(lambda1, stable) of -(p w^2 u')' = lambda p u with zero-flux ends on
+    [lo, hi]: the finite-difference Neumann problem, symmetrized to a
+    tridiagonal one, at ``gridpoints`` and at double resolution, stable when
+    the two agree within 1e-3 relative. 1/lambda1 certifies the weighted
+    inequality with weight w/sqrt(lambda1)."""
+    coarse = _weighted_gap_once(density, weight, lo, hi, gridpoints)
+    fine = _weighted_gap_once(density, weight, lo, hi, 2 * gridpoints - 1)
+    return fine, abs(fine - coarse) <= 1e-3 * abs(fine)
 
 
 # -- checks and constructors ----------------------------------------------------------

@@ -15,7 +15,7 @@ from scipy.integrate import quad
 from hoc import experiments, measures as M
 from hoc._util import SAMPLE_BLOCK
 from hoc.polynomials import EVAL_BLOCK, PolyFunction
-from oracles import fill_block, iid, sample
+from oracles import fill_block, iid, sample, weighted_spectral_gap
 
 
 def quad_moment(coord, k):
@@ -319,6 +319,9 @@ def test_gap_gaussian_is_one():
     g = M.spectral_gap_oracle(dens, -10.0, 10.0, 1501)
     assert g.lambda1 == pytest.approx(1.0, rel=1e-6)
     assert g.stable
+    # with w = 1 the tests' weighted solve is the same problem, to the bit
+    ones = lambda x: np.ones_like(np.asarray(x, dtype=np.float64))
+    assert weighted_spectral_gap(dens, ones, -10.0, 10.0, 1501) == (g.lambda1, True)
 
 
 def test_gap_exponential_truncation_bias():
@@ -363,11 +366,11 @@ def test_student_weight_kappa_matches_the_weighted_oracle(beta):
     # the finite-difference solve on [-30, 30] estimates the same lambda_1;
     # it reads 3.5e-5 relative high at beta = 3, where the tails are heaviest,
     # which puts its kappa below the true one
-    result = M.spectral_gap_oracle(
-        M.density_function(M.CoordinateDist.make("student", beta=beta)), -30.0, 30.0, 8001,
-        weight=lambda x: np.sqrt(1.0 + np.asarray(x) ** 2))
-    assert result.stable
-    assert M.student_weight_kappa(beta) == pytest.approx(math.sqrt(result.sigma2), rel=1e-4)
+    lambda1, stable = weighted_spectral_gap(
+        M.density_function(M.CoordinateDist.make("student", beta=beta)),
+        lambda x: np.sqrt(1.0 + np.asarray(x) ** 2), -30.0, 30.0, 8001)
+    assert stable
+    assert M.student_weight_kappa(beta) == pytest.approx(1.0 / math.sqrt(lambda1), rel=1e-4)
 
 
 def test_student_weight_kappa_needs_beta_above_three_halves():

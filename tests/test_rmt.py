@@ -25,8 +25,16 @@ HALF_SQUARE = (0.0, 0.0, 0.5)  # f = x^2/2
 
 
 def build(ens, seed, start, stop):
-    """Draws start..stop-1 as ``rmt._build_matrices`` builds them, in a fresh buffer."""
-    return rmt._build_matrices(ens, seed, start, stop, np.empty((stop - start, ens.size ** 2)))
+    """Draws start..stop-1 as full symmetric matrices: the lower triangle
+    ``rmt._build_matrices`` writes, in a fresh buffer, mirrored above."""
+    low = rmt._build_matrices(ens, seed, start, stop, np.empty((stop - start, ens.size ** 2)))
+    return np.where(np.tri(ens.size, dtype=bool), low, low.transpose(0, 2, 1))
+
+
+def lower_equal(a, b):
+    """Whether two matrices agree on and below the diagonal, the triangle
+    eigvalsh reads."""
+    return np.array_equal(np.tril(a), np.tril(b))
 
 
 def value(f, x):
@@ -92,7 +100,7 @@ def test_trace_identity():
 
 
 @pytest.mark.parametrize("dist", ["gaussian", "exponential", "laplace"])
-def test_build_matrices_symmetric_and_matches_reference(dist):
+def test_build_matrices_fill_the_lower_triangle(dist):
     from hoc._util import substream
     from hoc.measures import draw_coordinate
 
@@ -100,19 +108,44 @@ def test_build_matrices_symmetric_and_matches_reference(dist):
     ens = rmt.WignerEnsemble(5, CoordinateDist.make(dist))
     iu = np.triu_indices(5)
     # one buffer, prefilled with NaN and longer than a chunk, reused for two
-    # spans: every entry of the rows a build uses is written
+    # spans: the lower triangle of every row a build uses is written, and
+    # the strict upper triangle, which eigvalsh (UPLO='L') never reads, is not
     buf = np.full((9, 25), np.nan)
     for seed, start, stop in ((41, 3, 10), (42, 0, 4)):
         mats = rmt._build_matrices(ens, seed, start, stop, buf)
         assert mats.shape == (stop - start, 5, 5) and np.shares_memory(mats, buf)
-        assert np.array_equal(mats, mats.transpose(0, 2, 1))
-        # the fresh-array, per-draw construction the chunked build replaced
+        # the fresh-array, per-draw values: entry (i, j) of the upper
+        # triangle, in triu_indices order, lands at (j, i)
         for m, draw in zip(mats, range(start, stop)):
             vals = draw_coordinate(substream(seed, draw), ens.entry, iu[0].size) / math.sqrt(5)
-            ref = np.zeros((5, 5))
-            ref[iu] = vals
-            ref.T[iu] = vals
-            assert np.array_equal(m, ref)
+            assert np.array_equal(m.T[iu], vals)
+            assert np.isnan(m[np.triu_indices(5, 1)]).all()
+
+
+@pytest.mark.parametrize("n", [2, 5, 100])
+def test_unwritten_triangle_is_never_read(monkeypatch, n):
+    """With NaN in the strict upper triangle, the batched eigvalsh and the
+    one-matrix retry of ``_eig_chunk`` both give the bits of the full
+    symmetric matrices."""
+    ens, seed, start, stop = gaussian_ensemble(n), 23, 5, 5 + rmt._EIG_CHUNK
+    want = np.linalg.eigvalsh(build(ens, seed, start, stop))
+    original, got = np.linalg.eigvalsh, {}
+    for path in ("batched", "retry"):
+        if path == "retry":
+            def eigvalsh(a, *args, **kwargs):
+                if np.ndim(a) == 3:
+                    raise np.linalg.LinAlgError("forced failure")
+                return original(a, *args, **kwargs)
+
+            monkeypatch.setattr(rmt.np.linalg, "eigvalsh", eigvalsh)
+        mats = np.full((rmt._EIG_CHUNK, n * n), np.nan)
+        eigs, kept = np.full((stop, n), np.nan), np.ones(stop, dtype=bool)
+        rmt._eig_chunk(ens, seed, start, stop, mats, eigs, kept)
+        assert kept.all() and np.isnan(eigs[:start]).all()
+        assert np.isnan(mats.reshape(-1, n, n)[:, ~np.tri(n, dtype=bool)]).all()
+        got[path] = eigs[start:]
+    assert np.array_equal(got["batched"], want)
+    assert np.array_equal(got["retry"], want)
 
 
 def _failing_eigvalsh(monkeypatch, bad):
@@ -120,7 +153,7 @@ def _failing_eigvalsh(monkeypatch, bad):
     original = np.linalg.eigvalsh
 
     def eigvalsh(a, *args, **kwargs):
-        if np.ndim(a) == 3 or any(np.array_equal(a, m) for m in bad):
+        if np.ndim(a) == 3 or any(lower_equal(a, m) for m in bad):
             raise np.linalg.LinAlgError("forced failure")
         return original(a, *args, **kwargs)
 
@@ -212,7 +245,7 @@ def test_worker_error_reaches_the_caller(monkeypatch):
     original = np.linalg.eigvalsh
 
     def eigvalsh(a, *args, **kwargs):
-        if any(np.array_equal(m, bad) for m in np.reshape(a, (-1,) + bad.shape)):
+        if any(lower_equal(m, bad) for m in np.reshape(a, (-1,) + bad.shape)):
             raise KeyError("boom")
         return original(a, *args, **kwargs)
 
@@ -312,7 +345,8 @@ def test_stat_second_moment_matches_monte_carlo():
     ens = rmt.WignerEnsemble(4, CoordinateDist.make("exponential", scale=1.0))
     f = (0.3, -1.0, 0.5)
     assert rmt.stat_second_moment(ens, f) == pytest.approx(7.75, rel=1e-15)
-    s2 = rmt.linear_stat(ens, rmt.sample_ensemble(ens, 4000, seed=59), f) ** 2
+    cal = rmt.calibrate(ens, f, rmt.MIN_CAL_DRAWS, seed=58)
+    s2 = rmt.draw_statistics(ens, rmt.sample_ensemble(ens, 4000, seed=59), f, cal)[0] ** 2
     se = float(s2.std(ddof=1)) / math.sqrt(s2.size)
     assert abs(float(s2.mean()) - 7.75) <= 5.0 * se
 
@@ -352,8 +386,8 @@ def test_quadratic_forms_equal_numpy_polynomial(coeffs):
     ens, f, poly = gaussian_ensemble(20), rmt.quadratic(coeffs), Polynomial(coeffs)
     sample = rmt.sample_ensemble(ens, 100, seed=31)
     want = poly(sample.eigenvalues).sum(axis=1) - rmt.exact_sums(ens, f)[0]
-    assert np.array_equal(rmt.linear_stat(ens, sample, f), want)
     cal = rmt.calibrate(ens, f, rmt.MIN_CAL_DRAWS, seed=32)
+    assert np.array_equal(rmt.draw_statistics(ens, sample, f, cal)[0], want)
     eig = rmt.sample_ensemble(ens, rmt.MIN_CAL_DRAWS, seed=32).eigenvalues
     assert np.array_equal(cal.mean_fprime, poly.deriv(1)(eig).mean(axis=0))
 
@@ -361,17 +395,21 @@ def test_quadratic_forms_equal_numpy_polynomial(coeffs):
 @pytest.mark.parametrize("dist, n, f, draws", [("gaussian", 10, HALF_SQUARE, 500),
                                                ("exponential", 5, (0.3, -1.5, 0.25), 517),
                                                ("uniform01", 20, (0.0, 2.0, -1.0), 640),
-                                               ("gaussian", 3, (0.2, 0.9, 1.7), 1001)])
+                                               ("gaussian", 3, (0.2, 0.9, 1.7), 1001),
+                                               # 32-row blocks: 33 draws end in a lone row
+                                               ("laplace", 130, (0.5, -0.25, 0.75), 500)])
 def test_calibration_keeps_the_bits_of_the_out_of_place_expressions(dist, n, f, draws):
     # the reference is each statistic as a whole-array expression, as they
-    # read before they went a row block at a time with no (draws, N) temporary
+    # read before they went a row block at a time with no (draws, N)
+    # temporary, with its matrix-vector products on one BLAS thread
     ens = rmt.WignerEnsemble(n, CoordinateDist.make(dist))
     cal = rmt.calibrate(ens, f, draws, seed=41)
     eig = rmt.sample_ensemble(ens, draws, seed=41).eigenvalues
     m = eig.shape[0]
     fprime = f[1] + (2.0 * f[2]) * eig
     mean_fprime = fprime.mean(axis=0)
-    shift_per_draw = eig @ mean_fprime
+    with _util.serial_blas():
+        shift_per_draw = eig @ mean_fprime
     ref = rmt.Calibration(eig.mean(axis=0), mean_fprime,
                           fprime.std(axis=0, ddof=1) / math.sqrt(m),
                           float(shift_per_draw.std(ddof=1)) / math.sqrt(m))
@@ -381,24 +419,28 @@ def test_calibration_keeps_the_bits_of_the_out_of_place_expressions(dist, n, f, 
 
     a0, a1, a2 = f
     step = len(next(rmt._row_blocks(np.empty((8193, n))))[1])  # rows of a whole block
-    for draws in (2 * step + 1, 3 * step + 7):  # a lone last row, a short last block
+    assert (step == 32) == (n == 130)
+    # a lone last row, a short last block, 33 (a lone last row at n = 130,
+    # one block below) and 1001
+    for draws in (2 * step + 1, 3 * step + 7, 33, 1001):
         sample = rmt.sample_ensemble(ens, draws, seed=42)
         before = sample.eigenvalues.copy()
         s_n = (a0 + (a1 + a2 * before) * before).sum(axis=1) - rmt.exact_sums(ens, f)[0]
-        got_s_n = rmt.linear_stat(ens, sample, f)
-        assert np.array_equal(got_s_n, s_n)
-        s_t = s_n - (before - ref.mean_lambda) @ ref.mean_fprime
-        assert np.array_equal(rmt.recentered_stat(sample, got_s_n, cal), s_t)
-        assert np.array_equal(got_s_n, s_n)  # S_N is read, not overwritten
         centered = before - ref.mean_lambda
+        with _util.serial_blas():
+            s_t = s_n - centered @ ref.mean_fprime
         fluct = math.sqrt(float(np.mean(np.sum(centered * centered, axis=1))))
-        expected = ref.se_shift + fluct * math.sqrt(float(np.sum(ref.se_fprime**2)))
-        assert rmt.calibration_shift_bound(sample, cal) == expected
+        bound = ref.se_shift + fluct * math.sqrt(float(np.sum(ref.se_fprime**2)))
+        got = rmt.draw_statistics(ens, sample, f, cal)
+        assert np.array_equal(got[0], s_n)
+        assert np.array_equal(got[1], s_t)
+        assert got[2] == bound
+        assert not np.shares_memory(got[0], got[1])
         assert np.array_equal(sample.eigenvalues, before)  # no statistic writes the sample
 
 
 def test_sample_and_statistics_hold_no_draws_by_n_temporary(monkeypatch):
-    """Calibration, an evaluation sample and its three statistics peak, under
+    """Calibration, an evaluation sample and its statistics peak, under
     tracemalloc, below the (draws, N) eigenvalues, the pool's matrix buffers
     and a margin of a fifth of the eigenvalues: one more (draws, N) array,
     as each statistic made before it went a row block at a time, breaks it."""
@@ -413,9 +455,7 @@ def test_sample_and_statistics_hold_no_draws_by_n_temporary(monkeypatch):
     try:
         cal = rmt.calibrate(ens, f, draws, seed=61)
         sample = rmt.sample_ensemble(ens, draws, seed=62)
-        s_n = rmt.linear_stat(ens, sample, f)
-        rmt.recentered_stat(sample, s_n, cal)
-        rmt.calibration_shift_bound(sample, cal)
+        rmt.draw_statistics(ens, sample, f, cal)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -429,19 +469,22 @@ def test_wigner_statistics_do_not_depend_on_the_blas_thread_count(monkeypatch):
     rng = np.random.default_rng(14)
     eig = rng.standard_normal((2001, 400))
     monkeypatch.setattr(rmt, "sample_ensemble", lambda *args: rmt.EigenSample(eig.copy()))
-    ens, s_n = gaussian_ensemble(400), rng.standard_normal(2001)
+    ens = gaussian_ensemble(400)
     libs, counts, got = _util._openblas_threads(), _blas_counts(), {}
     try:
         for threads in (1, 2):
             for _, put in libs:
                 put(threads)
             cal = rmt.calibrate(ens, HALF_SQUARE, 2001, seed=0)
-            got[threads] = (cal.se_shift, rmt.recentered_stat(rmt.EigenSample(eig), s_n, cal))
+            got[threads] = (cal.se_shift,) + rmt.draw_statistics(
+                ens, rmt.EigenSample(eig), HALF_SQUARE, cal)
     finally:
         for (_, put), count in zip(libs, counts):
             put(count)
     assert got[1][0] == got[2][0]
     assert np.array_equal(got[1][1], got[2][1])
+    assert np.array_equal(got[1][2], got[2][2])
+    assert got[1][3] == got[2][3]
 
 
 def test_calibrate_guard():
@@ -454,8 +497,7 @@ def test_recentering_reduces_variance():
     ens = gaussian_ensemble(20)
     cal = rmt.calibrate(ens, HALF_SQUARE, 600, seed=101)
     sample = rmt.sample_ensemble(ens, 600, seed=202)
-    s = rmt.linear_stat(ens, sample, HALF_SQUARE)
-    s_tilde = rmt.recentered_stat(sample, s, cal)
+    s, s_tilde, _ = rmt.draw_statistics(ens, sample, HALF_SQUARE, cal)
     assert s.shape == (600,)
     # the first-order eigenvalue fluctuation carries most of the variance
     assert float(np.var(s_tilde)) < 0.5 * float(np.var(s))
@@ -468,8 +510,8 @@ def test_calibration_shift_bound_scales():
     small = rmt.calibrate(ens, HALF_SQUARE, 600, seed=7)
     big = rmt.calibrate(ens, HALF_SQUARE, 2400, seed=7)
     sample = rmt.sample_ensemble(ens, 400, seed=8)
-    b_small = rmt.calibration_shift_bound(sample, small)
-    b_big = rmt.calibration_shift_bound(sample, big)
+    b_small = rmt.draw_statistics(ens, sample, HALF_SQUARE, small)[2]
+    b_big = rmt.draw_statistics(ens, sample, HALF_SQUARE, big)[2]
     assert b_small > 0 and b_big > 0
     assert b_big < b_small  # more calibration draws, tighter bound
 
