@@ -1,6 +1,6 @@
 """Numerical concentration certificates under spectral-gap conditions.
 
-The package turns derivative-norm profiles of polynomial functions into
+The package turns the exact derivative norms of polynomial functions into
 explicit moment, tail, and exponential-moment certificates, and checks every
 certificate against deterministic Monte Carlo ground truth. See the README
 for the route taxonomy and the experiment runner.

@@ -50,7 +50,7 @@ def substream(seed, *key):
 
 
 def stage_seed(seed, *key):
-    """Derived integer seed for an experiment stage (profile, eval, cal...).
+    """Derived integer seed for an experiment stage (eval, cal, tensors, weights).
 
     Stages must not share sample streams; hashing through SeedSequence keeps
     the derivation stable and collision-resistant.

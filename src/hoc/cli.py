@@ -1,7 +1,7 @@
 """Command line front end.
 
 Exit codes: 0 every check in the experiment passed, 1 at least one
-domination check failed, 2 the config was invalid, 3 the run crashed (one
+domination check failed, 2 an invalid config or route, 3 a crash (one
 ``error:`` line). On 2 and 3 nothing is written to the output directory.
 """
 
@@ -65,11 +65,16 @@ def main(argv=None):
                                       samples_override=args.samples)
             return _finish(code, report)
         if args.command == "list-fixtures":
-            for fx in fixtures.inventory():
-                if args.route and fx.route != args.route:
-                    continue
-                print("%-32s  %-15s  %-13s  %s" % (fx.name, fx.route, fx.kind,
-                                                  fx.description))
+            inventory = fixtures.inventory()
+            routes = list(dict.fromkeys(fx.route for fx in inventory))
+            if args.route is not None and args.route not in routes:
+                print("error: unknown route %r (choose from %s)"
+                      % (args.route, ", ".join(routes)), file=sys.stderr)
+                return 2
+            for fx in inventory:
+                if args.route in (None, fx.route):
+                    print("%-32s  %-15s  %-13s  %s" % (fx.name, fx.route, fx.kind,
+                                                      fx.description))
             return 0
         if args.command == "tensor-norm":
             cfg = {"kind": "tensor-norm", "seed": 0, "count": args.count}

@@ -46,7 +46,7 @@ _STAGE_WEIGHTS = 5
 
 # the least value of each count or size a runner reads from the config or fixture
 _COUNT_FLOORS = {"samples": 1, "draws": 1, "cal_draws": rmt.MIN_CAL_DRAWS, "count": 1,
-                 "matrix_size": 2, "d": 1}
+                 "matrix_size": 2}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,9 +77,9 @@ class ConfigError(ValueError):
 
 def load_config(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("cannot read config: %s" % exc)
     try:
         cfg = json.loads(text)
@@ -109,6 +109,9 @@ class Experiment:
     the exact rungs (``bounds.exact_hs_rungs``) there and on multilinear;
     matrix_size, the entry law and polynomial unless rmt; the multilinear
     spec unless the payload holds one; the oracle laws unless catalog-oracle.
+    d is max(degree of f, 1) and no config sets it: the top rung bounds
+    sup |f^(d)|_op, finite only if f^(d) is constant (d >= the degree), and
+    above the degree every derivative is 0, so no other order is left.
     """
 
     kind: str
@@ -144,10 +147,11 @@ def validate_config(cfg):
 def resolve(cfg):
     """The Experiment ``cfg`` describes, or ConfigError with nothing written.
 
-    Every hypothesis a runner assumes is checked here, and so every exact
-    constant it reads is computed here: the centering and the exact rungs
-    of f (``bounds.centering``, ``bounds.exact_hs_rungs``), the closed-form
-    rmt sums. Oracles, sampling and eigensolves are the runner's.
+    Every hypothesis a runner assumes is checked here. The centering and
+    the exact rungs of f (``bounds.centering``, ``bounds.exact_hs_rungs``)
+    are computed here for the runners; the closed-form rmt sums are only
+    checked, and ``rmt.draw_statistics`` and ``rmt.rmt_certificates``
+    compute them again. Oracles, sampling and eigensolves are the runner's.
     """
     if cfg.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ConfigError("unsupported schema version %r" % (cfg.get("schema"),))
@@ -201,22 +205,14 @@ def resolve(cfg):
         raise ConfigError("missing required field %s" % (exc,))
     except (TypeError, ValueError) as exc:
         raise ConfigError("invalid %s config: %s" % (kind, exc))
-    mspec, f, d = built.get("measure"), built.get("function"), payload.get("d")
+    mspec, f = built.get("measure"), built.get("function")
+    d = max(f.degree, 1) if "function" in record.fields else None  # see Experiment
     route = record.route or payload.get("route") or (fixture.route if fixture else None)
-    if d is not None and not f.top_is_constant(d):
-        # a top rung bounds sup |f^(d)|_op, finite under an unbounded law only if constant
-        raise ConfigError("%s certificates need a constant order-d derivative, "
-                          "got d = %d for degree %d" % (kind, d, f.degree))
-    if d is not None and d > max(f.degree, 1):
-        # every derivative above the degree is 0, and each order k <= d costs
-        # dim^k slots (canonical_layout) and the top a dense (dim,)*d array
-        raise ConfigError("%s certificates need d <= the degree of f, got d = %d for "
-                          "degree %d" % (kind, d, f.degree))
     if kind in ("weighted", "weighted-tail"):
         # the weighted runner has the ladder below the top derivative in closed
         # form for gradients only and certifies the Student-type law of one beta
-        if d > 2:
-            raise ConfigError("weighted experiments need d <= 2, got d = %d" % (d,))
+        if f.degree > 2:
+            raise ConfigError("weighted experiments need f of degree <= 2, got %d" % f.degree)
         if any(c.dist != "student" for c in mspec.coords) or \
                 len({c.beta for c in mspec.coords}) > 1:
             raise ConfigError("weighted experiments need student coordinates of one "
@@ -537,66 +533,65 @@ def _run_multilinear(exp):
 
 # -- weighted ------------------------------------------------------------------------
 
+def _weighted_start(exp):
+    """(beta, kappa, exact top operator norm, shared report fields) of a weighted run."""
+    beta = exp.measure.coords[0].beta  # resolve checked: one common Student beta
+    kappa = measures.student_weight_kappa(beta)
+    top_op, _ = bounds.constant_top_op(exp.function, exp.d)  # exact: resolve keeps d <= 2
+    return beta, kappa, top_op, {"beta": beta, "kappa": kappa, "samples": exp.samples,
+                                 "route": exp.route}
+
+
 def _run_weighted(exp):
     f, d, seed, mspec = exp.function, exp.d, exp.seed, exp.measure
-    beta = mspec.coords[0].beta  # resolve checked: one common Student beta
-    kappa = measures.student_weight_kappa(beta)
-    eval_seed = stage_seed(seed, _STAGE_EVAL)
-    top_op, _ = bounds.constant_top_op(f, d)  # exact: resolve keeps d <= 2
-    report = {"beta": beta, "kappa": kappa, "samples": exp.samples, "route": exp.route}
-    passed = True
-    if exp.route == "weighted-ladder":
-        values = measures.stream_values(mspec, exp.samples, eval_seed, f._add_terms)
-        rows = []
-        mom_checks = {}
-        for p in exp.p_values:
-            wnorms = tuple(
-                measures.student_weight_norm(beta, kappa, 2**k * p, mspec.dim)
-                for k in range(1, d + 1))
-            top_mixed = top_op * (wnorms[d - 2] if d > 1 else
-                                  measures.student_weight_norm(beta, kappa, p, mspec.dim))
-            bm, bp = bounds.weighted_moment_bounds(float(p), wnorms, exp.hs2, top_mixed, top_op)
-            row = verify.check_moment_bound(min(bm, bp), values, p).rows[0]
-            est, se, ok = row.empirical, row.extra["se"], row.passed
-            passed = passed and ok
-            rows.append((p, bm, bp, est, se, int(ok)))
-            mom_checks["p=%g" % p] = {"bound_mixed": bm, "bound_plain": bp,
-                                      "empirical": est, "se": se, "passed": ok}
-        artifacts = [("moments.csv", write_csv,
-                      (["p", "bound_mixed", "bound_plain", "empirical", "se",
-                        "passed"], rows))]
-        report["moment_checks"] = mom_checks
-        # MC cross-check that the closed-form weight norms are upper bounds
-        q = 2.0 ** d * 2.0
-        wn = measures.weighted_norm(mspec, kappa, q, WEIGHT_NORM_SAMPLES,
-                                    stage_seed(seed, _STAGE_WEIGHTS))
-        closed = measures.student_weight_norm(beta, kappa, q, mspec.dim)
-        report["weight_norm_check"] = {
-            "p": q, "mc": wn.value, "mc_se": wn.se, "closed_form_upper": closed,
-            "diverged": wn.diverged,
-            "passed": wn.value <= closed * (1.0 + 5.0 * wn.se / max(wn.value, 1e-12))}
-        passed = passed and report["weight_norm_check"]["passed"]
-    else:  # weighted-tail route
-        p = exp.p
-        # the normalized ladder of weighted_tail_certificate is the sigma = 1 one
-        lam = bounds.Ladder(1.0, d, exp.hs2, top_op).rescale()
-        w2dp = measures.student_weight_norm(beta, kappa, 2**d * p, mspec.dim)
-        floor = 2.0 ** (-(d - 1) / 2.0)
-        C = max(floor, w2dp)
-        cert = bounds.weighted_tail_certificate(C, p, d, rescale_lambda=lam)
-        counts = _eval_tail_counts(f, mspec, exp.samples, eval_seed, exp.t_grid)
-        check = verify.check_tail_certificate(cert, exp.samples, counts, exp.t_grid)
-        passed = check.passed
-        window = cert.constants["window_end"] * lam
-        rows = [r + (int(r[0] <= window),) for r in _tail_rows(check)]
-        artifacts = _tail_artifacts(_TAIL_HEADER + ["in_window"], rows,
-                                    "weighted tail bound (heavy-tailed demo)", _TAIL_SERIES)
-        report["certificate"] = cert.to_dict()
-        report["check"] = check.to_dict()
-        report["window_end"] = window
-        report["C"] = C
-    report["passed"] = passed
-    return report, artifacts
+    beta, kappa, top_op, report = _weighted_start(exp)
+    values = measures.stream_values(mspec, exp.samples, stage_seed(seed, _STAGE_EVAL),
+                                    f._add_terms)
+    rows, mom_checks = [], {}
+    for p in exp.p_values:
+        wnorms = tuple(
+            measures.student_weight_norm(beta, kappa, 2**k * p, mspec.dim)
+            for k in range(1, d + 1))
+        top_mixed = top_op * (wnorms[d - 2] if d > 1 else
+                              measures.student_weight_norm(beta, kappa, p, mspec.dim))
+        bm, bp = bounds.weighted_moment_bounds(float(p), wnorms, exp.hs2, top_mixed, top_op)
+        row = verify.check_moment_bound(min(bm, bp), values, p).rows[0]
+        est, se, ok = row.empirical, row.extra["se"], row.passed
+        rows.append((p, bm, bp, est, se, int(ok)))
+        mom_checks["p=%g" % p] = {"bound_mixed": bm, "bound_plain": bp,
+                                  "empirical": est, "se": se, "passed": ok}
+    # MC cross-check that the closed-form weight norms are upper bounds
+    q = 2.0 ** d * 2.0
+    wn = measures.weighted_norm(mspec, kappa, q, WEIGHT_NORM_SAMPLES,
+                                stage_seed(seed, _STAGE_WEIGHTS))
+    closed = measures.student_weight_norm(beta, kappa, q, mspec.dim)
+    wn_check = {"p": q, "mc": wn.value, "mc_se": wn.se, "closed_form_upper": closed,
+                "diverged": wn.diverged,
+                "passed": wn.value <= closed * (1.0 + 5.0 * wn.se / max(wn.value, 1e-12))}
+    report.update(moment_checks=mom_checks, weight_norm_check=wn_check,
+                  passed=all(c["passed"] for c in mom_checks.values()) and wn_check["passed"])
+    return report, [("moments.csv", write_csv,
+                     (["p", "bound_mixed", "bound_plain", "empirical", "se", "passed"],
+                      rows))]
+
+
+def _run_weighted_tail(exp):
+    d, p = exp.d, exp.p
+    beta, kappa, top_op, report = _weighted_start(exp)
+    # the normalized ladder of weighted_tail_certificate is the sigma = 1 one
+    lam = bounds.Ladder(1.0, d, exp.hs2, top_op).rescale()
+    w2dp = measures.student_weight_norm(beta, kappa, 2**d * p, exp.measure.dim)
+    C = max(2.0 ** (-(d - 1) / 2.0), w2dp)
+    cert = bounds.weighted_tail_certificate(C, p, d, rescale_lambda=lam)
+    counts = _eval_tail_counts(exp.function, exp.measure, exp.samples,
+                               stage_seed(exp.seed, _STAGE_EVAL), exp.t_grid)
+    check = verify.check_tail_certificate(cert, exp.samples, counts, exp.t_grid)
+    window = cert.constants["window_end"] * lam
+    rows = [r + (int(r[0] <= window),) for r in _tail_rows(check)]
+    report.update(certificate=cert.to_dict(), check=check.to_dict(), window_end=window, C=C,
+                  passed=check.passed)
+    return report, _tail_artifacts(_TAIL_HEADER + ["in_window"], rows,
+                                   "weighted tail bound (heavy-tailed demo)", _TAIL_SERIES)
 
 
 # -- rmt -----------------------------------------------------------------------------
@@ -637,23 +632,23 @@ def _run_rmt(exp):
 
 # -- the kinds -----------------------------------------------------------------------
 
-_POLY = ("measure", "function", "multilinear", "d", "samples")  # f of order d on a measure
+_POLY = ("measure", "function", "multilinear", "samples")  # f on a measure
 
 _KINDS = {  # runner, fields, required, route, samples field, its floor
     "tensor-norm": _Kind(_run_tensor_norm, ("count",)),
     "catalog-oracle": _Kind(_run_catalog_oracle, ("dist", "params")),
     # the config's or the fixture's route, else resolve picks ladder-hs when
     # every partial of order < d is centered and ladder-inf otherwise
-    "certify": _Kind(_run_certify, _POLY + ("route",), ("d",), None,
+    "certify": _Kind(_run_certify, _POLY + ("route",), (), None,
                      "samples", verify.MIN_EXP_SAMPLES),
     "tails": _Kind(_run_tails, _POLY + ("t_grid", "negative_control"),
-                   ("d", "t_grid"), "ladder-tail", "samples", verify.MIN_TAIL_SAMPLES),
+                   ("t_grid",), "ladder-tail", "samples", verify.MIN_TAIL_SAMPLES),
     "multilinear": _Kind(_run_multilinear, ("measure", "multilinear", "samples", "t_grid"),
                          ("multilinear", "t_grid"), "multilinear", "samples",
                          verify.MIN_EXP_SAMPLES),
-    "weighted": _Kind(_run_weighted, _POLY + ("p_values",), ("d",), "weighted-ladder",
+    "weighted": _Kind(_run_weighted, _POLY + ("p_values",), (), "weighted-ladder",
                       "samples", 2),  # verify.empirical_lp needs two values
-    "weighted-tail": _Kind(_run_weighted, _POLY + ("p", "t_grid"), ("d", "t_grid"),
+    "weighted-tail": _Kind(_run_weighted_tail, _POLY + ("p", "t_grid"), ("t_grid",),
                            "weighted-tail", "samples", verify.MIN_TAIL_SAMPLES),
     # rmt may discard 0.1% of its draws (one of 1001); the kept draws must
     # still fill the tail check

@@ -84,7 +84,7 @@ def _measure_payload(tag, dim):
 def _bilinear_payload():
     f = PolyFunction.from_terms(2, {(1, 1): 1.0 / sqrt(2.0)})
     return {"measure": _measure_payload("gaussian", 2), "function": f.to_dict(),
-            "d": 2, "samples": 1_000_000}
+            "samples": 1_000_000}
 
 
 def _chaos_fixtures():
@@ -99,8 +99,7 @@ def _chaos_fixtures():
             stem = "%s-chaos-n%d-d%d" % (tag.split("_")[0], dim, order)
             out.append(Fixture(
                 stem + "-tails", "ladder-tail", "tails",
-                "derivative-ladder tail bound for a unit-HS multilinear form",
-                dict(base, d=order)))
+                "derivative-ladder tail bound for a unit-HS multilinear form", base))
             out.append(Fixture(
                 stem + "-multilinear", "multilinear", "multilinear",
                 "coefficient-tensor certificates for the same multilinear form",
@@ -118,10 +117,8 @@ def _weighted_fixtures():
     f2 = PolyFunction.from_terms(2, {(1, 1): 1.0})
     sd1 = sqrt(1.0 / 17.0)          # E X^2 for the beta=10 law
     sd2 = 1.0 / 17.0                # E (X1 X2)^2 = (E X^2)^2
-    base1 = {"measure": _student_measure(1), "function": f1.to_dict(), "d": 1,
-             "samples": 1_000_000}
-    base2 = {"measure": _student_measure(2), "function": f2.to_dict(), "d": 2,
-             "samples": 1_000_000}
+    base1 = {"measure": _student_measure(1), "function": f1.to_dict(), "samples": 1_000_000}
+    base2 = {"measure": _student_measure(2), "function": f2.to_dict(), "samples": 1_000_000}
     return [
         Fixture("student-weighted-moments-d1", "weighted-ladder", "weighted",
                 "weighted moment bounds, identity map on the heavy-tailed demo law",

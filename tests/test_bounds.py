@@ -511,7 +511,7 @@ def _chaos_tails():
         if fx.kind == "tails":
             f = from_multilinear(MultilinearSpec.from_dict(fx.payload["multilinear"]))
             out.append((fx.name, f, MeasureSpec.from_dict(fx.payload["measure"]),
-                        fx.payload["d"]))
+                        f.degree))
     return out
 
 
@@ -705,8 +705,9 @@ def test_exact_hs_rungs_dominate_the_sampled_profile():
     # operator-norm rung up to its sampling error; at order 1 the two norms
     # coincide, so there the exact rung must also agree with the sample
     payload = fixtures.by_name("gauss-bilinear-exp-opnorm").payload
-    bilinear = ("gauss-bilinear-exp-opnorm", PolyFunction.from_dict(payload["function"]),
-                MeasureSpec.from_dict(payload["measure"]), payload["d"])
+    quadratic = PolyFunction.from_dict(payload["function"])
+    bilinear = ("gauss-bilinear-exp-opnorm", quadratic,
+                MeasureSpec.from_dict(payload["measure"]), quadratic.degree)
     for name, f, mspec, d in _chaos_tails() + [bilinear]:
         hs2, top_hs = B.exact_hs_rungs(f, mspec, d)
         for k, (est, se) in enumerate(_sampled_opnorm_rungs(f, mspec, d, 10_000, 11), 1):

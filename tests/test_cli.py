@@ -85,32 +85,26 @@ def test_validate_inline_requirements():
                                     {"dist": "gaussian", "params": {}}]}
     func = {"dim": 2, "terms": [{"exponents": [1, 1], "coeff": 1.0}]}
     ok = {"kind": "certify", "seed": 0, "measure": measure, "function": func,
-          "d": 2, "samples": 100000}
+          "samples": 100000}
     assert experiments.validate_config(ok)
     with pytest.raises(experiments.ConfigError):
         experiments.validate_config({"kind": "tails", "seed": 0, "measure": measure,
-                                     "function": func, "d": 2})  # tails need t_grid
+                                     "function": func})  # tails need t_grid
 
 
 def test_validate_weighted_order_before_any_oracle(monkeypatch):
     def oracle(*args, **kwargs):
         raise AssertionError("weight norm before the order check")
 
-    # resolve's first weight computation, right after its d <= 2 check
+    # resolve's first weight computation, right after its degree <= 2 check:
+    # a cubic's order d = 3 is past the closed-form ladder of the weighted kinds
     monkeypatch.setattr(experiments.measures, "student_weight_norm", oracle)
-    base = {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d1"}
-    # d = 3 on the fixture's bilinear form is above its degree; on a cubic it
-    # reaches the weighted order check
-    with pytest.raises(experiments.ConfigError, match="degree of f"):
-        experiments.validate_config(dict(base, fixture="student-weighted-moments-d2", d=3))
     cubic = {"dim": 2, "terms": [{"exponents": [2, 1], "coeff": 1.0}]}
-    with pytest.raises(experiments.ConfigError, match="d <= 2"):
-        experiments.validate_config(dict(base, fixture="student-weighted-moments-d2", d=3,
-                                         function=cubic))
-    # the top derivative must be constant: the runner reads it at one point
-    square = {"dim": 1, "terms": [{"exponents": [2], "coeff": 1.0}]}
-    with pytest.raises(experiments.ConfigError, match="constant"):
-        experiments.validate_config(dict(base, function=square))
+    for kind, fixture in (("weighted", "student-weighted-moments-d2"),
+                          ("weighted-tail", "student-weighted-tail-d2")):
+        with pytest.raises(experiments.ConfigError, match="degree <= 2, got 3"):
+            experiments.validate_config({"kind": kind, "seed": 0, "fixture": fixture,
+                                         "function": cubic})
 
 
 def test_merged_payload_overrides():
@@ -120,12 +114,12 @@ def test_merged_payload_overrides():
     assert fixture.name == "gaussian-chaos-n2-d2-tails"
     assert merged["samples"] == 1234          # config wins over fixture payload
     assert "seed" not in merged and "out" not in merged
-    assert merged["d"] == 2                   # fixture fields survive
+    assert merged["t_grid"] == fixture.payload["t_grid"]  # fixture fields survive
 
 
 def test_resolve_fills_omitted_counts_from_defaults():
     tails = experiments.resolve(
-        {"kind": "tails", "seed": 0, "measure": _GAUSS2, "d": 2, "t_grid": [1.0, 2.0],
+        {"kind": "tails", "seed": 0, "measure": _GAUSS2, "t_grid": [1.0, 2.0],
          "function": {"dim": 2, "terms": [{"exponents": [1, 1], "coeff": 1.0}]}})
     wigner = experiments.resolve(
         {"kind": "rmt", "seed": 0, "matrix_size": 5, "coeffs": [0.0, 0.0, 0.5],
@@ -146,7 +140,7 @@ def test_resolve_picks_the_certify_route():
     # is centered (x1 x2), else ladder-inf (x1 x2 + x1, gradient mean (1, 0))
     def route(terms):
         return experiments.resolve(
-            {"kind": "certify", "seed": 0, "measure": _GAUSS2, "d": 2,
+            {"kind": "certify", "seed": 0, "measure": _GAUSS2,
              "function": {"dim": 2, "terms": terms}}).route
 
     x1x2 = {"exponents": [1, 1], "coeff": 1.0}
@@ -166,8 +160,28 @@ def test_every_fixture_and_digest_config_resolves():
     assert len(cfgs) == 50
     for fx in fixtures.inventory():
         cfgs.append(dict(fx.payload, kind=fx.kind, seed=0))
+    ordered = 0
     for cfg in cfgs:
-        assert isinstance(experiments.resolve(cfg), experiments.Experiment)
+        exp = experiments.resolve(cfg)
+        assert isinstance(exp, experiments.Experiment)
+        # the certificate order is the degree of f, and no config sets it
+        if exp.kind in ("certify", "tails", "weighted", "weighted-tail"):
+            assert exp.d == max(exp.function.degree, 1), cfg
+            ordered += 1
+        else:
+            assert exp.d is None
+    # 18 fixtures, each tails fixture's negative control and two inline runs,
+    # then the 18 fixture payloads alone
+    assert ordered == 18 + 12 + 2 + 18
+
+
+def test_a_cubic_certifies_at_order_3():
+    # x1^2 x2 has E f = 0 under the gaussian pair and a constant order-3
+    # derivative, so the certify fixture's ladder-inf route runs at d = 3
+    exp = experiments.resolve({
+        "kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-opnorm",
+        "function": {"dim": 2, "terms": [{"exponents": [2, 1], "coeff": 1.0}]}})
+    assert exp.d == 3 and exp.route == "ladder-inf" and len(exp.hs2) == 2
 
 
 def test_load_config_errors(tmp_path):
@@ -196,6 +210,18 @@ def test_cli_invalid_config_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_config_not_utf8_writes_nothing(tmp_path, capsys):
+    # a UTF-16 byte order mark is no UTF-8 text: a config error, not a crash
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps({"kind": "tensor-norm", "seed": 0}).encode())
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config: ")
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("samples", [0, -5])
 def test_cli_samples_below_one_writes_nothing(tmp_path, capsys, samples):
     cfg = write_cfg(tmp_path, {"kind": "tails", "seed": 0,
@@ -209,15 +235,10 @@ def test_cli_samples_below_one_writes_nothing(tmp_path, capsys, samples):
 _GAUSS2 = {"dim": 2, "coords": [{"dist": "gaussian", "params": {}},
                                 {"dist": "gaussian", "params": {}}]}
 _STUDENT = {"dist": "student", "params": {"beta": 10.0}}
-_GAUSS3 = {"dim": 3, "coords": [{"dist": "gaussian", "params": {}}] * 3}
-# x1^4 + x2^4 + x3^4 + x1 x2 x3 - 9 (E f = 0 under _GAUSS3): its Hessian is not constant
-_QUARTIC = {"dim": 3, "terms": [{"exponents": e, "coeff": c} for e, c in (
-    ([4, 0, 0], 1.0), ([0, 4, 0], 1.0), ([0, 0, 4], 1.0), ([1, 1, 1], 1.0),
-    ([0, 0, 0], -9.0))]}
 
 # f = x1^2 is not centered, so the tail certificate's E f = 0 fails
 _UNCENTERED_TAILS = {
-    "kind": "tails", "seed": 0, "measure": _GAUSS2, "d": 2, "t_grid": [1.0, 2.0],
+    "kind": "tails", "seed": 0, "measure": _GAUSS2, "t_grid": [1.0, 2.0],
     "function": {"dim": 2, "terms": [{"exponents": [2, 0], "coeff": 1.0}]},
     "samples": 1000}
 
@@ -261,7 +282,6 @@ _HUGE_RUNG_CFGS = [dict(_UNCENTERED_TAILS, function=_HUGE_BILINEAR),
     {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d1",
      "p_values": ["x"]},
     {"kind": "weighted-tail", "seed": 0, "fixture": "student-weighted-tail-d1", "p": 1},
-    {"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n2-d2-tails", "d": 0},
     # routes: only certify picks one, and only an exp-moment route
     {"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-hs", "route": "ladder-typo"},
     {"kind": "weighted-tail", "seed": 0, "fixture": "student-weighted-tail-d1",
@@ -276,8 +296,7 @@ _HUGE_RUNG_CFGS = [dict(_UNCENTERED_TAILS, function=_HUGE_BILINEAR),
     {"kind": "catalog-oracle", "seed": 0, "dist": "laplace", "params": {"scale": -1}},
     {"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n2-d2-tails",
      "measure": {"dim": 2, "coords": [{"dist": "gaussian", "params": {}}]}},
-    {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d2", "d": 3},
-    {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d2", "d": 3,
+    {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d2",
      "function": {"dim": 2, "terms": [{"exponents": [2, 1], "coeff": 1.0}]}},
     # fields the runner would ignore or trip over: a function beside the
     # fixture's multilinear spec, a measure and function of different
@@ -285,7 +304,7 @@ _HUGE_RUNG_CFGS = [dict(_UNCENTERED_TAILS, function=_HUGE_BILINEAR),
     # law that is not the Student-type one
     {"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n2-d2-tails",
      "function": {"dim": 2, "terms": [{"exponents": [1, 1], "coeff": 1.0}]}},
-    {"kind": "tails", "seed": 0, "measure": _GAUSS2, "d": 3, "t_grid": [1.0, 2.0],
+    {"kind": "tails", "seed": 0, "measure": _GAUSS2, "t_grid": [1.0, 2.0],
      "function": {"dim": 3, "terms": [{"exponents": [1, 1, 1], "coeff": 1.0}]},
      "samples": 1000},
     {"kind": "multilinear", "seed": 0, "fixture": "gaussian-chaos-n5-d2-multilinear",
@@ -318,6 +337,7 @@ _HUGE_RUNG_CFGS = [dict(_UNCENTERED_TAILS, function=_HUGE_BILINEAR),
     {"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n2-d2-tails",
      "coeffs": [0.0, 0.0, 0.5], "entry": {"dist": "gaussian", "params": {}}, "count": 5,
      "p_values": [2, 4]},
+    # and d, which no kind reads (the certificate order is the degree of f)
     {"kind": "rmt", "seed": 0, "fixture": "wigner-gaussian-n50", "d": 2},
     {"kind": "rmt", "seed": 0, "fixture": "wigner-gaussian-n50", "d": 2,
      "profile_samples": 20000},
@@ -339,9 +359,6 @@ _HUGE_RUNG_CFGS = [dict(_UNCENTERED_TAILS, function=_HUGE_BILINEAR),
     {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d1", "samples": 1000,
      "measure": {"dim": 1, "coords": [{"dist": "student", "params": {"beta": 0.51}}]}},
     {"kind": "weighted-tail", "seed": 0, "fixture": "student-weighted-tail-d2", "p": 16},
-    # an order-d derivative that is not constant has no finite sup on R^n
-    {"kind": "tails", "seed": 0, "measure": _GAUSS3, "function": _QUARTIC, "d": 2,
-     "t_grid": [1, 2, 4, 8, 16]},
     # spec numbers are checked, not truncated or parsed: int() would make
     # these x1 x2, the pair (0, 1) and a 2-dim measure
     {"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-opnorm",
@@ -371,9 +388,6 @@ _HUGE_RUNG_CFGS = [dict(_UNCENTERED_TAILS, function=_HUGE_BILINEAR),
     {"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-hs",
      "function": {"dim": 2, "terms": [{"exponents": [1, 1], "coeff": 1.0},
                                       {"exponents": [1, 0], "coeff": 1.0}]}},
-    # above the degree of f every derivative is 0, and each order k <= d
-    # costs dim^k slots
-    {"kind": "tails", "seed": 0, "fixture": "gaussian-chaos-n2-d2-tails", "d": 3},
     # the weighted bounds assume E f = 0 too: x + 5 would fail a check on
     # weighted and pass on weighted-tail only because every bound reads 1
     {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d1",
@@ -386,10 +400,10 @@ _HUGE_RUNG_CFGS = [dict(_UNCENTERED_TAILS, function=_HUGE_BILINEAR),
 ], ids=["uncentered-tails", "rmt-degree-3", "samples-abc",
         "negative-seed", "tails-samples-500", "rmt-draws-50", "rmt-draws-1000",
         "multilinear-samples-5000",
-        "certify-samples-10", "matrix-size-1", "p-values-x", "p-1", "d-0",
+        "certify-samples-10", "matrix-size-1", "p-values-x", "p-1",
         "certify-route-typo", "weighted-tail-route", "weighted-route-weighted-tail",
         "t-grid-nan", "t-grid-bool", "oracle-scale-x", "oracle-scale-negative",
-        "measure-coords-short", "weighted-d-3", "weighted-cubic-d-3",
+        "measure-coords-short", "weighted-cubic",
         "function-beside-multilinear",
         "measure-dim-2-function-dim-3", "multilinear-measure-dim-2", "rmt-coeffs-x",
         "rmt-student-entry", "weighted-gaussian-law", "negative-control-string",
@@ -397,11 +411,11 @@ _HUGE_RUNG_CFGS = [dict(_UNCENTERED_TAILS, function=_HUGE_BILINEAR),
         "profile-samples-1000", "gaussian-scale", "tails-rmt-fields", "rmt-d", "rmt-profile-fields", "multilinear-d",
         "weighted-p", "weighted-tail-p-values", "certify-t-grid", "student-beta-half",
         "student-beta-x", "student-beta-true", "oracle-scale-string", "student-beta-0.51",
-        "weighted-tail-p-16", "tails-quartic-d2", "function-exponents-1.9",
+        "weighted-tail-p-16", "function-exponents-1.9",
         "multilinear-index-0.9", "measure-dim-2.7", "function-coeff-string",
         "function-coeff-true", "multilinear-value-string", "weighted-p-values-repeated",
         "multilinear-index-repeated", "uncentered-certify", "ladder-hs-gradient-uncentered",
-        "tails-d-above-degree", "weighted-uncentered", "weighted-tail-uncentered",
+        "weighted-uncentered", "weighted-tail-uncentered",
         "student-beta-1000.5", "student-beta-1e15", "student-beta-1e308"])
 def test_cli_missing_hypothesis_writes_nothing(tmp_path, capsys, cfg):
     path = write_cfg(tmp_path, cfg)
@@ -409,6 +423,21 @@ def test_cli_missing_hypothesis_writes_nothing(tmp_path, capsys, cfg):
     assert run_cli(["run", "--config", path, "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, fixture, d", [
+    ("certify", "gauss-bilinear-exp-hs", 2), ("tails", "gaussian-chaos-n3-d3-tails", 3),
+    ("weighted", "student-weighted-moments-d1", 1),
+    ("weighted-tail", "student-weighted-tail-d2", 2)])
+def test_cli_config_with_d_writes_nothing(tmp_path, capsys, kind, fixture, d):
+    # the order is max(degree of f, 1), the one value the constant-top and
+    # d <= degree rules leave, so a d field is refused like any unread field,
+    # even at that value
+    path = write_cfg(tmp_path, {"kind": kind, "seed": 0, "fixture": fixture, "d": d})
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", path, "--out", out]) == 2
+    assert capsys.readouterr().err == "config error: a %s run reads no field(s) ['d']\n" % kind
     assert not out.exists()
 
 
@@ -427,12 +456,8 @@ _STUDENT2 = {"dim": 2, "coords": [_STUDENT, _STUDENT]}
       "function": {"dim": 2, "terms": [{"exponents": [1, 1], "coeff": 1.0},
                                        {"exponents": [0, 0], "coeff": 0.5}]}}, "E f = 0"),
     # E x1^2 x2 = 0, but its gradient (2 x1 x2, x1^2) has mean (0, 1)
-    ({"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-hs", "d": 3,
+    ({"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-hs",
       "function": {"dim": 2, "terms": [{"exponents": [2, 1], "coeff": 1.0}]}}, "ladder-hs"),
-    # at d = 2 its Hessian (2 x2, 2 x1; 2 x1, 0) is not constant: no finite sup
-    ({"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-opnorm",
-      "function": {"dim": 2, "terms": [{"exponents": [2, 1], "coeff": 1.0}]}},
-     "constant order-d derivative"),
     ({"kind": "multilinear", "seed": 0, "fixture": "gaussian-chaos-n2-d2-multilinear",
       "measure": {"dim": 2, "coords": [{"dist": "exponential", "params": {}}] * 2}},
      "E X_i = 0"),
@@ -443,7 +468,7 @@ _STUDENT2 = {"dim": 2, "coords": [_STUDENT, _STUDENT]}
       "function": _SHIFTED_X}, "E f = 0"),
     (_student_beta(1000.5), "beta <= 1000"),
 ], ids=["tails-uncentered", "tails-student", "certify-student", "multilinear-student",
-        "certify-shifted", "certify-hs-gradient-mean", "certify-cubic-d2",
+        "certify-shifted", "certify-hs-gradient-mean",
         "multilinear-exponential", "tails-huge-rung", "weighted-huge-rung",
         "weighted-tail-uncentered", "weighted-beta-1000.5"])
 def test_hypotheses_checked_before_any_sampling(monkeypatch, cfg, match):
@@ -460,7 +485,7 @@ def test_tails_accepts_a_mean_zero_to_within_the_rounding_of_its_moments(tmp_pat
     # E x^38 = 37!! is rounded at every step of its product and float(37!!)
     # once: E f reads -2^20, which an absolute 1e-12 test refused (exit 2)
     big = float(math.prod(range(1, 38, 2)))
-    cfg = {"kind": "tails", "seed": 0, "d": 38, "t_grid": [1.0, 2.0], "samples": 1000,
+    cfg = {"kind": "tails", "seed": 0, "t_grid": [1.0, 2.0], "samples": 1000,
            "measure": {"dim": 1, "coords": [{"dist": "gaussian", "params": {}}]},
            "function": {"dim": 1, "terms": [{"exponents": [38], "coeff": 1.0},
                                             {"exponents": [0], "coeff": -big}]}}
@@ -489,7 +514,7 @@ def test_resolve_reads_no_polynomial_algebra(monkeypatch):
     (_HUGE_RUNG_CFGS[0], 2), (_HUGE_RUNG_CFGS[1], 2),
     # every partial of x^171 holds a falling factorial 171!/(171 - k)!, and
     # the order-171 one is the constant 171!, itself past the float range
-    ({"kind": "tails", "seed": 0, "d": 171, "samples": 1000, "t_grid": [1, 2],
+    ({"kind": "tails", "seed": 0, "samples": 1000, "t_grid": [1, 2],
       "measure": {"dim": 1, "coords": [{"dist": "gaussian", "params": {}}]},
       "function": {"dim": 1, "terms": [{"exponents": [171], "coeff": 1.0}]}}, 171),
 ], ids=["tails", "weighted", "falling-factorial"])
@@ -620,7 +645,7 @@ def test_weighted_reads_the_closed_form_kappa(tmp_path, beta, kappa):
     measure = {"dim": 1, "coords": [{"dist": "student", "params": {"beta": beta}}]}
     identity = {"dim": 1, "terms": [{"exponents": [1], "coeff": 1.0}]}
     code, report = experiments.run_config(
-        {"kind": "weighted", "seed": 0, "measure": measure, "function": identity, "d": 1,
+        {"kind": "weighted", "seed": 0, "measure": measure, "function": identity,
          "p_values": [2], "samples": 100_000}, tmp_path / "out")
     assert code == 0
     assert report["kappa"] == kappa
@@ -648,7 +673,7 @@ def test_rungs_past_the_float_range_exit_2_and_write_nothing(tmp_path, capsys):
     # 172! is past the float range, so the low rungs are inf
     e = {"dist": "exponential", "params": {}}
     cfg = write_cfg(tmp_path, {
-        "kind": "tails", "seed": 0, "d": 87, "samples": 1000, "t_grid": [1, 2],
+        "kind": "tails", "seed": 0, "samples": 1000, "t_grid": [1, 2],
         "measure": {"dim": 2, "coords": [e, e]},
         "function": {"dim": 2, "terms": [{"exponents": [86, 1], "coeff": 1.0},
                                          {"exponents": [0, 0],
@@ -681,7 +706,7 @@ def test_rmt_constants_past_the_float_range_exit_2_before_any_eigensolve(
 def _laplace_cfg(kind, scale):
     law = {"dist": "laplace", "params": {"scale": scale}}
     if kind == "tails":
-        return {"kind": "tails", "d": 1, "samples": 1000, "t_grid": [1, 2],
+        return {"kind": "tails", "samples": 1000, "t_grid": [1, 2],
                 "measure": {"dim": 1, "coords": [law]},
                 "function": {"dim": 1, "terms": [{"exponents": [1], "coeff": 1.0}]}}
     return {"kind": "rmt", "matrix_size": 3, "entry": law, "draws": 1001, "cal_draws": 500,
@@ -809,6 +834,15 @@ def test_cli_list_fixtures_route_filter(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 3
     assert all("wigner" in line for line in lines)
+
+
+def test_cli_list_fixtures_unknown_route(capsys):
+    assert run_cli(["list-fixtures", "--route", "typo"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: unknown route 'typo' (choose from ladder-inf, ladder-hs, ladder-tail, "
+        "multilinear, weighted-ladder, weighted-tail, wigner-lss)\n")
 
 
 def test_cli_rejects_unknown_subcommand():

@@ -10,8 +10,12 @@ Each file gives one ``<sha256>  <config>/<file>`` line, in a fixed order, so
 two checkouts can be compared with ``diff``:
 
     PYTHONPATH=src python tools/output_digests.py > change.txt
-    PYTHONPATH=/path/to/other/src python tools/output_digests.py > other.txt
+    (cd /path/to/other && PYTHONPATH=src python tools/output_digests.py) > other.txt
     diff other.txt change.txt
+
+Each tree runs its own copy of the script, because the inline configs carry
+only the fields that tree's kinds read: an older tree's ``certify`` and
+``weighted`` kinds require a ``d``, which this tree's refuse.
 
 Each run's tracemalloc peak (the most memory Python and numpy held at once
 during its ``run_config``, counted from the run's start) and its exit code
@@ -20,6 +24,11 @@ output stays ``diff``-able and a per-run table of memory and exit codes of
 two checkouts can be compared the same way:
 
     PYTHONPATH=src python tools/output_digests.py 2> peaks.txt > change.txt
+
+Peaks are compared with a tolerance of 0.02 MB on the ``tails`` rows (the
+fixtures and their negative controls): two runs of one tree read them up
+to that far apart, likely as the timing of the ``measures.stream`` filler
+thread decides which buffers are live at once.
 
 The modules hoc imports on first use (``scipy.linalg`` for the catalog
 oracle, ``fractions`` for a huge exact moment, ``ctypes`` for the rmt
@@ -35,9 +44,8 @@ RSS (VmHWM) of the same in-process run fell from 50.3-50.4 to 45.5-46.0 MB.
 Compare resident memory with perfbench's ``peak_rss_mb``.
 
 Only ``hoc.fixtures.inventory`` and ``hoc.experiments.run_config(cfg,
-out_dir)`` are used, so the script runs against older trees too. Artifacts
-go to a temporary directory that is removed afterwards. A full run takes
-about a minute on two CPUs.
+out_dir)`` are used. Artifacts go to a temporary directory that is removed
+afterwards. A full run takes about a minute on two CPUs.
 """
 
 from __future__ import annotations
@@ -78,11 +86,9 @@ def configs():
     out.append(("tensor-norm", {"kind": "tensor-norm", "seed": SEED, "count": TENSOR_COUNT}))
     out.append(("catalog-oracle", {"kind": "catalog-oracle", "seed": SEED, "dist": "all"}))
     out.append(("gaussian-bilinear-n2-d2-certify-defaults",
-                {"kind": "certify", "seed": SEED, "measure": _GAUSS2, "function": _BILINEAR,
-                 "d": 2}))
+                {"kind": "certify", "seed": SEED, "measure": _GAUSS2, "function": _BILINEAR}))
     out.append(("student-identity-d1-weighted-defaults",
-                {"kind": "weighted", "seed": SEED, "measure": _STUDENT1, "function": _IDENTITY,
-                 "d": 1}))
+                {"kind": "weighted", "seed": SEED, "measure": _STUDENT1, "function": _IDENTITY}))
     out.append(("wigner-gaussian-n50-defaults",
                 {"kind": "rmt", "seed": SEED, "matrix_size": 50,
                  "entry": {"dist": "gaussian", "params": {}}, "coeffs": [0.0, 0.0, 0.5]}))
