@@ -11,14 +11,15 @@ import os
 import numpy as np
 
 SAMPLE_BLOCK = 65536
-# Rows per evaluation block, so each term's temporaries (128 kB at 16384
-# rows) stay in cache. Evaluating the 120-term n=10, d=3 chaos on 16
-# column-major 65536-row sample blocks took 0.19 s with blocks of 16384 or
-# 32768 rows, 0.27-0.28 s with 8192 and 0.26 s with 65536 (best of 5,
-# 2-vCPU Xeon with 2 MB of L2 per core, numpy 2.4). It is also the piece
-# size in which ``measures.stream`` draws each sample column, so it must
-# divide SAMPLE_BLOCK: a row chunk never straddles two blocks, which come
-# from different substreams.
+# Rows per evaluation block, so the evaluator's scratch rows (128 kB each
+# at 16384 rows) stay in cache. Evaluating the 120-term n=10, d=3 chaos by
+# prefix groups on 10^6 rows, in chunks of separate column arrays as the
+# sample stream hands them, took 0.079-0.081 s with 16384-row chunks,
+# 0.097-0.101 s with 8192 and 0.091-0.099 s with 32768 (best of 5, two
+# rounds, 2-vCPU Xeon with 2 MB of L2 per core, numpy 2.4). It is also the
+# piece size in which ``measures.stream`` draws each sample column, so it
+# must divide SAMPLE_BLOCK: a row chunk never straddles two blocks, which
+# come from different substreams.
 EVAL_BLOCK = 16384
 
 

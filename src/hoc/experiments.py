@@ -415,10 +415,14 @@ def _run_catalog_oracle(exp):
 def _eval_tail_counts(f, mspec, m, seed, t_grid):
     """``verify.tail_counts`` of f at the m rows of sample (mspec, seed),
     added up chunk by chunk (``measures.stream``), so no m-value array is
-    held."""
+    held. The stream reuses each chunk's values once the count returns, so
+    |v| is taken in place."""
     per_chunk = []
-    measures.stream(mspec, m, seed, f._add_terms,
-                    lambda start, values: per_chunk.append(verify.tail_counts(values, t_grid)))
+
+    def count(start, values):
+        per_chunk.append(verify.abs_tail_counts(np.abs(values, out=values), t_grid))
+
+    measures.stream(mspec, m, seed, f.adder(), count)
     return np.sum(per_chunk, axis=0)
 
 
@@ -430,7 +434,7 @@ def _run_certify(exp):
     top_inf, top_inf_exact = bounds.constant_top_op(f, d)
     cert = bounds.exp_moment_certificate(ladder, top_inf, exp.route, top_inf_exact)
     values = measures.stream_values(mspec, exp.samples, stage_seed(exp.seed, _STAGE_EVAL),
-                                    f._add_terms)
+                                    f.adder())
     report = verify.check_exp_certificate(cert, values)
     rate, power, threshold = cert.exp_params()
     row = report.rows[0]
@@ -496,7 +500,7 @@ def _run_multilinear(exp):
     unit_var = all(abs(mspec.moment(i, 2) - 1.0) < 1e-12 for i in range(mspec.dim))
     certs = bounds.multilinear_certificates(mlspec, mspec.sigma(), unit_var)
     values = measures.stream_values(mspec, exp.samples, stage_seed(exp.seed, _STAGE_EVAL),
-                                    exp.function._add_terms)
+                                    exp.function.adder())
     reps = {name: verify.check_exp_certificate(certs[name], values)
             for name in ("exp_hs", "exp_inf")}
     hs, amax = certs["exp_hs"].constants["hs_norm"], certs["exp_inf"].constants["max_entry"]
@@ -546,7 +550,7 @@ def _run_weighted(exp):
     f, d, seed, mspec = exp.function, exp.d, exp.seed, exp.measure
     beta, kappa, top_op, report = _weighted_start(exp)
     values = measures.stream_values(mspec, exp.samples, stage_seed(seed, _STAGE_EVAL),
-                                    f._add_terms)
+                                    f.adder())
     rows, mom_checks = [], {}
     for p in exp.p_values:
         wnorms = tuple(

@@ -265,7 +265,10 @@ def stream(spec, m, seed, evaluate, consume):
     """Call ``consume(start, values)`` at each EVAL_BLOCK-row chunk of the m
     rows of sample (spec, seed), in order: ``start`` is the chunk's first
     row, and ``values`` is zeros to which ``evaluate(cols, values)`` added
-    the chunk's values, coordinate i of its rows in ``cols[i]``.
+    the chunk's values, coordinate i of its rows in ``cols[i]``. ``values``
+    is one buffer, allocated here once beside the slot pool and reused for
+    the next chunk once ``consume`` returns, so a consumer that keeps the
+    values must copy them (``stream_values`` does; a tail count reduces them).
 
     Block b of SAMPLE_BLOCK rows comes from substream (seed, b), drawn column
     by column, each column in EVAL_BLOCK-row pieces: consecutive draws from
@@ -288,6 +291,7 @@ def stream(spec, m, seed, evaluate, consume):
     per_block = SAMPLE_BLOCK // EVAL_BLOCK
     chunks = [(start, min(EVAL_BLOCK, m - start)) for start in range(0, m, EVAL_BLOCK)]
     slots = np.empty((spec.dim * min(per_block + 1, len(chunks)), min(m, EVAL_BLOCK)))
+    values = np.empty(slots.shape[1])
     free, ready, stop = queue.SimpleQueue(), queue.SimpleQueue(), threading.Event()
     for slot in range(len(slots)):
         free.put(slot)
@@ -318,9 +322,10 @@ def stream(spec, m, seed, evaluate, consume):
                 pieces = ready.get()
                 if pieces is None:
                     filler.result()
-                values = np.zeros(rows)
-                evaluate([slots[slot, :rows] for slot in pieces], values)
-                consume(start, values)
+                chunk = values[:rows]
+                chunk.fill(0.0)
+                evaluate([slots[slot, :rows] for slot in pieces], chunk)
+                consume(start, chunk)
                 for slot in pieces:
                     free.put(slot)
         finally:

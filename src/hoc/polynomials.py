@@ -1,7 +1,12 @@
 """Multivariate polynomial test functions with exact derivatives.
 
 Polynomials are stored as sparse exponent-vector terms, so every mixed
-partial derivative is available in closed form. The order-k partials of all
+partial derivative is available in closed form. Values are taken by prefix
+groups (``adder``): each term c x^alpha is (x^alpha / x_k)(c x_k), k its
+last nonzero coordinate, and the terms of one prefix share one pass per
+prefix factor, as in a one-level multivariate Horner scheme (Pena & Sauer,
+SIAM J. Numer. Anal. 37, 2000); every step is an elementwise ufunc, so a
+row's bits do not depend on the batch. The order-k partials of all
 terms form one numpy table (``partial_table``): ``derivative_dense``
 evaluates its rows, as a constant symmetric tensor once the requested order
 reaches the total degree or at each point otherwise, and ``hoc.bounds``
@@ -13,6 +18,7 @@ hypermatrix.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -57,12 +63,13 @@ class PolyFunction:
     def evaluate(self, x):
         """Value at a point (shape (dim,)) or a batch (shape (m, dim)).
 
-        A batch is evaluated EVAL_BLOCK rows at a time, so every per-term
-        temporary stays in cache; each row sees the same operations in the
-        same order whatever the batch size, so values are bit-identical to a
-        whole-batch evaluation. This block is much smaller than the
-        65536-row ``SAMPLE_BLOCK`` of the sampler, which is fixed by the
-        random-stream layout, not by the cache.
+        A batch is evaluated EVAL_BLOCK rows at a time by one ``adder``, so
+        its scratch rows stay in cache; every step is elementwise, so each
+        row sees the same operations in the same order whatever the batch
+        size, and values are bit-identical to a whole-batch evaluation. This
+        block is much smaller than the 65536-row ``SAMPLE_BLOCK`` of the
+        sampler, which is fixed by the random-stream layout, not by the
+        cache.
         """
         pts = np.asarray(x, dtype=np.float64)
         single = pts.ndim == 1
@@ -73,38 +80,80 @@ class PolyFunction:
                              % (pts.shape[1], self.dim))
         m = pts.shape[0]
         out = np.zeros(m)
+        add = self.adder()
         if m <= EVAL_BLOCK:
-            self._add_terms(pts.T, out)
+            add(pts.T, out)
         else:
             for start in range(0, m, EVAL_BLOCK):
                 stop = start + EVAL_BLOCK
-                self._add_terms(pts[start:stop].T, out[start:stop])
+                add(pts[start:stop].T, out[start:stop])
         return float(out[0]) if single else out
 
-    def _add_terms(self, cols, out):
-        """out += every term evaluated at the rows whose coordinate i is
-        ``cols[i]``: a batch's ``pts.T``, or the separate column pieces of
-        one chunk of ``measures.stream``.
+    @functools.cached_property
+    def _groups(self):
+        """(constant, groups): the constant term's coefficient (None when
+        there is none) and the other terms grouped by prefix.
 
-        One ``term`` buffer serves every term. Its first factor goes in as
-        coeff * column, the same product as filling with coeff and then
-        multiplying by the column; a constant term is coeff itself.
+        A term c x^alpha is (x^alpha / x_k)(c x_k), k its last coordinate
+        with a nonzero exponent. Each group is (linear, prefix): the (c, k)
+        of its terms, in term order, and the (i, e) factors x_i^e of their
+        common prefix x^alpha / x_k, ascending in i. Built at the first
+        evaluation, so ``resolve`` never pays for it, and kept on the
+        instance rather than in a module cache, which the many short-lived
+        partials of ``derivative_dense`` would fill.
         """
-        term = np.empty(out.shape[0])
+        constant, groups = None, {}
         for exps, coeff in self.terms:
-            started = False
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                col = cols[i] if e == 1 else cols[i] ** e
-                if started:
-                    term *= col
-                else:
-                    np.multiply(coeff, col, out=term)
-                    started = True
-            if not started:
-                term.fill(coeff)
-            out += term
+            nonzero = [i for i, e in enumerate(exps) if e]
+            if not nonzero:
+                constant = coeff
+                continue
+            k = nonzero[-1]
+            prefix = list(exps)
+            prefix[k] -= 1
+            factors = tuple((i, e) for i, e in enumerate(prefix) if e)
+            groups.setdefault(factors, []).append((coeff, k))
+        return constant, tuple((tuple(linear), factors) for factors, linear in groups.items())
+
+    def adder(self):
+        """A function add(cols, out) doing out += f at the rows whose
+        coordinate i is ``cols[i]``: a batch's ``pts.T``, or the separate
+        column pieces of one chunk of ``measures.stream``.
+
+        The constant term goes in first. Then, per group of ``_groups``, one
+        scratch row y gets the linear part sum c * x_k (the first term as
+        c * x_k, each further one through a second scratch row), is
+        multiplied by each prefix factor once (a power as ``col ** e``) and
+        is added to out. Every step is an elementwise ufunc, and no term
+        costs more than one multiply and one add, so this makes no more
+        passes than evaluating term by term. The two scratch rows are made
+        at the first call and serve every later call of as many rows or
+        fewer: one per ``evaluate`` or per sample stream. They are two
+        allocations, not one (2, rows) array: at EVAL_BLOCK rows each fits
+        the 128 kB blocks the heap holds free between runs, where one
+        256 kB block raised chaos-tails' peak RSS by about 0.25 MB.
+        """
+        constant, groups = self._groups
+        scratch = ()
+
+        def add(cols, out):
+            nonlocal scratch
+            rows = out.shape[0]
+            if not scratch or scratch[0].size < rows:
+                scratch = (np.empty(rows), np.empty(rows))
+            y, term = (row[:rows] for row in scratch)
+            if constant is not None:
+                out += constant
+            for linear, prefix in groups:
+                (coeff, k), *rest = linear
+                np.multiply(coeff, cols[k], out=y)
+                for coeff, k in rest:
+                    y += np.multiply(coeff, cols[k], out=term)
+                for i, e in prefix:
+                    y *= cols[i] if e == 1 else cols[i] ** e
+                out += y
+
+        return add
 
     def term_arrays(self):
         """(exps, coeffs): the exponent rows of the terms as an

@@ -84,8 +84,15 @@ def tail_counts(values, t_grid):
     blocks of an array add up to the counts of the whole, so a caller can
     stream its values through here without holding them.
     """
-    v = np.abs(np.asarray(values, dtype=np.float64)).ravel()
-    return np.array([v.size - np.count_nonzero(v < t) for t in t_grid], dtype=np.int64)
+    return abs_tail_counts(np.abs(np.asarray(values, dtype=np.float64)).ravel(), t_grid)
+
+
+def abs_tail_counts(a, t_grid):
+    """``tail_counts`` of the values whose absolute values are the 1-D
+    float64 array ``a``: per t, the count of a with not a < t. A caller free
+    to overwrite its values takes |v| in place (``np.abs(v, out=v)``) and
+    passes that, so no copy is made."""
+    return np.array([a.size - np.count_nonzero(a < t) for t in t_grid], dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,11 @@ The whole-sample draw (``sample``, ``fill_block``) is what
 ``measures.stream`` must give piece by piece. The term-by-term polynomial
 algebra (``partial``, ``mul``, ``expectation``, ``shifted`` and
 ``order_partials``) is what the partial table, ``derivative_dense`` and
-the exact rungs must give bit for bit. The cyclic Jacobi solver checks
-LAPACK's ``eigvalsh``, ``weighted_spectral_gap`` the closed-form weighted
-kappa, and ``relative_domination`` compares two estimated norms. ``iid``
-builds a product of one law and ``certificate_from_dict`` reads a report's
+the exact rungs must give bit for bit, and so is ``grouped_eval`` for
+``PolyFunction.evaluate``. The cyclic Jacobi solver checks LAPACK's
+``eigvalsh``, ``weighted_spectral_gap`` the closed-form weighted kappa, and
+``relative_domination`` compares two estimated norms. ``iid`` builds a
+product of one law and ``certificate_from_dict`` reads a report's
 certificate back. Nothing in ``src/hoc`` imports this module.
 """
 
@@ -104,6 +105,38 @@ def order_partials(f, k):
             alpha[i] += 1
         table[idx] = partial(f, tuple(alpha))
     return table
+
+
+def grouped_eval(f, pts):
+    """f at each row of ``pts`` (shape (m, dim)) by prefix groups, whole
+    columns at a time.
+
+    Each term c x^alpha is split as (x^alpha / x_k)(c x_k), k its last
+    coordinate with a nonzero exponent. The constant term is added first;
+    then each prefix, in the order of its first term, adds
+    (sum of c x_k over its terms, in term order) times its factors x_i^e,
+    ascending in i, a power as ``col ** e``.
+    """
+    pts = np.asarray(pts, dtype=np.float64)
+    out = np.zeros(pts.shape[0])
+    groups = {}
+    for exps, coeff in f.terms:
+        k = max((i for i, e in enumerate(exps) if e), default=None)
+        if k is None:
+            out = out + coeff
+            continue
+        prefix = list(exps)
+        prefix[k] -= 1
+        groups.setdefault(tuple(prefix), []).append((coeff, k))
+    for prefix, linear in groups.items():
+        y = None
+        for coeff, k in linear:
+            y = coeff * pts[:, k] if y is None else y + coeff * pts[:, k]
+        for i, e in enumerate(prefix):
+            if e:
+                y = y * (pts[:, i] if e == 1 else pts[:, i] ** e)
+        out = out + y
+    return out
 
 
 def expectation(f, moment):

@@ -499,7 +499,7 @@ def test_resolve_reads_no_polynomial_algebra(monkeypatch):
     def algebra(*args, **kwargs):
         raise AssertionError("PolyFunction evaluation in resolve")
 
-    for name in ("derivative_dense", "evaluate", "_add_terms"):
+    for name in ("derivative_dense", "evaluate", "adder"):
         monkeypatch.setattr(experiments.PolyFunction, name, algebra)
     names = [fx.name for fx in fixtures.inventory()
              if fx.kind in ("certify", "tails", "weighted", "weighted-tail")]
@@ -508,6 +508,7 @@ def test_resolve_reads_no_polynomial_algebra(monkeypatch):
         exp = experiments.resolve({"kind": fixtures.by_name(name).kind, "seed": 0,
                                    "fixture": name})
         assert len(exp.hs2) == exp.d - 1 and exp.top_hs > 0.0, name
+        assert "_groups" not in vars(exp.function), name  # the evaluation plan waits
 
 
 @pytest.mark.parametrize("cfg, top", [

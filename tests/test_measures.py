@@ -199,7 +199,7 @@ def test_stream_values_match_the_whole_sample():
             for dim, f in polys.items():
                 spec = iid(dist, dim, **params.get(dist, {}))
                 for m in (1000, 3 * EVAL_BLOCK + 5, 2 * SAMPLE_BLOCK + 17):
-                    streamed = M.stream_values(spec, m, 4, f._add_terms)
+                    streamed = M.stream_values(spec, m, 4, f.adder())
                     assert np.array_equal(streamed, f.evaluate(sample(spec, m, seed=4))), \
                         (dist, dim, m)
     finally:
@@ -222,7 +222,7 @@ def test_stream_raises_a_filler_error_and_joins(monkeypatch):
     monkeypatch.setattr(M, "draw_coordinate", failing)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="block 2"):
-        M.stream_values(spec, 3 * SAMPLE_BLOCK, 4, f._add_terms)
+        M.stream_values(spec, 3 * SAMPLE_BLOCK, 4, f.adder())
     assert threading.active_count() == before
 
 
@@ -254,7 +254,7 @@ def test_stream_stops_on_a_consumer_error_and_joins(monkeypatch):
     monkeypatch.setattr(M, "draw_coordinate", recording)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="chunk 1"):
-        M.stream(spec, 5 * SAMPLE_BLOCK, 4, f._add_terms, consume)
+        M.stream(spec, 5 * SAMPLE_BLOCK, 4, f.adder(), consume)
     assert threading.active_count() == before
     assert consumed == [0, EVAL_BLOCK]
     assert drawn == [EVAL_BLOCK] * 9
@@ -298,7 +298,7 @@ def test_sample_rejects_empty():
     with pytest.raises(ValueError):
         sample(spec, 0, seed=0)
     with pytest.raises(ValueError, match="m >= 1"):
-        M.stream_values(spec, 0, 0, PolyFunction.from_terms(1, {(1,): 1.0})._add_terms)
+        M.stream_values(spec, 0, 0, PolyFunction.from_terms(1, {(1,): 1.0}).adder())
 
 
 # -- spectral-gap oracle ---------------------------------------------------------

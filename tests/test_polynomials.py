@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hoc import fixtures
+from hoc.experiments import resolve
 from hoc.polynomials import (EVAL_BLOCK, MultilinearSpec, PolyFunction,
                              from_multilinear, opnorm_gradient_check, partial_table)
 from hoc.tensors import canonical_layout
@@ -76,9 +78,9 @@ def test_evaluate_matches_naive(f, seed):
         assert batch[i] == pytest.approx(naive_eval(f, pts[i]), rel=1e-12, abs=1e-12)
 
 
-def old_add_terms(f, pts, out):
-    """Reference term loop with a fresh buffer per term: np.full(coeff), then
-    one in-place product per factor."""
+def term_loop(f, pts, out):
+    """out += f at the rows of ``pts``, term by term: a fresh buffer per
+    term, np.full(coeff), then one in-place product per factor."""
     for exps, coeff in f.terms:
         term = np.full(pts.shape[0], coeff)
         for i, e in enumerate(exps):
@@ -89,25 +91,63 @@ def old_add_terms(f, pts, out):
         out += term
 
 
-def test_add_terms_matches_the_full_then_multiply_loop():
-    # a constant, a leading power (x1^3 x2), a pure power and mixed terms,
-    # evaluated across an EVAL_BLOCK boundary
+def term_magnitudes(f, pts):
+    """sum over the terms of |c x^alpha| at each row: the scale of the
+    rounding error of any order of evaluation."""
+    total = np.zeros(pts.shape[0])
+    for exps, coeff in f.terms:
+        total += np.abs(coeff * np.prod(pts ** np.array(exps), axis=1))
+    return total
+
+
+def test_adder_matches_the_grouped_twin_and_the_term_loop():
+    # a constant, a leading power (x1^3 x2), a pure power, mixed terms and
+    # two groups of more than one term (prefixes x1 and x2), evaluated
+    # across an EVAL_BLOCK boundary: bit for bit the grouped twin, and
+    # within rounding of the term loop
     f = PolyFunction.from_terms(3, {(0, 0, 0): 0.3, (3, 1, 0): -1.7, (0, 0, 4): 0.9,
-                                    (1, 1, 1): 2.5, (0, 2, 1): -0.4, (1, 0, 0): 1.1})
+                                    (1, 1, 1): 2.5, (0, 2, 1): -0.4, (1, 0, 0): 1.1,
+                                    (2, 0, 0): 0.7, (1, 1, 0): -0.8, (1, 0, 1): 1.9,
+                                    (0, 1, 1): 0.6, (0, 1, 2): -1.3})
     pts = np.random.default_rng(5).standard_normal((EVAL_BLOCK + 5, 3)) * 1.3
-    expected = np.zeros(pts.shape[0])
-    for start in range(0, pts.shape[0], EVAL_BLOCK):
-        old_add_terms(f, pts[start:start + EVAL_BLOCK], expected[start:start + EVAL_BLOCK])
-    assert np.array_equal(f.evaluate(pts), expected)
+    values = f.evaluate(pts)
+    assert np.array_equal(values, oracles.grouped_eval(f, pts))
+    by_terms = np.zeros(pts.shape[0])
+    term_loop(f, pts, by_terms)
+    assert np.all(np.abs(values - by_terms) <= 1e-12 * term_magnitudes(f, pts))
     # column-major, a short block, and separate column arrays (the slot
-    # pieces the sample stream hands over)
+    # pieces the sample stream hands over), through one adder
+    add = f.adder()
     fortran, chunk = np.asfortranarray(pts), pts[:EVAL_BLOCK]
     for block, cols in ((fortran, fortran.T), (pts[:7], pts[:7].T),
                         (chunk, [np.ascontiguousarray(c) for c in chunk.T])):
-        out, ref = np.zeros(block.shape[0]), np.zeros(block.shape[0])
-        f._add_terms(cols, out)
-        old_add_terms(f, block, ref)
-        assert np.array_equal(out, ref)
+        out = np.zeros(block.shape[0])
+        add(cols, out)
+        assert np.array_equal(out, oracles.grouped_eval(f, block))
+
+
+@settings(max_examples=30, deadline=None)
+@given(f=polys, seed=st.integers(0, 999))
+def test_rows_keep_their_bits_at_every_batch_size(f, seed):
+    pts = np.random.default_rng(seed).standard_normal((EVAL_BLOCK + 5, f.dim))
+    whole = f.evaluate(pts)
+    assert np.array_equal(f.evaluate(pts[:7]), whole[:7])
+    for r in (0, 6, EVAL_BLOCK - 1, EVAL_BLOCK, EVAL_BLOCK + 4):
+        assert np.array_equal(f.evaluate(pts[r:r + 1]), whole[r:r + 1])
+        assert f.evaluate(pts[r]) == whole[r]
+
+
+def test_every_shipped_function_matches_naive_evaluation():
+    kinds = ("certify", "tails", "multilinear", "weighted", "weighted-tail")
+    names = [fx.name for fx in fixtures.inventory() if fx.kind in kinds]
+    assert len(names) == 30
+    for name in names:
+        f = resolve({"kind": fixtures.by_name(name).kind, "seed": 0,
+                     "fixture": name}).function
+        pts = np.random.default_rng(3).standard_normal((40, f.dim))
+        values = f.evaluate(pts)
+        for row, value in zip(pts, values):
+            assert value == pytest.approx(naive_eval(f, row), rel=1e-12, abs=1e-12), name
 
 
 def test_algebra():
