@@ -23,8 +23,9 @@ ladder-hs, ladder-tail, weighted-tail, multilinear-hs, multilinear-inf,
 wigner-lss) plus every constant needed to re-evaluate them. The
 weighted-ladder moment bounds are plain numbers, not certificates.
 
-Every tail route but weighted-tail is ``Ladder.tail`` of the ladder its
-constants give (``_ladder``):
+Every tail route is Markov on a moment bound (``markov_tail``): weighted-tail
+on M_w (``student_moment_bounds``), each other route on ``Ladder.moment`` of
+the ladder its constants give (``_ladder``):
 
   ladder-tail      Ladder(sigma, d, hs2, top_hs), the exact HS rungs
   multilinear-hs   Ladder(sigma, d, (a / sqrt((d-k)!))_(k<d), a), a = hs_norm
@@ -40,13 +41,14 @@ from math import e, sqrt
 
 import numpy as np
 
+from . import measures
 from .polynomials import partial_table
 from .tensors import multinomial, op_norms
 
 EXP_MOMENT_COEFF = 1.0 / (12.0 * e)  # universal constant in the exp-moment certificates
 EXP_THRESHOLD = 2.0
 EXP_MOMENT_ROUTES = ("ladder-inf", "ladder-hs")  # the routes exp_moment_certificate takes
-MARKOV_P = np.geomspace(2.0, 4000.0, 4000)  # the p at which Ladder.tail tries Markov
+MARKOV_P = np.geomspace(2.0, 4000.0, 4000)  # the p at which the tail curves try Markov
 
 _SQRT2 = sqrt(2.0)
 
@@ -103,11 +105,8 @@ class Ladder:
         return total + base**self.d * self.top
 
     def tail(self, t):
-        """Markov on ``moment``, P(|f - E f| >= t) <= (M(p) / t)^p, at t >= 0,
-        uncapped, at the best p of the fixed grid MARKOV_P: it never rises in t."""
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            log_ratio = np.log(self.moment(MARKOV_P)) - np.log(np.expand_dims(t, -1))
-            return np.exp(np.min(MARKOV_P * log_ratio, axis=-1))
+        """Markov on ``moment`` at the grid MARKOV_P (``markov_tail``)."""
+        return markov_tail(MARKOV_P, self.moment(MARKOV_P), t)
 
     def rescale(self):
         """The least lambda >= 1 whose f / lambda has a normalized ladder:
@@ -115,6 +114,16 @@ class Ladder:
         return max(1.0, self.top, max((nk / self.sigma ** (self.d - k)
                                        for k, nk in enumerate(self.rungs, start=1)),
                                       default=0.0))
+
+
+def markov_tail(p, moments, t):
+    """Markov on the moment bounds ``moments`` at the points ``p``:
+    P(|f - E f| >= t) <= (M(p) / t)^p, at t >= 0, uncapped, at the best p,
+    evaluated in logs as exp(min_p p (log M(p) - log t)). Each p's exponent
+    falls as t grows, so the curve never rises in t."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_ratio = np.log(moments) - np.log(np.expand_dims(t, -1))
+        return np.exp(np.min(p * log_ratio, axis=-1))
 
 
 # -- certificates ----------------------------------------------------------------
@@ -170,14 +179,11 @@ class Certificate:
 
 
 def _tail_eval(route, c, t):
-    if route == "weighted-tail":
-        d, p = c["d"], c["p"]
-        scale = 2.0 ** ((d + 5) / 2.0) * c["C"]
-        inside = np.exp(np.clip(-d * np.power(t, 1.0 / d) / (scale * e), -745.0, 0.0))
-        with np.errstate(divide="ignore"):
-            beyond = np.where(t > 0, ((scale * p) ** d / np.maximum(t, 1e-300)) ** p, np.inf)
-        return c["prefactor"] * np.where(t <= c["window_end"], inside, beyond)
-    return _ladder(route, c).tail(t)
+    if route != "weighted-tail":
+        return _ladder(route, c).tail(t)
+    moments = np.array([min(student_moment_bounds(p=p, **c)) for p in MARKOV_P.tolist()])
+    finite = np.isfinite(moments)
+    return markov_tail(MARKOV_P[finite], moments[finite], t)
 
 
 def _ladder(route, c):
@@ -409,26 +415,25 @@ def weighted_moment_bounds(p, wnorms, norms2, top_mixed, top_2dp):
     return bound_mixed, bound_plain
 
 
-def weighted_tail_certificate(C, p, d, rescale_lambda=1.0):
-    """P(|f| >= t) bound for normalized f under a weighted inequality.
+def student_moment_bounds(beta, kappa, dim, d, rungs, top, p):
+    """``weighted_moment_bounds`` at p of an f of order d <= 2, rungs
+    n_1..n_(d-1) and ``top`` the operator norm of its constant f^(d), under the
+    Student-type law of ``beta`` on ``dim`` coordinates and the weight
+    kappa sqrt(1 + max_i x_i^2). Their lesser, M_w(p), is finite just while
+    2^(d-1) p < 2 beta - 1, where ||w||_(2^(d-1) p) is."""
+    wnorms = tuple(measures.student_weight_norm(beta, kappa, 2**k * p, dim)
+                   for k in range(1, d + 1))
+    top_mixed = top * (wnorms[d - 2] if d > 1 else
+                       measures.student_weight_norm(beta, kappa, p, dim))
+    return weighted_moment_bounds(float(p), wnorms, rungs, top_mixed, top)
 
-    Needs ||w||_{2^d p} <= C with C >= 2^(-(d-1)/2), p >= 2, and the
-    normalized derivative ladder (sigma = 1 convention). Inside the window
-    t <= (2^((d+5)/2) C e p)^d the bound decays like exp(-d t^(1/d) / ...);
-    beyond it the general q = p moment-Markov form takes over.
-    """
-    floor = 2.0 ** (-(d - 1) / 2.0)
-    if C < floor:
-        raise ValueError(
-            "C=%g is below the admissible floor 2^(-(d-1)/2)=%g" % (C, floor))
-    if p < 2:
-        raise ValueError("need p >= 2")
-    scale = 2.0 ** ((d + 5) / 2.0) * C
+
+def weighted_tail_certificate(beta, kappa, dim, d, rungs, top):
+    """P(|f| >= t) bound (route weighted-tail) for a centered f: Markov on
+    M_w(p) of ``student_moment_bounds``, at the p of MARKOV_P where it is finite."""
     return Certificate("tail", "weighted-tail",
-                       {"C": float(C), "p": float(p), "d": int(d),
-                        "window_end": (scale * e * p) ** d,
-                        "prefactor": math.exp(d / e)},
-                       rescale_lambda=rescale_lambda)
+                       {"beta": beta, "kappa": kappa, "dim": dim, "d": d,
+                        "rungs": list(rungs), "top": top})
 
 
 # -- multilinear route -----------------------------------------------------------------

@@ -33,7 +33,7 @@ SCHEMA_VERSION = 1
 # the value of each count, order and grid a config may leave out (a field a
 # kind requires, see _KINDS, never falls back to it)
 DEFAULTS = {"samples": 1_000_000, "draws": 2000, "cal_draws": 2000, "count": 50,
-            "p": 2, "p_values": (2, 4), "t_grid": (1, 2, 4)}
+            "p_values": (2, 4), "t_grid": (1, 2, 4)}
 
 # the draws behind the weighted runner's Monte Carlo weight-norm check (4x this)
 WEIGHT_NORM_SAMPLES = 100_000
@@ -123,7 +123,6 @@ class Experiment:
     draws: int
     cal_draws: int
     count: int
-    p: float
     p_values: tuple
     t_grid: tuple
     d: int | None = None
@@ -191,14 +190,12 @@ def resolve(cfg):
                                   or not payload["p_values"]):
         raise ConfigError("p_values must be a non-empty list, got %r" % (payload["p_values"],))
     vals = {field: payload.get(field, default) for field, default in DEFAULTS.items()}
-    for p in list(vals["p_values"]) + [vals["p"]]:
+    for p in vals["p_values"]:
         if not is_finite_number(p) or p < 2:
-            raise ConfigError("p and each of p_values must be a finite number >= 2, got %r"
-                              % (p,))
+            raise ConfigError("each of p_values must be a finite number >= 2, got %r" % (p,))
     if len(set(vals["p_values"])) < len(vals["p_values"]):  # one moment check per p
         raise ConfigError("p_values must not repeat a p, got %r" % (vals["p_values"],))
-    vals.update(p=float(vals["p"]), p_values=tuple(vals["p_values"]),
-                t_grid=tuple(vals["t_grid"]))
+    vals.update(p_values=tuple(vals["p_values"]), t_grid=tuple(vals["t_grid"]))
     try:
         built = _build(kind, payload)
     except KeyError as exc:
@@ -221,9 +218,10 @@ def resolve(cfg):
         if beta > measures.STUDENT_BETA_MAX:  # the weight norms would lose digits
             raise ConfigError("weighted experiments need beta <= %g, got beta = %g"
                               % (measures.STUDENT_BETA_MAX, beta))
-        # ||w||_q is finite just when q < 2 beta - 1, so the largest q the runner
-        # reads (2^d p; every p >= 2) decides; kappa scales it and can wait
-        q = 2 ** d * (vals["p"] if kind == "weighted-tail" else max(vals["p_values"]))
+        # ||w||_q is finite just when q < 2 beta - 1; kappa scales it and can wait.
+        # weighted reads 2^d p for each p >= 2, so the largest p decides, and the
+        # weighted-tail curve needs a finite M_w(2), which reads q = 2^d
+        q = 2 ** d * (1 if kind == "weighted-tail" else max(vals["p_values"]))
         if math.isinf(measures.student_weight_norm(beta, 1.0, q, mspec.dim)):
             raise ConfigError("the %s checks read the weight norm ||w||_%g, infinite for "
                               "the student law with beta = %g (it needs 2 beta - 1 > %g)"
@@ -553,12 +551,7 @@ def _run_weighted(exp):
                                     f.adder())
     rows, mom_checks = [], {}
     for p in exp.p_values:
-        wnorms = tuple(
-            measures.student_weight_norm(beta, kappa, 2**k * p, mspec.dim)
-            for k in range(1, d + 1))
-        top_mixed = top_op * (wnorms[d - 2] if d > 1 else
-                              measures.student_weight_norm(beta, kappa, p, mspec.dim))
-        bm, bp = bounds.weighted_moment_bounds(float(p), wnorms, exp.hs2, top_mixed, top_op)
+        bm, bp = bounds.student_moment_bounds(beta, kappa, mspec.dim, d, exp.hs2, top_op, p)
         row = verify.check_moment_bound(min(bm, bp), values, p).rows[0]
         est, se, ok = row.empirical, row.extra["se"], row.passed
         rows.append((p, bm, bp, est, se, int(ok)))
@@ -580,21 +573,16 @@ def _run_weighted(exp):
 
 
 def _run_weighted_tail(exp):
-    d, p = exp.d, exp.p
     beta, kappa, top_op, report = _weighted_start(exp)
-    # the normalized ladder of weighted_tail_certificate is the sigma = 1 one
-    lam = bounds.Ladder(1.0, d, exp.hs2, top_op).rescale()
-    w2dp = measures.student_weight_norm(beta, kappa, 2**d * p, exp.measure.dim)
-    C = max(2.0 ** (-(d - 1) / 2.0), w2dp)
-    cert = bounds.weighted_tail_certificate(C, p, d, rescale_lambda=lam)
+    cert = bounds.weighted_tail_certificate(beta, kappa, exp.measure.dim, exp.d, exp.hs2,
+                                            top_op)
     counts = _eval_tail_counts(exp.function, exp.measure, exp.samples,
                                stage_seed(exp.seed, _STAGE_EVAL), exp.t_grid)
     check = verify.check_tail_certificate(cert, exp.samples, counts, exp.t_grid)
-    window = cert.constants["window_end"] * lam
-    rows = [r + (int(r[0] <= window),) for r in _tail_rows(check)]
-    report.update(certificate=cert.to_dict(), check=check.to_dict(), window_end=window, C=C,
+    # a Markov curve holds at every t, so its validity window is the whole line
+    report.update(certificate=cert.to_dict(), check=check.to_dict(), window_end=math.inf,
                   passed=check.passed)
-    return report, _tail_artifacts(_TAIL_HEADER + ["in_window"], rows,
+    return report, _tail_artifacts(_TAIL_HEADER, _tail_rows(check),
                                    "weighted tail bound (heavy-tailed demo)", _TAIL_SERIES)
 
 
@@ -652,7 +640,7 @@ _KINDS = {  # runner, fields, required, route, samples field, its floor
                          verify.MIN_EXP_SAMPLES),
     "weighted": _Kind(_run_weighted, _POLY + ("p_values",), (), "weighted-ladder",
                       "samples", 2),  # verify.empirical_lp needs two values
-    "weighted-tail": _Kind(_run_weighted_tail, _POLY + ("p", "t_grid"), ("t_grid",),
+    "weighted-tail": _Kind(_run_weighted_tail, _POLY + ("t_grid",), ("t_grid",),
                            "weighted-tail", "samples", verify.MIN_TAIL_SAMPLES),
     # rmt may discard 0.1% of its draws (one of 1001); the kept draws must
     # still fill the tail check

@@ -127,10 +127,10 @@ def _weighted_fixtures():
                 "weighted moment bounds, bilinear form on the 2-D demo product",
                 dict(base2, p_values=[2, 4])),
         Fixture("student-weighted-tail-d1", "weighted-tail", "weighted-tail",
-                "weighted tail bound, d=1 window and beyond-window regimes",
+                "weighted tail bound, d=1: Markov on the weighted moment bound",
                 dict(base1, t_grid=[m * sd1 for m in TAIL_GRID_MULTIPLIERS])),
         Fixture("student-weighted-tail-d2", "weighted-tail", "weighted-tail",
-                "weighted tail bound, d=2 window and beyond-window regimes",
+                "weighted tail bound, d=2: Markov on the weighted moment bound",
                 dict(base2, t_grid=[m * sqrt(sd2) for m in TAIL_GRID_MULTIPLIERS])),
     ]
 

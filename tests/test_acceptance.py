@@ -220,8 +220,8 @@ def test_criterion_7_weighted_bounds(weighted_runs):
             fails.append(name)
     ok = not fails and total_secs < 300.0
     _line(7, ok,
-          "d=1,2 moment bounds (mixed and plain) dominate at p=2,4; tail bounds "
-          "dominate on full grids inside the validity window, %.0fs%s"
+          "d=1,2 moment bounds (mixed and plain) dominate at p=2,4; Markov tail "
+          "bounds on them dominate on full grids, every t in the window, %.0fs%s"
           % (total_secs, "" if not fails else "; FAILED " + ",".join(fails)))
     assert ok
 

@@ -195,7 +195,7 @@ def test_tail_caps_and_edges():
     cert = ladder_tail()
     assert cert.tail_bound(0.0) == 1.0
     assert cert.tail_bound(-3.0) == 1.0
-    assert cert.tail_bound(1e-9) == 1.0  # prefactor region, capped
+    assert cert.tail_bound(1e-9) == 1.0  # capped
     grid = np.linspace(0.1, 400.0, 200)
     vals = cert.tail_bound(grid)
     assert isinstance(vals, np.ndarray) and vals.shape == grid.shape
@@ -308,38 +308,78 @@ def test_weighted_moment_bounds_hand_value():
     assert bp == pytest.approx(ladder + (2.0 * 0.3) ** 2 * 1.0, rel=1e-14)
 
 
-def test_weighted_tail_frozen_values():
-    # capped inside the window
-    assert B.weighted_tail_certificate(1.0, 2.0, 2).tail_bound(100.0) == 1.0
-    # beyond the window the moment-Markov branch takes over
-    assert B.weighted_tail_certificate(1.0, 2.0, 2).tail_bound(5000.0) == \
-        pytest.approx(0.02188446509180685, rel=1e-12)
-    assert B.weighted_tail_certificate(1.0, 2.0, 2).tail_bound(5000.0) == \
-        pytest.approx(math.exp(2.0 / e) * (512.0 / 5000.0) ** 2, rel=1e-14)
+# the law of the weighted fixtures: the Student-type law of beta = 10
+_BETA = 10.0
+_KAPPA = measures.student_weight_kappa(_BETA)
 
 
-def test_weighted_tail_window_continuity():
-    cert = B.weighted_tail_certificate(1.0, 2.0, 2)
-    w_end = cert.constants["window_end"]
-    assert w_end == pytest.approx(3783.1967226524935, rel=1e-12)
-    lo = cert.tail_bound(w_end * (1 - 1e-9))
-    hi = cert.tail_bound(w_end * (1 + 1e-9))
-    assert lo == pytest.approx(hi, rel=1e-6)  # the two branches meet at the window end
+def weighted_tail(d=1):
+    """The weighted-tail certificate of f = x (d = 1) or x1 x2 (d = 2) at beta = 10,
+    whose rung n_1 = (E x1^2 + E x2^2)^(1/2) = sqrt(2/17); both tops are 1."""
+    return B.weighted_tail_certificate(_BETA, _KAPPA, d, d, (sqrt(2.0 / 17.0),)[:d - 1], 1.0)
 
 
-def test_weighted_tail_validation():
-    with pytest.raises(ValueError):
-        B.weighted_tail_certificate(0.5, 2.0, 2)  # below the 2^(-1/2) floor
-    with pytest.raises(ValueError):
-        B.weighted_tail_certificate(1.0, 1.5, 2)
-    # the d=1 floor is 1; C=1 is admissible
-    assert B.weighted_tail_certificate(1.0, 2.0, 1).constants["d"] == 1
+def _student_abs_moment(p, beta=_BETA):
+    """E |x|^p under the density proportional to (1 + x^2)^(-beta)."""
+    return math.exp(math.lgamma((p + 1) / 2.0) + math.lgamma(beta - (p + 1) / 2.0)
+                    - math.lgamma(0.5) - math.lgamma(beta - 0.5))
 
 
-def test_weighted_tail_rescale():
-    base = B.weighted_tail_certificate(1.0, 2.0, 2)
-    scaled = B.weighted_tail_certificate(1.0, 2.0, 2, rescale_lambda=3.0)
-    assert scaled.tail_bound(9000.0) == pytest.approx(base.tail_bound(3000.0), rel=1e-14)
+def _student_weighted_moment(p, beta=_BETA):
+    """M_w(p) of f = x by hand: Var u <= kappa^2 E (1 + x^2) u'^2 gives
+    ||x||_p <= (p / sqrt 2) ||w||_p, w = kappa sqrt(1 + x^2), and E (1 + x^2)^q
+    is Gamma(beta) Gamma(beta - q - 1/2) / (Gamma(beta - 1/2) Gamma(beta - q))."""
+    q = p / 2.0
+    log_m = (math.lgamma(beta) + math.lgamma(beta - q - 0.5)
+             - math.lgamma(beta - 0.5) - math.lgamma(beta - q))
+    return p / sqrt(2.0) * _KAPPA * math.exp(log_m / p)
+
+
+def test_weighted_tail_is_markov_on_the_weighted_moment_bound():
+    cert = weighted_tail()
+    assert set(cert.constants) == {"beta", "kappa", "dim", "d", "rungs", "top"}
+    assert cert.rescale_lambda == 1.0
+    # M_w(2) = sqrt 2 kappa (E (1 + x^2))^(1/2) = sqrt(2/17), and up to t ~ 0.9
+    # p = 2 is the best p: the curve is (2/17) / t^2, capped at 1 below sqrt(2/17)
+    assert cert.tail_bound(0.3) == 1.0
+    for t in (0.5, 0.8):
+        assert cert.tail_bound(t) == pytest.approx(2.0 / 17.0 / t**2, rel=1e-12)
+    # past it, the least (M_w(p) / t)^p over the points of MARKOV_P below p = 19,
+    # where ||w||_p turns infinite (2 beta - 1 = 19)
+    p = B.MARKOV_P[B.MARKOV_P < 19.0]
+    for t in (1.0, 2.0, 5.0):
+        want = min((_student_weighted_moment(q) / t) ** q for q in p.tolist())
+        assert cert.tail_bound(t) == pytest.approx(want, rel=1e-10)
+        assert want < 2.0 / 17.0 / t**2
+    # d = 2: M_w(2) = sqrt 2 ||w||_4 n_1 + 4 min(||w||_4^2, ||w||_8^2) with the
+    # union-bound ||w||_q = kappa (2 E (1 + x^2)^(q/2))^(1/q) of two coordinates
+    w4, w8 = (_KAPPA * (2.0 * measures.student_weight_moment(_BETA, q / 2.0)) ** (1.0 / q)
+              for q in (4, 8))
+    m2 = sqrt(2.0) * w4 * sqrt(2.0 / 17.0) + 4.0 * min(w4, w8) ** 2
+    assert weighted_tail(2).tail_bound(0.5) == pytest.approx((m2 / 0.5) ** 2, rel=1e-12)
+
+
+def test_weighted_tail_lies_above_the_exact_student_tail():
+    # at beta = 10, f = x is T_19 / sqrt 19 (Student t with 19 degrees of
+    # freedom); the curve stays above its tail, closest (1.21x) at t = 0.05,
+    # where the curve reads 1
+    from scipy.stats import t as student_t
+
+    ts = np.linspace(0.05, 5.0, 400)
+    exact = 2.0 * student_t.sf(ts * sqrt(19.0), 19)
+    ratio = weighted_tail().tail_bound(ts) / exact
+    assert ratio.min() >= 1.2
+
+
+def test_weighted_moment_bound_above_the_exact_student_norms():
+    # ||x||_p / M_w(p) is 1/sqrt 2 at p = 2, where kappa is sharp, and falls with p
+    ps = np.linspace(2.0, 9.5, 151)[:-1]
+    ratio = np.array([_student_abs_moment(p) ** (1.0 / p)
+                      / min(B.student_moment_bounds(_BETA, _KAPPA, 1, 1, (), 1.0, p))
+                      for p in ps.tolist()])
+    assert ratio[0] == pytest.approx(2.0**-0.5, rel=1e-12)
+    assert np.all(ratio <= 2.0**-0.5 * (1.0 + 1e-12))
+    assert np.all(np.diff(ratio) < 0)
 
 
 # -- multilinear route ---------------------------------------------------------------
@@ -475,15 +515,17 @@ def test_certificate_json_round_trip():
     certs = [
         ladder_tail(),
         exp_cert(),
-        B.weighted_tail_certificate(1.0, 2.0, 2, rescale_lambda=1.5),
+        weighted_tail(1),
+        weighted_tail(2),
     ]
+    ts = np.linspace(0.0, 50.0, 501)
     for cert in certs:
         # the way report.json stores a certificate, and the way back
         again = certificate_from_dict(json.loads(to_json(cert)))
         assert again.kind == cert.kind and again.route == cert.route
         assert again.rescale_lambda == cert.rescale_lambda
-        if cert.kind == "tail":
-            assert again.tail_bound(7.0) == cert.tail_bound(7.0)
+        if cert.kind == "tail":  # every bound, bit for bit
+            assert np.array_equal(again.tail_bound(ts), cert.tail_bound(ts))
         else:
             assert again.exp_params() == cert.exp_params()
     # numpy values and NaN constants serialize to strict JSON (NaN as null)

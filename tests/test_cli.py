@@ -281,7 +281,6 @@ _HUGE_RUNG_CFGS = [dict(_UNCENTERED_TAILS, function=_HUGE_BILINEAR),
     {"kind": "rmt", "seed": 0, "fixture": "wigner-gaussian-n50", "matrix_size": 1},
     {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d1",
      "p_values": ["x"]},
-    {"kind": "weighted-tail", "seed": 0, "fixture": "student-weighted-tail-d1", "p": 1},
     # routes: only certify picks one, and only an exp-moment route
     {"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-hs", "route": "ladder-typo"},
     {"kind": "weighted-tail", "seed": 0, "fixture": "student-weighted-tail-d1",
@@ -358,7 +357,10 @@ _HUGE_RUNG_CFGS = [dict(_UNCENTERED_TAILS, function=_HUGE_BILINEAR),
     # just above 1/2 the weight norms the weighted checks read are infinite
     {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d1", "samples": 1000,
      "measure": {"dim": 1, "coords": [{"dist": "student", "params": {"beta": 0.51}}]}},
-    {"kind": "weighted-tail", "seed": 0, "fixture": "student-weighted-tail-d2", "p": 16},
+    # at beta = 5/2 the weighted-tail d = 2 curve has no finite M_w(p): M_w(2)
+    # reads ||w||_4, finite only while 4 < 2 beta - 1
+    {"kind": "weighted-tail", "seed": 0, "fixture": "student-weighted-tail-d2",
+     "measure": {"dim": 2, "coords": [{"dist": "student", "params": {"beta": 2.5}}] * 2}},
     # spec numbers are checked, not truncated or parsed: int() would make
     # these x1 x2, the pair (0, 1) and a 2-dim measure
     {"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-opnorm",
@@ -388,8 +390,8 @@ _HUGE_RUNG_CFGS = [dict(_UNCENTERED_TAILS, function=_HUGE_BILINEAR),
     {"kind": "certify", "seed": 0, "fixture": "gauss-bilinear-exp-hs",
      "function": {"dim": 2, "terms": [{"exponents": [1, 1], "coeff": 1.0},
                                       {"exponents": [1, 0], "coeff": 1.0}]}},
-    # the weighted bounds assume E f = 0 too: x + 5 would fail a check on
-    # weighted and pass on weighted-tail only because every bound reads 1
+    # the weighted bounds assume E f = 0 too: they bound f - E f, and x + 5
+    # fails the checks of both kinds
     {"kind": "weighted", "seed": 0, "fixture": "student-weighted-moments-d1",
      "function": _SHIFTED_X},
     {"kind": "weighted-tail", "seed": 0, "fixture": "student-weighted-tail-d1",
@@ -400,7 +402,7 @@ _HUGE_RUNG_CFGS = [dict(_UNCENTERED_TAILS, function=_HUGE_BILINEAR),
 ], ids=["uncentered-tails", "rmt-degree-3", "samples-abc",
         "negative-seed", "tails-samples-500", "rmt-draws-50", "rmt-draws-1000",
         "multilinear-samples-5000",
-        "certify-samples-10", "matrix-size-1", "p-values-x", "p-1",
+        "certify-samples-10", "matrix-size-1", "p-values-x",
         "certify-route-typo", "weighted-tail-route", "weighted-route-weighted-tail",
         "t-grid-nan", "t-grid-bool", "oracle-scale-x", "oracle-scale-negative",
         "measure-coords-short", "weighted-cubic",
@@ -411,7 +413,7 @@ _HUGE_RUNG_CFGS = [dict(_UNCENTERED_TAILS, function=_HUGE_BILINEAR),
         "profile-samples-1000", "gaussian-scale", "tails-rmt-fields", "rmt-d", "rmt-profile-fields", "multilinear-d",
         "weighted-p", "weighted-tail-p-values", "certify-t-grid", "student-beta-half",
         "student-beta-x", "student-beta-true", "oracle-scale-string", "student-beta-0.51",
-        "weighted-tail-p-16", "function-exponents-1.9",
+        "weighted-tail-beta-2.5", "function-exponents-1.9",
         "multilinear-index-0.9", "measure-dim-2.7", "function-coeff-string",
         "function-coeff-true", "multilinear-value-string", "weighted-p-values-repeated",
         "multilinear-index-repeated", "uncentered-certify", "ladder-hs-gradient-uncentered",
@@ -438,6 +440,20 @@ def test_cli_config_with_d_writes_nothing(tmp_path, capsys, kind, fixture, d):
     out = tmp_path / "out"
     assert run_cli(["run", "--config", path, "--out", out]) == 2
     assert capsys.readouterr().err == "config error: a %s run reads no field(s) ['d']\n" % kind
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fixture, p", [("student-weighted-tail-d1", 1),
+                                        ("student-weighted-tail-d2", 16)],
+                         ids=["p-1", "weighted-tail-p-16"])
+def test_cli_weighted_tail_p_writes_nothing(tmp_path, capsys, fixture, p):
+    # the weighted-tail curve takes the best p of bounds.MARKOV_P, so a p
+    # field is refused like any unread field, at any value
+    path = write_cfg(tmp_path, {"kind": "weighted-tail", "seed": 0, "fixture": fixture, "p": p})
+    out = tmp_path / "out"
+    assert run_cli(["run", "--config", path, "--out", out]) == 2
+    assert capsys.readouterr().err == \
+        "config error: a weighted-tail run reads no field(s) ['p']\n"
     assert not out.exists()
 
 

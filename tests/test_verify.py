@@ -344,15 +344,15 @@ def test_n10_chaos_tail_run_matches_the_exact_law(chaos_tail_runs):
         assert abs(z) <= 5.0, (row["t"], row["empirical"], exact, z)
 
 
-# -- sigma/10 controls on the ladder routes whose runners build none ----------------
+# -- sigma/10 (kappa/10) controls on the tail routes whose runners build none ---------
 
 
-def _sigma_tenth_passes(cert_dict, check):
-    """Whether the tail certificate ``cert_dict`` with sigma/10 still passes
-    against the counts of the tail ``check`` it was checked with."""
+def _tenth_passes(cert_dict, check, constant="sigma"):
+    """Whether the tail certificate ``cert_dict`` with ``constant`` / 10 still
+    passes against the counts of the tail ``check`` it was checked with."""
     cert = certificate_from_dict(cert_dict)
-    shrunk = B.Certificate("tail", cert.route, dict(cert.constants,
-                                                    sigma=cert.constants["sigma"] / 10.0))
+    shrunk = B.Certificate("tail", cert.route, dict(cert.constants, **{
+        constant: cert.constants[constant] / 10.0}))
     m, rows = check["m"], check["rows"]
     counts = [round(r["empirical"] * m) for r in rows]
     return V.check_tail_certificate(shrunk, m, counts, [r["t"] for r in rows]).passed
@@ -364,7 +364,7 @@ def test_multilinear_sigma_tenth_control_fails(chaos_multilinear_runs):
     assert code == 0
     for form in ("tail_hs", "tail_inf"):
         assert report["checks"][form]["passed"]
-        assert not _sigma_tenth_passes(report["certificates"][form], report["checks"][form])
+        assert not _tenth_passes(report["certificates"][form], report["checks"][form])
 
 
 def test_wigner_sigma_tenth_control_fails(tmp_path):
@@ -373,4 +373,12 @@ def test_wigner_sigma_tenth_control_fails(tmp_path):
     code, report = run_config({"kind": "rmt", "fixture": "wigner-gaussian-n50", "seed": 7},
                               str(tmp_path))
     assert code == 0 and report["tail_check"]["passed"]
-    assert not _sigma_tenth_passes(report["certificates"]["tail"], report["tail_check"])
+    assert not _tenth_passes(report["certificates"]["tail"], report["tail_check"])
+
+
+
+def test_weighted_tail_kappa_tenth_control_fails(weighted_runs):
+    # the weighted-tail curve reads kappa through every weight norm of M_w(p)
+    _, (_, code, report, _) = weighted_runs["student-weighted-tail-d1"]
+    assert code == 0 and report["check"]["passed"]
+    assert not _tenth_passes(report["certificate"], report["check"], "kappa")
